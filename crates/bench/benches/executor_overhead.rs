@@ -8,6 +8,11 @@
 //! * `dispatch/invoke_chain/{100,1000}` — the same chains with every op
 //!   wrapped in a SubGraph invocation: the per-invoke premium over a plain
 //!   op is `(invoke_chain - op_chain) / n`.
+//! * `dispatch/fanout/{2,8}` — 100 stages of one producer read by `k`
+//!   independent consumers: the surplus path. A finishing worker keeps one
+//!   ready consumer and pushes the other `k-1` to the shared queue, so
+//!   against `op_chain` (no fork, no queue traffic after the head) this
+//!   prices a fork per extra consumer.
 //! * `recursion/fib/{12,16}` — a fib-shaped doubly-recursive module: frame
 //!   fan-out, Cond branches, and deep PathKey reuse, the shape the paper's
 //!   recursive models actually execute.
@@ -60,6 +65,23 @@ fn invoke_chain_module(n: usize) -> Module {
     mb.finish().expect("finish")
 }
 
+/// `stages` forks in a row: each stage is one producer read by `k`
+/// independent consumers, the first of which feeds the next stage.
+fn fanout_module(k: usize, stages: usize) -> Module {
+    let mut mb = ModuleBuilder::new();
+    let mut x = mb.const_f32(0.0);
+    let mut outs = Vec::new();
+    for _ in 0..stages {
+        let producer = mb.add_const(x, 1.0).expect("add");
+        for i in 0..k {
+            outs.push(mb.add_const(producer, i as f32).expect("add"));
+        }
+        x = outs[outs.len() - k];
+    }
+    mb.set_outputs(&outs).expect("outputs");
+    mb.finish().expect("finish")
+}
+
 fn dispatch_bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("dispatch");
     g.sample_size(20);
@@ -81,6 +103,17 @@ fn dispatch_bench(c: &mut Criterion) {
         )
         .expect("session");
         g.bench_with_input(BenchmarkId::new("invoke_chain", n), &n, |b, _| {
+            b.iter(|| sess.run(vec![]).expect("run"))
+        });
+    }
+    for k in [2usize, 8] {
+        let sess = Session::with_options(
+            Arc::clone(&exec),
+            fanout_module(k, 100),
+            SpecializeOptions::disabled(),
+        )
+        .expect("session");
+        g.bench_with_input(BenchmarkId::new("fanout", k), &k, |b, _| {
             b.iter(|| sess.run(vec![]).expect("run"))
         });
     }

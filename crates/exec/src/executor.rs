@@ -7,7 +7,10 @@
 //!    unresolved inputs enter the global ready queue.
 //! 2. Idle **execution threads** dequeue operations and run their kernels;
 //!    when an operation completes, the dependents whose inputs are now all
-//!    resolved are enqueued behind the existing work (FIFO).
+//!    resolved become runnable. The finishing thread runs the first of them
+//!    itself, as it comes off the kernel (*work-first*, what the TensorFlow
+//!    executor the paper built on does with one ready successor); only the
+//!    rest are enqueued, behind the existing work (FIFO).
 //! 3. When an **InvokeOp** is dequeued, its associated SubGraph "is passed
 //!    to and processed by the master, similar to step (1)": a child frame is
 //!    spawned and its source nodes join the *same* ready queue, served by
@@ -36,18 +39,24 @@
 //!   the `Frame` header itself.
 //! * **Prelude publishing** — `Input` and `Const` nodes are resolved
 //!   *while the frame spawns* (the plan precomputed them), so a typical
-//!   invocation schedules only real operations through the queue.
-//! * **Call continuations** — when spawning a child frame (or completing
-//!   one) leaves exactly one operation runnable, the worker keeps executing
-//!   it directly instead of taking a queue round-trip. Plain operations
-//!   inside a frame still travel through the shared FIFO queue, preserving
-//!   the paper's scheduling for sibling parallelism; only the call/return
-//!   edges — where the old design paid ~2 extra queue cycles per invoke —
-//!   are short-circuited. Continuations run in the worker's loop, not on
-//!   its call stack, so tail recursion thousands of frames deep is safe.
-//! * **Batched queue transfer** — waves of newly-ready operations are
-//!   pushed (and popped) under one lock acquisition via
-//!   [`ReadyQueue::push_batch`] / [`ReadyQueue::pop_batch`].
+//!   invocation dispatches only real operations.
+//! * **Work-first continuations** — one rule for every edge: whenever a
+//!   node finishes (a kernel, a backprop-cache read, a prelude publish, a
+//!   frame returning into its parent's Invoke/Cond node, a member of a
+//!   fused group), the first consumer it made ready stays with the worker
+//!   and only the surplus travels through the shared queue (see
+//!   [`finish_node`]). A worker so runs depth-first inside its own subtree
+//!   and a sibling subtree reaches another worker as one unit at the fork
+//!   — the caller/callee relationship the paper says an executor should
+//!   exploit — instead of every operation paying a push and a pop on the
+//!   queue's lock. Tagged dataflow makes results independent of the order.
+//!   Continuations run in the worker's loop, not on its call stack, so a
+//!   chain of any length is safe; because one can last a whole subtree,
+//!   claimed-but-unstarted tasks are handed back as soon as another worker
+//!   has nothing to do ([`run_batch`], [`run_batch_fused`]).
+//! * **Batched queue transfer** — the surplus of a fork is pushed (and
+//!   claimed) under one lock acquisition via [`ReadyQueue::push_batch`] /
+//!   [`ReadyQueue::pop_batch`].
 
 use crate::batch::{self, FuseKind, GroupKey};
 use crate::cache::{BackpropCache, CacheKey};
@@ -60,27 +69,24 @@ use crate::queue::{ReadyQueue, SchedulerKind};
 use crate::stats::{ExecStats, StatsSnapshot};
 use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use rdg_graph::{GraphRef, NodeId, OpKind, PortRef};
+use rdg_graph::{CallSiteId, GraphRef, NodeId, OpKind, PortRef, SubGraphId};
 use rdg_tensor::Tensor;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// How many tasks a worker drains from the ready queue per lock round-trip.
+/// Each claimed task heads a chain that can last a whole subtree, so the
+/// claim is only a private buffer while every other worker is busy: see
+/// [`run_batch`] for the hand-back rule that bounds hoarding.
 const TASK_BATCH: usize = 8;
 
 /// Drain size when cross-request fusion is on. Wider pops see more
 /// concurrent frames at once, which is what creates fusable groups: the
-/// serving dispatcher's wave interleaves N requests' identical graph nodes
-/// through the FIFO queue in rough lockstep.
+/// serving dispatcher's wave starts N requests' identical graph nodes
+/// together, and their surplus reaches the queue in rough lockstep.
 const FUSED_TASK_BATCH: usize = 32;
-
-/// Continuation-chain length after which a worker releases any tasks still
-/// claimed in its local batch back to the shared queue. Bounds how long a
-/// deep call/return chain can starve claimed-but-unstarted siblings while
-/// other workers idle, without taxing the short chains that dominate
-/// fan-out workloads.
-const CONT_RELEASE_AFTER: u32 = 64;
 
 /// How many recycled frame cores each graph's plan may cache.
 const CORE_POOL_CAP: usize = 64;
@@ -263,26 +269,29 @@ pub struct RunContext {
     /// `exec_stats`, so the teardown fold in `Drop` takes only the
     /// straggler delta (`None` until the run delivers a result).
     absorbed: Mutex<Option<StatsSnapshot>>,
+    /// Which thread executed which node, in execution order per thread.
+    #[cfg(test)]
+    trace: Mutex<Vec<(std::thread::ThreadId, NodeId)>>,
 }
 
 impl RunContext {
     fn fail(&self, e: ExecError) {
         self.cancelled.store(true, Ordering::Release);
-        if !self.finished.swap(true, Ordering::AcqRel) {
-            *self.absorbed.lock() = Some(self.exec_stats.absorb(&self.run_stats));
-            let _ = self.done_tx.send(Err(e));
-        }
+        self.deliver(Err(e));
     }
 
-    fn finish_ok(&self, outs: Vec<Tensor>) {
+    /// Publishes the run's result; only the first call has any effect.
+    fn deliver(&self, result: Result<Vec<Tensor>, ExecError>) {
         if !self.finished.swap(true, Ordering::AcqRel) {
             // Fold per-run counters into the lifetime aggregate *before*
             // publishing the result, so a caller that reads executor stats
-            // right after `wait()` returns sees this run included. A failed
+            // right after `wait()` returns sees this run included — the
+            // chain the delivering worker is in the middle of too. A failed
             // run's straggler tasks may still increment afterwards; the
             // `Drop` fold below picks up that delta at frame teardown.
+            flush_chain(&self.run_stats);
             *self.absorbed.lock() = Some(self.exec_stats.absorb(&self.run_stats));
-            let _ = self.done_tx.send(Ok(outs));
+            let _ = self.done_tx.send(result);
         }
     }
 
@@ -408,38 +417,9 @@ impl Executor {
                             }
                             if fuse {
                                 let max_group = fusion.max_group.load(Ordering::Relaxed);
-                                run_batch_fused(&mut batch, max_group);
-                                continue;
-                            }
-                            // Pop from the back = FIFO order within the batch.
-                            batch.reverse();
-                            while let Some(task) = batch.pop() {
-                                let mut next = execute_task(task);
-                                let mut chain = 0u32;
-                                while let Some(t) = next {
-                                    t.frame
-                                        .run
-                                        .run_stats
-                                        .continuations
-                                        .fetch_add(1, Ordering::Relaxed);
-                                    chain += 1;
-                                    if chain == CONT_RELEASE_AFTER && !batch.is_empty() {
-                                        // This chain has proven long (it can
-                                        // run as long as the recursion is
-                                        // deep); claimed-but-unstarted
-                                        // siblings must not wait it out in
-                                        // this worker's private buffer while
-                                        // other workers idle. Hand them back.
-                                        // Short chains — the common case —
-                                        // never reach this and pay nothing.
-                                        batch.reverse();
-                                        for t2 in batch.drain(..) {
-                                            let d = t2.frame.depth as u64;
-                                            q.push(d, t2);
-                                        }
-                                    }
-                                    next = execute_task(t);
-                                }
+                                run_batch_fused(&q, &mut batch, max_group);
+                            } else {
+                                run_batch(&q, &mut batch);
                             }
                         }
                     })
@@ -520,6 +500,23 @@ impl Executor {
         grads: Option<Arc<GradStore>>,
         cache: Option<Arc<BackpropCache>>,
     ) -> Result<RunHandle, ExecError> {
+        let (handle, root) = self.start(plan, params, feeds, grads, cache)?;
+        if let Some(t) = root {
+            self.queue.push(0, t);
+        }
+        Ok(handle)
+    }
+
+    /// Validates the feeds and spawns the root frame; returns the run's
+    /// handle and the root frame's first runnable task, not yet enqueued.
+    fn start(
+        self: &Arc<Self>,
+        plan: &Arc<ModulePlan>,
+        params: &Arc<ParamStore>,
+        feeds: Vec<Tensor>,
+        grads: Option<Arc<GradStore>>,
+        cache: Option<Arc<BackpropCache>>,
+    ) -> Result<(RunHandle, Option<Task>), ExecError> {
         let main = &plan.module.main;
         if feeds.len() != main.input_nodes.len() {
             return Err(ExecError::BadFeed {
@@ -551,15 +548,16 @@ impl Executor {
             run_stats: Arc::new(ExecStats::new()),
             exec_stats: Arc::clone(&self.stats),
             absorbed: Mutex::new(None),
+            #[cfg(test)]
+            trace: Mutex::default(),
         });
-        if let Some(t) = spawn_frame(&run, GraphRef::Main, PathKey::root(), feeds, None, 0) {
-            self.queue.push(0, t);
-        }
-        Ok(RunHandle {
+        let root = spawn_frame(&run, GraphRef::Main, PathKey::root(), feeds, None, 0);
+        let handle = RunHandle {
             ctx: run,
             done_rx,
             _exec: Arc::clone(self),
-        })
+        };
+        Ok((handle, root))
     }
 }
 
@@ -575,9 +573,9 @@ impl Drop for Executor {
 /// Spawns a frame: publishes its prelude (inputs and constants) inline and
 /// enqueues the remaining source nodes.
 ///
-/// Returns at most one **continuation** — a task made runnable by the
-/// prelude that the calling worker should execute next instead of paying a
-/// queue round-trip. Any further runnable tasks are enqueued normally.
+/// Returns at most one **continuation** — the first task the prelude made
+/// runnable, which the calling worker executes next instead of paying a
+/// queue round-trip. Any further runnable tasks are enqueued.
 fn spawn_frame(
     run: &Arc<RunContext>,
     gref: GraphRef,
@@ -593,10 +591,10 @@ fn spawn_frame(
         // Degenerate empty graph: deliver empty outputs immediately.
         return match parent {
             None => {
-                run.finish_ok(Vec::new());
+                run.deliver(Ok(Vec::new()));
                 None
             }
-            Some(link) => finish_node(run, link.frame, link.node, Vec::new(), true),
+            Some(link) => finish_node(run, link.frame, link.node, Vec::new()),
         };
     }
     let frame = Arc::new(Frame {
@@ -649,30 +647,22 @@ fn spawn_frame(
                 },
                 PreludeValue::Const(t) => t.clone(),
             };
-            match finish_node(run, Arc::clone(&frame), entry.node, vec![out], true) {
+            match finish_node(run, Arc::clone(&frame), entry.node, vec![out]) {
                 Some(t) if cont.is_none() => cont = Some(t),
                 Some(t) => run.queue.push(depth as u64, t),
                 None => {}
             }
         }
     }
-    // Everything else waits on the shared queue, pushed as one wave.
-    match plan.queued_sources.len() {
-        0 => {}
-        1 => run.queue.push(
-            depth as u64,
-            Task {
-                frame: Arc::clone(&frame),
-                node: plan.queued_sources[0],
-            },
-        ),
-        _ => run.queue.push_batch(
+    // The other sources (e.g. `Param` reads) go to the queue as one wave.
+    if !plan.queued_sources.is_empty() {
+        run.queue.push_batch(
             depth as u64,
             plan.queued_sources.iter().map(|&s| Task {
                 frame: Arc::clone(&frame),
                 node: s,
             }),
-        ),
+        );
     }
     cont
 }
@@ -707,8 +697,23 @@ fn fetch(frame: &Frame, p: PortRef) -> Result<Tensor, ExecError> {
     got.ok_or_else(|| ExecError::internal(format!("port {p} missing or taken twice")))
 }
 
+/// Spawns the child frame of a call site (`Invoke`, or the branch a `Cond`
+/// chose); `node` in `frame` is its return location.
+fn call(
+    run: &Arc<RunContext>,
+    frame: Arc<Frame>,
+    node: NodeId,
+    sub: SubGraphId,
+    site: CallSiteId,
+    args: Vec<Tensor>,
+) -> Option<Task> {
+    let (path, depth) = (frame.path.child(site), frame.depth + 1);
+    let link = ParentLink { frame, node };
+    spawn_frame(run, GraphRef::Sub(sub), path, args, Some(link), depth)
+}
+
 /// Executes one scheduled node; may return a continuation task the worker
-/// should run next (see the module docs on call continuations).
+/// should run next (see the module docs on work-first continuations).
 fn execute_task(task: Task) -> Option<Task> {
     let Task { frame, node } = task;
     let run = Arc::clone(&frame.run);
@@ -735,24 +740,11 @@ fn execute_task(task: Task) -> Option<Task> {
         }
     }
     run.run_stats.ops_executed.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    run.trace.lock().push((std::thread::current().id(), node));
 
     match &n.op {
-        OpKind::Invoke { sub, site, .. } => {
-            let child_path = frame.path.child(*site);
-            let depth = frame.depth + 1;
-            let link = ParentLink {
-                frame: Arc::clone(&frame),
-                node,
-            };
-            spawn_frame(
-                &run,
-                GraphRef::Sub(*sub),
-                child_path,
-                inputs,
-                Some(link),
-                depth,
-            )
-        }
+        OpKind::Invoke { sub, site, .. } => call(&run, frame, node, *sub, *site, inputs),
         OpKind::Cond {
             sub_then,
             sub_else,
@@ -779,35 +771,12 @@ fn execute_task(task: Task) -> Option<Task> {
             } else {
                 (*sub_else, *site_else, else_args)
             };
-            let child_path = frame.path.child(site);
-            let depth = frame.depth + 1;
-            let link = ParentLink {
-                frame: Arc::clone(&frame),
-                node,
-            };
-            spawn_frame(
-                &run,
-                GraphRef::Sub(sub),
-                child_path,
-                args,
-                Some(link),
-                depth,
-            )
+            call(&run, frame, node, sub, site, args)
         }
-        OpKind::FwdValue { of } => {
-            let out = read_fwd(&run, &frame, *of, false);
-            match out {
-                Ok(t) => finish_node(&run, frame, node, vec![t], false),
-                Err(e) => {
-                    run.fail(e);
-                    None
-                }
-            }
-        }
-        OpKind::FwdZeros { of } => {
-            let out = read_fwd(&run, &frame, *of, true);
-            match out {
-                Ok(t) => finish_node(&run, frame, node, vec![t], false),
+        OpKind::FwdValue { of } | OpKind::FwdZeros { of } => {
+            let zeros = matches!(n.op, OpKind::FwdZeros { .. });
+            match read_fwd(&run, &frame, *of, zeros) {
+                Ok(t) => finish_node(&run, frame, node, vec![t]),
                 Err(e) => {
                     run.fail(e);
                     None
@@ -838,7 +807,7 @@ fn execute_task(task: Task) -> Option<Task> {
                 kernel::execute(op, inputs, &kctx)
             };
             match result {
-                Ok(outs) => finish_node(&run, frame, node, outs, false),
+                Ok(outs) => finish_node(&run, frame, node, outs),
                 Err(e) => {
                     run.fail(ExecError::Kernel {
                         graph: run.plan.module.graph_name(frame.gref),
@@ -865,14 +834,72 @@ fn group_key(t: &Task) -> Option<GroupKey> {
     })
 }
 
+thread_local! {
+    /// Length of the continuation chain this thread is running that is not
+    /// yet added to its run's `continuations`. A chain never leaves its run
+    /// (consumers live in the producer's frame or its parent's), so one
+    /// number per thread is enough.
+    static CHAIN: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Adds the calling thread's unflushed chain length to `stats`: when the
+/// chain ends, and before a run's result is published so the count is
+/// exact once `RunHandle::wait` returns.
+fn flush_chain(stats: &ExecStats) {
+    let n = CHAIN.replace(0);
+    if n != 0 {
+        stats.continuations.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// Hands claimed-but-unstarted tasks back to the shared queue.
+fn hand_back(q: &ReadyQueue<Task>, tasks: impl Iterator<Item = Task>) {
+    for t in tasks {
+        q.push(t.frame.depth as u64, t);
+    }
+}
+
+/// Scalar drain of one popped batch: each claimed task heads a chain of
+/// continuations that the worker follows until no consumer is ready.
+///
+/// **Hoarding bound.** A chain lasts as long as the subtree under its head,
+/// so the rest of the claim must not wait it out in this private buffer
+/// while another worker is parked: before every continuation the worker
+/// checks [`ReadyQueue::has_idle`] and hands the unstarted claim back. A
+/// claimed task therefore waits behind at most one operation once any
+/// worker has nothing to do, whatever the chain length; while every worker
+/// is busy the buffer costs nothing, because nobody could run it sooner.
+fn run_batch(q: &ReadyQueue<Task>, batch: &mut Vec<Task>) {
+    // Pop from the back = FIFO order within the batch.
+    batch.reverse();
+    while let Some(task) = batch.pop() {
+        let run = Arc::clone(&task.frame.run);
+        let mut next = execute_task(task);
+        while let Some(t) = next {
+            if !batch.is_empty() && q.has_idle() {
+                hand_back(q, batch.drain(..).rev());
+            }
+            CHAIN.set(CHAIN.get() + 1);
+            next = execute_task(t);
+        }
+        flush_chain(&run.run_stats);
+    }
+}
+
 /// Fused drain of one popped batch: the worker's group-execute entry point.
 ///
 /// Rounds: group the claimed tasks with [`batch::plan_groups`], execute
 /// singletons through the unchanged scalar path and groups through one
 /// stacked kernel call each, then feed all continuations into the next
-/// round — so same-request sibling nodes made ready together can fuse too.
-/// Every claimed task executes within its round; nothing is parked.
-fn run_batch_fused(batch: &mut Vec<Task>, max_group: usize) {
+/// round — so the members of one fused group arrive at their consumers
+/// together and regroup. Every claimed task executes within its round;
+/// nothing is parked.
+///
+/// **Hoarding bound.** The rounds go on until every chain under the claim
+/// has ended, so the equivalent of [`run_batch`]'s rule is applied between
+/// rounds: while another worker is parked, the back half of the next round
+/// is handed to it through the queue.
+fn run_batch_fused(q: &ReadyQueue<Task>, batch: &mut Vec<Task>, max_group: usize) {
     let mut round: Vec<Task> = batch.drain(..).collect();
     let mut pending: Vec<Task> = Vec::new();
     while !round.is_empty() {
@@ -882,14 +909,7 @@ fn run_batch_fused(batch: &mut Vec<Task>, max_group: usize) {
         for g in groups {
             if g.len() == 1 {
                 let t = slots[g[0]].take().expect("group indices are disjoint");
-                if let Some(next) = execute_task(t) {
-                    next.frame
-                        .run
-                        .run_stats
-                        .continuations
-                        .fetch_add(1, Ordering::Relaxed);
-                    pending.push(next);
-                }
+                pending.extend(execute_task(t));
             } else {
                 let members: Vec<Task> = g
                     .iter()
@@ -897,6 +917,19 @@ fn run_batch_fused(batch: &mut Vec<Task>, max_group: usize) {
                     .collect();
                 execute_group(members, &mut pending);
             }
+        }
+        if pending.len() > 1 && q.has_idle() {
+            let keep = pending.len().div_ceil(2);
+            hand_back(q, pending.drain(keep..));
+        }
+        // What is left runs next, as continuations. Counted before it runs
+        // (a run cannot complete while one is outstanding), one add per
+        // stretch of same-run tasks.
+        for g in pending.chunk_by(|a, b| Arc::ptr_eq(&a.frame.run, &b.frame.run)) {
+            let stats = &g[0].frame.run.run_stats;
+            stats
+                .continuations
+                .fetch_add(g.len() as u64, Ordering::Relaxed);
         }
         std::mem::swap(&mut round, &mut pending);
     }
@@ -966,16 +999,7 @@ fn execute_fetched(task: Task, inputs: Vec<Tensor>, pending: &mut Vec<Task>) {
         stats: &run.run_stats,
     };
     match kernel::execute(&n.op, inputs, &kctx) {
-        Ok(outs) => {
-            if let Some(next) = finish_node(&run, frame, node, outs, false) {
-                next.frame
-                    .run
-                    .run_stats
-                    .continuations
-                    .fetch_add(1, Ordering::Relaxed);
-                pending.push(next);
-            }
-        }
+        Ok(outs) => pending.extend(finish_node(&run, frame, node, outs)),
         Err(e) => {
             run.fail(ExecError::Kernel {
                 graph: run.plan.module.graph_name(frame.gref),
@@ -1034,6 +1058,10 @@ fn execute_group(members: Vec<Task>, pending: &mut Vec<Task>) {
         }
         run.run_stats.ops_executed.fetch_add(1, Ordering::Relaxed);
         run.run_stats.fusable_seen.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        run.trace
+            .lock()
+            .push((std::thread::current().id(), task.node));
         fetched.push(Fetched { task, inputs });
     }
     if fetched.is_empty() {
@@ -1108,14 +1136,7 @@ fn execute_fused_subgroup(
                 let run = Arc::clone(&m.task.frame.run);
                 run.run_stats.fused_tasks.fetch_add(1, Ordering::Relaxed);
                 let Task { frame, node } = m.task;
-                if let Some(next) = finish_node(&run, frame, node, vec![out], false) {
-                    next.frame
-                        .run
-                        .run_stats
-                        .continuations
-                        .fetch_add(1, Ordering::Relaxed);
-                    pending.push(next);
-                }
+                pending.extend(finish_node(&run, frame, node, vec![out]));
             }
         }
         Err(_) => {
@@ -1174,22 +1195,19 @@ fn read_fwd(
 /// completions up the frame tree (iteratively — tail-recursive frames can be
 /// thousands deep).
 ///
-/// Returns at most one continuation task for the caller to execute inline.
-/// A continuation is taken only where a queue round-trip would serialize a
-/// call edge: on the first hop when `allow_cont` is set (prelude publishes
-/// and empty-frame returns), and on every later hop (a completed frame
-/// delivering its results to the parent's Invoke/Cond node). Plain
-/// intra-frame dataflow always goes through the shared queue, preserving
-/// the paper's FIFO scheduling for sibling parallelism.
+/// One **work-first** rule covers every edge: of the consumers this
+/// publish makes ready, the first in [`ExecutionPlan::consumers`] order is
+/// returned as the caller's continuation and only the surplus is pushed to
+/// the shared queue. A completed frame's results are a publish on the
+/// parent's Invoke/Cond node, so a return edge follows the same rule. At
+/// most one task is returned: a ready consumer keeps its frame open, so the
+/// cascade cannot climb past a frame that yielded one.
 fn finish_node(
     run: &Arc<RunContext>,
     mut frame: Arc<Frame>,
     mut node: NodeId,
     mut outs: Vec<Tensor>,
-    allow_cont: bool,
 ) -> Option<Task> {
-    let mut cont: Option<Task> = None;
-    let mut hop = 0u32;
     loop {
         let plan = run.plan.plan(frame.gref);
         // Backprop cache writes (training mode only).
@@ -1233,57 +1251,29 @@ fn finish_node(
             let mut guard = frame.core.slots[node.0 as usize].lock();
             guard.outs = published;
         }
-        // Notify dependents whose inputs are now fully resolved.
-        let take_cont = cont.is_none() && (allow_cont || hop > 0);
-        let mut first_ready: Option<NodeId> = None;
-        let mut more_ready: Vec<NodeId> = Vec::new();
+        // Notify dependents; keep the first newly-ready one, queue the rest.
+        let mut cont: Option<NodeId> = None;
+        let mut surplus: Vec<NodeId> = Vec::new();
         for &c in &plan.consumers[node.0 as usize] {
             if frame.core.pending[c.0 as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                if first_ready.is_none() {
-                    first_ready = Some(c);
-                } else {
-                    more_ready.push(c);
+                match cont {
+                    None => cont = Some(c),
+                    Some(_) => surplus.push(c),
                 }
             }
         }
-        if let Some(first) = first_ready {
-            if take_cont {
-                cont = Some(Task {
+        if !surplus.is_empty() {
+            run.queue.push_batch(
+                frame.depth as u64,
+                surplus.into_iter().map(|c| Task {
                     frame: Arc::clone(&frame),
-                    node: first,
-                });
-                if !more_ready.is_empty() {
-                    run.queue.push_batch(
-                        frame.depth as u64,
-                        more_ready.drain(..).map(|c| Task {
-                            frame: Arc::clone(&frame),
-                            node: c,
-                        }),
-                    );
-                }
-            } else if more_ready.is_empty() {
-                run.queue.push(
-                    frame.depth as u64,
-                    Task {
-                        frame: Arc::clone(&frame),
-                        node: first,
-                    },
-                );
-            } else {
-                run.queue.push_batch(
-                    frame.depth as u64,
-                    std::iter::once(first)
-                        .chain(more_ready.drain(..))
-                        .map(|c| Task {
-                            frame: Arc::clone(&frame),
-                            node: c,
-                        }),
-                );
-            }
+                    node: c,
+                }),
+            );
         }
         // Frame countdown.
         if frame.nodes_left.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return cont;
+            return cont.map(|node| Task { frame, node });
         }
         // Frame complete: gather its outputs and deliver to the parent
         // Invoke/Cond node (its "return location"), or finish the run.
@@ -1294,22 +1284,24 @@ fn finish_node(
                 Ok(t) => fouts.push(t),
                 Err(e) => {
                     run.fail(e);
-                    return cont;
+                    return None;
                 }
             }
         }
         match &frame.parent {
             None => {
-                run.finish_ok(fouts);
-                return cont;
+                run.deliver(Ok(fouts));
+                return None;
             }
             Some(link) => {
                 let parent_frame = Arc::clone(&link.frame);
                 node = link.node;
                 outs = fouts;
                 frame = parent_frame;
-                hop += 1;
             }
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

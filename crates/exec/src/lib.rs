@@ -8,12 +8,13 @@
 //! * [`executor::Executor`] — master/worker execution: a global ready queue
 //!   ([`queue::ReadyQueue`]) feeding a pool of execution threads, with
 //!   dependency-count scheduling. `InvokeOp` execution spawns a child frame
-//!   whose operations join the *same* queue — recursive graphs run on the
-//!   unmodified machinery (paper §4.1.2). The invoke hot path is engineered
-//!   down to near plain-op cost: frame cores are pooled, `Input`/`Const`
-//!   nodes resolve while the frame spawns, and call/return edges continue
-//!   on the executing worker instead of paying queue round-trips (see the
-//!   [`executor`] module docs). The executor is a **multi-run runtime**:
+//!   scheduled like any other operations — recursive graphs run on the
+//!   unmodified machinery (paper §4.1.2). The hot path is engineered down
+//!   to near plain-op cost per invoke: frame cores are pooled,
+//!   `Input`/`Const` nodes resolve while the frame spawns, and a worker
+//!   that finishes an operation runs the first consumer it made ready
+//!   itself, so only the surplus of a fork pays a queue round-trip (see
+//!   the [`executor`] module docs). The executor is a **multi-run runtime**:
 //!   [`executor::Executor::submit`] starts a run without blocking and
 //!   returns a [`executor::RunHandle`]; every run carries its own
 //!   [`executor::RunContext`] (feeds, result slot, grad/cache handles,

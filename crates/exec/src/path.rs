@@ -434,12 +434,12 @@ mod tests {
         assert!(a.ptr_eq(&b), "interned twins must share the node");
         // Clones stay pointer-equal, of course.
         assert!(a.clone().ptr_eq(&b));
-        // And re-creating the key does not grow the interner. (Compare
-        // with <=: a concurrent serve-shutdown flush elsewhere in this
-        // binary may shrink the table between the two measurements.)
-        let before = PathKey::interner_len();
-        let _c = PathKey::root().child(CallSiteId(41)).child(CallSiteId(42));
-        assert!(PathKey::interner_len() <= before);
+        // And re-creating the key finds the same node instead of adding one.
+        // (Not asserted on `interner_len()`: the table is process-wide and
+        // sibling tests intern and flush concurrently. A live key pins its
+        // whole spine against a flush, so the pointer check cannot race.)
+        let c = PathKey::root().child(CallSiteId(41)).child(CallSiteId(42));
+        assert!(c.ptr_eq(&a));
     }
 
     #[test]

@@ -78,7 +78,12 @@ pub struct PreludeEntry {
 
 /// Per-graph scheduling metadata, computed once and reused by every frame.
 pub struct ExecutionPlan {
-    /// For each node, the distinct nodes consuming any of its outputs.
+    /// For each node, the distinct nodes consuming any of its outputs, in
+    /// node (construction) order. The order is a scheduling decision: of the
+    /// consumers a finishing node makes ready, the executor keeps the first
+    /// in this list as its continuation and queues the rest. Sorting call
+    /// sites (`Invoke`/`Cond`) to the front or to the back measured the
+    /// same as leaving it (PERFORMANCE.md § PR 12), so it is left as built.
     pub consumers: Vec<Vec<NodeId>>,
     /// For each node, the number of distinct producers it waits on
     /// (the in-degree counts seeding each frame's countdown).

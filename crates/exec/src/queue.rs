@@ -1,6 +1,12 @@
 //! The worker ready queue (paper Figure 4).
 //!
-//! Two scheduling policies are provided:
+//! The queue carries **surplus** work only. A worker that finishes an
+//! operation keeps the first consumer it made ready and runs it next (the
+//! executor's work-first rule); what enters the queue is the head of each
+//! run and, at every fork, the consumers beyond the first — whole sibling
+//! subtrees for whichever worker is free. Most operations never touch it.
+//!
+//! Two scheduling policies are provided for what does:
 //!
 //! * [`SchedulerKind::Fifo`] — the paper's policy: operations enter a global
 //!   FIFO ready queue as their dependencies resolve and idle execution
@@ -11,13 +17,14 @@
 //!   when threads are scarce. An ablation bench compares the two.
 //!
 //! Both policies expose **batched** transfer: [`ReadyQueue::push_batch`]
-//! enqueues a whole wave of newly-ready operations under one lock
-//! acquisition, and [`ReadyQueue::pop_batch`] lets a worker drain several
-//! runnable operations per round-trip. On the executor's hot path this
-//! replaces one lock/notify cycle *per operation* with one per wave.
+//! enqueues the surplus of one fork under one lock acquisition, and
+//! [`ReadyQueue::pop_batch`] lets a worker claim several runnable
+//! operations per round-trip. [`ReadyQueue::has_idle`] tells a worker that
+//! is holding such a claim whether someone else could be running it.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Scheduling policy selector.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -62,16 +69,12 @@ impl<T> Ord for Prioritized<T> {
 struct FifoState<T> {
     queue: VecDeque<T>,
     stop_tokens: usize,
-    /// Workers currently blocked in `wait` (for fair batch splitting).
-    waiting: usize,
 }
 
 struct PrioState<T> {
     heap: BinaryHeap<Prioritized<T>>,
     next_seq: u64,
     stop_tokens: usize,
-    /// Workers currently blocked in `wait` (for fair batch splitting).
-    waiting: usize,
 }
 
 /// How many tasks one `pop_batch` may claim from a queue of `len` tasks
@@ -103,6 +106,11 @@ enum Impl<T> {
 /// batched push/pop.
 pub struct ReadyQueue<T> {
     inner: Impl<T>,
+    /// Workers currently parked in `pop`/`pop_batch`. Written only under
+    /// the queue lock (fair batch splitting reads it there); read without
+    /// the lock by [`ReadyQueue::has_idle`]. It publishes no data, so
+    /// `Relaxed` is enough.
+    waiting: AtomicUsize,
 }
 
 impl<T> ReadyQueue<T> {
@@ -113,7 +121,6 @@ impl<T> ReadyQueue<T> {
                 state: Mutex::new(FifoState {
                     queue: VecDeque::new(),
                     stop_tokens: 0,
-                    waiting: 0,
                 }),
                 cond: Condvar::new(),
             },
@@ -122,12 +129,21 @@ impl<T> ReadyQueue<T> {
                     heap: BinaryHeap::new(),
                     next_seq: 0,
                     stop_tokens: 0,
-                    waiting: 0,
                 }),
                 cond: Condvar::new(),
             },
         };
-        ReadyQueue { inner }
+        ReadyQueue {
+            inner,
+            waiting: AtomicUsize::new(0),
+        }
+    }
+
+    /// Whether some worker is parked waiting for work right now. A worker
+    /// holding claimed-but-unstarted tasks uses this to decide to hand them
+    /// back; a stale answer only delays or hastens that by one operation.
+    pub fn has_idle(&self) -> bool {
+        self.waiting.load(Ordering::Relaxed) != 0
     }
 
     /// Enqueues a task with a scheduling priority (ignored under FIFO).
@@ -212,9 +228,9 @@ impl<T> ReadyQueue<T> {
                         st.stop_tokens -= 1;
                         return None;
                     }
-                    st.waiting += 1;
+                    self.waiting.fetch_add(1, Ordering::Relaxed);
                     cond.wait(&mut st);
-                    st.waiting -= 1;
+                    self.waiting.fetch_sub(1, Ordering::Relaxed);
                 }
             }
             Impl::Prio { heap, cond } => {
@@ -227,9 +243,9 @@ impl<T> ReadyQueue<T> {
                         st.stop_tokens -= 1;
                         return None;
                     }
-                    st.waiting += 1;
+                    self.waiting.fetch_add(1, Ordering::Relaxed);
                     cond.wait(&mut st);
-                    st.waiting -= 1;
+                    self.waiting.fetch_sub(1, Ordering::Relaxed);
                 }
             }
         }
@@ -251,7 +267,8 @@ impl<T> ReadyQueue<T> {
                 let mut st = state.lock();
                 loop {
                     if !st.queue.is_empty() {
-                        let take = fair_take(st.queue.len(), st.waiting, max);
+                        let take =
+                            fair_take(st.queue.len(), self.waiting.load(Ordering::Relaxed), max);
                         buf.extend(st.queue.drain(..take));
                         return true;
                     }
@@ -259,16 +276,17 @@ impl<T> ReadyQueue<T> {
                         st.stop_tokens -= 1;
                         return false;
                     }
-                    st.waiting += 1;
+                    self.waiting.fetch_add(1, Ordering::Relaxed);
                     cond.wait(&mut st);
-                    st.waiting -= 1;
+                    self.waiting.fetch_sub(1, Ordering::Relaxed);
                 }
             }
             Impl::Prio { heap, cond } => {
                 let mut st = heap.lock();
                 loop {
                     if !st.heap.is_empty() {
-                        let take = fair_take(st.heap.len(), st.waiting, max);
+                        let take =
+                            fair_take(st.heap.len(), self.waiting.load(Ordering::Relaxed), max);
                         for _ in 0..take {
                             match st.heap.pop() {
                                 Some(p) => buf.push(p.item),
@@ -281,9 +299,9 @@ impl<T> ReadyQueue<T> {
                         st.stop_tokens -= 1;
                         return false;
                     }
-                    st.waiting += 1;
+                    self.waiting.fetch_add(1, Ordering::Relaxed);
                     cond.wait(&mut st);
-                    st.waiting -= 1;
+                    self.waiting.fetch_sub(1, Ordering::Relaxed);
                 }
             }
         }

@@ -9,21 +9,25 @@
 //! and a per-op cost model. Values are computed for real (so control flow
 //! and dynamic models behave identically); only *time* is simulated.
 //!
-//! The scheduler mirrors the real executor's *queue discipline*: a FIFO
-//! ready queue, workers that pick the front task as they become free,
-//! dependency-count readiness, and frame spawning for `Invoke`/`Cond`. The
-//! output is the virtual makespan, from which the harness derives
-//! paper-style throughput numbers.
+//! The virtual machine is a **FIFO model**, and stays one: a FIFO ready
+//! queue, workers that pick the front task as they become free,
+//! dependency-count readiness, and frame spawning for `Invoke`/`Cond` —
+//! the paper's Figure 4, every node through the queue. The output is the
+//! virtual makespan, from which the harness derives paper-style throughput
+//! numbers.
 //!
-//! The model deliberately schedules **every** node through the virtual
-//! queue — it does not reproduce the real executor's hot-path shortcuts
-//! (spawn-time prelude publishing of `Input`/`Const` nodes, call
-//! continuations, batched queue transfer; see the [`crate::executor`]
-//! docs). Those shortcuts change *constants*, not the dataflow shape, and
-//! the virtual-machine results are parallelism *shapes*; when absolute
-//! agreement with the real executor matters, derive [`CostModel`]'s
-//! `dispatch_ns`/`frame_ns` from a profile of the current runtime (the
-//! calibration constructor) rather than the defaults.
+//! It deliberately does not reproduce the real executor's hot path:
+//! spawn-time prelude publishing of `Input`/`Const` nodes, batched queue
+//! transfer, and above all the work-first continuations that keep a
+//! finished op's first ready consumer on the finishing worker, so that the
+//! real queue carries only the surplus of each fork (see the
+//! [`crate::executor`] docs). Those change *constants* and, where workers
+//! are scarcer than the dataflow is wide, the order in which ready work
+//! starts; they do not change the dataflow, and the virtual-machine results
+//! are parallelism *shapes*. When absolute agreement with the real executor
+//! matters, derive [`CostModel`]'s `dispatch_ns`/`frame_ns` from a profile
+//! of the current runtime (the calibration constructor) rather than the
+//! defaults.
 
 use crate::cache::{BackpropCache, CacheKey};
 use crate::error::ExecError;

@@ -49,7 +49,13 @@ pub struct StatsSnapshot {
     pub cancelled_tasks: u64,
     /// Prelude-published nodes.
     pub prelude_published: u64,
-    /// Call continuations executed.
+    /// Tasks a worker ran as the continuation of the task before them
+    /// instead of taking them from the ready queue, whatever the edge
+    /// (plain dataflow, call, return). Workers add a whole chain at a time:
+    /// when it ends, and before a run's result is published — so after
+    /// `RunHandle::wait()` returns `Ok` this is exact, on the run and on the
+    /// lifetime aggregate. A task dropped by cancellation as it was picked
+    /// up as a continuation is counted too.
     pub continuations: u64,
     /// Kernel tasks whose graph node was batchable (fusion-eligible).
     pub fusable_seen: u64,
@@ -79,7 +85,8 @@ pub struct ExecStats {
     pub cancelled_tasks: AtomicU64,
     /// Nodes resolved inline at frame spawn (`Input`/`Const` prelude).
     pub prelude_published: AtomicU64,
-    /// Tasks executed as call continuations, bypassing the ready queue.
+    /// Tasks executed as continuations, bypassing the ready queue; added
+    /// one chain at a time (see [`StatsSnapshot::continuations`]).
     pub continuations: AtomicU64,
     /// Kernel tasks whose graph node was batchable (`ExecutionPlan::fuse`),
     /// whether or not a fusion partner was available. The denominator of

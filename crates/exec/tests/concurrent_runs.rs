@@ -5,7 +5,7 @@
 //! `Session::run_many`, and a stress test hammering one session from eight
 //! OS threads at once.
 
-use rdg_exec::{ExecError, Executor, Session};
+use rdg_exec::{ExecError, ExecStats, Executor, Session};
 use rdg_graph::{Module, ModuleBuilder};
 use rdg_tensor::{DType, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -144,6 +144,59 @@ fn cancel_after_completion_keeps_the_result() {
     assert_eq!(h.wait().unwrap()[0].as_i32_scalar().unwrap(), 10);
 }
 
+/// `wait` consumed the handle; once the stragglers have drained, the
+/// runtime's last holder of the per-run stats (the run context) is gone and
+/// the teardown fold has run.
+fn wait_torn_down(run_stats: &Arc<ExecStats>) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while Arc::strong_count(run_stats) > 1 {
+        assert!(
+            Instant::now() < deadline,
+            "stragglers never drained: {}",
+            run_stats.summary()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn cancel_landing_in_a_workers_chain_fails_only_that_run() {
+    // On one worker the descent of `sum` is a single chain: every frame
+    // readies exactly one op at a time, so nothing but the run's head ever
+    // enters the queue, and two million frames never finish before the
+    // cancel below.
+    let exec = Executor::with_threads(1);
+    let s = Session::new(Arc::clone(&exec), sum_module()).unwrap();
+    let h = s.submit_run(vec![Tensor::scalar_i32(2_000_000)]).unwrap();
+    let cancelled = Arc::clone(h.stats());
+    while cancelled.frames_spawned.load(Ordering::Relaxed) < 100 {
+        std::thread::yield_now();
+    }
+    h.cancel();
+    assert!(matches!(h.wait(), Err(ExecError::Cancelled)));
+    wait_torn_down(&cancelled);
+    let c = cancelled.snapshot();
+    // The chain stopped at its next op: that is the one task there was to
+    // drop.
+    assert_eq!(c.cancelled_tasks, 1);
+    // Every dispatched op but the head was a continuation, and so was the
+    // dropped task (counted when the worker picked it, not when it ran).
+    assert_eq!(c.continuations, c.ops_executed - c.prelude_published);
+
+    // The pool is fine: the next run on it succeeds, and the lifetime
+    // aggregate is the sum of the two runs.
+    let h2 = s.submit_run(vec![Tensor::scalar_i32(10)]).unwrap();
+    let ok = Arc::clone(h2.stats());
+    assert_eq!(h2.wait().unwrap()[0].as_i32_scalar().unwrap(), gauss(10));
+    wait_torn_down(&ok);
+    let (o, agg) = (ok.snapshot(), exec.stats().snapshot());
+    assert_eq!(o.cancelled_tasks, 0);
+    assert_eq!(agg.cancelled_tasks, 1);
+    assert_eq!(agg.ops_executed, c.ops_executed + o.ops_executed);
+    assert_eq!(agg.continuations, c.continuations + o.continuations);
+    assert_eq!(agg.frames_spawned, c.frames_spawned + o.frames_spawned);
+}
+
 #[test]
 fn straggler_stats_fold_into_lifetime_aggregate_at_teardown() {
     // A cancelled run's stray tasks drain *after* the run has reported its
@@ -163,18 +216,7 @@ fn straggler_stats_fold_into_lifetime_aggregate_at_teardown() {
         Err(ExecError::Cancelled) => {}
         other => panic!("expected Cancelled, got {other:?}"),
     }
-    // `wait` consumed the handle; once the stragglers have drained, the
-    // runtime's last holder of the per-run stats (the run context) is
-    // gone and the teardown fold has run.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while Arc::strong_count(&run_stats) > 1 {
-        assert!(
-            Instant::now() < deadline,
-            "stragglers never drained: {}",
-            run_stats.summary()
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_torn_down(&run_stats);
     let run = run_stats.snapshot();
     let agg = exec.stats().snapshot();
     assert!(

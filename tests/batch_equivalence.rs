@@ -19,6 +19,7 @@
 
 use proptest::prelude::*;
 use rdg_core::prelude::*;
+use std::sync::Arc;
 
 const KINDS: [ModelKind; 3] = [ModelKind::TreeRnn, ModelKind::Rntn, ModelKind::TreeLstm];
 
@@ -171,4 +172,77 @@ fn fusion_engages_under_saturation_and_accounting_closes() {
             "no SLO traffic here, so fusion must not invent sheds"
         );
     }
+}
+
+/// Eight identical requests in flight at once: every member of a fused
+/// group finishes in the same stacked call, so with work-first continuations
+/// (PR 12) all of a group's continuations reach the next node together and
+/// regroup without meeting in the queue. One worker makes the schedule a
+/// function of the code alone — a plug run keeps it busy until all eight
+/// heads are queued — so the fused fraction is a number, not a
+/// distribution: 328 of 384 eligible tasks (0.854).
+///
+/// The parent of PR 12 fused 0.91–0.94 of this *particular* load: there
+/// every op took a queue trip, which re-united fragments that a claim had
+/// split, where a chain that stays on its worker keeps the group it started
+/// with. On the benchmark's serving workloads (different trees, waves of
+/// two) the fraction rose instead, 0.43 → 0.49 (PERFORMANCE.md § PR 12).
+/// The floor pins what the work-first drain achieves here.
+#[test]
+fn identical_concurrent_requests_regroup_after_every_fused_call() {
+    let cfg = ModelConfig::tiny(ModelKind::TreeRnn, 1);
+    let data = Dataset::generate(DatasetConfig {
+        vocab: cfg.vocab,
+        n_train: 1,
+        n_valid: 0,
+        min_len: 12,
+        max_len: 12,
+        shape: TreeShape::Balanced,
+        seed: 20260925,
+    });
+    let exec = Executor::with_threads(1);
+    let sess =
+        Session::new(Arc::clone(&exec), build_recursive(&cfg).expect("build")).expect("session");
+    let request = Dataset::feeds_per_instance(data.split(Split::Train)).remove(0);
+    let scalar = sess.run(request.clone()).expect("scalar run");
+
+    // The plug: a straight line long enough to outlast eight submits.
+    let mut mb = ModuleBuilder::new();
+    let mut x = mb.const_f32(0.0);
+    for _ in 0..100_000 {
+        x = mb.add_const(x, 1.0).expect("add");
+    }
+    mb.set_outputs(&[x]).expect("outputs");
+    let plug_sess = Session::new(Arc::clone(&exec), mb.finish().expect("finish")).expect("plug");
+
+    exec.set_cross_request_fusion(true, 16);
+    let before = exec.stats().snapshot();
+    let plug = plug_sess.submit_run(vec![]).expect("plug run");
+    // The worker must have claimed the plug alone before any head is queued.
+    while plug.stats().snapshot().ops_executed < 2 {
+        std::thread::yield_now();
+    }
+    let handles: Vec<_> = (0..8)
+        .map(|_| sess.submit_run(request.clone()).expect("submit"))
+        .collect();
+    assert!(
+        !plug.is_finished(),
+        "the plug ended before all requests were queued"
+    );
+    for (i, h) in handles.into_iter().enumerate() {
+        assert_bit_equal(
+            &scalar,
+            &h.wait().expect("fused run"),
+            &format!("request {i}"),
+        );
+    }
+    plug.wait().expect("plug");
+    exec.set_cross_request_fusion(false, 16);
+    let after = exec.stats().snapshot();
+    let eligible = after.fusable_seen - before.fusable_seen;
+    let fused = after.fused_tasks - before.fused_tasks;
+    assert!(eligible > 0);
+    let frac = fused as f64 / eligible as f64;
+    println!("fused {fused} of {eligible} eligible kernel tasks ({frac:.3})");
+    assert!(frac >= 0.85, "fused fraction fell to {frac:.3}");
 }
