@@ -45,7 +45,7 @@
 //!   frame returning into its parent's Invoke/Cond node, a member of a
 //!   fused group), the first consumer it made ready stays with the worker
 //!   and only the surplus travels through the shared queue (see
-//!   [`finish_node`]). A worker so runs depth-first inside its own subtree
+//!   `finish_node`). A worker so runs depth-first inside its own subtree
 //!   and a sibling subtree reaches another worker as one unit at the fork
 //!   — the caller/callee relationship the paper says an executor should
 //!   exploit — instead of every operation paying a push and a pop on the
@@ -53,7 +53,7 @@
 //!   Continuations run in the worker's loop, not on its call stack, so a
 //!   chain of any length is safe; because one can last a whole subtree,
 //!   claimed-but-unstarted tasks are handed back as soon as another worker
-//!   has nothing to do ([`run_batch`], [`run_batch_fused`]).
+//!   has nothing to do (`run_batch`, `run_batch_fused`).
 //! * **Batched queue transfer** — the surplus of a fork is pushed (and
 //!   claimed) under one lock acquisition via [`ReadyQueue::push_batch`] /
 //!   [`ReadyQueue::pop_batch`].
@@ -796,17 +796,7 @@ fn execute_task(task: Task) -> Option<Task> {
                 grads: run.grads.as_deref(),
                 stats: &run.run_stats,
             };
-            // Profiling is an executor-lifetime concern (the switch and the
-            // sample table live on the aggregate), not a per-run counter.
-            let result = if run.exec_stats.profiling() {
-                let t0 = std::time::Instant::now();
-                let r = kernel::execute(op, inputs, &kctx);
-                run.exec_stats.record_kernel(op.mnemonic(), t0.elapsed());
-                r
-            } else {
-                kernel::execute(op, inputs, &kctx)
-            };
-            match result {
+            match timed_kernel(&run, op, || kernel::execute(op, inputs, &kctx)) {
                 Ok(outs) => finish_node(&run, frame, node, outs),
                 Err(e) => {
                     run.fail(ExecError::Kernel {
@@ -819,6 +809,21 @@ fn execute_task(task: Task) -> Option<Task> {
             }
         }
     }
+}
+
+/// Runs one kernel call — scalar or stacked — and, when the executor's
+/// kernel profile is on, records its wall time under `op`'s mnemonic (a
+/// stacked call counts once). Profiling is an executor-lifetime concern:
+/// the switch and the sample table live on the aggregate, not the run. Off,
+/// this costs one relaxed load.
+fn timed_kernel<R>(run: &RunContext, op: &OpKind, call: impl FnOnce() -> R) -> R {
+    if !run.exec_stats.profiling() {
+        return call();
+    }
+    let t0 = std::time::Instant::now();
+    let out = call();
+    run.exec_stats.record_kernel(op.mnemonic(), t0.elapsed());
+    out
 }
 
 /// The static fusion identity of one ready task: `Some` iff its node is
@@ -998,7 +1003,7 @@ fn execute_fetched(task: Task, inputs: Vec<Tensor>, pending: &mut Vec<Task>) {
         grads: run.grads.as_deref(),
         stats: &run.run_stats,
     };
-    match kernel::execute(&n.op, inputs, &kctx) {
+    match timed_kernel(&run, &n.op, || kernel::execute(&n.op, inputs, &kctx)) {
         Ok(outs) => pending.extend(finish_node(&run, frame, node, outs)),
         Err(e) => {
             run.fail(ExecError::Kernel {
@@ -1104,7 +1109,8 @@ fn execute_fused_subgroup(
         FuseKind::ColsShared => batch::stack_cols(&parts),
     }
     .and_then(|(stacked, sizes)| {
-        let out = kernel::execute_stacked(op, &stacked, &group[0].inputs[shared_idx])?;
+        let (run, shared) = (&group[0].task.frame.run, &group[0].inputs[shared_idx]);
+        let out = timed_kernel(run, op, || kernel::execute_stacked(op, &stacked, shared))?;
         match kind {
             FuseKind::RowsShared => batch::split_rows(&out, &sizes),
             FuseKind::ColsShared => batch::split_cols(&out, &sizes),

@@ -10,8 +10,12 @@
 //! earliest-enqueued request wins.
 //!
 //! The pop rule is a pure function of `(queue contents, now_ns)` — no
-//! clock is read in here — which is what lets the scripted harness in
-//! [`super::test_support`] assert dispatch decisions exactly.
+//! clock is read in here. The lanes are owned by `core::DispatchCore`,
+//! whose `form_wave` is the only caller of [`ClassQueues::pop_next`]; the
+//! live loop and the scripted harness in [`super::test_support`] both
+//! drive that core, the former with wall-clock nanoseconds, the latter
+//! with a virtual clock — which is what lets tests assert dispatch
+//! decisions exactly.
 
 use super::Priority;
 use std::collections::VecDeque;
@@ -30,8 +34,8 @@ pub(crate) struct Queued<T> {
     pub seq: u64,
     /// Absolute end-to-end deadline on the owning queue's clock, if the
     /// request carries an SLO. The pop rule ignores it — eviction of
-    /// expired entries is the *dispatcher's* decision at pop time, so the
-    /// live loop and the scripted twin shed at exactly the same point.
+    /// expired entries is `DispatchCore::form_wave`'s decision, made on
+    /// each popped entry, for the live loop and the scripted driver alike.
     pub deadline_ns: Option<u64>,
 }
 
@@ -70,14 +74,15 @@ impl<T> ClassQueues<T> {
         self.lanes.iter().all(VecDeque::is_empty)
     }
 
-    /// Appends to `class`'s lane, stamping `now_ns` and the next global
-    /// sequence number.
+    /// [`ClassQueues::push_deadline`] without a deadline.
+    #[cfg(test)]
     pub(crate) fn push(&mut self, class: Priority, item: T, now_ns: u64) {
         self.push_deadline(class, item, now_ns, None);
     }
 
-    /// [`ClassQueues::push`] with an absolute end-to-end deadline for
-    /// SLO-carrying requests.
+    /// Appends to `class`'s lane, stamping `now_ns` and the next global
+    /// sequence number, plus the absolute end-to-end deadline of an
+    /// SLO-carrying request.
     pub(crate) fn push_deadline(
         &mut self,
         class: Priority,

@@ -12,15 +12,17 @@
 //! wall-clock budget, clamped to `[workers, workers × max_multiple]`.
 //!
 //! The controller is a pure fold over observed durations — no clock, no
-//! locks — so [`super::test_support::ScriptedServe`] and the unit tests
-//! below drive it with scripted service times and assert the resulting
-//! targets exactly.
+//! locks. It lives inside `core::DispatchCore`, which feeds it one
+//! observation per finished wave (`wave_done`) whichever driver ran the
+//! wave: the live dispatcher with measured drain times, or
+//! [`super::test_support::ScriptedServe`] with scripted ones — so tests
+//! assert the resulting targets exactly.
 
 use super::WaveSizing;
 
-/// EWMA wave-target controller. Owned and driven by the dispatcher
-/// thread; the rest of the world sees its decisions through the
-/// `wave_target` atomic in the stats ledger.
+/// EWMA wave-target controller. Owned by the dispatcher core; stats
+/// snapshots and routing read its target and EWMA from there, under the
+/// serving loop's state lock.
 pub(crate) struct WaveController {
     sizing: WaveSizing,
     /// Wave target when sizing is fixed, and the dynamic controller's
@@ -73,8 +75,8 @@ impl WaveController {
         // Floor at 1ns: a zero-drain wave (clock granularity, or a wave of
         // instantly-failing submissions) is "immeasurably fast", not free.
         // Feeding a raw 0 would decay the EWMA toward 0, pinning `target()`
-        // at the hi clamp and publishing a 0ns estimate — which readers
-        // treat as the "no estimate yet" sentinel.
+        // at the hi clamp and reporting a 0ns estimate — which stats and
+        // routing snapshots use as the "no estimate yet" value.
         let sample = (drain_ns as f64 * busy / wave_len as f64).max(1.0);
         self.ewma_ns = Some(match self.ewma_ns {
             None => sample,
@@ -122,10 +124,12 @@ impl WaveController {
 /// the per-request service EWMA is `ewma_ns` and `workers` lanes drain
 /// concurrently: `depth × ewma ÷ workers`, saturating.
 ///
-/// This is the one prediction rule of the serving stack — predictive
-/// admission shedding ([`super::ServeClient::submit_slo_with`]), the
-/// scripted twin, and the cluster's join-shortest-queue routing all call
-/// it, so their decisions agree on what "too late to bother" means.
+/// This is the one prediction rule of the serving stack, with exactly two
+/// callers: predictive admission shedding (`DispatchCore::admit`, behind
+/// [`super::ServeClient::submit_slo_with`] and the scripted driver alike)
+/// and the cluster's join-shortest-queue routing
+/// ([`super::ReplicaSnapshot::predicted_wait_ns`]) — so the two agree on
+/// what "too late to bother" means.
 pub(crate) fn predicted_wait_ns(depth: usize, ewma_ns: u64, workers: usize) -> u64 {
     let w = workers.max(1) as u128;
     (depth as u128 * ewma_ns as u128 / w).min(u64::MAX as u128) as u64

@@ -16,13 +16,16 @@
 //!   scripted service durations, virtual-clock gaps, dispatch waves,
 //!   replica-level worker stalls, client clone/drop points, and a
 //!   shutdown point;
-//! * [`replay`] runs a scenario through the deterministic
-//!   [`ScriptedServe`] twin — entirely
-//!   under the virtual clock, zero sleeps — and scores it by observed
-//!   **interactive p99** while checking the **invariant oracles** (class
-//!   FIFO, strict priority for fresh submits, the aging starvation bound,
-//!   no-loss/no-dup ticket conservation, the wave-target clamp and
-//!   budget);
+//! * [`replay`] runs a scenario through [`ScriptedServe`] — the
+//!   virtual-clock driver of the *same* `core::DispatchCore` the live
+//!   serve loop runs, so a finding here is a finding about production
+//!   admission and wave logic, not about a model of it; zero sleeps — and
+//!   scores it by observed **interactive p99** while checking the
+//!   **invariant oracles** (class FIFO, strict priority for fresh
+//!   submits, the aging starvation bound, no-loss/no-dup ticket
+//!   conservation, the wave-target clamp and budget). The oracles are
+//!   deliberately *not* shared with the core: they restate the contract
+//!   independently, from the outside;
 //! * [`replay_fused`] replays the same scenario under the wave-granularity
 //!   model of the executor's cross-request batch fuser (same
 //!   `batch::plan_groups`, group service = member max), so every oracle is
@@ -178,6 +181,20 @@ pub enum Event {
     Shutdown,
 }
 
+impl Event {
+    /// The scripted duration this event carries — service, gap or stall —
+    /// if any: what perturbation and shrinking act on.
+    fn duration_mut(&mut self) -> Option<&mut u64> {
+        match self {
+            Event::Submit(_, v)
+            | Event::SubmitSlo(_, v, _)
+            | Event::Advance(v)
+            | Event::Stall(_, v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
 /// A complete serving schedule: configuration plus event list. The unit
 /// the fuzzer generates, mutates, scores, minimizes, and serializes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -310,9 +327,9 @@ fn p99_ns(samples: &mut Vec<u64>) -> u64 {
     samples[idx]
 }
 
-/// Replays `scenario` through the [`ScriptedServe`] twin and checks every
-/// oracle. Pure and deterministic: two calls on one scenario return
-/// identical outcomes.
+/// Replays `scenario` through [`ScriptedServe`] (the dispatcher core under
+/// a virtual clock) and checks every oracle. Pure and deterministic: two
+/// calls on one scenario return identical outcomes.
 ///
 /// The proximity score rewards schedules that stress a boundary without
 /// crossing it: waits approaching the aging bound, lanes filling toward
@@ -341,47 +358,68 @@ pub fn replay_fused(scenario: &Scenario, max_group: usize) -> ReplayOutcome {
     replay_with(scenario, Some(max_group))
 }
 
-/// Shared replay body. `fused: None` is the scalar twin; `Some(max_group)`
+/// One replay in progress: the twin, what it produced so far, and the
+/// per-wave oracles. `fused: None` is the scalar twin; `Some(max_group)`
 /// runs every wave through [`ScriptedServe::run_wave_grouped`] with the
 /// service duration as the fusion signature.
-fn replay_with(scenario: &Scenario, fused: Option<usize>) -> ReplayOutcome {
-    let config = scenario.serve_config();
-    let mut s = ScriptedServe::new(scenario.workers, &config);
-    let mut out = ReplayOutcome::default();
-    let mut services: Vec<u64> = Vec::new();
-    let mut seq = 0usize;
-    let mut max_fill = 0.0f64;
-    let mut saw_reject = false;
+struct Replay<'a> {
+    scenario: &'a Scenario,
+    fused: Option<usize>,
+    s: ScriptedServe,
+    out: ReplayOutcome,
+    /// Scripted service duration per request id.
+    services: Vec<u64>,
+    /// Fullest any lane got, as a fraction of capacity.
+    max_fill: f64,
+    /// The `[lo, hi]` every wave target must stay inside.
+    clamp: (usize, usize),
+}
 
-    let clamp = match scenario.sizing {
-        SizingSpec::Fixed => {
-            let t = scenario.workers.max(1) * scenario.batch_multiple.max(1);
-            (t, t)
+impl Replay<'_> {
+    /// One submission, with or without an SLO. Ids are assigned in event
+    /// order whether or not the request is admitted.
+    fn submit(&mut self, class: Priority, service: u64, slo: Option<u64>) {
+        let (s, out) = (&mut self.s, &mut self.out);
+        let id = self.services.len() as u64;
+        self.services.push(service.min(MAX_DUR_NS));
+        match s.admit(class, id, slo) {
+            ScriptedAdmission::Admitted => {
+                out.accepted.push(SubmitMeta {
+                    id,
+                    class,
+                    enqueued_ns: s.now_ns(),
+                    deadline_ns: slo.map(|slo| s.now_ns().saturating_add(slo)),
+                    seq: out.accepted.len(),
+                });
+                let fill = s.queue_depth_class(class) as f64 / self.scenario.capacity.max(1) as f64;
+                self.max_fill = self.max_fill.max(fill);
+            }
+            ScriptedAdmission::Rejected => out.rejected += 1,
+            // Counted from the twin's tally after the run (the predictive
+            // shed is the only shed that never produces a trace or
+            // eviction entry).
+            ScriptedAdmission::Shed => {}
         }
-        SizingSpec::Dynamic { max_multiple, .. } => (
-            scenario.workers.max(1),
-            scenario.workers.max(1) * max_multiple.max(1),
-        ),
-    };
+    }
 
-    // One wave step in the requested mode. In fused mode the scripted
-    // service duration doubles as the fusion signature: equal durations
-    // model equal kernel shapes, so duplicated-burst schedules (the
-    // mutator's span copies and the hand baselines) actually form groups.
-    let step = |s: &mut ScriptedServe, services: &[u64]| match fused {
-        None => s.run_wave(|id| services[id as usize]),
-        Some(mg) => s.run_wave_grouped(
-            |id| services[id as usize],
-            |id| Some(services[id as usize]),
-            mg,
-        ),
-    };
-
-    let check_wave = |s: &ScriptedServe,
-                      out: &mut ReplayOutcome,
-                      wave: Option<crate::serve::test_support::ScriptedWave>|
-     -> bool {
+    /// Forms and runs one wave in the requested mode and checks the wave
+    /// oracles on it; `false` when nothing was queued. In fused mode the
+    /// scripted service duration doubles as the fusion signature: equal
+    /// durations model equal kernel shapes, so duplicated-burst schedules
+    /// (the mutator's span copies and the hand baselines) actually form
+    /// groups.
+    fn wave(&mut self) -> bool {
+        let services = &self.services;
+        let wave = match self.fused {
+            None => self.s.run_wave(|id| services[id as usize]),
+            Some(mg) => self.s.run_wave_grouped(
+                |id| services[id as usize],
+                |id| Some(services[id as usize]),
+                mg,
+            ),
+        };
         let Some(wave) = wave else { return false };
+        let (out, (lo, hi)) = (&mut self.out, self.clamp);
         if wave.requests.len() > wave.target {
             out.violations.push(format!(
                 "wave of {} exceeds target {}",
@@ -389,118 +427,90 @@ fn replay_with(scenario: &Scenario, fused: Option<usize>) -> ReplayOutcome {
                 wave.target
             ));
         }
-        if !(clamp.0..=clamp.1).contains(&wave.target) {
+        if !(lo..=hi).contains(&wave.target) {
             out.violations.push(format!(
-                "wave target {} outside clamp [{}, {}]",
-                wave.target, clamp.0, clamp.1
+                "wave target {} outside clamp [{lo}, {hi}]",
+                wave.target
             ));
         }
         // Budget oracle: whenever the dynamic controller sizes above the
         // lower clamp, the predicted drain of the *next* wave must fit
         // the budget (floor rounding means `target × ewma ≤ workers ×
         // budget` exactly, up to f64 slack).
-        if let SizingSpec::Dynamic { budget_ns, .. } = scenario.sizing {
-            let next = s.wave_target();
-            if !(clamp.0..=clamp.1).contains(&next) {
+        if let SizingSpec::Dynamic { budget_ns, .. } = self.scenario.sizing {
+            let workers = self.scenario.workers.max(1);
+            let next = self.s.wave_target();
+            if !(lo..=hi).contains(&next) {
                 out.violations.push(format!(
-                    "next wave target {next} outside clamp [{}, {}]",
-                    clamp.0, clamp.1
+                    "next wave target {next} outside clamp [{lo}, {hi}]"
                 ));
             }
-            if let Some(ewma) = s.ewma_ns() {
-                if next > clamp.0 && ewma > 0.0 {
-                    let predicted = next as f64 * ewma;
-                    let allowed = scenario.workers.max(1) as f64 * budget_ns as f64;
-                    if predicted > allowed * (1.0 + 1e-9) + 1.0 {
-                        out.violations.push(format!(
-                            "budget exceeded: target {next} × ewma {ewma:.0} ns > \
-                             {} workers × {budget_ns} ns budget",
-                            scenario.workers
-                        ));
-                    }
+            if let Some(ewma) = self.s.ewma_ns().filter(|&e| next > lo && e > 0.0) {
+                let allowed = workers as f64 * budget_ns as f64;
+                if next as f64 * ewma > allowed * (1.0 + 1e-9) + 1.0 {
+                    out.violations.push(format!(
+                        "budget exceeded: target {next} × ewma {ewma:.0} ns > \
+                         {} workers × {budget_ns} ns budget",
+                        self.scenario.workers
+                    ));
                 }
             }
         }
         for r in &wave.requests {
             out.worst_wait_ns = out.worst_wait_ns.max(r.wait_ns);
         }
-        out.waves
-            .push((wave.target, wave.requests.iter().map(|r| r.id).collect()));
+        out.waves.push((wave.target, wave.ids()));
         out.trace.extend(wave.requests);
         out.evicted.extend(wave.evicted);
         true
-    };
+    }
+}
 
+fn replay_with(scenario: &Scenario, fused: Option<usize>) -> ReplayOutcome {
+    let workers = scenario.workers.max(1);
+    let mut r = Replay {
+        scenario,
+        fused,
+        s: ScriptedServe::new(scenario.workers, &scenario.serve_config()),
+        out: ReplayOutcome::default(),
+        services: Vec::new(),
+        max_fill: 0.0,
+        clamp: match scenario.sizing {
+            SizingSpec::Fixed => {
+                let t = workers * scenario.batch_multiple.max(1);
+                (t, t)
+            }
+            SizingSpec::Dynamic { max_multiple, .. } => (workers, workers * max_multiple.max(1)),
+        },
+    };
     for ev in &scenario.events {
         match *ev {
-            Event::Advance(ns) => s.advance(ns.min(MAX_DUR_NS)),
-            Event::Submit(class, service) => {
-                let id = services.len() as u64;
-                services.push(service.min(MAX_DUR_NS));
-                if s.submit(class, id) {
-                    out.accepted.push(SubmitMeta {
-                        id,
-                        class,
-                        enqueued_ns: s.now_ns(),
-                        deadline_ns: None,
-                        seq,
-                    });
-                    seq += 1;
-                    let fill = s.queue_depth_class(class) as f64 / scenario.capacity.max(1) as f64;
-                    max_fill = max_fill.max(fill);
-                } else {
-                    out.rejected += 1;
-                    saw_reject = true;
-                }
-            }
+            Event::Advance(ns) => r.s.advance(ns.min(MAX_DUR_NS)),
+            Event::Submit(class, service) => r.submit(class, service, None),
             Event::SubmitSlo(class, service, slo) => {
-                let id = services.len() as u64;
-                services.push(service.min(MAX_DUR_NS));
-                let slo = slo.min(MAX_DUR_NS);
-                match s.submit_deadline(class, id, slo) {
-                    ScriptedAdmission::Admitted => {
-                        out.accepted.push(SubmitMeta {
-                            id,
-                            class,
-                            enqueued_ns: s.now_ns(),
-                            deadline_ns: Some(s.now_ns().saturating_add(slo)),
-                            seq,
-                        });
-                        seq += 1;
-                        let fill =
-                            s.queue_depth_class(class) as f64 / scenario.capacity.max(1) as f64;
-                        max_fill = max_fill.max(fill);
-                    }
-                    ScriptedAdmission::Rejected => {
-                        out.rejected += 1;
-                        saw_reject = true;
-                    }
-                    // Counted from the twin's tally after the run (the
-                    // predictive shed is the only shed that never
-                    // produces a trace or eviction entry).
-                    ScriptedAdmission::Shed => {}
-                }
+                r.submit(class, service, Some(slo.min(MAX_DUR_NS)))
             }
             Event::Wave => {
-                let wave = step(&mut s, &services);
-                check_wave(&s, &mut out, wave);
+                r.wave();
             }
-            Event::Stall(lane, dur) => s.stall_worker(lane, dur.min(MAX_DUR_NS)),
-            Event::CloneClient => s.clone_client(),
-            Event::DropClient => s.drop_client(),
-            Event::Shutdown => s.shutdown(),
+            Event::Stall(lane, dur) => r.s.stall_worker(lane, dur.min(MAX_DUR_NS)),
+            Event::CloneClient => r.s.clone_client(),
+            Event::DropClient => r.s.drop_client(),
+            Event::Shutdown => r.s.shutdown(),
         }
     }
     // Final drain: whether the schedule shut down mid-storm or simply
     // ended, every accepted request must still dispatch (the live
     // dispatcher's drain-then-exit contract).
-    loop {
-        let wave = step(&mut s, &services);
-        if !check_wave(&s, &mut out, wave) {
-            break;
-        }
-    }
+    while r.wave() {}
 
+    let Replay {
+        s,
+        mut out,
+        max_fill,
+        clamp,
+        ..
+    } = r;
     out.shed_predicted = s.shed_predicted().iter().sum();
     check_order_oracles(scenario, &mut out);
 
@@ -529,16 +539,12 @@ fn replay_with(scenario: &Scenario, fused: Option<usize>) -> ReplayOutcome {
     } else {
         0.0
     };
-    let fill_frac = if saw_reject { 1.0 } else { max_fill };
-    let clamp_frac = if out
+    let fill_frac = if out.rejected > 0 { 1.0 } else { max_fill };
+    let at_clamp = out
         .waves
         .iter()
-        .any(|(t, _)| *t == clamp.0 || *t == clamp.1)
-    {
-        1.0
-    } else {
-        0.0
-    };
+        .any(|(t, _)| *t == clamp.0 || *t == clamp.1);
+    let clamp_frac = if at_clamp { 1.0 } else { 0.0 };
     out.proximity = aging_frac.max(fill_frac).max(0.5 * clamp_frac);
     out
 }
@@ -571,37 +577,34 @@ fn check_order_oracles(scenario: &Scenario, out: &mut ReplayOutcome) {
         ));
         return; // positional oracles are meaningless on a broken trace
     }
+    // Shed legality, for pop-time evictions and mid-service cancels alike:
+    // no phantom shed (only an SLO-carrying request may be shed — for an
+    // eviction the deadline is looked up in the admission metadata, not
+    // taken from the eviction record) and no early shed (never before the
+    // deadline).
     let meta = |id: u64| out.accepted.iter().find(|m| m.id == id);
-    for e in &out.evicted {
-        match meta(e.id).and_then(|m| m.deadline_ns) {
-            // Phantom shed: only SLO-carrying requests may be evicted.
+    let evictions = out.evicted.iter().map(|e| {
+        let deadline = meta(e.id).and_then(|m| m.deadline_ns);
+        (
+            ["phantom shed", "early eviction"],
+            e.id,
+            deadline,
+            e.shed_ns,
+        )
+    });
+    let cancels = out.trace.iter().filter(|r| r.shed_inflight).map(|r| {
+        let kinds = ["phantom in-flight shed", "early in-flight shed"];
+        (kinds, r.id, r.deadline_ns, r.done_ns)
+    });
+    for ([phantom, early], id, deadline, at) in evictions.chain(cancels) {
+        match deadline {
             None => out
                 .violations
-                .push(format!("phantom shed: id {} had no deadline", e.id)),
-            Some(d) => {
-                if e.shed_ns < d {
-                    out.violations.push(format!(
-                        "early eviction: id {} shed at {} before deadline {d}",
-                        e.id, e.shed_ns
-                    ));
-                }
-            }
-        }
-    }
-    for r in out.trace.iter().filter(|r| r.shed_inflight) {
-        match r.deadline_ns {
-            None => out.violations.push(format!(
-                "phantom in-flight shed: id {} had no deadline",
-                r.id
-            )),
-            Some(d) => {
-                if r.done_ns < d {
-                    out.violations.push(format!(
-                        "early in-flight shed: id {} cancelled at {} before deadline {d}",
-                        r.id, r.done_ns
-                    ));
-                }
-            }
+                .push(format!("{phantom}: id {id} had no deadline")),
+            Some(d) if at < d => out
+                .violations
+                .push(format!("{early}: id {id} shed at {at} before deadline {d}")),
+            Some(_) => {}
         }
     }
     // Positional oracles range over *dispatched* requests only: an
@@ -749,7 +752,6 @@ fn mutate_once(sc: &mut Scenario, donor: Option<&Scenario>, rng: &mut FuzzRng) {
                 }
             };
             match &mut sc.events[i] {
-                Event::Submit(_, service) => *service = scale(rng, *service),
                 Event::SubmitSlo(_, service, slo) => {
                     if rng.chance(1, 2) {
                         *service = scale(rng, *service);
@@ -757,9 +759,11 @@ fn mutate_once(sc: &mut Scenario, donor: Option<&Scenario>, rng: &mut FuzzRng) {
                         *slo = scale(rng, *slo);
                     }
                 }
-                Event::Advance(gap) => *gap = scale(rng, *gap),
-                Event::Stall(_, dur) => *dur = scale(rng, *dur),
-                _ => {}
+                ev => {
+                    if let Some(v) = ev.duration_mut() {
+                        *v = scale(rng, *v);
+                    }
+                }
             }
         }
         // Flip a submission's class.
@@ -876,29 +880,18 @@ pub fn minimize(
         if checks >= max_checks {
             break;
         }
-        let orig = best.events[i];
-        let field = |ev: &Event| -> Option<u64> {
-            match *ev {
-                Event::Submit(_, v)
-                | Event::SubmitSlo(_, v, _)
-                | Event::Advance(v)
-                | Event::Stall(_, v) => Some(v),
-                _ => None,
-            }
+        let mut orig = best.events[i];
+        let Some(mut v) = orig.duration_mut().map(|v| *v) else {
+            continue;
         };
-        let with = |ev: &Event, v: u64| -> Event {
-            match *ev {
-                Event::Submit(c, _) => Event::Submit(c, v),
-                Event::SubmitSlo(c, _, slo) => Event::SubmitSlo(c, v, slo),
-                Event::Advance(_) => Event::Advance(v),
-                Event::Stall(l, _) => Event::Stall(l, v),
-                other => other,
-            }
+        let with = |v: u64| {
+            let mut ev = orig;
+            *ev.duration_mut().expect("checked above") = v;
+            ev
         };
-        let Some(mut v) = field(&orig) else { continue };
         // Try zero first (biggest shrink), then binary descent.
         let mut cand = best.clone();
-        cand.events[i] = with(&orig, 0);
+        cand.events[i] = with(0);
         checks += 1;
         if keep(&cand) {
             best = cand;
@@ -907,7 +900,7 @@ pub fn minimize(
         while v > 1 && checks < max_checks {
             let half = v / 2;
             let mut cand = best.clone();
-            cand.events[i] = with(&orig, half);
+            cand.events[i] = with(half);
             checks += 1;
             if keep(&cand) {
                 best = cand;
@@ -1011,73 +1004,17 @@ impl CampaignReport {
 /// they are reported. Pure in `config` — no wall clock anywhere.
 pub fn run_campaign(config: &FuzzConfig) -> CampaignReport {
     let mut rng = FuzzRng::new(config.seed);
-    let mut executed = 0usize;
+    let mut search = Search::default();
     let mut pool: Vec<(Scenario, u64, f64)> = Vec::with_capacity(config.pool);
-    let mut violations: Vec<ViolationFinding> = Vec::new();
-    let mut seen_violation_kinds: Vec<String> = Vec::new();
-
-    let record_violation = |sc: &Scenario,
-                            first: &str,
-                            executed: &mut usize,
-                            violations: &mut Vec<ViolationFinding>,
-                            seen: &mut Vec<String>| {
-        // One minimized reproducer per violation kind (the leading
-        // word of the message) keeps the corpus meaningful.
-        let kind = first.split(':').next().unwrap_or(first).to_string();
-        if seen.contains(&kind) {
-            return;
-        }
-        seen.push(kind);
-        let mut checks = 0usize;
-        let minimized = minimize(sc, 800, |cand| {
-            checks += 1;
-            !replay(cand).violations.is_empty()
-        });
-        *executed += checks;
-        let detail = replay(&minimized)
-            .violations
-            .first()
-            .cloned()
-            .unwrap_or_default();
-        *executed += 1;
-        violations.push(ViolationFinding {
-            scenario: minimized,
-            detail,
-        });
-    };
 
     // Initial population.
-    let mut best: Option<(Scenario, u64)> = None;
-    let mut best_shed: Option<(Scenario, u64)> = None;
-    let mut improvements = Vec::new();
     for _ in 0..config.pool.max(1) {
         let sc = generate(&mut rng, config.seed, config.max_events, config.workers);
-        let out = replay(&sc);
-        executed += 1;
-        if let Some(first) = out.violations.first() {
-            record_violation(
-                &sc,
-                first,
-                &mut executed,
-                &mut violations,
-                &mut seen_violation_kinds,
-            );
-        }
-        if best
-            .as_ref()
-            .map_or(true, |(_, p)| out.interactive_p99_ns > *p)
-        {
-            best = Some((sc.clone(), out.interactive_p99_ns));
-        }
-        if out.violations.is_empty() && out.shed_total() > best_shed.as_ref().map_or(0, |(_, n)| *n)
-        {
-            best_shed = Some((sc.clone(), out.shed_total()));
-        }
+        let out = search.score(&sc, 0);
         pool.push((sc, out.interactive_p99_ns, out.proximity));
     }
-    if let Some((_, p)) = &best {
-        improvements.push((0, *p));
-    }
+    // Iteration 0 is the best of the initial pool, not each step toward it.
+    search.improvements = vec![(0, search.best.as_ref().expect("non-empty pool").1)];
 
     // Search loop.
     for iter in 1..=config.iters {
@@ -1091,34 +1028,9 @@ pub fn run_campaign(config: &FuzzConfig) -> CampaignReport {
             }
         };
         let donor_idx = rng.below(pool.len() as u64) as usize;
-        let use_donor = rng.chance(15, 100);
-        let child = {
-            let donor = if use_donor {
-                Some(&pool[donor_idx].0)
-            } else {
-                None
-            };
-            mutate(&pool[parent].0, donor, &mut rng)
-        };
-        let out = replay(&child);
-        executed += 1;
-        if let Some(first) = out.violations.first() {
-            record_violation(
-                &child,
-                first,
-                &mut executed,
-                &mut violations,
-                &mut seen_violation_kinds,
-            );
-        }
-        if out.interactive_p99_ns > best.as_ref().map_or(0, |(_, p)| *p) {
-            best = Some((child.clone(), out.interactive_p99_ns));
-            improvements.push((iter, out.interactive_p99_ns));
-        }
-        if out.violations.is_empty() && out.shed_total() > best_shed.as_ref().map_or(0, |(_, n)| *n)
-        {
-            best_shed = Some((child.clone(), out.shed_total()));
-        }
+        let donor = rng.chance(15, 100).then(|| &pool[donor_idx].0);
+        let child = mutate(&pool[parent].0, donor, &mut rng);
+        let out = search.score(&child, iter);
         // Pool update: replace the weakest member when the child beats it
         // on either signal (p99 or oracle proximity).
         let weakest = (0..pool.len())
@@ -1135,20 +1047,15 @@ pub fn run_campaign(config: &FuzzConfig) -> CampaignReport {
 
     // Minimize the champion while its p99 stays at least as bad, then
     // record the exact expectation for corpus replay.
-    let (champion, champion_p99) = best.expect("non-empty pool");
-    let mut checks = 0usize;
+    let (champion, champion_p99) = search.best.take().expect("non-empty pool");
     let mut worst = if champion_p99 > 0 {
-        minimize(&champion, 1_500, |cand| {
-            checks += 1;
-            let out = replay(cand);
+        search.minimize(&champion, 1_500, |out| {
             out.violations.is_empty() && out.interactive_p99_ns >= champion_p99
         })
     } else {
         champion
     };
-    executed += checks;
-    let final_out = replay(&worst);
-    executed += 1;
+    let final_out = search.replay(&worst);
     worst.expect_p99_ns = Some(final_out.interactive_p99_ns);
     // Pin the shed count only when the schedule actually sheds: the
     // field is omitted from serialization when `None`, which keeps
@@ -1158,32 +1065,86 @@ pub fn run_campaign(config: &FuzzConfig) -> CampaignReport {
 
     // Minimize the max-shed champion while it keeps shedding at least as
     // much, then pin *both* counts for corpus replay.
-    let worst_shed = if let Some((champion, shed)) = best_shed {
-        let mut checks = 0usize;
-        let mut m = minimize(&champion, 1_500, |cand| {
-            checks += 1;
-            let out = replay(cand);
+    let worst_shed = search.best_shed.take().map(|(champion, shed)| {
+        let mut m = search.minimize(&champion, 1_500, |out| {
             out.violations.is_empty() && out.shed_total() >= shed
         });
-        executed += checks;
-        let out = replay(&m);
-        executed += 1;
+        let out = search.replay(&m);
         m.expect_p99_ns = Some(out.interactive_p99_ns);
         m.expect_shed = Some(out.shed_total());
         m.name = format!("fuzz-shed-{:08x}", config.seed);
-        Some(m)
-    } else {
-        None
-    };
+        m
+    });
 
     CampaignReport {
         config: config.clone(),
-        executed,
+        executed: search.executed,
         worst_p99_ns: final_out.interactive_p99_ns,
         worst,
         worst_shed,
-        improvements,
-        violations,
+        improvements: search.improvements,
+        violations: search.violations,
+    }
+}
+
+/// What a campaign has found so far, and how many replays it cost.
+#[derive(Default)]
+struct Search {
+    /// Scenarios replayed (scoring + minimization).
+    executed: usize,
+    /// Worst interactive p99 so far.
+    best: Option<(Scenario, u64)>,
+    /// Most sheds on a violation-free schedule so far.
+    best_shed: Option<(Scenario, u64)>,
+    improvements: Vec<(usize, u64)>,
+    violations: Vec<ViolationFinding>,
+    /// One minimized reproducer per violation kind (the leading word of
+    /// the message) keeps the corpus meaningful.
+    seen_violation_kinds: Vec<String>,
+}
+
+impl Search {
+    fn replay(&mut self, sc: &Scenario) -> ReplayOutcome {
+        self.executed += 1;
+        replay(sc)
+    }
+
+    /// [`minimize`] while `keep` holds of the candidate's replay.
+    fn minimize(
+        &mut self,
+        sc: &Scenario,
+        max_checks: usize,
+        keep: impl Fn(&ReplayOutcome) -> bool,
+    ) -> Scenario {
+        minimize(sc, max_checks, |cand| keep(&self.replay(cand)))
+    }
+
+    /// Replays one candidate of iteration `iter` and folds it into the
+    /// champions, the trajectory and the violation list.
+    fn score(&mut self, sc: &Scenario, iter: usize) -> ReplayOutcome {
+        let out = self.replay(sc);
+        if let Some(first) = out.violations.first() {
+            let kind = first.split(':').next().unwrap_or(first).to_string();
+            if !self.seen_violation_kinds.contains(&kind) {
+                self.seen_violation_kinds.push(kind);
+                let scenario = self.minimize(sc, 800, |out| !out.violations.is_empty());
+                let detail = self.replay(&scenario).violations.first().cloned();
+                self.violations.push(ViolationFinding {
+                    scenario,
+                    detail: detail.unwrap_or_default(),
+                });
+            }
+        }
+        let p99 = out.interactive_p99_ns;
+        if self.best.as_ref().map_or(true, |(_, p)| p99 > *p) {
+            self.best = Some((sc.clone(), p99));
+            self.improvements.push((iter, p99));
+        }
+        let shed = out.shed_total();
+        if out.violations.is_empty() && shed > self.best_shed.as_ref().map_or(0, |(_, n)| *n) {
+            self.best_shed = Some((sc.clone(), shed));
+        }
+        out
     }
 }
 
@@ -1308,36 +1269,18 @@ impl Scenario {
                 );
             }
         }
-        match self.expect_p99_ns {
-            Some(v) => {
-                let _ = writeln!(s, "    expect_p99_ns: Some({v}),");
-            }
-            None => {
-                let _ = writeln!(s, "    expect_p99_ns: None,");
-            }
-        }
+        // `Option<u64>`, `Event` and `Priority` are written through their
+        // derived `Debug` form, which *is* the corpus syntax: `Some(5)`,
+        // `None`, `Submit(Batch, 300000)`, `Wave`.
+        let _ = writeln!(s, "    expect_p99_ns: {:?},", self.expect_p99_ns);
         // Omitted (not `None`) when unset: pre-SLO corpus files round-trip
         // byte-identically through a serializer that never saw the field.
-        if let Some(v) = self.expect_shed {
-            let _ = writeln!(s, "    expect_shed: Some({v}),");
+        if self.expect_shed.is_some() {
+            let _ = writeln!(s, "    expect_shed: {:?},", self.expect_shed);
         }
         let _ = writeln!(s, "    events: [");
         for ev in &self.events {
-            let line = match *ev {
-                Event::Advance(ns) => format!("Advance({ns})"),
-                Event::Submit(class, service) => {
-                    format!("Submit({}, {service})", class_token(class))
-                }
-                Event::SubmitSlo(class, service, slo) => {
-                    format!("SubmitSlo({}, {service}, {slo})", class_token(class))
-                }
-                Event::Wave => "Wave".to_string(),
-                Event::Stall(lane, dur) => format!("Stall({lane}, {dur})"),
-                Event::CloneClient => "CloneClient".to_string(),
-                Event::DropClient => "DropClient".to_string(),
-                Event::Shutdown => "Shutdown".to_string(),
-            };
-            let _ = writeln!(s, "        {line},");
+            let _ = writeln!(s, "        {ev:?},");
         }
         let _ = writeln!(s, "    ],");
         let _ = writeln!(s, ")");
@@ -1388,21 +1331,15 @@ impl Scenario {
     }
 }
 
-fn class_token(class: Priority) -> &'static str {
-    match class {
-        Priority::Interactive => "Interactive",
-        Priority::Batch => "Batch",
-        Priority::BestEffort => "BestEffort",
-    }
+fn class_from_token(tok: &str) -> Result<Priority, String> {
+    (Priority::ALL.into_iter())
+        .find(|class| format!("{class:?}") == tok)
+        .ok_or_else(|| format!("unknown priority class `{tok}`"))
 }
 
-fn class_from_token(tok: &str) -> Result<Priority, String> {
-    match tok {
-        "Interactive" => Ok(Priority::Interactive),
-        "Batch" => Ok(Priority::Batch),
-        "BestEffort" => Ok(Priority::BestEffort),
-        other => Err(format!("unknown priority class `{other}`")),
-    }
+fn number(tok: &str) -> Result<u64, String> {
+    tok.parse::<u64>()
+        .map_err(|_| format!("expected number, found `{tok}`"))
 }
 
 /// Minimal recursive-descent parser over the corpus grammar: idents,
@@ -1500,9 +1437,7 @@ impl Parser {
     }
 
     fn number(&mut self) -> Result<u64, String> {
-        let t = self.next()?;
-        t.parse::<u64>()
-            .map_err(|_| format!("expected number, found `{t}`"))
+        number(&self.next()?)
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -1512,17 +1447,25 @@ impl Parser {
             .ok_or_else(|| format!("expected string, found `{t}`"))
     }
 
+    /// The tokens of a parenthesized, comma-separated argument list — or
+    /// none, when the next token does not open one (`Wave`, `None`).
+    fn args(&mut self) -> Result<Vec<String>, String> {
+        let mut args = Vec::new();
+        if self.eat("(") {
+            while !self.eat(")") {
+                args.push(self.next()?);
+                self.eat(",");
+            }
+        }
+        Ok(args)
+    }
+
     fn option_number(&mut self) -> Result<Option<u64>, String> {
         let t = self.ident()?;
-        match t.as_str() {
-            "None" => Ok(None),
-            "Some" => {
-                self.expect("(")?;
-                let v = self.number()?;
-                self.expect(")")?;
-                Ok(Some(v))
-            }
-            other => Err(format!("expected Some(..) or None, found `{other}`")),
+        match (t.as_str(), self.args()?.as_slice()) {
+            ("None", []) => Ok(None),
+            ("Some", [v]) => Ok(Some(number(v)?)),
+            _ => Err(format!("expected Some(..) or None, found `{t}`")),
         }
     }
 
@@ -1565,44 +1508,20 @@ impl Parser {
                 break;
             }
             let t = self.ident()?;
-            let ev = match t.as_str() {
-                "Advance" => {
-                    self.expect("(")?;
-                    let ns = self.number()?;
-                    self.expect(")")?;
-                    Event::Advance(ns)
+            let ev = match (t.as_str(), self.args()?.as_slice()) {
+                ("Advance", [ns]) => Event::Advance(number(ns)?),
+                ("Submit", [class, service]) => {
+                    Event::Submit(class_from_token(class)?, number(service)?)
                 }
-                "Submit" => {
-                    self.expect("(")?;
-                    let class = class_from_token(&self.ident()?)?;
-                    self.eat(",");
-                    let service = self.number()?;
-                    self.expect(")")?;
-                    Event::Submit(class, service)
+                ("SubmitSlo", [class, service, slo]) => {
+                    Event::SubmitSlo(class_from_token(class)?, number(service)?, number(slo)?)
                 }
-                "SubmitSlo" => {
-                    self.expect("(")?;
-                    let class = class_from_token(&self.ident()?)?;
-                    self.eat(",");
-                    let service = self.number()?;
-                    self.eat(",");
-                    let slo = self.number()?;
-                    self.expect(")")?;
-                    Event::SubmitSlo(class, service, slo)
-                }
-                "Wave" => Event::Wave,
-                "Stall" => {
-                    self.expect("(")?;
-                    let lane = self.number()? as usize;
-                    self.eat(",");
-                    let dur = self.number()?;
-                    self.expect(")")?;
-                    Event::Stall(lane, dur)
-                }
-                "CloneClient" => Event::CloneClient,
-                "DropClient" => Event::DropClient,
-                "Shutdown" => Event::Shutdown,
-                other => return Err(format!("unknown event `{other}`")),
+                ("Wave", []) => Event::Wave,
+                ("Stall", [lane, dur]) => Event::Stall(number(lane)? as usize, number(dur)?),
+                ("CloneClient", []) => Event::CloneClient,
+                ("DropClient", []) => Event::DropClient,
+                ("Shutdown", []) => Event::Shutdown,
+                _ => return Err(format!("unknown or malformed event `{t}`")),
             };
             events.push(ev);
             self.eat(",");

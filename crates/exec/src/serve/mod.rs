@@ -51,10 +51,22 @@
 //!
 //! The usual entry point is [`crate::Session::serve`] /
 //! [`crate::Session::serve_with`], which wire a session's plan, parameters,
-//! and executor into [`ServeQueue::start`]. The dispatcher's *decision*
-//! logic (class pick, aging, wave sizing) lives in pure, clock-free units —
-//! `classes::ClassQueues` and `controller::WaveController` — driven
-//! deterministically by [`test_support::ScriptedServe`] in tests.
+//! and executor into [`ServeQueue::start`].
+//!
+//! # One core, two drivers
+//!
+//! Every serving *rule* — who is admitted, refused or shed up front; which
+//! requests form a wave and which are evicted at pop; when a running
+//! request is cancelled; what the wave controller learns — lives once, in
+//! the clock-free, lock-free `core::DispatchCore` (which owns the
+//! `classes::ClassQueues` lanes and the `controller::WaveController`).
+//! This file is its **live driver**: a `Mutex<DispatchCore<Request>>`, two
+//! condvars, the wall clock, executor submit/join and the stats ledger.
+//! [`test_support::ScriptedServe`] is the other driver — a virtual clock
+//! and scripted service times around the *same* core — so the scripted
+//! suites, the schedule fuzzer ([`fuzz`]) and the committed corpus test the
+//! rules that ship, and `tests/serve_differential.rs` only has to check
+//! that this driver feeds the core the events it should.
 //!
 //! # Example
 //!
@@ -83,18 +95,20 @@
 
 pub(crate) mod classes;
 pub(crate) mod controller;
+pub(crate) mod core;
 pub mod fuzz;
 pub mod test_support;
 
+use self::core::{must_cancel, DispatchCore, Refusal};
 use crate::error::ExecError;
-use crate::executor::{Executor, RunHandle};
+use crate::executor::Executor;
 use crate::params::ParamStore;
 use crate::plan::ModulePlan;
+use crate::session::Launched;
 use crate::stats::{ExecStats, StatsSnapshot};
-use classes::{ClassQueues, Queued};
-use controller::WaveController;
+use classes::Queued;
 use crossbeam_channel::{bounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 use rdg_tensor::Tensor;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -221,8 +235,9 @@ pub struct ServeConfig {
     /// Record every dispatch wave (controller target + admission sequence
     /// numbers in pop order) for retrieval via
     /// [`ServeClient::dispatch_log`]. Off by default — it is a test hook:
-    /// the differential suite uses it to compare the live dispatcher's
-    /// decisions against the `ScriptedServe` twin, wave for wave.
+    /// the differential suite uses it to check, wave for wave, that the
+    /// live driver (threads, condvars, wall clock) fed the dispatcher core
+    /// the same events the `ScriptedServe` driver does.
     pub record_dispatch: bool,
     /// Least-urgent end of the classes eligible for **predictive
     /// admission shedding**: an SLO-carrying submit into a class at least
@@ -606,7 +621,7 @@ pub struct WaveRecord {
     /// Admission sequence numbers of requests popped while forming this
     /// wave but **evicted** instead of dispatched: their end-to-end
     /// deadline had already passed. Eviction is part of the scheduling
-    /// decision, so the differential suite compares it twin-for-twin.
+    /// decision, so the differential suite compares it driver-for-driver.
     pub shed_seqs: Vec<u64>,
 }
 
@@ -654,17 +669,9 @@ impl ReplicaSnapshot {
     }
 }
 
-struct QueueState {
-    queue: ClassQueues<Request>,
-    /// `false` once shutdown began: submits are rejected, the dispatcher
-    /// drains what was already accepted and exits.
-    open: bool,
-    /// Live `ServeClient` handles; the last drop initiates shutdown.
-    clients: usize,
-}
-
-/// Atomic counters + latency tracks for one class.
-struct ClassLedger {
+/// The lifecycle counters of one class.
+#[derive(Default)]
+struct ClassCounters {
     submitted: AtomicU64,
     rejected: AtomicU64,
     expired: AtomicU64,
@@ -674,23 +681,18 @@ struct ClassLedger {
     shed_inflight: AtomicU64,
     shed_predicted: AtomicU64,
     abandoned: AtomicU64,
+}
+
+/// The three latency windows of one population of requests.
+struct LatencyTracks {
     wait: LatencyTrack,
     service: LatencyTrack,
     total: LatencyTrack,
 }
 
-impl ClassLedger {
+impl LatencyTracks {
     fn new(window: usize) -> Self {
-        ClassLedger {
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            shed_inflight: AtomicU64::new(0),
-            shed_predicted: AtomicU64::new(0),
-            abandoned: AtomicU64::new(0),
+        LatencyTracks {
             wait: LatencyTrack::new(window),
             service: LatencyTrack::new(window),
             total: LatencyTrack::new(window),
@@ -699,22 +701,15 @@ impl ClassLedger {
 }
 
 struct StatsInner {
-    /// Per-class ledgers; the aggregate counters in a snapshot are their
+    /// Per-class counters; the aggregate counters in a snapshot are their
     /// sums (still monotone: a sum of monotone counters is monotone).
-    classes: [ClassLedger; Priority::COUNT],
-    batches: AtomicU64,
-    in_flight: AtomicUsize,
-    /// The controller's current wave target, published after every wave.
-    wave_target: AtomicUsize,
-    /// The controller's service EWMA in nanoseconds (`0` = none yet),
-    /// published after every wave so the submit path can predict queue
-    /// waits without talking to the dispatcher thread.
-    ewma_ns: AtomicU64,
+    classes: [ClassCounters; Priority::COUNT],
+    /// Per-class latency windows.
+    class_latency: [LatencyTracks; Priority::COUNT],
     /// Aggregate latency windows (kept separately from the per-class
     /// windows — percentile windows cannot be merged after the fact).
-    wait: LatencyTrack,
-    service: LatencyTrack,
-    total: LatencyTrack,
+    latency: LatencyTracks,
+    in_flight: AtomicUsize,
 }
 
 /// The admission-control subsystem: per-class bounded lanes + dispatcher
@@ -724,11 +719,10 @@ struct StatsInner {
 /// the dispatcher and hands back the first [`ServeClient`]; the loop lives
 /// as long as any client (or undelivered ticket) needs it.
 pub struct ServeQueue {
-    capacity: usize,
-    /// The executor's worker count — the denominator of every predicted-
-    /// wait computation (admission shedding, replica snapshots).
-    workers: usize,
-    state: Mutex<QueueState>,
+    /// Every serving rule and the state it ranges over (lanes, controller,
+    /// open flag, client count). Clients and the dispatcher thread drive it
+    /// under this one lock; nothing else decides anything.
+    state: Mutex<DispatchCore<Request>>,
     /// Signals the dispatcher: work arrived, or shutdown began.
     not_empty: Condvar,
     /// Signals blocked submitters: a slot freed, or shutdown began.
@@ -764,39 +758,21 @@ impl ServeQueue {
         params: Arc<ParamStore>,
         config: ServeConfig,
     ) -> ServeClient {
-        let capacity = config.capacity.max(1);
         let window = config.latency_window;
-        let aging_ns = config.aging_step.as_nanos().min(u64::MAX as u128) as u64;
-        let initial_target =
-            WaveController::new(config.sizing, config.batch_multiple, exec.n_threads()).target();
         // Serving turns cross-request fusion on (bare runs stay scalar);
         // the dispatcher switches it back off when the loop shuts down.
         exec.set_cross_request_fusion(config.cross_request_batching, config.max_fuse_group);
         let exec_stats = Arc::clone(exec.stats());
         let fusion_base = exec_stats.snapshot();
         let shared = Arc::new(ServeQueue {
-            capacity,
-            workers: exec.n_threads().max(1),
-            state: Mutex::new(QueueState {
-                queue: ClassQueues::new(aging_ns),
-                open: true,
-                clients: 1,
-            }),
+            state: Mutex::new(DispatchCore::new(exec.n_threads(), &config)),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             stats: StatsInner {
-                classes: [
-                    ClassLedger::new(window),
-                    ClassLedger::new(window),
-                    ClassLedger::new(window),
-                ],
-                batches: AtomicU64::new(0),
+                classes: Default::default(),
+                class_latency: std::array::from_fn(|_| LatencyTracks::new(window)),
+                latency: LatencyTracks::new(window),
                 in_flight: AtomicUsize::new(0),
-                wave_target: AtomicUsize::new(initial_target),
-                ewma_ns: AtomicU64::new(0),
-                wait: LatencyTrack::new(window),
-                service: LatencyTrack::new(window),
-                total: LatencyTrack::new(window),
             },
             dispatch_log: Mutex::new(Vec::new()),
             dispatcher: Mutex::new(None),
@@ -824,39 +800,35 @@ impl ServeQueue {
     }
 }
 
-/// The dispatcher: drains the class lanes in controller-sized waves via
-/// the aged-priority pop, launches each wave as concurrent root frames,
-/// joins it, and answers the tickets. Runs until shutdown *and* empty
-/// lanes — every accepted request is answered before the thread exits
-/// (with its result, or with [`ServeError::Shed`] when its SLO ran out
-/// first).
+/// The dispatcher thread — the live driver's serving half. Every decision
+/// is the core's ([`DispatchCore::form_wave`], [`must_cancel`],
+/// [`DispatchCore::wave_done`]); this loop supplies what the core has none
+/// of: the wall clock, the condvars, the executor, the tickets and the
+/// stats ledger. Per wave it launches the core's `run` list as concurrent
+/// root frames, joins them in dispatch order, and answers every ticket.
+/// Runs until shutdown *and* empty lanes — every accepted request is
+/// answered before the thread exits (with its result, or with
+/// [`ServeError::Shed`] when its SLO ran out first).
 ///
-/// SLO enforcement happens at two of the three lifecycle points here
-/// (the third, predictive admission shedding, lives in the submit path):
+/// Two of the three SLO lifecycle points surface here (the third,
+/// predictive admission shedding, surfaces in the submit path):
 ///
-/// * **pop-time eviction** — a popped request whose deadline has already
-///   passed is discarded instead of dispatched; its ticket resolves to
-///   [`ServeError::Shed`] and the class's `shed` counter ticks. Evicted
-///   requests never consume wave slots, so one expired burst cannot
-///   starve the wave of live work.
-/// * **mid-service cancellation** — when the join loop reaches a handle
-///   whose deadline has passed and whose run has not finished, it cancels
-///   through [`RunHandle::cancel`] (freeing the worker) and accounts the
-///   request as `shed_inflight`. A run that finished before the check
-///   keeps its result — an answer that exists is delivered, late or not.
+/// * **pop-time eviction** — the core hands back already-expired requests
+///   separately from the wave; their tickets resolve to
+///   [`ServeError::Shed`] and the class's `shed` counter ticks.
+/// * **mid-service cancellation** — when the join loop reaches a request
+///   the core says must be cancelled, it cancels through
+///   [`crate::RunHandle::cancel`] (freeing the worker) and accounts the
+///   request as `shed_inflight` — but only if the cancel actually won.
 fn dispatcher_loop(
     shared: &Arc<ServeQueue>,
     exec: &Arc<Executor>,
     plan: &Arc<ModulePlan>,
     params: &Arc<ParamStore>,
 ) {
-    let mut controller = WaveController::new(
-        shared.config.sizing,
-        shared.config.batch_multiple,
-        exec.n_threads(),
-    );
-    let mut wave: Vec<Queued<Request>> = Vec::with_capacity(controller.target());
-    let mut evicted: Vec<(Priority, u64, Sender<Result<Vec<Tensor>, ServeError>>)> = Vec::new();
+    let stats = &shared.stats;
+    let mut wave: Vec<Queued<Request>> = Vec::new();
+    let mut evicted: Vec<Queued<Request>> = Vec::new();
     // Waves dispatched since the loop started; drives the periodic
     // path-interner epoch flush (varied-shape request streams would
     // otherwise grow the interner until shutdown).
@@ -864,13 +836,14 @@ fn dispatcher_loop(
     // Flush the path interner every this many waves.
     const FLUSH_EVERY_WAVES: u64 = 64;
     loop {
-        {
+        let popped_ns = {
             let mut st = shared.state.lock();
-            loop {
-                if !st.queue.is_empty() {
-                    break;
+            let (target, now) = loop {
+                let now = shared.now_ns();
+                if let Some(target) = st.form_wave(now, &mut wave, &mut evicted) {
+                    break (target, now);
                 }
-                if !st.open {
+                if !st.is_open() {
                     if shared.config.cross_request_batching {
                         // The loop is over: return the executor to its
                         // scalar default so later bare runs don't fuse.
@@ -884,42 +857,27 @@ fn dispatcher_loop(
                     return;
                 }
                 shared.not_empty.wait(&mut st);
-            }
-            let target = controller.target();
-            let now = shared.now_ns();
-            let mut shed_seqs = Vec::new();
-            while wave.len() < target {
-                match st.queue.pop_next(now) {
-                    Some(q) => {
-                        if q.deadline_ns.map_or(false, |d| now >= d) {
-                            shed_seqs.push(q.seq);
-                            evicted.push((q.class, now.saturating_sub(q.enqueued_ns), q.item.tx));
-                        } else {
-                            wave.push(q);
-                        }
-                    }
-                    None => break,
-                }
-            }
+            };
             if shared.config.record_dispatch {
                 shared.dispatch_log.lock().push(WaveRecord {
                     target,
                     seqs: wave.iter().map(|q| q.seq).collect(),
-                    shed_seqs,
+                    shed_seqs: evicted.iter().map(|q| q.seq).collect(),
                 });
             }
-        }
+            now
+        };
         // Slots freed: wake every blocked submitter (they re-check space).
         shared.not_full.notify_all();
         // Resolve pop-time evictions outside the lock. Eviction is a shed,
         // full stop — a dropped ticket on top of it stays a shed (the
         // `abandoned` counter splits only the completed/failed path).
-        for (class, waited_ns, tx) in evicted.drain(..) {
-            shared.stats.classes[class.index()]
+        for q in evicted.drain(..) {
+            stats.classes[q.class.index()]
                 .shed
                 .fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(Err(ServeError::Shed {
-                waited: Duration::from_nanos(waited_ns),
+            let _ = q.item.tx.send(Err(ServeError::Shed {
+                waited: Duration::from_nanos(popped_ns.saturating_sub(q.enqueued_ns)),
             }));
         }
         if wave.is_empty() {
@@ -927,84 +885,57 @@ fn dispatcher_loop(
             continue;
         }
         let dispatched_ns = shared.now_ns();
-        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-        shared.stats.in_flight.store(wave.len(), Ordering::Relaxed);
-        // Submit the whole wave before joining any of it: the wave's root
+        stats.in_flight.store(wave.len(), Ordering::Relaxed);
+        // Launch the whole wave before joining any of it: the wave's root
         // frames execute concurrently, and in-flight work is bounded by
-        // the wave size — that is the admission-control contract.
-        type Waiting = (
-            Priority,
-            u64,
-            Option<u64>,
-            Sender<Result<Vec<Tensor>, ServeError>>,
-            Option<crate::SpecKey>,
-            Result<RunHandle, ExecError>,
-        );
-        let in_flight: Vec<Waiting> = wave
-            .drain(..)
+        // the wave size — that is the admission-control contract. Requests
+        // resolving to the same promoted plan share its `Arc`, so
+        // cross-request fusion (`GroupKey` is keyed by plan pointer) still
+        // groups them.
+        let runs: Vec<Result<Launched, ExecError>> = wave
+            .iter_mut()
             .map(|q| {
-                let Queued {
-                    item: Request { feeds, tx },
-                    class,
-                    enqueued_ns,
-                    deadline_ns,
-                    ..
-                } = q;
-                let wait_ns = dispatched_ns.saturating_sub(enqueued_ns);
-                shared.stats.wait.record_ns(wait_ns);
-                shared.stats.classes[class.index()].wait.record_ns(wait_ns);
-                // Per-request plan resolution: a hot feed signature runs
-                // its promoted flat plan. Requests resolving to the same
-                // promoted plan share its `Arc`, so cross-request fusion
-                // (`GroupKey` is keyed by plan pointer) still groups them.
-                let (req_plan, spec_key) = plan.resolve_for_feeds(&feeds);
-                let submitted = exec.submit(&req_plan, params, feeds, None, None);
-                (class, enqueued_ns, deadline_ns, tx, spec_key, submitted)
+                let wait_ns = dispatched_ns.saturating_sub(q.enqueued_ns);
+                for tracks in [&stats.latency, &stats.class_latency[q.class.index()]] {
+                    tracks.wait.record_ns(wait_ns);
+                }
+                Launched::start(exec, plan, params, std::mem::take(&mut q.item.feeds))
             })
             .collect();
-        let wave_len = in_flight.len();
+        let wave_len = wave.len();
         let mut last_done_ns = dispatched_ns;
-        for (class, enqueued_ns, deadline_ns, tx, spec_key, submitted) in in_flight {
+        for (q, run) in wave.drain(..).zip(runs) {
             let mut cancelled_for_slo = false;
-            let result = match submitted {
-                Ok(handle) => {
-                    if let Some(d) = deadline_ns {
-                        if shared.now_ns() >= d && !handle.is_finished() {
-                            handle.cancel();
-                            cancelled_for_slo = true;
-                        }
-                    }
-                    let run_stats = Arc::clone(handle.stats());
-                    let r = handle.wait();
-                    // Feed the completed general-path run back into the
-                    // specializer's shape profile.
-                    if let Some(key) = spec_key {
-                        plan.observe_run(key, run_stats.frames_spawned.load(Ordering::Relaxed));
-                    }
-                    r
+            let result = run.and_then(|run| {
+                let handle = run.handle();
+                cancelled_for_slo =
+                    must_cancel(q.deadline_ns, shared.now_ns(), handle.is_finished());
+                if cancelled_for_slo {
+                    handle.cancel();
                 }
-                Err(e) => Err(e),
-            };
+                run.join()
+            });
             let done_ns = shared.now_ns();
             last_done_ns = done_ns;
-            let ledger = &shared.stats.classes[class.index()];
-            shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+            let ledger = &stats.classes[q.class.index()];
+            let tx = q.item.tx;
+            stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+            let total_ns = done_ns.saturating_sub(q.enqueued_ns);
             // If the cancel raced the run finishing, the run kept its
             // result (`RunHandle::cancel` never discards a finished run)
             // and we fall through to normal delivery below.
             if cancelled_for_slo && matches!(result, Err(ExecError::Cancelled)) {
                 ledger.shed_inflight.fetch_add(1, Ordering::Relaxed);
                 let _ = tx.send(Err(ServeError::Shed {
-                    waited: Duration::from_nanos(done_ns.saturating_sub(enqueued_ns)),
+                    waited: Duration::from_nanos(total_ns),
                 }));
                 continue;
             }
             let service_ns = done_ns.saturating_sub(dispatched_ns);
-            let total_ns = done_ns.saturating_sub(enqueued_ns);
-            shared.stats.service.record_ns(service_ns);
-            shared.stats.total.record_ns(total_ns);
-            ledger.service.record_ns(service_ns);
-            ledger.total.record_ns(total_ns);
+            for tracks in [&stats.latency, &stats.class_latency[q.class.index()]] {
+                tracks.service.record_ns(service_ns);
+                tracks.total.record_ns(total_ns);
+            }
             // Count before sending: a client that has seen its ticket
             // resolve must also see the counter (the `submitted ≥
             // completed + failed` snapshot invariant). A failed send
@@ -1028,7 +959,10 @@ fn dispatcher_loop(
         // latencies: joining in submission order means a later request's
         // individual dispatch→complete span includes earlier joins, which
         // would double-count intra-wave queueing and bias the EWMA high.
-        controller.observe_wave(wave_len, last_done_ns.saturating_sub(dispatched_ns));
+        shared
+            .state
+            .lock()
+            .wave_done(wave_len, last_done_ns.saturating_sub(dispatched_ns));
         // Epoch flush: retire interned path chains whose runs have all
         // completed. Without this, only shutdown reclaims them, and a
         // long-lived serve loop with varied-shape traffic grows the
@@ -1037,19 +971,6 @@ fn dispatcher_loop(
         if waves_dispatched % FLUSH_EVERY_WAVES == 0 {
             crate::path::PathKey::flush_interner();
         }
-        // Publish the adapted target and EWMA so stats snapshots (and the
-        // predictive-shedding submit path) see the decision the next wave
-        // will use.
-        shared
-            .stats
-            .wave_target
-            .store(controller.target(), Ordering::Relaxed);
-        shared.stats.ewma_ns.store(
-            // Floor at 1ns: a sub-nanosecond EWMA must not truncate to 0,
-            // which downstream readers treat as the "no estimate" sentinel.
-            controller.ewma_ns().map_or(0, |e| e.max(1.0) as u64),
-            Ordering::Relaxed,
-        );
     }
 }
 
@@ -1071,7 +992,7 @@ pub struct ServeClient {
 
 impl Clone for ServeClient {
     fn clone(&self) -> Self {
-        self.shared.state.lock().clients += 1;
+        self.shared.state.lock().add_client();
         ServeClient {
             shared: Arc::clone(&self.shared),
             class: self.class,
@@ -1081,18 +1002,32 @@ impl Clone for ServeClient {
 
 impl Drop for ServeClient {
     fn drop(&mut self) {
-        let last = {
-            let mut st = self.shared.state.lock();
-            st.clients -= 1;
-            st.clients == 0
-        };
-        if last {
-            // Last client gone: stop admission and let the dispatcher
+        if self.shared.state.lock().drop_client() {
+            // Last client gone: admission is closed; let the dispatcher
             // drain accepted requests, detached (drop must not block).
-            self.shared.state.lock().open = false;
             self.shared.not_empty.notify_all();
             self.shared.not_full.notify_all();
         }
+    }
+}
+
+/// How long a submit may block on a full lane.
+#[derive(Clone, Copy)]
+enum Wait {
+    /// Not at all: a full lane is [`ServeError::QueueFull`].
+    No,
+    /// Until this instant, then [`ServeError::DeadlineExceeded`].
+    Until(Instant),
+    /// As long as it takes.
+    Forever,
+}
+
+impl Wait {
+    /// At most `d` from now (`Forever` if that instant is unrepresentable).
+    fn at_most(d: Duration) -> Wait {
+        Instant::now()
+            .checked_add(d)
+            .map_or(Wait::Forever, Wait::Until)
     }
 }
 
@@ -1112,7 +1047,7 @@ impl ServeClient {
 
     /// Non-blocking admission into the client's default class.
     pub fn try_submit(&self, feeds: Vec<Tensor>) -> Result<ServeTicket, ServeError> {
-        self.try_submit_with(self.class, feeds)
+        self.admit(self.class, feeds, Wait::No, None)
     }
 
     /// Non-blocking admission into `class`: rejects immediately with
@@ -1122,23 +1057,12 @@ impl ServeClient {
         class: Priority,
         feeds: Vec<Tensor>,
     ) -> Result<ServeTicket, ServeError> {
-        let st = self.shared.state.lock();
-        if !st.open {
-            return Err(ServeError::Shutdown);
-        }
-        if st.queue.len_class(class) >= self.shared.capacity {
-            drop(st);
-            self.shared.stats.classes[class.index()]
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::QueueFull);
-        }
-        Ok(self.enqueue(st, class, feeds, None))
+        self.admit(class, feeds, Wait::No, None)
     }
 
     /// Blocking admission into the client's default class.
     pub fn submit(&self, feeds: Vec<Tensor>) -> Result<ServeTicket, ServeError> {
-        self.submit_with(self.class, feeds)
+        self.admit(self.class, feeds, Wait::Forever, None)
     }
 
     /// Blocking admission into `class`: waits for a lane slot
@@ -1150,16 +1074,7 @@ impl ServeClient {
         class: Priority,
         feeds: Vec<Tensor>,
     ) -> Result<ServeTicket, ServeError> {
-        let mut st = self.shared.state.lock();
-        loop {
-            if !st.open {
-                return Err(ServeError::Shutdown);
-            }
-            if st.queue.len_class(class) < self.shared.capacity {
-                return Ok(self.enqueue(st, class, feeds, None));
-            }
-            self.shared.not_full.wait(&mut st);
-        }
+        self.admit(class, feeds, Wait::Forever, None)
     }
 
     /// Blocking admission into the client's default class, bounded by
@@ -1169,7 +1084,7 @@ impl ServeClient {
         feeds: Vec<Tensor>,
         deadline: Duration,
     ) -> Result<ServeTicket, ServeError> {
-        self.submit_deadline_with(self.class, feeds, deadline)
+        self.admit(self.class, feeds, Wait::at_most(deadline), None)
     }
 
     /// Blocking admission into `class` with a deadline: waits at most
@@ -1181,31 +1096,13 @@ impl ServeClient {
         feeds: Vec<Tensor>,
         deadline: Duration,
     ) -> Result<ServeTicket, ServeError> {
-        let t0 = Instant::now();
-        let mut st = self.shared.state.lock();
-        loop {
-            if !st.open {
-                return Err(ServeError::Shutdown);
-            }
-            if st.queue.len_class(class) < self.shared.capacity {
-                return Ok(self.enqueue(st, class, feeds, None));
-            }
-            let elapsed = t0.elapsed();
-            if elapsed >= deadline {
-                drop(st);
-                self.shared.stats.classes[class.index()]
-                    .expired
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::DeadlineExceeded);
-            }
-            let _ = self.shared.not_full.wait_for(&mut st, deadline - elapsed);
-        }
+        self.admit(class, feeds, Wait::at_most(deadline), None)
     }
 
     /// Blocking admission into the client's default class with an
     /// end-to-end SLO. See [`ServeClient::submit_slo_with`].
     pub fn submit_slo(&self, feeds: Vec<Tensor>, slo: Duration) -> Result<ServeTicket, ServeError> {
-        self.submit_slo_with(self.class, feeds, slo)
+        self.admit(self.class, feeds, Wait::at_most(slo), Some(slo))
     }
 
     /// Blocking admission into `class` with an end-to-end SLO: the
@@ -1236,48 +1133,7 @@ impl ServeClient {
         feeds: Vec<Tensor>,
         slo: Duration,
     ) -> Result<ServeTicket, ServeError> {
-        let t0 = Instant::now();
-        let slo_ns = u64::try_from(slo.as_nanos()).unwrap_or(u64::MAX);
-        let deadline_abs = self.shared.now_ns().saturating_add(slo_ns);
-        let mut st = self.shared.state.lock();
-        loop {
-            if !st.open {
-                return Err(ServeError::Shutdown);
-            }
-            if st.queue.len_class(class) < self.shared.capacity {
-                if let Some(from) = self.shared.config.predictive_shed_from {
-                    if class.index() >= from.index() {
-                        let ewma = self.shared.stats.ewma_ns.load(Ordering::Relaxed);
-                        if ewma > 0 {
-                            let predicted = controller::predicted_wait_ns(
-                                st.queue.len_class(class),
-                                ewma,
-                                self.shared.workers,
-                            );
-                            if self.shared.now_ns().saturating_add(predicted) > deadline_abs {
-                                drop(st);
-                                self.shared.stats.classes[class.index()]
-                                    .shed_predicted
-                                    .fetch_add(1, Ordering::Relaxed);
-                                return Err(ServeError::Shed {
-                                    waited: t0.elapsed(),
-                                });
-                            }
-                        }
-                    }
-                }
-                return Ok(self.enqueue(st, class, feeds, Some(deadline_abs)));
-            }
-            if self.shared.now_ns() >= deadline_abs {
-                drop(st);
-                self.shared.stats.classes[class.index()]
-                    .expired
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::DeadlineExceeded);
-            }
-            let remaining = slo.saturating_sub(t0.elapsed());
-            let _ = self.shared.not_full.wait_for(&mut st, remaining);
-        }
+        self.admit(class, feeds, Wait::at_most(slo), Some(slo))
     }
 
     /// Convenience closed loop: blocking submit into the default class,
@@ -1286,48 +1142,91 @@ impl ServeClient {
         self.submit(feeds)?.wait()
     }
 
-    fn enqueue(
+    /// The one admission path behind every `submit*` name: offers the
+    /// request to the core under the state lock and turns each
+    /// [`Refusal`] into what the caller asked for — an error now, or (on a
+    /// full lane, within `wait`) a sleep on `not_full` and another offer.
+    /// With `slo`, the request carries the deadline `now + slo`.
+    fn admit(
         &self,
-        mut st: MutexGuard<'_, QueueState>,
         class: Priority,
         feeds: Vec<Tensor>,
-        deadline_ns: Option<u64>,
-    ) -> ServeTicket {
+        wait: Wait,
+        slo: Option<Duration>,
+    ) -> Result<ServeTicket, ServeError> {
+        let shared = &*self.shared;
+        let ledger = &shared.stats.classes[class.index()];
+        // (call time, absolute deadline) on the loop's clock.
+        let slo_ns = slo.map(|slo| {
+            let entered = shared.now_ns();
+            let slo = u64::try_from(slo.as_nanos()).unwrap_or(u64::MAX);
+            (entered, entered.saturating_add(slo))
+        });
         let (tx, rx) = bounded(1);
-        let now = self.shared.now_ns();
-        st.queue
-            .push_deadline(class, Request { feeds, tx }, now, deadline_ns);
-        // Count before releasing the lock: the dispatcher cannot pop (and
-        // so cannot complete) this request until the lock drops, which
-        // keeps `submitted ≥ completed + failed` in every stats snapshot.
-        self.shared.stats.classes[class.index()]
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        drop(st);
-        self.shared.not_empty.notify_one();
-        ServeTicket { rx }
+        let mut request = Request { feeds, tx };
+        let mut st = shared.state.lock();
+        loop {
+            let now = shared.now_ns();
+            let (why, back) = match st.admit(class, request, now, slo_ns.map(|(_, d)| d)) {
+                Ok(()) => {
+                    // Count before releasing the lock: the dispatcher cannot
+                    // pop (and so cannot complete) this request until the
+                    // lock drops, which keeps `submitted ≥ completed +
+                    // failed` in every stats snapshot.
+                    ledger.submitted.fetch_add(1, Ordering::Relaxed);
+                    drop(st);
+                    shared.not_empty.notify_one();
+                    return Ok(ServeTicket { rx });
+                }
+                Err(refused) => refused,
+            };
+            request = back;
+            let (counter, error) = match why {
+                Refusal::Closed => return Err(ServeError::Shutdown),
+                Refusal::ShedPredicted => {
+                    let entered = slo_ns.map_or(now, |(entered, _)| entered);
+                    let waited = Duration::from_nanos(now.saturating_sub(entered));
+                    (&ledger.shed_predicted, ServeError::Shed { waited })
+                }
+                Refusal::Full => match wait {
+                    Wait::No => (&ledger.rejected, ServeError::QueueFull),
+                    Wait::Forever => {
+                        shared.not_full.wait(&mut st);
+                        continue;
+                    }
+                    Wait::Until(limit) => {
+                        let left = limit.saturating_duration_since(Instant::now());
+                        if !left.is_zero() {
+                            let _ = shared.not_full.wait_for(&mut st, left);
+                            continue;
+                        }
+                        (&ledger.expired, ServeError::DeadlineExceeded)
+                    }
+                },
+            };
+            drop(st);
+            counter.fetch_add(1, Ordering::Relaxed);
+            return Err(error);
+        }
     }
 
     /// The wave target the next dispatch wave will use — constant under
     /// [`WaveSizing::Fixed`], live controller output under
     /// [`WaveSizing::Dynamic`].
     pub fn wave_target(&self) -> usize {
-        self.shared.stats.wave_target.load(Ordering::Relaxed)
+        self.shared.state.lock().controller().target()
     }
 
     /// The per-class admission-lane slot count.
     pub fn capacity(&self) -> usize {
-        self.shared.capacity
+        self.shared.state.lock().capacity()
     }
 
     /// The dispatcher's current per-request service EWMA, nanoseconds —
     /// `None` until the first dynamically-sized wave completes (or under
     /// [`WaveSizing::Fixed`], which never observes).
     pub fn service_ewma_ns(&self) -> Option<u64> {
-        match self.shared.stats.ewma_ns.load(Ordering::Relaxed) {
-            0 => None,
-            ns => Some(ns),
-        }
+        self.shared.state.lock().service_ewma_ns()
     }
 
     /// A point-in-time load snapshot of this replica for routing
@@ -1335,12 +1234,12 @@ impl ServeClient {
     /// The cluster's join-shortest-queue router compares these across
     /// replicas via [`ReplicaSnapshot::predicted_wait_ns`].
     pub fn load_snapshot(&self) -> ReplicaSnapshot {
-        let queue_depth = self.shared.state.lock().queue.len();
+        let st = self.shared.state.lock();
         ReplicaSnapshot {
-            queue_depth,
+            queue_depth: st.queue().len(),
             in_flight: self.shared.stats.in_flight.load(Ordering::Relaxed),
-            service_ewma_ns: self.shared.stats.ewma_ns.load(Ordering::Relaxed),
-            workers: self.shared.workers,
+            service_ewma_ns: st.service_ewma_ns().unwrap_or(0),
+            workers: st.workers(),
         }
     }
 
@@ -1354,14 +1253,6 @@ impl ServeClient {
     /// Snapshot of the loop's counters and latency percentiles,
     /// aggregate and per class.
     pub fn stats(&self) -> ServeStats {
-        let depths: [usize; Priority::COUNT] = {
-            let st = self.shared.state.lock();
-            [
-                st.queue.len_class(Priority::Interactive),
-                st.queue.len_class(Priority::Batch),
-                st.queue.len_class(Priority::BestEffort),
-            ]
-        };
         let s = &self.shared.stats;
         // Fusion rates: executor-lifetime counters past the loop-start
         // baseline. Completed runs fold their per-run counters into the
@@ -1370,21 +1261,27 @@ impl ServeClient {
         let exec_now = self.shared.exec_stats.snapshot();
         let base = &self.shared.fusion_base;
         let mut agg = ServeStats {
-            batches: s.batches.load(Ordering::Relaxed),
             in_flight: s.in_flight.load(Ordering::Relaxed),
-            wave_target: s.wave_target.load(Ordering::Relaxed),
-            service_ewma_ns: s.ewma_ns.load(Ordering::Relaxed),
-            wait: s.wait.percentiles(),
-            service: s.service.percentiles(),
-            total: s.total.percentiles(),
+            wait: s.latency.wait.percentiles(),
+            service: s.latency.service.percentiles(),
+            total: s.latency.total.percentiles(),
             fusion_groups: exec_now.fused_groups - base.fused_groups,
             fusion_instances: exec_now.fused_tasks - base.fused_tasks,
             fusion_eligible: exec_now.fusable_seen - base.fusable_seen,
             ..ServeStats::default()
         };
+        {
+            let st = self.shared.state.lock();
+            agg.batches = st.batches();
+            agg.wave_target = st.controller().target();
+            agg.service_ewma_ns = st.service_ewma_ns().unwrap_or(0);
+            for p in Priority::ALL {
+                agg.classes[p.index()].queue_depth = st.queue().len_class(p);
+            }
+        }
         for p in Priority::ALL {
             let i = p.index();
-            let ledger = &s.classes[i];
+            let (ledger, latency) = (&s.classes[i], &s.class_latency[i]);
             let c = ClassStats {
                 submitted: ledger.submitted.load(Ordering::Relaxed),
                 rejected: ledger.rejected.load(Ordering::Relaxed),
@@ -1395,10 +1292,10 @@ impl ServeClient {
                 shed_inflight: ledger.shed_inflight.load(Ordering::Relaxed),
                 shed_predicted: ledger.shed_predicted.load(Ordering::Relaxed),
                 abandoned: ledger.abandoned.load(Ordering::Relaxed),
-                queue_depth: depths[i],
-                wait: ledger.wait.percentiles(),
-                service: ledger.service.percentiles(),
-                total: ledger.total.percentiles(),
+                queue_depth: agg.classes[i].queue_depth,
+                wait: latency.wait.percentiles(),
+                service: latency.service.percentiles(),
+                total: latency.total.percentiles(),
             };
             agg.submitted += c.submitted;
             agg.rejected += c.rejected;
@@ -1421,7 +1318,7 @@ impl ServeClient {
     /// Idempotent across clients: the first caller joins the dispatcher,
     /// later callers (and later submits) observe [`ServeError::Shutdown`].
     pub fn shutdown(&self) {
-        self.shared.state.lock().open = false;
+        self.shared.state.lock().close();
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
         let handle = self.shared.dispatcher.lock().take();

@@ -1,13 +1,13 @@
-//! Deterministic, clockless harness for the serve dispatcher's decision
-//! logic.
+//! The dispatcher core under a virtual clock: a deterministic, sleep-free
+//! second driver for the serving rules.
 //!
-//! Wave-sizing and aging decisions must be *asserted exactly* — not
-//! probed with sleeps that flake on a loaded 1-core CI container. The
-//! live dispatcher makes every scheduling decision through two pure,
-//! clock-free units: the aged-priority pop of `classes::ClassQueues` and
-//! the EWMA wave target of `controller::WaveController`. This module
-//! wires those same units to a **virtual clock** and **scripted service
-//! durations**, so a test can write
+//! Admission, wave-sizing, aging, eviction and cancel decisions must be
+//! *asserted exactly* — not probed with sleeps that flake on a loaded CI
+//! container. The serving loop makes every one of them in
+//! `core::DispatchCore`, which reads no clock and takes no lock. The live
+//! loop drives that core with wall time and an executor; this module
+//! drives the **same core** with a **virtual clock** and **scripted
+//! service durations**, so a test can write
 //!
 //! ```
 //! use rdg_exec::serve::test_support::ScriptedServe;
@@ -21,19 +21,19 @@
 //! assert_eq!(wave.requests[1].id, 1);
 //! ```
 //!
-//! and every assertion is a pure function of the script. The harness
-//! mirrors the live loop faithfully: waves are popped with the same rule
-//! at the same virtual `now`, requests "execute" on `workers` simulated
-//! lanes (greedy list scheduling in dispatch order), completions are
-//! observed **in dispatch order** (the live dispatcher joins its wave in
-//! submission order, so a later request's observed service includes any
-//! wait for an earlier one), the controller sees the same wave-level
-//! observation (request count + drain time — per-request join latencies
-//! would double-count intra-wave queueing), and the virtual clock
-//! advances by the wave's simulated drain time.
+//! and every assertion is a pure function of the script — and a statement
+//! about the code the live loop runs, not about a model of it.
+//!
+//! What is twin-only is what stands in for the executor and the wall
+//! clock, nothing else: requests "execute" on `workers` simulated lanes
+//! (greedy list scheduling in dispatch order, around injected stalls),
+//! completions are observed **in dispatch order** (the live dispatcher
+//! joins its wave in submission order, so a later request's observed
+//! service includes any wait for an earlier one), the core is told the
+//! wave's request count and drain time, and the virtual clock advances to
+//! the wave's last observed completion.
 
-use super::classes::ClassQueues;
-use super::controller::{predicted_wait_ns, WaveController};
+use super::core::{must_cancel, DispatchCore, Refusal};
 use super::{Priority, ServeConfig};
 use crate::batch::plan_groups;
 use std::hash::Hash;
@@ -131,9 +131,10 @@ impl ScriptedWave {
     }
 }
 
-/// The scripted twin of the live serve dispatcher: same class lanes, same
-/// pop rule, same wave controller — but time is a `u64` the test owns and
-/// service durations come from a script instead of an executor.
+/// The scripted driver of the dispatcher core — the live serve loop's
+/// twin. Not a re-implementation of its rules: it holds the same
+/// `DispatchCore` the live loop holds, but time is a `u64` the test owns
+/// and service durations come from a script instead of an executor.
 ///
 /// Beyond the happy path, the harness scripts the *lifecycle* events the
 /// live loop races against in the stress tests:
@@ -150,23 +151,14 @@ impl ScriptedWave {
 ///   `rdg_cluster::virtual_time` (same semantics the fuzzer's `Stall`
 ///   event and the cluster delay injector share).
 pub struct ScriptedServe {
-    queues: ClassQueues<u64>,
-    controller: WaveController,
-    workers: usize,
-    capacity: usize,
+    /// The same `DispatchCore` the live loop runs — every admission,
+    /// wave-formation, eviction, cancel and controller decision is its.
+    core: DispatchCore<u64>,
     now_ns: u64,
     /// Virtual time before which each simulated worker lane is busy with
     /// injected (non-request) work. Lane `w` starts requests no earlier
     /// than `stall_until[w]`.
     stall_until: Vec<u64>,
-    /// `false` once shutdown was scripted (explicitly or by dropping the
-    /// last client): submits are rejected, queued work still drains.
-    open: bool,
-    /// Scripted client-handle count; hitting zero closes admission.
-    clients: usize,
-    /// Least-urgent end of the classes eligible for predictive admission
-    /// shedding (copied from [`ServeConfig::predictive_shed_from`]).
-    predictive_shed_from: Option<Priority>,
     /// Per-class predictive-shed tally — the twin of the live
     /// `shed_predicted` counters.
     shed_predicted: [u64; Priority::COUNT],
@@ -177,18 +169,11 @@ impl ScriptedServe {
     /// capacity, sizing, and aging parameters (the latency-window knob is
     /// irrelevant here — the harness reports raw numbers, not windows).
     pub fn new(workers: usize, config: &ServeConfig) -> Self {
-        let aging_ns = config.aging_step.as_nanos().min(u64::MAX as u128) as u64;
-        let workers = workers.max(1);
+        let core = DispatchCore::new(workers, config);
         ScriptedServe {
-            queues: ClassQueues::new(aging_ns),
-            controller: WaveController::new(config.sizing, config.batch_multiple, workers),
-            workers,
-            capacity: config.capacity.max(1),
+            stall_until: vec![0; core.workers()],
+            core,
             now_ns: 0,
-            stall_until: vec![0; workers],
-            open: true,
-            clients: 1,
-            predictive_shed_from: config.predictive_shed_from,
             shed_predicted: [0; Priority::COUNT],
         }
     }
@@ -210,11 +195,7 @@ impl ScriptedServe {
     /// — or when admission is closed (the analogue of
     /// [`super::ServeError::Shutdown`]).
     pub fn submit(&mut self, class: Priority, id: u64) -> bool {
-        if !self.open || self.queues.len_class(class) >= self.capacity {
-            return false;
-        }
-        self.queues.push(class, id, self.now_ns);
-        true
+        self.admit(class, id, None) == ScriptedAdmission::Admitted
     }
 
     /// Submits request `id` into `class` with an end-to-end SLO of
@@ -223,33 +204,25 @@ impl ScriptedServe {
     /// enforces apply — predictive admission here, pop-time eviction and
     /// mid-service cancellation in [`ScriptedServe::run_wave`].
     pub fn submit_deadline(&mut self, class: Priority, id: u64, slo_ns: u64) -> ScriptedAdmission {
-        if !self.open || self.queues.len_class(class) >= self.capacity {
-            return ScriptedAdmission::Rejected;
-        }
-        if let Some(from) = self.predictive_shed_from {
-            if class.index() >= from.index() {
-                if let Some(ewma) = self.controller.ewma_ns() {
-                    let predicted = predicted_wait_ns(
-                        self.queues.len_class(class),
-                        ewma.max(0.0) as u64,
-                        self.workers,
-                    );
-                    // `now + predicted > now + slo` ⇔ `predicted > slo`:
-                    // same inequality the live submit path evaluates.
-                    if predicted > slo_ns {
-                        self.shed_predicted[class.index()] += 1;
-                        return ScriptedAdmission::Shed;
-                    }
-                }
+        self.admit(class, id, Some(slo_ns))
+    }
+
+    /// Offers one request to the core at the current virtual time.
+    pub(crate) fn admit(
+        &mut self,
+        class: Priority,
+        id: u64,
+        slo_ns: Option<u64>,
+    ) -> ScriptedAdmission {
+        let deadline = slo_ns.map(|slo| self.now_ns.saturating_add(slo));
+        match self.core.admit(class, id, self.now_ns, deadline) {
+            Ok(()) => ScriptedAdmission::Admitted,
+            Err((Refusal::ShedPredicted, _)) => {
+                self.shed_predicted[class.index()] += 1;
+                ScriptedAdmission::Shed
             }
+            Err((Refusal::Closed | Refusal::Full, _)) => ScriptedAdmission::Rejected,
         }
-        self.queues.push_deadline(
-            class,
-            id,
-            self.now_ns,
-            Some(self.now_ns.saturating_add(slo_ns)),
-        );
-        ScriptedAdmission::Admitted
     }
 
     /// Per-class predictive-shed counts so far (the twin of the live
@@ -261,28 +234,25 @@ impl ScriptedServe {
     /// Whether admission is still open (no scripted shutdown yet and at
     /// least one client handle alive).
     pub fn is_open(&self) -> bool {
-        self.open
+        self.core.is_open()
     }
 
     /// Scripts [`super::ServeClient::shutdown`]: admission closes
     /// immediately; requests already queued still drain through
     /// [`ScriptedServe::run_wave`] / [`ScriptedServe::drain`].
     pub fn shutdown(&mut self) {
-        self.open = false;
+        self.core.close();
     }
 
     /// Scripts cloning a client handle (the live `ServeClient::clone`).
     pub fn clone_client(&mut self) {
-        self.clients += 1;
+        self.core.add_client();
     }
 
     /// Scripts dropping a client handle. Dropping the last one closes
     /// admission, exactly like the live last-`Drop` path.
     pub fn drop_client(&mut self) {
-        self.clients = self.clients.saturating_sub(1);
-        if self.clients == 0 {
-            self.open = false;
-        }
+        self.core.drop_client();
     }
 
     /// Injects a replica-level delay: worker lane `lane % workers` is
@@ -292,7 +262,7 @@ impl ScriptedServe {
     /// controller observes the inflated drain, exactly as the live
     /// controller would behind a straggling replica).
     pub fn stall_worker(&mut self, lane: usize, dur_ns: u64) {
-        let lane = lane % self.workers;
+        let lane = lane % self.stall_until.len();
         let until = self.now_ns.saturating_add(dur_ns);
         if until > self.stall_until[lane] {
             self.stall_until[lane] = until;
@@ -301,23 +271,23 @@ impl ScriptedServe {
 
     /// Requests queued across all lanes.
     pub fn queue_depth(&self) -> usize {
-        self.queues.len()
+        self.core.queue().len()
     }
 
     /// Requests queued in `class`'s lane.
     pub fn queue_depth_class(&self, class: Priority) -> usize {
-        self.queues.len_class(class)
+        self.core.queue().len_class(class)
     }
 
     /// The wave target the next [`ScriptedServe::run_wave`] will use.
     pub fn wave_target(&self) -> usize {
-        self.controller.target()
+        self.core.controller().target()
     }
 
     /// The controller's current service-time EWMA, nanoseconds (`None`
     /// before any wave ran, or under fixed sizing).
     pub fn ewma_ns(&self) -> Option<f64> {
-        self.controller.ewma_ns()
+        self.core.controller().ewma_ns()
     }
 
     /// Forms and "executes" the next wave: pops up to the controller's
@@ -358,31 +328,23 @@ impl ScriptedServe {
         fuse_sig: impl Fn(u64) -> Option<K>,
         max_group: usize,
     ) -> Option<ScriptedWave> {
-        if self.queues.is_empty() {
-            return None;
-        }
-        let target = self.controller.target();
         let dispatched_ns = self.now_ns;
-        let mut popped = Vec::new();
-        let mut evicted = Vec::new();
-        while popped.len() < target {
-            match self.queues.pop_next(self.now_ns) {
-                Some(q) => {
-                    if let Some(d) = q.deadline_ns.filter(|&d| self.now_ns >= d) {
-                        evicted.push(ScriptedShed {
-                            id: q.item,
-                            class: q.class,
-                            enqueued_ns: q.enqueued_ns,
-                            deadline_ns: d,
-                            shed_ns: self.now_ns,
-                        });
-                    } else {
-                        popped.push(q);
-                    }
-                }
-                None => break,
-            }
-        }
+        let (mut popped, mut expired) = (Vec::new(), Vec::new());
+        let target = self
+            .core
+            .form_wave(dispatched_ns, &mut popped, &mut expired)?;
+        let evicted = expired
+            .into_iter()
+            .map(|q| ScriptedShed {
+                id: q.item,
+                class: q.class,
+                enqueued_ns: q.enqueued_ns,
+                deadline_ns: q
+                    .deadline_ns
+                    .expect("only a deadline gets a request evicted"),
+                shed_ns: dispatched_ns,
+            })
+            .collect();
         // Group formation over the surviving pop order, then greedy list
         // scheduling in group order: each group starts on the earliest-free
         // simulated worker and runs for the max of its members' services
@@ -397,7 +359,7 @@ impl ScriptedServe {
             .collect();
         let mut finishes = vec![0u64; popped.len()];
         for g in &groups {
-            let lane = (0..self.workers)
+            let lane = (0..avail.len())
                 .min_by_key(|&w| avail[w])
                 .expect("at least one worker");
             let dur = g
@@ -412,50 +374,33 @@ impl ScriptedServe {
             }
         }
         // Completions observed in dispatch order, exactly like the live
-        // dispatcher joining handles in submission order. The live join
-        // loop reaches each handle at the current observation time and
-        // cancels it there if its deadline has passed and the run is not
-        // finished; a finished run keeps its result however late. The
-        // cancelled run's worker reservation is kept — the scripted lane
-        // schedule is fixed at dispatch (the live cancel can free a
-        // worker a little earlier; differential scenarios pin the points
-        // where the two agree exactly).
+        // dispatcher joining handles in submission order: the join loop
+        // reaches each request at the current observation time, where the
+        // core's cancel rule decides (a finished run keeps its result
+        // however late). The cancelled run's worker reservation is kept —
+        // the scripted lane schedule is fixed at dispatch (the live cancel
+        // can free a worker a little earlier; differential scenarios pin
+        // the points where the two agree exactly).
         let mut requests = Vec::with_capacity(popped.len());
         let mut observed = dispatched_ns;
         for (q, finish) in popped.into_iter().zip(finishes) {
-            let cancel = q
-                .deadline_ns
-                .map_or(false, |d| observed >= d && finish > observed);
-            if cancel {
-                requests.push(ScriptedRequest {
-                    id: q.item,
-                    class: q.class,
-                    enqueued_ns: q.enqueued_ns,
-                    deadline_ns: q.deadline_ns,
-                    wait_ns: dispatched_ns.saturating_sub(q.enqueued_ns),
-                    service_ns: observed - dispatched_ns,
-                    done_ns: observed,
-                    shed_inflight: true,
-                });
-                continue;
+            let shed_inflight = must_cancel(q.deadline_ns, observed, finish <= observed);
+            if !shed_inflight {
+                observed = observed.max(finish);
             }
-            observed = observed.max(finish);
-            let service = observed - dispatched_ns;
             requests.push(ScriptedRequest {
                 id: q.item,
                 class: q.class,
                 enqueued_ns: q.enqueued_ns,
                 deadline_ns: q.deadline_ns,
                 wait_ns: dispatched_ns.saturating_sub(q.enqueued_ns),
-                service_ns: service,
+                service_ns: observed - dispatched_ns,
                 done_ns: observed,
-                shed_inflight: false,
+                shed_inflight,
             });
         }
-        if !requests.is_empty() {
-            self.controller
-                .observe_wave(requests.len(), observed - dispatched_ns);
-        }
+        self.core
+            .wave_done(requests.len(), observed - dispatched_ns);
         self.now_ns = observed;
         Some(ScriptedWave {
             target,

@@ -88,6 +88,49 @@ impl Drop for StepToken<'_> {
     }
 }
 
+/// An inference run in flight that was dispatched through the plan
+/// specializer: the one resolve → submit → join → profile-feedback sequence
+/// behind [`Session::run`], [`Session::run_many`] and the serve dispatcher.
+pub(crate) struct Launched {
+    handle: RunHandle,
+    /// The general plan and the signature it is profiling, when this run
+    /// took the general path on a not-yet-promoted signature.
+    profiled: Option<(Arc<ModulePlan>, crate::SpecKey)>,
+}
+
+impl Launched {
+    /// Resolves `feeds` to the plan to execute ([`ModulePlan::resolve_for_feeds`]:
+    /// a hot feed signature runs its promoted flat plan) and submits the run.
+    pub(crate) fn start(
+        exec: &Arc<Executor>,
+        plan: &Arc<ModulePlan>,
+        params: &Arc<ParamStore>,
+        feeds: Vec<Tensor>,
+    ) -> Result<Launched, ExecError> {
+        let (resolved, key) = plan.resolve_for_feeds(&feeds);
+        let handle = exec.submit(&resolved, params, feeds, None, None)?;
+        let profiled = key.map(|key| (Arc::clone(plan), key));
+        Ok(Launched { handle, profiled })
+    }
+
+    /// The run's handle (completion probe, cancellation).
+    pub(crate) fn handle(&self) -> &RunHandle {
+        &self.handle
+    }
+
+    /// Waits for the run; a completed general-path run feeds its
+    /// spawned-frame count back into the specializer's shape profile.
+    pub(crate) fn join(self) -> Result<Vec<Tensor>, ExecError> {
+        let Some((plan, key)) = self.profiled else {
+            return self.handle.wait();
+        };
+        let stats = Arc::clone(self.handle.stats());
+        let out = self.handle.wait();
+        plan.observe_run(key, stats.frames_spawned.load(Ordering::Relaxed));
+        out
+    }
+}
+
 impl Session {
     /// Plans `module` and initializes fresh parameters from its specs.
     pub fn new(exec: Arc<Executor>, module: Module) -> Result<Self, ExecError> {
@@ -235,20 +278,13 @@ impl Session {
     /// path-interner quiescent point (see
     /// [`crate::PathKey::note_run_quiescent`]).
     pub fn run(&self, feeds: Vec<Tensor>) -> Result<Vec<Tensor>, ExecError> {
-        let (plan, key) = self.plan.resolve_for_feeds(&feeds);
-        let handle = self.exec.submit(&plan, &self.params, feeds, None, None)?;
-        let stats = Arc::clone(handle.stats());
-        let out = handle.wait();
-        if let Some(key) = key {
-            self.plan.observe_run(
-                key,
-                stats
-                    .frames_spawned
-                    .load(std::sync::atomic::Ordering::Relaxed),
-            );
-        }
+        let out = self.launch(feeds)?.join();
         crate::PathKey::note_run_quiescent();
         out
+    }
+
+    fn launch(&self, feeds: Vec<Tensor>) -> Result<Launched, ExecError> {
+        Launched::start(&self.exec, &self.plan, &self.params, feeds)
     }
 
     /// Starts an inference run without blocking (serving path).
@@ -259,8 +295,7 @@ impl Session {
     /// caller owns the join, this path only *consumes* promotions (it never
     /// feeds the shape profile).
     pub fn submit_run(&self, feeds: Vec<Tensor>) -> Result<RunHandle, ExecError> {
-        let (plan, _key) = self.plan.resolve_for_feeds(&feeds);
-        self.exec.submit(&plan, &self.params, feeds, None, None)
+        Ok(self.launch(feeds)?.handle)
     }
 
     /// Serves a batch of independent inference requests concurrently.
@@ -270,32 +305,11 @@ impl Session {
     /// back positionally; each request fails or succeeds on its own (a bad
     /// feed in one request does not poison its neighbours).
     pub fn run_many(&self, feeds_list: Vec<Vec<Tensor>>) -> Vec<Result<Vec<Tensor>, ExecError>> {
-        let handles: Vec<Result<(RunHandle, Option<crate::SpecKey>), ExecError>> = feeds_list
+        let launched: Vec<Result<Launched, ExecError>> =
+            feeds_list.into_iter().map(|f| self.launch(f)).collect();
+        let out = launched
             .into_iter()
-            .map(|feeds| {
-                let (plan, key) = self.plan.resolve_for_feeds(&feeds);
-                self.exec
-                    .submit(&plan, &self.params, feeds, None, None)
-                    .map(|h| (h, key))
-            })
-            .collect();
-        let out = handles
-            .into_iter()
-            .map(|h| {
-                h.and_then(|(handle, key)| {
-                    let stats = Arc::clone(handle.stats());
-                    let r = handle.wait();
-                    if let Some(key) = key {
-                        self.plan.observe_run(
-                            key,
-                            stats
-                                .frames_spawned
-                                .load(std::sync::atomic::Ordering::Relaxed),
-                        );
-                    }
-                    r
-                })
-            })
+            .map(|l| l.and_then(Launched::join))
             .collect();
         crate::PathKey::note_run_quiescent();
         out

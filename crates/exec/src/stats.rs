@@ -116,9 +116,10 @@ impl ExecStats {
         self.profile_on.store(true, Ordering::Release);
     }
 
-    /// Whether profiling is enabled (single atomic load; hot path safe).
+    /// Whether profiling is enabled (one relaxed load; hot path safe — the
+    /// sample table itself is behind its own lock).
     pub fn profiling(&self) -> bool {
-        self.profile_on.load(Ordering::Acquire)
+        self.profile_on.load(Ordering::Relaxed)
     }
 
     /// Records one kernel execution time.

@@ -1,16 +1,24 @@
-//! Differential test: the live `ServeQueue` dispatcher versus the
-//! `ScriptedServe` virtual-clock twin, on one deterministic scenario.
+//! Differential test of the live serving *driver*: real threads, condvars
+//! and the wall clock must feed the dispatcher core the same events the
+//! `ScriptedServe` virtual-clock driver feeds it, on one deterministic
+//! scenario.
 //!
-//! The twin exists so scheduling decisions can be asserted exactly — but
-//! that only means anything if the twin and the live dispatcher actually
-//! make the *same* decisions from the same queue state. This test pins
-//! that correspondence: one scenario (a blocker occupying the single
-//! worker while ten mixed-class requests — plus two already-expired
-//! SLO requests — pile up, then one drain wave) is run through real
-//! threads with [`ServeConfig::record_dispatch`] on, and through the
-//! scripted twin on the virtual clock, and the two dispatch logs — wave
-//! targets, per-wave admission sequence numbers in pop order, *and*
-//! pop-time shed decisions — must be identical.
+//! The serving rules themselves — admission, aged-priority pop, pop-time
+//! eviction, wave sizing — exist once, in `serve/core.rs`, and both
+//! drivers run that code; that the two *rule sets* agree is true by
+//! construction and needs no test. What can still go wrong is the live
+//! plumbing around the core: a submit that reaches it under the wrong
+//! class or without its deadline, a dispatcher that wakes on the wrong
+//! condition or forms a wave before the lock-protected state says so, a
+//! clock conversion that expires a request early, a shed decision that
+//! never reaches the ticket or the counters. This test pins that: one
+//! scenario (a blocker occupying the single worker while ten mixed-class
+//! requests — plus two already-expired SLO requests — pile up, then one
+//! drain wave) is run through `Session::serve_with` with
+//! [`ServeConfig::record_dispatch`] on, and through the scripted driver on
+//! the virtual clock, and the two dispatch logs — wave targets, per-wave
+//! admission sequence numbers in pop order, *and* pop-time shed decisions
+//! — must be identical.
 //!
 //! The SLO half uses zero-duration SLOs deliberately: `deadline = now`
 //! is expired at any later pop on both clocks, so the eviction decision
@@ -21,14 +29,15 @@
 //!
 //! The live side races wall time (the blocker must outlive our twelve
 //! submits), so the scenario is retried a few times and skipped with a
-//! note on hosts too fast to hold the race open — the *decision* logic
-//! itself is still covered deterministically by the twin suites.
+//! note on hosts too fast to hold the race open. A skip loses coverage of
+//! the live plumbing only; the rules are covered, deterministically, by
+//! the core's own tests and every scripted suite.
 //!
 //! A second, fused pin runs the identical scenario with cross-request
 //! batch fusion enabled on both sides (the executor's dispatch-time fuser
-//! live, the twin's `run_wave_grouped` group-formation model scripted)
-//! and requires the *same* dispatch log: fusion is a property of kernel
-//! execution within a wave and must never leak into scheduling decisions.
+//! live, `run_wave_grouped`'s group-formation model scripted) and requires
+//! the *same* dispatch log: fusion is a property of kernel execution
+//! within a wave and must never leak into scheduling decisions.
 
 use rdg_exec::serve::test_support::{ScriptedAdmission, ScriptedServe};
 use rdg_exec::{Executor, Priority, ServeConfig, ServeError, Session, WaveRecord, WaveSizing};

@@ -18,6 +18,7 @@
 //!    their own tickets exactly once.
 
 use proptest::prelude::*;
+use rdg_core::exec::StatsSnapshot;
 use rdg_core::prelude::*;
 use std::sync::Arc;
 
@@ -174,22 +175,15 @@ fn fusion_engages_under_saturation_and_accounting_closes() {
     }
 }
 
-/// Eight identical requests in flight at once: every member of a fused
-/// group finishes in the same stacked call, so with work-first continuations
-/// (PR 12) all of a group's continuations reach the next node together and
-/// regroup without meeting in the queue. One worker makes the schedule a
-/// function of the code alone — a plug run keeps it busy until all eight
-/// heads are queued — so the fused fraction is a number, not a
-/// distribution: 328 of 384 eligible tasks (0.854).
-///
-/// The parent of PR 12 fused 0.91–0.94 of this *particular* load: there
-/// every op took a queue trip, which re-united fragments that a claim had
-/// split, where a chain that stays on its worker keeps the group it started
-/// with. On the benchmark's serving workloads (different trees, waves of
-/// two) the fraction rose instead, 0.43 → 0.49 (PERFORMANCE.md § PR 12).
-/// The floor pins what the work-first drain achieves here.
-#[test]
-fn identical_concurrent_requests_regroup_after_every_fused_call() {
+/// Eight identical requests in flight at once on one worker, behind a plug
+/// run that keeps the worker busy until all eight heads are queued — which
+/// makes the schedule a function of the code alone. Every request's outputs
+/// are checked bitwise against a scalar run. Returns the executor and its
+/// stats before and after the eight.
+fn eight_identical_behind_a_plug(
+    fuse: bool,
+    profile: bool,
+) -> (Arc<Executor>, StatsSnapshot, StatsSnapshot) {
     let cfg = ModelConfig::tiny(ModelKind::TreeRnn, 1);
     let data = Dataset::generate(DatasetConfig {
         vocab: cfg.vocab,
@@ -201,6 +195,9 @@ fn identical_concurrent_requests_regroup_after_every_fused_call() {
         seed: 20260925,
     });
     let exec = Executor::with_threads(1);
+    if profile {
+        exec.stats().enable_profiling();
+    }
     let sess =
         Session::new(Arc::clone(&exec), build_recursive(&cfg).expect("build")).expect("session");
     let request = Dataset::feeds_per_instance(data.split(Split::Train)).remove(0);
@@ -215,7 +212,7 @@ fn identical_concurrent_requests_regroup_after_every_fused_call() {
     mb.set_outputs(&[x]).expect("outputs");
     let plug_sess = Session::new(Arc::clone(&exec), mb.finish().expect("finish")).expect("plug");
 
-    exec.set_cross_request_fusion(true, 16);
+    exec.set_cross_request_fusion(fuse, 16);
     let before = exec.stats().snapshot();
     let plug = plug_sess.submit_run(vec![]).expect("plug run");
     // The worker must have claimed the plug alone before any head is queued.
@@ -232,17 +229,67 @@ fn identical_concurrent_requests_regroup_after_every_fused_call() {
     for (i, h) in handles.into_iter().enumerate() {
         assert_bit_equal(
             &scalar,
-            &h.wait().expect("fused run"),
+            &h.wait().expect("concurrent run"),
             &format!("request {i}"),
         );
     }
     plug.wait().expect("plug");
     exec.set_cross_request_fusion(false, 16);
     let after = exec.stats().snapshot();
+    (exec, before, after)
+}
+
+/// Every member of a fused group finishes in the same stacked call, so with
+/// work-first continuations (PR 12) all of a group's continuations reach
+/// the next node together and regroup without meeting in the queue. On the
+/// one-worker plug schedule the fused fraction is a number, not a
+/// distribution: 328 of 384 eligible tasks (0.854).
+///
+/// The parent of PR 12 fused 0.91–0.94 of this *particular* load: there
+/// every op took a queue trip, which re-united fragments that a claim had
+/// split, where a chain that stays on its worker keeps the group it started
+/// with. On the benchmark's serving workloads (different trees, waves of
+/// two) the fraction rose instead, 0.43 → 0.49 (PERFORMANCE.md § PR 12).
+/// The floor pins what the work-first drain achieves here.
+#[test]
+fn identical_concurrent_requests_regroup_after_every_fused_call() {
+    let (_exec, before, after) = eight_identical_behind_a_plug(true, false);
     let eligible = after.fusable_seen - before.fusable_seen;
     let fused = after.fused_tasks - before.fused_tasks;
     assert!(eligible > 0);
     let frac = fused as f64 / eligible as f64;
     println!("fused {fused} of {eligible} eligible kernel tasks ({frac:.3})");
     assert!(frac >= 0.85, "fused fraction fell to {frac:.3}");
+}
+
+/// The kernel profile must see the fused path. The same eight requests run
+/// once scalar and once fused, both profiled: a stacked call over `k`
+/// members is one kernel call where the scalar run made `k`, so the fused
+/// profile holds exactly `fused_tasks − fused_groups` fewer calls — no
+/// fewer (before PR 13 only the plain scalar path was timed, and every call
+/// made by the fused worker loop went missing from `kernel.busy_frac`).
+#[test]
+fn kernel_profile_counts_fused_calls() {
+    let calls = |exec: &Executor| -> u64 {
+        exec.stats()
+            .kernel_profile()
+            .values()
+            .map(|&(_, n)| n)
+            .sum()
+    };
+    let (scalar_exec, ..) = eight_identical_behind_a_plug(false, true);
+    let (fused_exec, before, after) = eight_identical_behind_a_plug(true, true);
+    let groups = after.fused_groups - before.fused_groups;
+    let members = after.fused_tasks - before.fused_tasks;
+    assert!(groups > 0, "the plug schedule formed no fused group");
+    assert_eq!(
+        calls(&scalar_exec) - calls(&fused_exec),
+        members - groups,
+        "each fused group replaces its members' calls by one profiled call"
+    );
+    let (time, n) = fused_exec.stats().kernel_profile()["MatMul"];
+    assert!(
+        n > 0 && !time.is_zero(),
+        "MatMul profiled: {n} calls, {time:?}"
+    );
 }
