@@ -21,8 +21,7 @@
 //! * `specialize/{invoke_chain/1000,fib/16}` — the same workloads through
 //!   the plan specializer (inlining + hot-shape unrolling): the B side of
 //!   the PR 10 A/B. The `dispatch`/`recursion` groups above are pinned to
-//!   [`SpecializeOptions::disabled`] so they stay the A baseline whatever
-//!   `RDG_SPECIALIZE` says.
+//!   [`SpecializeOptions::disabled`] so they stay the A baseline.
 //!
 //! Set `CRITERION_JSON=results/executor_overhead.json` to append one JSON
 //! record per benchmark (see the criterion shim docs); `PERFORMANCE.md`

@@ -28,11 +28,11 @@ use std::hash::Hash;
 use rdg_graph::{GraphRef, NodeId, OpKind};
 use rdg_tensor::{Tensor, TensorError};
 
-/// Default clamp on fused group size (members per stacked kernel call).
+/// Clamp on fused group size (members per stacked kernel call).
 ///
 /// Bounds stacked-tensor size and keeps a fused call's latency close to the
-/// scalar call it replaces; `ServeConfig::max_fuse_group` overrides it.
-pub const DEFAULT_MAX_GROUP: usize = 16;
+/// scalar call it replaces.
+pub const MAX_GROUP: usize = 16;
 
 /// How a fusable op's operands stack across group members.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,15 +11,23 @@
 //! array, each shard a `parking_lot::Mutex<HashMap>`. Shard selection uses
 //! the key's hash, so disjoint paths rarely contend.
 //!
-//! [`CacheKey`]s embed a hash-consed [`PathKey`]: a backward frame
-//! re-deriving its forward twin's path gets the *same* interned node back,
-//! so bucket comparisons inside a probe are pointer compares and the key's
-//! hash is a precomputed load — the cache stays cheap even when recursion
-//! makes paths thousands of sites deep.
+//! # Owner and lifetime
+//!
+//! A [`BackpropCache`] belongs to one training run: `Session` builds a fresh
+//! one per submission, the run's context holds it, and it is dropped with
+//! the run's last frame (a caller that passes its own `Arc` to
+//! `Executor::submit` decides otherwise). Everything the forward pass leaves
+//! for the backward pass lives here and nowhere else — the cached values,
+//! their shapes, and the [`PathTable`] whose nodes name the frames that
+//! produced them. A backward frame re-deriving its forward twin's path
+//! through [`BackpropCache::child_path`] gets the *same* node back, so the
+//! bucket comparison inside a probe is a pointer compare and the key's hash
+//! a precomputed load, however deep recursion makes the path. An inference
+//! run has no cache, so it has no table and no paths (see [`crate::path`]).
 
-use crate::path::PathKey;
+use crate::path::{PathKey, PathTable};
 use parking_lot::Mutex;
-use rdg_graph::{GraphRef, NodeId};
+use rdg_graph::{CallSiteId, GraphRef, NodeId};
 use rdg_tensor::{Shape, Tensor};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
@@ -79,6 +87,14 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
         got
     }
 
+    /// Clones the value for `k`, inserting `make()` first when it is absent.
+    /// Lookup and insert share one shard lock, so racing callers all get
+    /// the one value.
+    pub fn get_or_insert_with(&self, k: K, make: impl FnOnce() -> V) -> V {
+        let s = self.shard_of(&k);
+        self.shards[s].lock().entry(k).or_insert_with(make).clone()
+    }
+
     /// Removes all entries (between training steps).
     pub fn clear(&self) {
         for s in &self.shards {
@@ -119,7 +135,8 @@ pub struct CacheKey {
     pub port: u16,
 }
 
-/// The backprop cache: full values plus a lighter shape-only table.
+/// The backprop cache of one training run: full values, a lighter
+/// shape-only table, and the path nodes both are keyed by.
 ///
 /// Shape entries serve gradient kernels that only need a *shape witness*
 /// (`FwdZeros`), so large intermediates — e.g. the `[N, d]` state matrix the
@@ -131,6 +148,8 @@ pub struct BackpropCache {
     pub values: ShardedMap<CacheKey, Tensor>,
     /// Shape-only entries.
     pub shapes: ShardedMap<CacheKey, Shape>,
+    /// One node per frame the run spawned below the root.
+    paths: PathTable,
 }
 
 impl BackpropCache {
@@ -143,19 +162,42 @@ impl BackpropCache {
     pub fn clear(&self) {
         self.values.clear();
         self.shapes.clear();
+        self.paths.clear();
     }
+
+    /// The path of a frame called at `site` from a frame at `parent`.
+    pub fn child_path(&self, parent: &PathKey, site: CallSiteId) -> PathKey {
+        self.paths.child(parent, site)
+    }
+
+    /// Number of path nodes the cache holds: the distinct call paths of
+    /// the runs that used it.
+    pub fn path_nodes(&self) -> usize {
+        self.paths.len()
+    }
+}
+
+/// The path a call site gives its child frame: a node of the run's cache
+/// when it trains, the root when it does not — nothing reads the path of an
+/// inference frame, so inference builds none.
+pub(crate) fn call_path(
+    cache: Option<&BackpropCache>,
+    parent: &PathKey,
+    site: CallSiteId,
+) -> PathKey {
+    cache.map_or_else(PathKey::root, |c| c.child_path(parent, site))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdg_graph::{CallSiteId, SubGraphId};
+    use rdg_graph::SubGraphId;
     use std::sync::Arc;
 
-    fn key(site: u32, node: u32) -> CacheKey {
+    fn key(c: &BackpropCache, site: u32, node: u32) -> CacheKey {
         CacheKey {
             gref: GraphRef::Sub(SubGraphId(0)),
-            path: PathKey::root().child(CallSiteId(site)),
+            path: c.child_path(&PathKey::root(), CallSiteId(site)),
             node: NodeId(node),
             port: 0,
         }
@@ -164,26 +206,29 @@ mod tests {
     #[test]
     fn insert_get_roundtrip() {
         let c = BackpropCache::new();
-        c.values.insert(key(1, 2), Tensor::scalar_f32(3.5));
-        let got = c.values.get(&key(1, 2)).unwrap();
+        c.values.insert(key(&c, 1, 2), Tensor::scalar_f32(3.5));
+        let got = c.values.get(&key(&c, 1, 2)).unwrap();
         assert_eq!(got.as_f32_scalar().unwrap(), 3.5);
-        assert!(c.values.get(&key(1, 3)).is_none());
-        assert!(c.values.get(&key(2, 2)).is_none());
+        assert!(c.values.get(&key(&c, 1, 3)).is_none());
+        assert!(c.values.get(&key(&c, 2, 2)).is_none());
     }
 
     #[test]
     fn distinct_paths_do_not_alias() {
         let c = BackpropCache::new();
-        let base = PathKey::root();
+        let path = |a, b| {
+            let first = c.child_path(&PathKey::root(), CallSiteId(a));
+            c.child_path(&first, CallSiteId(b))
+        };
         let k1 = CacheKey {
             gref: GraphRef::Main,
-            path: base.child(CallSiteId(1)).child(CallSiteId(2)),
+            path: path(1, 2),
             node: NodeId(0),
             port: 0,
         };
         let k2 = CacheKey {
             gref: GraphRef::Main,
-            path: base.child(CallSiteId(2)).child(CallSiteId(1)),
+            path: path(2, 1),
             node: NodeId(0),
             port: 0,
         };
@@ -194,14 +239,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_both_tables() {
+    fn clear_empties_every_table() {
         let c = BackpropCache::new();
-        c.values.insert(key(1, 1), Tensor::scalar_f32(0.0));
-        c.shapes.insert(key(1, 1), Shape::matrix(2, 2));
-        assert_eq!(c.values.len() + c.shapes.len(), 2);
+        c.values.insert(key(&c, 1, 1), Tensor::scalar_f32(0.0));
+        c.shapes.insert(key(&c, 1, 1), Shape::matrix(2, 2));
+        assert_eq!(c.values.len() + c.shapes.len() + c.path_nodes(), 3);
         c.clear();
         assert!(c.values.is_empty());
         assert!(c.shapes.is_empty());
+        assert_eq!(c.path_nodes(), 0);
     }
 
     #[test]
@@ -214,7 +260,7 @@ mod tests {
             let c = Arc::clone(&c);
             handles.push(std::thread::spawn(move || {
                 for i in 0..200u32 {
-                    let k = key(t * 1000 + i, i);
+                    let k = key(&c, t * 1000 + i, i);
                     c.values
                         .insert(k.clone(), Tensor::scalar_f32((t * 1000 + i) as f32));
                     let v = c.values.get(&k).expect("own write visible");
@@ -230,6 +276,14 @@ mod tests {
         assert_eq!(ins, 1600);
         assert_eq!(hits, 1600);
         assert_eq!(misses, 0);
+    }
+
+    #[test]
+    fn get_or_insert_with_keeps_the_first_value() {
+        let c = ShardedMap::<u32, u32>::new();
+        assert_eq!(c.get_or_insert_with(1, || 10), 10);
+        assert_eq!(c.get_or_insert_with(1, || unreachable!("present")), 10);
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //! 5. The runtime is **multi-run**: [`Executor::submit`] starts a run
 //!    without blocking and returns a [`RunHandle`]; every run threads its
 //!    own [`RunContext`] (feeds, result slot, grad/cache handles, stats,
-//!    cancel state) through its frames, so any number of root frames — a
-//!    training minibatch, a stream of serving requests — share one worker
-//!    pool, and sibling parallelism extends across runs.
+//!    cancel state, fusion opt-in) through its frames, so any number of
+//!    root frames — a training minibatch, a stream of serving requests —
+//!    share one worker pool, and sibling parallelism extends across runs.
+//!    The pool itself holds no per-tenant switch: what differs between two
+//!    runs travels with their tasks.
 //!
 //! # Hot-path design
 //!
@@ -59,7 +61,7 @@
 //!   [`ReadyQueue::pop_batch`].
 
 use crate::batch::{self, FuseKind, GroupKey};
-use crate::cache::{BackpropCache, CacheKey};
+use crate::cache::{call_path, BackpropCache, CacheKey};
 use crate::error::ExecError;
 use crate::kernel::{self, KernelCtx};
 use crate::params::{GradStore, ParamStore};
@@ -82,10 +84,11 @@ use std::thread::JoinHandle;
 /// [`run_batch`] for the hand-back rule that bounds hoarding.
 const TASK_BATCH: usize = 8;
 
-/// Drain size when cross-request fusion is on. Wider pops see more
-/// concurrent frames at once, which is what creates fusable groups: the
-/// serving dispatcher's wave starts N requests' identical graph nodes
-/// together, and their surplus reaches the queue in rough lockstep.
+/// Drain size while any run that opted into cross-request fusion is alive.
+/// Wider pops see more concurrent frames at once, which is what creates
+/// fusable groups: the serving dispatcher's wave starts N requests'
+/// identical graph nodes together, and their surplus reaches the queue in
+/// rough lockstep.
 const FUSED_TASK_BATCH: usize = 32;
 
 /// How many recycled frame cores each graph's plan may cache.
@@ -246,8 +249,9 @@ pub struct Task {
 ///
 /// Everything scoped to a single root frame lives here and is threaded
 /// through that frame's tree: the module plan and parameters the run
-/// executes against, the optional gradient/cache handles (training runs),
-/// the output slot (`done_tx`), the error/cancel flags, and the run's own
+/// executes against, the optional gradient/cache handles (training runs;
+/// the cache's path table names the run's frames), the output slot
+/// (`done_tx`), the error/cancel flags, the fusion opt-in, and the run's own
 /// [`ExecStats`]. Because tasks carry an `Arc<RunContext>`, any number of
 /// root frames can be in flight on one worker pool without sharing any
 /// mutable per-run state.
@@ -256,6 +260,10 @@ pub struct RunContext {
     params: Arc<ParamStore>,
     grads: Option<Arc<GradStore>>,
     cache: Option<Arc<BackpropCache>>,
+    /// `Some` iff the run opted into cross-request fusion: the executor's
+    /// count of live opted-in runs, which this run holds up until it drops.
+    /// Only tasks of such runs join fused groups (see [`group_key`]).
+    fusing: Option<Arc<AtomicUsize>>,
     finished: AtomicBool,
     cancelled: AtomicBool,
     done_tx: Sender<Result<Vec<Tensor>, ExecError>>,
@@ -269,9 +277,10 @@ pub struct RunContext {
     /// `exec_stats`, so the teardown fold in `Drop` takes only the
     /// straggler delta (`None` until the run delivers a result).
     absorbed: Mutex<Option<StatsSnapshot>>,
-    /// Which thread executed which node, in execution order per thread.
+    /// Which thread executed which node, in execution order per thread,
+    /// and the path of the frame the node belongs to.
     #[cfg(test)]
-    trace: Mutex<Vec<(std::thread::ThreadId, NodeId)>>,
+    trace: Mutex<Vec<(std::thread::ThreadId, NodeId, PathKey)>>,
 }
 
 impl RunContext {
@@ -311,6 +320,9 @@ impl Drop for RunContext {
     fn drop(&mut self) {
         let base = self.absorbed.get_mut().take().unwrap_or_default();
         self.exec_stats.absorb_since(&self.run_stats, &base);
+        if let Some(live) = &self.fusing {
+            live.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -369,25 +381,22 @@ impl RunHandle {
     }
 }
 
-/// Runtime switch for cross-request batch fusion, shared with every worker.
-///
-/// Off by default so a bare [`Executor::run`] takes the scalar path
-/// byte-for-byte; the serving stack turns it on at dispatcher start
-/// (`ServeConfig::cross_request_batching`).
-struct FusionCtl {
-    enabled: AtomicBool,
-    max_group: AtomicUsize,
-}
-
 /// The shared worker pool plus its ready queue.
 ///
-/// One executor serves any number of concurrent runs and sessions, exactly
-/// like a framework runtime: tasks carry their run state with them.
+/// One executor serves any number of concurrent runs, sessions and serve
+/// loops, exactly like a framework runtime: tasks carry their run state
+/// with them, and the executor has no setting one tenant could flip under
+/// another. What it owns is the queue, the threads, the lifetime stats and
+/// one derived number — how many live runs opted into cross-request fusion
+/// — which only tells workers whether a wide, grouping drain can pay.
 pub struct Executor {
     queue: Arc<ReadyQueue<Task>>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<ExecStats>,
-    fusion: Arc<FusionCtl>,
+    /// Live runs started with `fuse` (see [`RunContext::fusing`]). A count
+    /// publishes nothing else, so every access is `Relaxed`: a worker that
+    /// reads it late drains one more batch the scalar way.
+    fusing_runs: Arc<AtomicUsize>,
     n_threads: usize,
 }
 
@@ -397,27 +406,30 @@ impl Executor {
         let n_threads = n_threads.max(1);
         let queue = Arc::new(ReadyQueue::new(kind));
         let stats = Arc::new(ExecStats::new());
-        let fusion = Arc::new(FusionCtl {
-            enabled: AtomicBool::new(false),
-            max_group: AtomicUsize::new(batch::DEFAULT_MAX_GROUP),
-        });
+        let fusing_runs = Arc::new(AtomicUsize::new(0));
         let workers = (0..n_threads)
             .map(|i| {
                 let q = Arc::clone(&queue);
-                let fusion = Arc::clone(&fusion);
+                let fusing_runs = Arc::clone(&fusing_runs);
                 std::thread::Builder::new()
                     .name(format!("rdg-worker-{i}"))
                     .spawn(move || {
                         let mut batch: Vec<Task> = Vec::with_capacity(FUSED_TASK_BATCH);
+                        let fusing = || fusing_runs.load(Ordering::Relaxed) != 0;
                         loop {
-                            let fuse = fusion.enabled.load(Ordering::Relaxed);
-                            let take = if fuse { FUSED_TASK_BATCH } else { TASK_BATCH };
+                            let take = if fusing() {
+                                FUSED_TASK_BATCH
+                            } else {
+                                TASK_BATCH
+                            };
                             if !q.pop_batch(&mut batch, take) {
                                 break;
                             }
-                            if fuse {
-                                let max_group = fusion.max_group.load(Ordering::Relaxed);
-                                run_batch_fused(&q, &mut batch, max_group);
+                            // Read again: a worker parks in `pop_batch`
+                            // between waves, and the run that wakes it
+                            // opted in before its first task was queued.
+                            if fusing() {
+                                run_batch_fused(&q, &mut batch);
                             } else {
                                 run_batch(&q, &mut batch);
                             }
@@ -430,29 +442,9 @@ impl Executor {
             queue,
             workers,
             stats,
-            fusion,
+            fusing_runs,
             n_threads,
         })
-    }
-
-    /// Turns cross-request batch fusion on or off for this executor's
-    /// workers and sets the fused-group size clamp.
-    ///
-    /// Fusion is **off** by default: a bare [`Executor::run`] executes the
-    /// scalar path byte-for-byte. The serving dispatcher enables it when
-    /// `ServeConfig::cross_request_batching` is set. The switch is safe to
-    /// flip at any time — it only changes how workers drain the ready
-    /// queue, never what a task computes.
-    pub fn set_cross_request_fusion(&self, enabled: bool, max_group: usize) {
-        self.fusion
-            .max_group
-            .store(max_group.max(1), Ordering::Relaxed);
-        self.fusion.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether cross-request batch fusion is currently enabled.
-    pub fn cross_request_fusion(&self) -> bool {
-        self.fusion.enabled.load(Ordering::Relaxed)
     }
 
     /// FIFO executor with `n_threads` workers.
@@ -485,6 +477,22 @@ impl Executor {
         self.submit(plan, params, feeds, grads, cache)?.wait()
     }
 
+    /// Submits an inference run that opts into cross-request batch fusion:
+    /// its batchable kernels may be stacked with those of other opted-in
+    /// runs of the same plan into one kernel call (see [`crate::batch`]),
+    /// bit-for-bit equal to the scalar calls it replaces. This is what the
+    /// serving dispatcher does for every request when
+    /// `ServeConfig::cross_request_batching` is set; a run submitted any
+    /// other way never joins a group, whatever else the pool is serving.
+    pub fn submit_fused(
+        self: &Arc<Self>,
+        plan: &Arc<ModulePlan>,
+        params: &Arc<ParamStore>,
+        feeds: Vec<Tensor>,
+    ) -> Result<RunHandle, ExecError> {
+        self.submit_with(plan, params, feeds, None, None, true)
+    }
+
     /// Submits a run without blocking and returns its [`RunHandle`].
     ///
     /// Any number of runs may be in flight concurrently on one executor;
@@ -500,7 +508,20 @@ impl Executor {
         grads: Option<Arc<GradStore>>,
         cache: Option<Arc<BackpropCache>>,
     ) -> Result<RunHandle, ExecError> {
-        let (handle, root) = self.start(plan, params, feeds, grads, cache)?;
+        self.submit_with(plan, params, feeds, grads, cache, false)
+    }
+
+    /// [`Executor::submit`] with the run's fusion opt-in spelled out.
+    pub(crate) fn submit_with(
+        self: &Arc<Self>,
+        plan: &Arc<ModulePlan>,
+        params: &Arc<ParamStore>,
+        feeds: Vec<Tensor>,
+        grads: Option<Arc<GradStore>>,
+        cache: Option<Arc<BackpropCache>>,
+        fuse: bool,
+    ) -> Result<RunHandle, ExecError> {
+        let (handle, root) = self.start(plan, params, feeds, grads, cache, fuse)?;
         if let Some(t) = root {
             self.queue.push(0, t);
         }
@@ -516,6 +537,7 @@ impl Executor {
         feeds: Vec<Tensor>,
         grads: Option<Arc<GradStore>>,
         cache: Option<Arc<BackpropCache>>,
+        fuse: bool,
     ) -> Result<(RunHandle, Option<Task>), ExecError> {
         let main = &plan.module.main;
         if feeds.len() != main.input_nodes.len() {
@@ -536,11 +558,16 @@ impl Executor {
             }
         }
         let (done_tx, done_rx) = bounded(1);
+        let fusing = fuse.then(|| {
+            self.fusing_runs.fetch_add(1, Ordering::Relaxed);
+            Arc::clone(&self.fusing_runs)
+        });
         let run = Arc::new(RunContext {
             plan: Arc::clone(plan),
             params: Arc::clone(params),
             grads,
             cache,
+            fusing,
             finished: AtomicBool::new(false),
             cancelled: AtomicBool::new(false),
             done_tx,
@@ -707,7 +734,8 @@ fn call(
     site: CallSiteId,
     args: Vec<Tensor>,
 ) -> Option<Task> {
-    let (path, depth) = (frame.path.child(site), frame.depth + 1);
+    let path = call_path(run.cache.as_deref(), &frame.path, site);
+    let depth = frame.depth + 1;
     let link = ParentLink { frame, node };
     spawn_frame(run, GraphRef::Sub(sub), path, args, Some(link), depth)
 }
@@ -741,7 +769,9 @@ fn execute_task(task: Task) -> Option<Task> {
     }
     run.run_stats.ops_executed.fetch_add(1, Ordering::Relaxed);
     #[cfg(test)]
-    run.trace.lock().push((std::thread::current().id(), node));
+    run.trace
+        .lock()
+        .push((std::thread::current().id(), node, frame.path.clone()));
 
     match &n.op {
         OpKind::Invoke { sub, site, .. } => call(&run, frame, node, *sub, *site, inputs),
@@ -826,10 +856,12 @@ fn timed_kernel<R>(run: &RunContext, op: &OpKind, call: impl FnOnce() -> R) -> R
     out
 }
 
-/// The static fusion identity of one ready task: `Some` iff its node is
-/// batchable per the plan's precomputed `fuse` metadata. Same key ⇒ same
-/// compiled plan object, graph, and node — hence same op and param wiring.
+/// The static fusion identity of one ready task: `Some` iff its run opted
+/// into fusion and its node is batchable per the plan's precomputed `fuse`
+/// metadata. Same key ⇒ same compiled plan object, graph, and node — hence
+/// same op and param wiring.
 fn group_key(t: &Task) -> Option<GroupKey> {
+    t.frame.run.fusing.as_ref()?;
     let plan = &t.frame.run.plan;
     plan.plan(t.frame.gref).fuse[t.node.0 as usize]?;
     Some(GroupKey {
@@ -893,23 +925,24 @@ fn run_batch(q: &ReadyQueue<Task>, batch: &mut Vec<Task>) {
 
 /// Fused drain of one popped batch: the worker's group-execute entry point.
 ///
-/// Rounds: group the claimed tasks with [`batch::plan_groups`], execute
-/// singletons through the unchanged scalar path and groups through one
-/// stacked kernel call each, then feed all continuations into the next
-/// round — so the members of one fused group arrive at their consumers
-/// together and regroup. Every claimed task executes within its round;
-/// nothing is parked.
+/// Rounds: group the claimed tasks with [`batch::plan_groups`] (at most
+/// [`batch::MAX_GROUP`] members each), execute singletons — every task of a
+/// run that did not opt in is one — through the unchanged scalar path and
+/// groups through one stacked kernel call each, then feed all continuations
+/// into the next round — so the members of one fused group arrive at their
+/// consumers together and regroup. Every claimed task executes within its
+/// round; nothing is parked.
 ///
 /// **Hoarding bound.** The rounds go on until every chain under the claim
 /// has ended, so the equivalent of [`run_batch`]'s rule is applied between
 /// rounds: while another worker is parked, the back half of the next round
 /// is handed to it through the queue.
-fn run_batch_fused(q: &ReadyQueue<Task>, batch: &mut Vec<Task>, max_group: usize) {
+fn run_batch_fused(q: &ReadyQueue<Task>, batch: &mut Vec<Task>) {
     let mut round: Vec<Task> = batch.drain(..).collect();
     let mut pending: Vec<Task> = Vec::new();
     while !round.is_empty() {
         let keys: Vec<Option<GroupKey>> = round.iter().map(group_key).collect();
-        let groups = batch::plan_groups(&keys, max_group);
+        let groups = batch::plan_groups(&keys, batch::MAX_GROUP);
         let mut slots: Vec<Option<Task>> = round.drain(..).map(Some).collect();
         for g in groups {
             if g.len() == 1 {
@@ -1064,9 +1097,11 @@ fn execute_group(members: Vec<Task>, pending: &mut Vec<Task>) {
         run.run_stats.ops_executed.fetch_add(1, Ordering::Relaxed);
         run.run_stats.fusable_seen.fetch_add(1, Ordering::Relaxed);
         #[cfg(test)]
-        run.trace
-            .lock()
-            .push((std::thread::current().id(), task.node));
+        run.trace.lock().push((
+            std::thread::current().id(),
+            task.node,
+            task.frame.path.clone(),
+        ));
         fetched.push(Fetched { task, inputs });
     }
     if fetched.is_empty() {

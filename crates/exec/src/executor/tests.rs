@@ -88,7 +88,9 @@ fn executor_with_parked_worker() -> Arc<Executor> {
 
 fn start(exec: &Arc<Executor>, m: Module, feeds: Vec<Tensor>) -> (RunHandle, Task) {
     let (plan, params) = planned(m);
-    let (h, root) = exec.start(&plan, &params, feeds, None, None).unwrap();
+    let (h, root) = exec
+        .start(&plan, &params, feeds, None, None, false)
+        .unwrap();
     (h, root.expect("the prelude leaves one op runnable"))
 }
 
@@ -96,7 +98,7 @@ fn start(exec: &Arc<Executor>, m: Module, feeds: Vec<Tensor>) -> (RunHandle, Tas
 fn finish(h: RunHandle) -> (Result<Vec<Tensor>, ExecError>, Vec<ThreadId>) {
     let ctx = Arc::clone(&h.ctx);
     let result = h.wait();
-    let threads = ctx.trace.lock().iter().map(|&(t, _)| t).collect();
+    let threads = ctx.trace.lock().iter().map(|(t, ..)| *t).collect();
     (result, threads)
 }
 
@@ -214,7 +216,7 @@ fn fused_drain_shares_its_round_with_a_parked_worker() {
     let (a, a_root) = start(&exec, chain(2_000), vec![Tensor::scalar_f32(0.0)]);
     let (b, b_root) = start(&exec, chain(2_000), vec![Tensor::scalar_f32(1.0)]);
     let mut batch = vec![a_root, b_root];
-    run_batch_fused(&exec.queue, &mut batch, 8);
+    run_batch_fused(&exec.queue, &mut batch);
     let me = std::thread::current().id();
     let (sa, sb) = (Arc::clone(a.stats()), Arc::clone(b.stats()));
     let ((a, ran_a), (b, ran_b)) = (finish(a), finish(b));
@@ -294,4 +296,49 @@ fn kernel_error_mid_chain_ends_it_there() {
     assert_eq!(agg.ops_executed, b.ops_executed + g.ops_executed);
     assert_eq!(agg.continuations, b.continuations + g.continuations);
     assert_eq!(agg.cancelled_tasks, 0);
+}
+
+/// The frame path of every op the (finished) run dispatched.
+fn traced_paths(ctx: &RunContext) -> Vec<PathKey> {
+    ctx.trace.lock().iter().map(|(.., p)| p.clone()).collect()
+}
+
+#[test]
+fn inference_builds_no_paths_and_training_one_node_per_frame() {
+    let exec = Executor::with_threads(2);
+    // The general path, pinned: a promoted plan folds this recursion away.
+    let opts = crate::SpecializeOptions::disabled();
+    let plan = ModulePlan::with_options(Arc::new(tree(5)), opts).unwrap();
+    let params = Arc::new(ParamStore::from_module(&plan.module));
+    // Every inference entry point (`Session::run`, `run_many`, `submit_run`,
+    // the serve dispatcher) starts its runs here, scalar or fused: no
+    // cache, so no table, and every frame of the 63-call recursion sits at
+    // the root path.
+    for fuse in [false, true] {
+        let run = crate::session::Launched::start(&exec, &plan, &params, vec![], fuse).unwrap();
+        let ctx = Arc::clone(&run.handle().ctx);
+        assert!(ctx.cache.is_none());
+        run.join().unwrap();
+        let paths = traced_paths(&ctx);
+        assert!(paths.len() > 63 && paths.iter().all(PathKey::is_empty));
+    }
+    // The same module run with a cache: each frame below the root gets its
+    // own node in that cache's table (63 activations of `tree`, each with
+    // the frame of the branch its Cond took), and another run's cache
+    // shares none of them.
+    let caches = [(); 2].map(|_| Arc::new(BackpropCache::new()));
+    let deepest = caches.each_ref().map(|cache| {
+        let h = exec
+            .submit(&plan, &params, vec![], None, Some(Arc::clone(cache)))
+            .unwrap();
+        let ctx = Arc::clone(&h.ctx);
+        h.wait().unwrap();
+        let frames = ctx.run_stats.snapshot().frames_spawned as usize;
+        assert_eq!(cache.path_nodes(), frames - 1);
+        let paths = traced_paths(&ctx);
+        paths.into_iter().max_by_key(PathKey::len).unwrap()
+    });
+    assert_eq!(caches[0].path_nodes(), 2 * 63);
+    assert_eq!(deepest[0].len(), deepest[1].len());
+    assert!(!deepest[0].ptr_eq(&deepest[1]));
 }

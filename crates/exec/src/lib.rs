@@ -18,18 +18,19 @@
 //!   [`executor::Executor::submit`] starts a run without blocking and
 //!   returns a [`executor::RunHandle`]; every run carries its own
 //!   [`executor::RunContext`] (feeds, result slot, grad/cache handles,
-//!   stats, cancel state), so many root frames — a training minibatch, or
-//!   a stream of serving requests — share one worker pool.
+//!   stats, cancel state, fusion opt-in), so many root frames — a training
+//!   minibatch, or a stream of serving requests — share one worker pool.
 //! * [`plan::ModulePlan`] / [`plan::ExecutionPlan`] — per-graph scheduling
 //!   metadata (topological order, in-degree counts, consumer wiring,
 //!   spawn-time-resolvable prelude), precompiled once per module and reused
 //!   by every frame.
-//! * [`path::PathKey`] — hash-consed invocation paths (call-site chains),
-//!   the keys of the backprop cache; child-key creation is an interner
-//!   lookup and equality is a pointer compare.
-//! * [`cache::BackpropCache`] — the concurrent hash table that carries
-//!   forward activations to the mirrored backward frames (paper §5,
-//!   Figure 6), sharded for concurrent insert/lookup.
+//! * [`path::PathKey`] / [`path::PathTable`] — invocation paths
+//!   (call-site chains), the keys of the backprop cache, hash-consed in a
+//!   table the cache owns: extending a path is a lookup in that table and
+//!   equality is a pointer compare. Inference runs build none.
+//! * [`cache::BackpropCache`] — one training run's concurrent hash table,
+//!   carrying forward activations to the mirrored backward frames (paper
+//!   §5, Figure 6), sharded for concurrent insert/lookup.
 //! * [`params::ParamStore`] / [`params::GradStore`] — parameters live
 //!   outside the graph; gradients accumulate concurrently from many frames.
 //! * [`session::Session`] — a planned module bound to parameters.
@@ -106,7 +107,7 @@ pub use cache::{BackpropCache, CacheKey, ShardedMap};
 pub use error::ExecError;
 pub use executor::{Executor, RunHandle};
 pub use params::{GradStore, ParamStore};
-pub use path::PathKey;
+pub use path::{PathKey, PathTable};
 pub use plan::specialize::{Provenance, SpecializeOptions};
 pub use plan::{ExecutionPlan, ModulePlan, SpecKey, SpecStats};
 pub use queue::SchedulerKind;

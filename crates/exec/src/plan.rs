@@ -236,7 +236,7 @@ pub struct SpecStats {
 
 /// One profiled feed signature: how often it recurred and (when a session
 /// observed a completed run) how many frames the general path spawned for
-/// it — the `PathKey`-derived signal that promotion is worth it.
+/// it — the signal that promotion is worth it.
 #[derive(Default)]
 struct ProfEntry {
     count: u32,
@@ -309,11 +309,10 @@ impl ModulePlan {
     /// single frame spawns; the inferred abstract shapes are recorded on
     /// each [`ExecutionPlan`] for downstream specialization.
     ///
-    /// Plan-time specialization runs with the environment-default options
-    /// ([`SpecializeOptions::from_env`], i.e. the `RDG_SPECIALIZE` toggle);
-    /// use [`ModulePlan::with_options`] to pin behavior programmatically.
+    /// Plan-time specialization runs with the default options (both passes
+    /// on); use [`ModulePlan::with_options`] to pin anything else.
     pub fn new(module: Arc<Module>) -> rdg_graph::Result<Arc<Self>> {
-        Self::with_options(module, SpecializeOptions::from_env())
+        Self::with_options(module, SpecializeOptions::default())
     }
 
     /// Like [`ModulePlan::new`], with explicit specializer options.

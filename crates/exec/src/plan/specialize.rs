@@ -72,10 +72,10 @@ const MAX_VALUE_KEY_ELEMS: usize = 64;
 /// synthesized nodes such as materialized fold results).
 pub type Provenance = HashMap<GraphRef, Vec<Option<(GraphRef, NodeId)>>>;
 
-/// Knobs for the plan-time specializer. The environment default is read
-/// from `RDG_SPECIALIZE` (see [`SpecializeOptions::from_env`]); tests and
-/// benches pin behavior programmatically via `ModulePlan::with_options` /
-/// `Session::with_options`.
+/// Knobs for the plan-time specializer. The default has both passes on;
+/// tests and benches that need the general path, or one pass alone, pin it
+/// via `ModulePlan::with_options` / `Session::with_options`. No environment
+/// variable changes what a plan does.
 #[derive(Clone, Debug)]
 pub struct SpecializeOptions {
     /// Splice straight-line SubGraph bodies into callers at plan build.
@@ -110,24 +110,6 @@ impl SpecializeOptions {
             inline: false,
             unroll: false,
             ..SpecializeOptions::default()
-        }
-    }
-
-    /// Reads `RDG_SPECIALIZE`: `0`/`off`/`false` disables both passes,
-    /// `inline` or `unroll` enables only that pass, anything else (or the
-    /// variable being unset) enables both.
-    pub fn from_env() -> Self {
-        match std::env::var("RDG_SPECIALIZE").as_deref() {
-            Ok("0") | Ok("off") | Ok("false") => Self::disabled(),
-            Ok("inline") => SpecializeOptions {
-                unroll: false,
-                ..SpecializeOptions::default()
-            },
-            Ok("unroll") => SpecializeOptions {
-                inline: false,
-                ..SpecializeOptions::default()
-            },
-            _ => SpecializeOptions::default(),
         }
     }
 

@@ -250,17 +250,17 @@ pub struct ServeConfig {
     /// dynamic controller has an EWMA, and for requests without an SLO.
     pub predictive_shed_from: Option<Priority>,
     /// Fuse same-shape kernels across concurrent requests into stacked
-    /// kernel calls (see `crate::batch`). **On** by default for serving —
-    /// the dispatcher enables it on the executor at start and disables it
-    /// again at shutdown — while bare [`Executor::run`] stays scalar.
-    /// Turn it off for an A/B baseline or to pin exact scalar scheduling.
-    /// Fusion never changes results: stacked kernels are bit-for-bit equal
-    /// to the scalar calls they replace.
+    /// kernel calls of at most `batch::MAX_GROUP` instances (see
+    /// `crate::batch`). **On** by default for serving. It is a property of
+    /// this loop's *runs*, not of the executor: the dispatcher starts every
+    /// request as a run that opted in, workers group only tasks of such
+    /// runs, and nothing is switched on or off at start or shutdown — so
+    /// other serve loops on the same executor keep their own setting, and a
+    /// bare [`Executor::run`] beside them stays scalar. Turn it off for an
+    /// A/B baseline or to pin exact scalar scheduling. Fusion never changes
+    /// results: stacked kernels are bit-for-bit equal to the scalar calls
+    /// they replace.
     pub cross_request_batching: bool,
-    /// Clamp on how many request instances one fused kernel call may
-    /// cover. Bounds stacked-tensor size and keeps a fused call's latency
-    /// close to scalar; values < 1 are treated as 1 (scalar).
-    pub max_fuse_group: usize,
 }
 
 impl Default for ServeConfig {
@@ -274,7 +274,6 @@ impl Default for ServeConfig {
             record_dispatch: false,
             predictive_shed_from: Some(Priority::BestEffort),
             cross_request_batching: true,
-            max_fuse_group: crate::batch::DEFAULT_MAX_GROUP,
         }
     }
 }
@@ -759,9 +758,6 @@ impl ServeQueue {
         config: ServeConfig,
     ) -> ServeClient {
         let window = config.latency_window;
-        // Serving turns cross-request fusion on (bare runs stay scalar);
-        // the dispatcher switches it back off when the loop shuts down.
-        exec.set_cross_request_fusion(config.cross_request_batching, config.max_fuse_group);
         let exec_stats = Arc::clone(exec.stats());
         let fusion_base = exec_stats.snapshot();
         let shared = Arc::new(ServeQueue {
@@ -829,12 +825,6 @@ fn dispatcher_loop(
     let stats = &shared.stats;
     let mut wave: Vec<Queued<Request>> = Vec::new();
     let mut evicted: Vec<Queued<Request>> = Vec::new();
-    // Waves dispatched since the loop started; drives the periodic
-    // path-interner epoch flush (varied-shape request streams would
-    // otherwise grow the interner until shutdown).
-    let mut waves_dispatched: u64 = 0;
-    // Flush the path interner every this many waves.
-    const FLUSH_EVERY_WAVES: u64 = 64;
     loop {
         let popped_ns = {
             let mut st = shared.state.lock();
@@ -844,16 +834,6 @@ fn dispatcher_loop(
                     break (target, now);
                 }
                 if !st.is_open() {
-                    if shared.config.cross_request_batching {
-                        // The loop is over: return the executor to its
-                        // scalar default so later bare runs don't fuse.
-                        exec.set_cross_request_fusion(false, shared.config.max_fuse_group);
-                    }
-                    // Every request this session interned call-site paths;
-                    // varied-shape workloads never revisit them. Reclaim
-                    // the retired chains so long-lived services don't grow
-                    // the interner across sessions.
-                    crate::path::PathKey::flush_interner();
                     return;
                 }
                 shared.not_empty.wait(&mut st);
@@ -891,7 +871,8 @@ fn dispatcher_loop(
         // the wave size — that is the admission-control contract. Requests
         // resolving to the same promoted plan share its `Arc`, so
         // cross-request fusion (`GroupKey` is keyed by plan pointer) still
-        // groups them.
+        // groups them. Whether they fuse at all rides on each run.
+        let fuse = shared.config.cross_request_batching;
         let runs: Vec<Result<Launched, ExecError>> = wave
             .iter_mut()
             .map(|q| {
@@ -899,7 +880,7 @@ fn dispatcher_loop(
                 for tracks in [&stats.latency, &stats.class_latency[q.class.index()]] {
                     tracks.wait.record_ns(wait_ns);
                 }
-                Launched::start(exec, plan, params, std::mem::take(&mut q.item.feeds))
+                Launched::start(exec, plan, params, std::mem::take(&mut q.item.feeds), fuse)
             })
             .collect();
         let wave_len = wave.len();
@@ -963,14 +944,6 @@ fn dispatcher_loop(
             .state
             .lock()
             .wave_done(wave_len, last_done_ns.saturating_sub(dispatched_ns));
-        // Epoch flush: retire interned path chains whose runs have all
-        // completed. Without this, only shutdown reclaims them, and a
-        // long-lived serve loop with varied-shape traffic grows the
-        // process-global interner without bound.
-        waves_dispatched += 1;
-        if waves_dispatched % FLUSH_EVERY_WAVES == 0 {
-            crate::path::PathKey::flush_interner();
-        }
     }
 }
 

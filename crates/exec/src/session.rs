@@ -66,7 +66,8 @@ use std::sync::Arc;
 /// Ownership story: the *executor* (worker pool + ready queue + lifetime
 /// stats) is shared by any number of sessions; the *session* owns the plan,
 /// the parameter store, and one gradient store; each *run* owns its feeds,
-/// its result slot, its stats, and (for training) a private backprop cache.
+/// its result slot, its stats, its fusion opt-in, and (for training) a
+/// private backprop cache holding the run's path table.
 pub struct Session {
     exec: Arc<Executor>,
     plan: Arc<ModulePlan>,
@@ -100,15 +101,18 @@ pub(crate) struct Launched {
 
 impl Launched {
     /// Resolves `feeds` to the plan to execute ([`ModulePlan::resolve_for_feeds`]:
-    /// a hot feed signature runs its promoted flat plan) and submits the run.
+    /// a hot feed signature runs its promoted flat plan) and submits the
+    /// run, opted into cross-request fusion when `fuse` is set. No cache:
+    /// an inference run builds no paths.
     pub(crate) fn start(
         exec: &Arc<Executor>,
         plan: &Arc<ModulePlan>,
         params: &Arc<ParamStore>,
         feeds: Vec<Tensor>,
+        fuse: bool,
     ) -> Result<Launched, ExecError> {
         let (resolved, key) = plan.resolve_for_feeds(&feeds);
-        let handle = exec.submit(&resolved, params, feeds, None, None)?;
+        let handle = exec.submit_with(&resolved, params, feeds, None, None, fuse)?;
         let profiled = key.map(|key| (Arc::clone(plan), key));
         Ok(Launched { handle, profiled })
     }
@@ -140,9 +144,8 @@ impl Session {
     }
 
     /// Like [`Session::new`], but with explicit plan-specializer options
-    /// instead of the `RDG_SPECIALIZE` environment default — tests and
-    /// benches use this to pin the general path (A) or the specialized
-    /// path (B) regardless of the environment.
+    /// instead of the default (both passes on) — tests and benches use this
+    /// to pin the general path (A) or the specialized path (B).
     pub fn with_options(
         exec: Arc<Executor>,
         module: Module,
@@ -274,17 +277,13 @@ impl Session {
     /// ([`ModulePlan::resolve_for_feeds`]): a hot feed signature executes
     /// its promoted flat plan, everything else takes the general frame
     /// machinery. Completed general-path runs feed their spawned-frame
-    /// count back into the shape profile, and each run marks a
-    /// path-interner quiescent point (see
-    /// [`crate::PathKey::note_run_quiescent`]).
+    /// count back into the shape profile.
     pub fn run(&self, feeds: Vec<Tensor>) -> Result<Vec<Tensor>, ExecError> {
-        let out = self.launch(feeds)?.join();
-        crate::PathKey::note_run_quiescent();
-        out
+        self.launch(feeds)?.join()
     }
 
     fn launch(&self, feeds: Vec<Tensor>) -> Result<Launched, ExecError> {
-        Launched::start(&self.exec, &self.plan, &self.params, feeds)
+        Launched::start(&self.exec, &self.plan, &self.params, feeds, false)
     }
 
     /// Starts an inference run without blocking (serving path).
@@ -307,12 +306,10 @@ impl Session {
     pub fn run_many(&self, feeds_list: Vec<Vec<Tensor>>) -> Vec<Result<Vec<Tensor>, ExecError>> {
         let launched: Vec<Result<Launched, ExecError>> =
             feeds_list.into_iter().map(|f| self.launch(f)).collect();
-        let out = launched
+        launched
             .into_iter()
             .map(|l| l.and_then(Launched::join))
-            .collect();
-        crate::PathKey::note_run_quiescent();
-        out
+            .collect()
     }
 
     /// Opens an admission-controlled serving loop on this session with the
@@ -350,8 +347,9 @@ impl Session {
     ///
     /// Each submission gets a private [`BackpropCache`], so concurrent
     /// training runs of the same module cannot collide on cached forward
-    /// values (their invocation paths are identical); the cache is dropped
-    /// with the run.
+    /// values (their invocation paths have identical sites, but each
+    /// cache names them with its own nodes); the cache, and every path
+    /// node in it, is dropped with the run.
     pub fn submit_training(&self, feeds: Vec<Tensor>) -> Result<RunHandle, ExecError> {
         self.exec.submit(
             &self.plan,
@@ -374,9 +372,7 @@ impl Session {
     pub fn run_training(&self, feeds: Vec<Tensor>) -> Result<Vec<Tensor>, ExecError> {
         let _step = self.begin_training_step()?;
         self.grads.clear();
-        let out = self.submit_training(feeds)?.wait();
-        crate::PathKey::note_run_quiescent();
-        out
+        self.submit_training(feeds)?.wait()
     }
 
     /// Trains a minibatch: all instances launch as concurrent root frames,
@@ -413,7 +409,6 @@ impl Session {
             .into_iter()
             .map(|h| h.and_then(RunHandle::wait))
             .collect();
-        crate::PathKey::note_run_quiescent();
         results.into_iter().collect()
     }
 }

@@ -29,7 +29,7 @@
 //! of the current runtime (the calibration constructor) rather than the
 //! defaults.
 
-use crate::cache::{BackpropCache, CacheKey};
+use crate::cache::{call_path, BackpropCache, CacheKey};
 use crate::error::ExecError;
 use crate::kernel::{self, KernelCtx};
 use crate::params::{GradStore, ParamStore};
@@ -299,7 +299,7 @@ impl SimExecutor {
                     let t_done = start + self.cost.frame_ns;
                     total_work += self.cost.frame_ns;
                     workers.push(Reverse(FloatOrd(t_done)));
-                    let path = frames[fidx].path.child(site);
+                    let path = call_path(cache, &frames[fidx].path, site);
                     let depth = frames[fidx].depth + 1;
                     spawn(
                         &mut frames,
@@ -336,7 +336,7 @@ impl SimExecutor {
                     } else {
                         (sub_else, site_else, else_args)
                     };
-                    let path = frames[fidx].path.child(site);
+                    let path = call_path(cache, &frames[fidx].path, site);
                     let depth = frames[fidx].depth + 1;
                     spawn(
                         &mut frames,

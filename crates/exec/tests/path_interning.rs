@@ -1,12 +1,11 @@
 //! Property-based coverage for `PathKey` hash-consing invariants.
 //!
-//! The executor and the backprop cache both lean on three properties of the
-//! interner:
+//! The executor and the backprop cache both lean on three properties of a
+//! `PathTable` (each case builds its own: a table is a plain value):
 //!
-//! 1. **Equality ⇔ pointer equality** — two paths built from the same site
-//!    sequence share the same interned node (and conversely, pointer-equal
-//!    paths are trivially equal). This is what makes backward-pass cache
-//!    probes a pointer compare.
+//! 1. **Equality ⇔ pointer equality ⇔ same site sequence** — two paths
+//!    built through one table from the same sites are the same node. This
+//!    is what makes backward-pass cache probes a pointer compare.
 //! 2. **Hash stability** — a path's hash is a pure function of its site
 //!    sequence, so keys built independently (forward vs. backward pass)
 //!    collide onto the same cache shard and bucket.
@@ -15,17 +14,15 @@
 //!    prefix sharing keeps re-derivation cheap.
 
 use proptest::prelude::*;
-use rdg_exec::PathKey;
+use rdg_exec::{PathKey, PathTable};
 use rdg_graph::CallSiteId;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-fn build(sites: &[u32]) -> PathKey {
-    let mut p = PathKey::root();
-    for &s in sites {
-        p = p.child(CallSiteId(s));
-    }
-    p
+fn build(table: &PathTable, sites: &[u32]) -> PathKey {
+    sites
+        .iter()
+        .fold(PathKey::root(), |p, &s| table.child(&p, CallSiteId(s)))
 }
 
 fn std_hash(p: &PathKey) -> u64 {
@@ -35,17 +32,19 @@ fn std_hash(p: &PathKey) -> u64 {
 }
 
 proptest! {
-    /// Rebuilding any site sequence yields the same interned node:
+    /// Rebuilding any site sequence yields the same node and adds none:
     /// equality, pointer equality, and both hash views all agree.
     #[test]
     fn equality_is_pointer_equality(sites in prop::collection::vec(0u32..50, 0..24)) {
-        let a = build(&sites);
-        let b = build(&sites);
+        let t = PathTable::new();
+        let a = build(&t, &sites);
+        let b = build(&t, &sites);
         prop_assert_eq!(&a, &b);
-        prop_assert!(a.ptr_eq(&b), "equal paths must share the interned node");
+        prop_assert!(a.ptr_eq(&b), "equal paths must share the node");
         prop_assert_eq!(a.hash_value(), b.hash_value());
         prop_assert_eq!(std_hash(&a), std_hash(&b));
         prop_assert_eq!(a.len() as usize, sites.len());
+        prop_assert_eq!(t.len(), sites.len());
     }
 
     /// Distinct site sequences produce unequal, non-pointer-equal keys
@@ -60,8 +59,9 @@ proptest! {
         if a == b {
             return; // the shim has no prop_assume; skip colliding draws
         }
-        let ka = build(&a);
-        let kb = build(&b);
+        let t = PathTable::new();
+        let ka = build(&t, &a);
+        let kb = build(&t, &b);
         prop_assert_ne!(&ka, &kb);
         prop_assert!(!ka.ptr_eq(&kb));
     }
@@ -73,23 +73,24 @@ proptest! {
     fn prefix_sharing_holds(
         (prefix, x, y) in (prop::collection::vec(0u32..50, 1..12), 0u32..50, 50u32..100)
     ) {
-        let p = build(&prefix);
+        let t = PathTable::new();
+        let p = build(&t, &prefix);
         prop_assert!(p.clone().ptr_eq(&p));
-        let px = p.child(CallSiteId(x));
-        let py = p.child(CallSiteId(y));
+        let px = t.child(&p, CallSiteId(x));
+        let py = t.child(&p, CallSiteId(y));
         prop_assert_ne!(&px, &py);
-        // Both children were built from the same interned parent, so
+        // Both children were built from the same parent node, so
         // rebuilding either from scratch finds the same node again.
-        let rebuilt = build(&prefix).child(CallSiteId(x));
+        let rebuilt = t.child(&build(&t, &prefix), CallSiteId(x));
         prop_assert!(rebuilt.ptr_eq(&px));
     }
 
     /// The precomputed hash equals a fresh structural recomputation —
-    /// i.e. interning never changes the hash a non-interned chain would
-    /// have had (the mixing formula is the contract).
+    /// i.e. which table built a chain never changes its hash (the mixing
+    /// formula is the contract).
     #[test]
     fn hash_matches_structural_recomputation(sites in prop::collection::vec(0u32..1000, 0..20)) {
-        let k = build(&sites);
+        let k = build(&PathTable::new(), &sites);
         let mut h: u64 = 0xcbf29ce484222325;
         for &s in &sites {
             h = h
@@ -101,34 +102,32 @@ proptest! {
 }
 
 /// Deep-recursion keys: a 20 000-site chain (the depth the executor's
-/// tail-recursion test reaches) builds, compares, and re-derives without
-/// stack overflow, and the second derivation is fully shared.
+/// tail-recursion test reaches) builds, compares, re-derives and drops on
+/// this thread's default stack — the table first and then the last key, or
+/// a table that is the chain's only owner — and the second derivation is
+/// fully shared.
 #[test]
 fn deep_recursion_keys_are_safe_and_shared() {
-    const DEPTH: u32 = 20_000;
-    let mut p = PathKey::root();
-    for i in 0..DEPTH {
-        p = p.child(CallSiteId(1_000_000 + (i % 7)));
-    }
-    assert_eq!(p.len(), DEPTH);
-    let mut q = PathKey::root();
-    for i in 0..DEPTH {
-        q = q.child(CallSiteId(1_000_000 + (i % 7)));
-    }
+    let sites: Vec<u32> = (0..20_000).map(|i| i % 7).collect();
+    let t = PathTable::new();
+    let p = build(&t, &sites);
+    assert_eq!(p.len() as usize, sites.len());
+    let q = build(&t, &sites);
     assert_eq!(p, q);
-    assert!(p.ptr_eq(&q), "deep re-derivation must hit the interner");
-    // Dropping deep chains must not recurse: the interner keeps the spine.
+    assert!(p.ptr_eq(&q), "deep re-derivation must hit the table");
+    assert_eq!(t.len(), sites.len());
+    drop((t, q));
     drop(p);
-    drop(q);
-    // The interner grew by at most DEPTH nodes for this chain.
-    assert!(PathKey::interner_len() >= DEPTH as usize);
+    let t = PathTable::new();
+    drop(build(&t, &sites));
+    drop(t);
 }
 
 /// Sites round-trip through deep keys (leaf-to-root walk + reverse).
 #[test]
 fn deep_sites_round_trip() {
     let sites: Vec<u32> = (0..5_000).map(|i| 2_000_000 + i).collect();
-    let p = build(&sites);
+    let p = build(&PathTable::new(), &sites);
     let got: Vec<u32> = p.sites().iter().map(|s| s.0).collect();
     assert_eq!(got, sites);
 }

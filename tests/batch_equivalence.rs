@@ -5,8 +5,8 @@
 //! result back per request. The stacking is row/column concatenation with
 //! the kernel loop order preserved, so fused outputs are **bit-for-bit**
 //! identical to scalar execution — not merely `allclose`. These tests pin
-//! that contract end to end, with the scalar path (fusion off, the
-//! pre-PR-8 executor behavior) as the oracle:
+//! that contract end to end, with the scalar path (runs that did not opt
+//! into fusion, the pre-PR-8 executor behavior) as the oracle:
 //!
 //! 1. A property sweep over random tree shapes, depths, and model kinds
 //!    (TreeRNN / RNTN / TreeLSTM — covering every fusable op: `MatMul`,
@@ -16,9 +16,12 @@
 //!    *engages* (groups form, instances fuse) and that per-class
 //!    accounting stays closed with batching on — fused members resolve
 //!    their own tickets exactly once.
+//! 3. Fusion is a property of each run, not of the pool: a serve loop that
+//!    shuts down takes nothing from another loop on the same executor, and a
+//!    bare run beside a fusing loop joins no group.
 
 use proptest::prelude::*;
-use rdg_core::exec::StatsSnapshot;
+use rdg_core::exec::{RunHandle, ServeTicket, StatsSnapshot};
 use rdg_core::prelude::*;
 use std::sync::Arc;
 
@@ -77,7 +80,7 @@ proptest! {
         let kind = KINDS[kind_idx];
         let shape = if balanced == 0 { TreeShape::Moderate } else { TreeShape::Balanced };
         let (sess, requests) = fixture(kind, seed, 6, max_len, shape);
-        // Oracle first: bare runs never fuse (executor default is scalar).
+        // Oracle first: bare runs never fuse (they do not opt in).
         let scalar: Vec<Vec<Tensor>> = requests
             .iter()
             .map(|r| sess.run(r.clone()).expect("scalar run"))
@@ -175,15 +178,9 @@ fn fusion_engages_under_saturation_and_accounting_closes() {
     }
 }
 
-/// Eight identical requests in flight at once on one worker, behind a plug
-/// run that keeps the worker busy until all eight heads are queued — which
-/// makes the schedule a function of the code alone. Every request's outputs
-/// are checked bitwise against a scalar run. Returns the executor and its
-/// stats before and after the eight.
-fn eight_identical_behind_a_plug(
-    fuse: bool,
-    profile: bool,
-) -> (Arc<Executor>, StatsSnapshot, StatsSnapshot) {
+/// A one-worker executor, a TreeRNN session on it, one request (a balanced
+/// 12-leaf tree) and that request's scalar outputs.
+fn one_worker_fixture() -> (Arc<Executor>, Session, Vec<Tensor>, Vec<Tensor>) {
     let cfg = ModelConfig::tiny(ModelKind::TreeRnn, 1);
     let data = Dataset::generate(DatasetConfig {
         vocab: cfg.vocab,
@@ -195,32 +192,61 @@ fn eight_identical_behind_a_plug(
         seed: 20260925,
     });
     let exec = Executor::with_threads(1);
-    if profile {
-        exec.stats().enable_profiling();
-    }
     let sess =
         Session::new(Arc::clone(&exec), build_recursive(&cfg).expect("build")).expect("session");
     let request = Dataset::feeds_per_instance(data.split(Split::Train)).remove(0);
     let scalar = sess.run(request.clone()).expect("scalar run");
+    (exec, sess, request, scalar)
+}
 
-    // The plug: a straight line long enough to outlast eight submits.
+/// Starts the plug — a straight line long enough to outlast any number of
+/// submits — and returns once `exec`'s one worker has claimed it, alone:
+/// whatever is submitted next queues up behind it. Callers assert the plug
+/// is still running when they are done submitting.
+fn plug(exec: &Arc<Executor>) -> RunHandle {
     let mut mb = ModuleBuilder::new();
     let mut x = mb.const_f32(0.0);
     for _ in 0..100_000 {
         x = mb.add_const(x, 1.0).expect("add");
     }
     mb.set_outputs(&[x]).expect("outputs");
-    let plug_sess = Session::new(Arc::clone(&exec), mb.finish().expect("finish")).expect("plug");
-
-    exec.set_cross_request_fusion(fuse, 16);
-    let before = exec.stats().snapshot();
+    let plug_sess = Session::new(Arc::clone(exec), mb.finish().expect("finish")).expect("plug");
     let plug = plug_sess.submit_run(vec![]).expect("plug run");
-    // The worker must have claimed the plug alone before any head is queued.
     while plug.stats().snapshot().ops_executed < 2 {
         std::thread::yield_now();
     }
+    plug
+}
+
+/// Eight identical requests in flight at once on one worker, behind a plug
+/// run that keeps the worker busy until all eight heads are queued — which
+/// makes the schedule a function of the code alone. With `fuse` the eight
+/// runs opt into fusion (`Executor::submit_fused`, what a serve loop does
+/// for its requests); the plug never does. Every request's outputs are
+/// checked bitwise against a scalar run. Returns the executor and its stats
+/// before and after the eight.
+fn eight_identical_behind_a_plug(
+    fuse: bool,
+    profile: bool,
+) -> (Arc<Executor>, StatsSnapshot, StatsSnapshot) {
+    let (exec, sess, request, scalar) = one_worker_fixture();
+    if profile {
+        // The fixture's scalar run is not part of what the callers compare.
+        exec.stats().enable_profiling();
+    }
+    let before = exec.stats().snapshot();
+    let plug = plug(&exec);
     let handles: Vec<_> = (0..8)
-        .map(|_| sess.submit_run(request.clone()).expect("submit"))
+        .map(|_| {
+            let feeds = request.clone();
+            if fuse {
+                let (plan, _) = sess.plan().resolve_for_feeds(&feeds);
+                exec.submit_fused(&plan, sess.params(), feeds)
+            } else {
+                sess.submit_run(feeds)
+            }
+            .expect("submit")
+        })
         .collect();
     assert!(
         !plug.is_finished(),
@@ -234,7 +260,6 @@ fn eight_identical_behind_a_plug(
         );
     }
     plug.wait().expect("plug");
-    exec.set_cross_request_fusion(false, 16);
     let after = exec.stats().snapshot();
     (exec, before, after)
 }
@@ -292,4 +317,91 @@ fn kernel_profile_counts_fused_calls() {
         n > 0 && !time.is_zero(),
         "MatMul profiled: {n} calls, {time:?}"
     );
+}
+
+/// Two serve loops on one executor, both fusing. The first shuts down while
+/// the second has traffic in flight; the second must go on forming groups.
+/// (While fusion was a switch on the pool, the first loop's shutdown turned
+/// it off for everyone.)
+#[test]
+fn a_serve_loop_shutting_down_leaves_the_other_loop_fusing() {
+    let (exec, sess, request, scalar) = one_worker_fixture();
+    let config = || ServeConfig {
+        capacity: 64,
+        ..ServeConfig::default()
+    };
+    let (first, second) = (sess.serve_with(config()), sess.serve_with(config()));
+    let burst = |client: &ServeClient| -> Vec<ServeTicket> {
+        (0..32)
+            .map(|_| client.submit(request.clone()).expect("admit"))
+            .collect()
+    };
+    let check = |tickets: Vec<ServeTicket>, ctx: &str| {
+        for t in tickets {
+            assert_bit_equal(&scalar, &t.wait().expect("request"), ctx);
+        }
+    };
+    // Both loops busy behind the plug, then the first one goes away
+    // (`shutdown` drains it and joins its dispatcher) mid-traffic.
+    let plug_run = plug(&exec);
+    let (a, b) = (burst(&first), burst(&second));
+    assert!(!plug_run.is_finished(), "the plug ended before the bursts");
+    first.shutdown();
+    check(a, "first loop");
+    check(b, "second loop, first burst");
+    let groups_at_shutdown = second.stats().fusion_groups;
+    assert!(groups_at_shutdown > 0, "two fusing loops formed no group");
+    // Heads of a fresh burst queue up behind a second plug: with fusion
+    // still on for the second loop's runs they regroup.
+    let plug_run = plug(&exec);
+    let b = burst(&second);
+    assert!(!plug_run.is_finished(), "the plug ended before the burst");
+    check(b, "second loop, after the first shut down");
+    let st = second.stats();
+    second.shutdown();
+    assert!(
+        st.fusion_groups > groups_at_shutdown,
+        "the surviving loop stopped fusing at {groups_at_shutdown} groups"
+    );
+    assert_eq!(st.completed, 64);
+}
+
+/// A bare run started while a fusing serve loop is busy on the same executor
+/// joins no fused group and is bit-equal to its solo result. It runs the
+/// loop's own plan, so its tasks are group-compatible with the loop's in
+/// every way but the opt-in; and its head is claimed in one batch with the
+/// heads of two opted-in runs that do group, so a partner was there to take.
+#[test]
+fn a_bare_run_beside_a_fusing_serve_loop_stays_scalar() {
+    let (exec, sess, request, scalar) = one_worker_fixture();
+    let client = sess.serve();
+    let before = exec.stats().snapshot();
+    let plug_run = plug(&exec);
+    let served = client.submit(request.clone()).expect("admit");
+    // The loop is busy: its dispatcher has popped the request and joins it.
+    while client.stats().batches == 0 {
+        std::thread::yield_now();
+    }
+    let fused = || {
+        let (plan, _) = sess.plan().resolve_for_feeds(&request);
+        exec.submit_fused(&plan, sess.params(), request.clone())
+            .expect("fused run")
+    };
+    let [a, bare, b] = [
+        fused(),
+        sess.submit_run(request.clone()).expect("bare run"),
+        fused(),
+    ];
+    assert!(!plug_run.is_finished(), "the plug ended before the submits");
+    let bare_stats = Arc::clone(bare.stats());
+    for (h, ctx) in [(a, "fused run"), (bare, "bare run"), (b, "fused run")] {
+        assert_bit_equal(&scalar, &h.wait().expect(ctx), ctx);
+    }
+    assert_bit_equal(&scalar, &served.wait().expect("request"), "served request");
+    client.shutdown();
+    let bare = bare_stats.snapshot();
+    assert!(bare.fusable_seen > 0, "the bare run had batchable kernels");
+    assert_eq!(bare.fused_tasks, 0, "a run that did not opt in was fused");
+    let groups = exec.stats().snapshot().fused_groups - before.fused_groups;
+    assert!(groups > 0, "the opted-in runs around it formed no group");
 }
