@@ -30,7 +30,7 @@
 //! specializer's hit/miss/promotion counters.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rdg_core::exec::SpecializeOptions;
+use rdg_core::exec::{ModulePlan, SpecializeOptions};
 use rdg_core::prelude::*;
 use std::sync::Arc;
 
@@ -81,37 +81,29 @@ fn fanout_module(k: usize, stages: usize) -> Module {
     mb.finish().expect("finish")
 }
 
+/// A session pinned to the general frame path (the A baseline).
+fn general_session(exec: &Arc<Executor>, module: Module) -> Session {
+    let plan =
+        ModulePlan::with_options(Arc::new(module), SpecializeOptions::disabled()).expect("plan");
+    Session::from_plan(Arc::clone(exec), plan, None).expect("session")
+}
+
 fn dispatch_bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("dispatch");
     g.sample_size(20);
     let exec = Executor::with_threads(2);
     for n in [100usize, 1000] {
-        let sess = Session::with_options(
-            Arc::clone(&exec),
-            chain_module(n),
-            SpecializeOptions::disabled(),
-        )
-        .expect("session");
+        let sess = general_session(&exec, chain_module(n));
         g.bench_with_input(BenchmarkId::new("op_chain", n), &n, |b, _| {
             b.iter(|| sess.run(vec![]).expect("run"))
         });
-        let sess = Session::with_options(
-            Arc::clone(&exec),
-            invoke_chain_module(n),
-            SpecializeOptions::disabled(),
-        )
-        .expect("session");
+        let sess = general_session(&exec, invoke_chain_module(n));
         g.bench_with_input(BenchmarkId::new("invoke_chain", n), &n, |b, _| {
             b.iter(|| sess.run(vec![]).expect("run"))
         });
     }
     for k in [2usize, 8] {
-        let sess = Session::with_options(
-            Arc::clone(&exec),
-            fanout_module(k, 100),
-            SpecializeOptions::disabled(),
-        )
-        .expect("session");
+        let sess = general_session(&exec, fanout_module(k, 100));
         g.bench_with_input(BenchmarkId::new("fanout", k), &k, |b, _| {
             b.iter(|| sess.run(vec![]).expect("run"))
         });
@@ -160,12 +152,7 @@ fn recursion_bench(c: &mut Criterion) {
     g.sample_size(10);
     let exec = Executor::with_threads(2);
     for n in [12i32, 16] {
-        let sess = Session::with_options(
-            Arc::clone(&exec),
-            fib_module(n),
-            SpecializeOptions::disabled(),
-        )
-        .expect("session");
+        let sess = general_session(&exec, fib_module(n));
         g.bench_with_input(BenchmarkId::new("fib", n), &n, |b, _| {
             b.iter(|| sess.run(vec![]).expect("run"))
         });
@@ -186,8 +173,7 @@ fn scheduler_bench(c: &mut Criterion) {
         let exec = Executor::new(2, kind);
         // Pinned general: a promoted flat plan has no frames to schedule,
         // which would turn the policy ablation into a no-op.
-        let sess = Session::with_options(exec, module.clone(), SpecializeOptions::disabled())
-            .expect("session");
+        let sess = general_session(&exec, module.clone());
         g.bench_function(name, |b| b.iter(|| sess.run(vec![]).expect("run")));
     }
     g.finish();
@@ -237,18 +223,13 @@ fn record_spec_stats(workload: &str, sess: &Session) {
 fn specialize_bench(c: &mut Criterion) {
     // The B side of the PR 10 A/B: identical workloads to
     // `dispatch/invoke_chain/1000` and `recursion/fib/16`, run through the
-    // plan specializer. Two warmup runs cross the `hot_after` promotion
+    // plan specializer. Two warmup runs cross the `HOT_AFTER` promotion
     // threshold before measurement, matching a warmed serving process.
     let mut g = c.benchmark_group("specialize");
     g.sample_size(20);
     let exec = Executor::with_threads(2);
 
-    let sess = Session::with_options(
-        Arc::clone(&exec),
-        invoke_chain_module(1000),
-        SpecializeOptions::default(),
-    )
-    .expect("session");
+    let sess = Session::new(Arc::clone(&exec), invoke_chain_module(1000)).expect("session");
     for _ in 0..2 {
         sess.run(vec![]).expect("warmup");
     }
@@ -257,12 +238,7 @@ fn specialize_bench(c: &mut Criterion) {
     });
     record_spec_stats("invoke_chain/1000", &sess);
 
-    let sess = Session::with_options(
-        Arc::clone(&exec),
-        fib_module(16),
-        SpecializeOptions::default(),
-    )
-    .expect("session");
+    let sess = Session::new(Arc::clone(&exec), fib_module(16)).expect("session");
     for _ in 0..2 {
         sess.run(vec![]).expect("warmup");
     }

@@ -245,6 +245,27 @@ pub struct Task {
     node: NodeId,
 }
 
+impl Task {
+    /// The op this task runs and the tensors it is about to read, without
+    /// consuming a read: what the virtual clock ([`crate::sim`]) prices
+    /// before it hands the task to [`execute_task`].
+    pub(crate) fn peek(&self) -> (&OpKind, Vec<Tensor>) {
+        let n = self
+            .frame
+            .run
+            .plan
+            .module
+            .graph(self.frame.gref)
+            .node(self.node);
+        let read = |p: &PortRef| match &self.frame.core.slots[p.node.0 as usize].lock().outs {
+            Outs::One(t) if p.port == 0 => t.clone(),
+            Outs::Many(v) => v.get(p.port as usize).cloned().flatten(),
+            _ => None,
+        };
+        (&n.op, n.inputs.iter().filter_map(read).collect())
+    }
+}
+
 /// Shared state of one submitted run — the per-run half of the runtime.
 ///
 /// Everything scoped to a single root frame lives here and is threaded
@@ -390,7 +411,7 @@ impl RunHandle {
 /// one derived number — how many live runs opted into cross-request fusion
 /// — which only tells workers whether a wide, grouping drain can pay.
 pub struct Executor {
-    queue: Arc<ReadyQueue<Task>>,
+    pub(crate) queue: Arc<ReadyQueue<Task>>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<ExecStats>,
     /// Live runs started with `fuse` (see [`RunContext::fusing`]). A count
@@ -401,9 +422,16 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Spawns `n_threads` execution threads with the given scheduler.
+    /// Spawns `n_threads` (at least one) execution threads with the given
+    /// scheduler.
     pub fn new(n_threads: usize, kind: SchedulerKind) -> Arc<Self> {
-        let n_threads = n_threads.max(1);
+        Self::with_pool(n_threads.max(1), kind)
+    }
+
+    /// An executor with exactly `n_threads` workers. Zero is the virtual
+    /// clock's ([`crate::sim`]): it executes every task of its runs itself,
+    /// so nothing ever waits on the queue.
+    pub(crate) fn with_pool(n_threads: usize, kind: SchedulerKind) -> Arc<Self> {
         let queue = Arc::new(ReadyQueue::new(kind));
         let stats = Arc::new(ExecStats::new());
         let fusing_runs = Arc::new(AtomicUsize::new(0));
@@ -530,7 +558,7 @@ impl Executor {
 
     /// Validates the feeds and spawns the root frame; returns the run's
     /// handle and the root frame's first runnable task, not yet enqueued.
-    fn start(
+    pub(crate) fn start(
         self: &Arc<Self>,
         plan: &Arc<ModulePlan>,
         params: &Arc<ParamStore>,
@@ -742,7 +770,7 @@ fn call(
 
 /// Executes one scheduled node; may return a continuation task the worker
 /// should run next (see the module docs on work-first continuations).
-fn execute_task(task: Task) -> Option<Task> {
+pub(crate) fn execute_task(task: Task) -> Option<Task> {
     let Task { frame, node } = task;
     let run = Arc::clone(&frame.run);
     if run.cancelled() {

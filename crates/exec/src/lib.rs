@@ -41,9 +41,9 @@
 //!   observed service times ([`serve::WaveSizing`]), and per-request
 //!   latency percentiles aggregate and per class ([`serve::ServeStats`]).
 //!   Entered via [`session::Session::serve`].
-//! * [`sim`] — a virtual-time (discrete-event) twin of the executor used to
-//!   reproduce the paper's resource-dependent results on hardware smaller
-//!   than the authors' 36-core testbed.
+//! * [`sim`] — the same interpreter driven on one thread under a virtual
+//!   clock, used to reproduce the paper's resource-dependent results on
+//!   hardware smaller than the authors' 36-core testbed.
 //!
 //! # Quick start
 //!

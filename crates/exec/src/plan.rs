@@ -259,7 +259,6 @@ const PROFILE_CAP: usize = 4096;
 /// dropping the plan drops its whole specialized cache, so invalidation is
 /// keyed exactly like the plan itself.
 struct SpecState {
-    opts: SpecializeOptions,
     inlined: usize,
     unrollable: bool,
     table: Mutex<SpecTable>,
@@ -272,9 +271,8 @@ struct SpecState {
 }
 
 impl SpecState {
-    fn new(opts: SpecializeOptions, inlined: usize) -> Self {
+    fn new(inlined: usize) -> Self {
         SpecState {
-            opts,
             inlined,
             unrollable: false,
             table: Mutex::default(),
@@ -338,7 +336,7 @@ impl ModulePlan {
                             main,
                             subs,
                             provenance: Some(outcome.provenance),
-                            spec: Some(SpecState::new(opts.clone(), outcome.inlined)),
+                            spec: Some(SpecState::new(outcome.inlined)),
                         },
                         Err(_) => Self::build_plain(module)?,
                     }
@@ -353,7 +351,7 @@ impl ModulePlan {
             match &mut plan.spec {
                 Some(s) => s.unrollable = unrollable,
                 None => {
-                    let mut s = SpecState::new(opts, 0);
+                    let mut s = SpecState::new(0);
                     s.unrollable = unrollable;
                     plan.spec = Some(s);
                 }
@@ -414,8 +412,8 @@ impl ModulePlan {
 
     /// Resolves the plan to execute for one feed vector.
     ///
-    /// With unrolling enabled, a feed signature that has recurred
-    /// [`SpecializeOptions::hot_after`] times is promoted: the module is
+    /// With unrolling enabled, a feed signature that has recurred twice
+    /// (`specialize::HOT_AFTER`) is promoted: the module is
     /// expanded for that signature (`specialize::unroll_for_feeds`) and
     /// the resulting flat plan is cached on this plan, so subsequent equal
     /// signatures dispatch with zero call/return frames. Everything else —
@@ -452,13 +450,13 @@ impl ModulePlan {
         }
         let entry = t.profile.entry(key.clone()).or_default();
         entry.count += 1;
-        let hot = entry.count >= spec.opts.hot_after
+        let hot = entry.count >= specialize::HOT_AFTER
             // A signature whose observed general-path runs spawn fewer than
             // two frames has nothing to unroll; an unobserved one (serve
             // path) is given the benefit of the doubt — the worthwhileness
             // check below rejects frame-free expansions anyway.
             && (entry.max_frames >= 2 || entry.max_frames == 0);
-        if hot && t.promoted.len() < spec.opts.max_promoted {
+        if hot && t.promoted.len() < specialize::MAX_PROMOTED {
             // The expander recurses one Rust frame per plan-time call-chain
             // level (bounded, but deep × debug-size frames can exceed a
             // 2 MB caller stack), so the one-time expansion runs on a
@@ -467,7 +465,7 @@ impl ModulePlan {
                 std::thread::Builder::new()
                     .name("rdg-specialize".into())
                     .stack_size(16 * 1024 * 1024)
-                    .spawn_scoped(s, || specialize::unroll_for_feeds(self, feeds, &spec.opts))
+                    .spawn_scoped(s, || specialize::unroll_for_feeds(self, feeds))
                     .map_or(None, |h| match h.join() {
                         Ok(outcome) => outcome,
                         Err(p) => std::panic::resume_unwind(p),

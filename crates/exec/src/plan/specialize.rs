@@ -62,6 +62,13 @@ const MAX_INLINE_NODES: usize = 32;
 const MAX_UNROLL_DEPTH: usize = 512;
 /// Abstract-interpretation step budget for one unroll attempt.
 const MAX_UNROLL_VISITED: usize = 500_000;
+/// Node budget for one unrolled main graph; an expansion that would exceed
+/// it is abandoned and the signature blacklisted.
+const MAX_UNROLL_NODES: usize = 50_000;
+/// A feed signature is promoted once it has been seen this many times.
+pub(crate) const HOT_AFTER: u32 = 2;
+/// Maximum number of promoted (specialized) plans kept per module plan.
+pub(crate) const MAX_PROMOTED: usize = 8;
 /// `i32` feeds up to this many elements contribute their *values* to the
 /// specialization key (and are therefore foldable); larger tensors and all
 /// `f32` feeds contribute shape only.
@@ -72,23 +79,16 @@ const MAX_VALUE_KEY_ELEMS: usize = 64;
 /// synthesized nodes such as materialized fold results).
 pub type Provenance = HashMap<GraphRef, Vec<Option<(GraphRef, NodeId)>>>;
 
-/// Knobs for the plan-time specializer. The default has both passes on;
-/// tests and benches that need the general path, or one pass alone, pin it
-/// via `ModulePlan::with_options` / `Session::with_options`. No environment
-/// variable changes what a plan does.
+/// Which passes of the plan-time specializer run. The default has both on;
+/// tests and benches that need the general path, or one pass alone, build
+/// their plan with `ModulePlan::with_options`. No environment variable
+/// changes what a plan does.
 #[derive(Clone, Debug)]
 pub struct SpecializeOptions {
     /// Splice straight-line SubGraph bodies into callers at plan build.
     pub inline: bool,
     /// Promote recurring feed signatures to pre-expanded flat plans.
     pub unroll: bool,
-    /// Promote a feed signature after it has been seen this many times.
-    pub hot_after: u32,
-    /// Maximum number of promoted (specialized) plans kept per module plan.
-    pub max_promoted: usize,
-    /// Node budget for one unrolled main graph; an expansion that would
-    /// exceed it is abandoned and the signature blacklisted.
-    pub max_nodes: usize,
 }
 
 impl Default for SpecializeOptions {
@@ -96,9 +96,6 @@ impl Default for SpecializeOptions {
         SpecializeOptions {
             inline: true,
             unroll: true,
-            hot_after: 2,
-            max_promoted: 8,
-            max_nodes: 50_000,
         }
     }
 }
@@ -109,7 +106,6 @@ impl SpecializeOptions {
         SpecializeOptions {
             inline: false,
             unroll: false,
-            ..SpecializeOptions::default()
         }
     }
 
@@ -441,7 +437,6 @@ struct Abort;
 struct Expander<'a> {
     m: &'a Module,
     plan: &'a ModulePlan,
-    opts: &'a SpecializeOptions,
     out: Graph,
     prov: Vec<Option<(GraphRef, NodeId)>>,
     next_site: u32,
@@ -457,7 +452,7 @@ struct Expander<'a> {
 impl<'a> Expander<'a> {
     fn tick(&mut self) -> Result<(), Abort> {
         self.visited += 1;
-        if self.visited > MAX_UNROLL_VISITED || self.out.len() > self.opts.max_nodes {
+        if self.visited > MAX_UNROLL_VISITED || self.out.len() > MAX_UNROLL_NODES {
             return Err(Abort);
         }
         Ok(())
@@ -788,13 +783,9 @@ fn numel_of(abs: &AbsShape) -> Option<usize> {
 /// Attempts to expand `plan.module`'s main graph for one concrete feed
 /// signature. Returns `None` when the expansion aborts (budget, depth, an
 /// unhandled pattern, or a kernel error during folding — the general path
-/// reproduces any such error at run time) or turns out not to eliminate a
-/// single call frame.
-pub(crate) fn unroll_for_feeds(
-    plan: &ModulePlan,
-    feeds: &[Tensor],
-    opts: &SpecializeOptions,
-) -> Option<UnrollOutcome> {
+/// reproduces any such error at run time) or eliminates no more call frames
+/// than it leaves residual.
+pub(crate) fn unroll_for_feeds(plan: &ModulePlan, feeds: &[Tensor]) -> Option<UnrollOutcome> {
     let m = &plan.module;
     if m.main.input_nodes.len() != feeds.len() {
         return None;
@@ -810,7 +801,6 @@ pub(crate) fn unroll_for_feeds(
     let mut ex = Expander {
         m,
         plan,
-        opts,
         out: Graph::new(),
         prov: Vec::new(),
         next_site: m.n_sites,
@@ -827,7 +817,10 @@ pub(crate) fn unroll_for_feeds(
         let p = ex.materialize(slot).ok()?;
         ex.out.outputs.push(p);
     }
-    if ex.invokes_expanded + ex.conds_resolved == 0 {
+    // Worth a slot only when it removes more frames than it leaves: a tree
+    // keyed by shape alone expands main's one call and keeps the whole
+    // recursion behind one residual frame — the general path plus a frame.
+    if ex.invokes_expanded + ex.conds_resolved <= ex.residuals {
         return None;
     }
     let module = Module {

@@ -102,11 +102,11 @@ enum Impl<T> {
     },
 }
 
-/// A multi-producer multi-consumer ready queue with blocking pop and
-/// batched push/pop.
+/// A multi-producer multi-consumer ready queue with batched push and
+/// blocking batched pop.
 pub struct ReadyQueue<T> {
     inner: Impl<T>,
-    /// Workers currently parked in `pop`/`pop_batch`. Written only under
+    /// Workers currently parked in `pop_batch`. Written only under
     /// the queue lock (fair batch splitting reads it there); read without
     /// the lock by [`ReadyQueue::has_idle`]. It publishes no data, so
     /// `Relaxed` is enough.
@@ -215,39 +215,14 @@ impl<T> ReadyQueue<T> {
         }
     }
 
-    /// Blocking pop; `None` means a stop token was consumed (worker exits).
-    pub fn pop(&self) -> Option<T> {
+    /// Non-blocking pop: the next task in scheduling order, or `None` when
+    /// the queue is empty. Never parks and never consumes a stop token — for
+    /// a caller that drives the queue itself instead of waiting on it (the
+    /// virtual clock, [`crate::sim`]).
+    pub fn try_pop(&self) -> Option<T> {
         match &self.inner {
-            Impl::Fifo { state, cond } => {
-                let mut st = state.lock();
-                loop {
-                    if let Some(t) = st.queue.pop_front() {
-                        return Some(t);
-                    }
-                    if st.stop_tokens > 0 {
-                        st.stop_tokens -= 1;
-                        return None;
-                    }
-                    self.waiting.fetch_add(1, Ordering::Relaxed);
-                    cond.wait(&mut st);
-                    self.waiting.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            Impl::Prio { heap, cond } => {
-                let mut st = heap.lock();
-                loop {
-                    if let Some(p) = st.heap.pop() {
-                        return Some(p.item);
-                    }
-                    if st.stop_tokens > 0 {
-                        st.stop_tokens -= 1;
-                        return None;
-                    }
-                    self.waiting.fetch_add(1, Ordering::Relaxed);
-                    cond.wait(&mut st);
-                    self.waiting.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
+            Impl::Fifo { state, .. } => state.lock().queue.pop_front(),
+            Impl::Prio { heap, .. } => heap.lock().heap.pop().map(|p| p.item),
         }
     }
 
@@ -333,9 +308,9 @@ mod tests {
         q.push(0, 1);
         q.push(9, 2);
         q.push(5, 3);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
+        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.try_pop(), Some(2));
+        assert_eq!(q.try_pop(), Some(3));
     }
 
     #[test]
@@ -344,9 +319,9 @@ mod tests {
         q.push(1, "shallow");
         q.push(5, "deep");
         q.push(3, "mid");
-        assert_eq!(q.pop(), Some("deep"));
-        assert_eq!(q.pop(), Some("mid"));
-        assert_eq!(q.pop(), Some("shallow"));
+        assert_eq!(q.try_pop(), Some("deep"));
+        assert_eq!(q.try_pop(), Some("mid"));
+        assert_eq!(q.try_pop(), Some("shallow"));
     }
 
     #[test]
@@ -355,9 +330,9 @@ mod tests {
         q.push(2, "a");
         q.push(2, "b");
         q.push(2, "c");
-        assert_eq!(q.pop(), Some("a"));
-        assert_eq!(q.pop(), Some("b"));
-        assert_eq!(q.pop(), Some("c"));
+        assert_eq!(q.try_pop(), Some("a"));
+        assert_eq!(q.try_pop(), Some("b"));
+        assert_eq!(q.try_pop(), Some("c"));
     }
 
     #[test]
@@ -366,7 +341,7 @@ mod tests {
         q.push(0, 1);
         q.push_batch(0, [2, 3, 4]);
         for want in 1..=4 {
-            assert_eq!(q.pop(), Some(want));
+            assert_eq!(q.try_pop(), Some(want));
         }
     }
 
@@ -422,10 +397,10 @@ mod tests {
         for kind in [SchedulerKind::Fifo, SchedulerKind::DepthPriority] {
             let q = Arc::new(ReadyQueue::<u32>::new(kind));
             let q2 = Arc::clone(&q);
-            let h = std::thread::spawn(move || q2.pop());
+            let h = std::thread::spawn(move || q2.pop_batch(&mut Vec::new(), 1));
             std::thread::sleep(std::time::Duration::from_millis(20));
             q.stop(1);
-            assert_eq!(h.join().unwrap(), None);
+            assert!(!h.join().unwrap(), "released by the stop token");
         }
     }
 

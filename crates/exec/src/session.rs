@@ -138,52 +138,48 @@ impl Launched {
 impl Session {
     /// Plans `module` and initializes fresh parameters from its specs.
     pub fn new(exec: Arc<Executor>, module: Module) -> Result<Self, ExecError> {
-        let plan = ModulePlan::new(Arc::new(module))?;
-        let params = Arc::new(ParamStore::from_module(&plan.module));
-        Ok(Self::assemble(exec, plan, params))
+        Self::from_plan(exec, ModulePlan::new(Arc::new(module))?, None)
     }
 
-    /// Like [`Session::new`], but with explicit plan-specializer options
-    /// instead of the default (both passes on) — tests and benches use this
-    /// to pin the general path (A) or the specialized path (B).
-    pub fn with_options(
-        exec: Arc<Executor>,
-        module: Module,
-        opts: crate::SpecializeOptions,
-    ) -> Result<Self, ExecError> {
-        let plan = ModulePlan::with_options(Arc::new(module), opts)?;
-        let params = Arc::new(ParamStore::from_module(&plan.module));
-        Ok(Self::assemble(exec, plan, params))
-    }
-
-    /// Plans `module` but shares an existing parameter store.
-    ///
-    /// The store must match the module's parameter specs — same count and,
-    /// per parameter, same dtype and shape. A mismatched store is rejected
-    /// here with [`ExecError::ParamMismatch`] instead of failing later
-    /// inside a kernel mid-run.
+    /// Plans `module` but shares an existing parameter store (checked as
+    /// in [`Session::from_plan`]).
     pub fn with_params(
         exec: Arc<Executor>,
         module: Module,
         params: Arc<ParamStore>,
     ) -> Result<Self, ExecError> {
-        let plan = ModulePlan::new(Arc::new(module))?;
-        Self::check_params(&plan, &params)?;
-        Ok(Self::assemble(exec, plan, params))
+        Self::from_plan(exec, ModulePlan::new(Arc::new(module))?, Some(params))
     }
 
-    /// [`Session::with_params`] with explicit plan-specializer options —
-    /// how the equivalence suite runs a pinned-general and a specialized
-    /// session on identical weights.
-    pub fn with_params_options(
+    /// Binds an already-built plan — tests and benches that pin the general
+    /// or the specialized path build theirs with
+    /// [`ModulePlan::with_options`] — to `params`, or to fresh parameters
+    /// initialized from the module's specs when `None`.
+    ///
+    /// A shared store must match the module's parameter specs — same count
+    /// and, per parameter, same dtype and shape. A mismatched store is
+    /// rejected here with [`ExecError::ParamMismatch`] instead of failing
+    /// later inside a kernel mid-run.
+    pub fn from_plan(
         exec: Arc<Executor>,
-        module: Module,
-        params: Arc<ParamStore>,
-        opts: crate::SpecializeOptions,
+        plan: Arc<ModulePlan>,
+        params: Option<Arc<ParamStore>>,
     ) -> Result<Self, ExecError> {
-        let plan = ModulePlan::with_options(Arc::new(module), opts)?;
-        Self::check_params(&plan, &params)?;
-        Ok(Self::assemble(exec, plan, params))
+        let params = match params {
+            Some(params) => {
+                Self::check_params(&plan, &params)?;
+                params
+            }
+            None => Arc::new(ParamStore::from_module(&plan.module)),
+        };
+        let n = plan.module.params.len();
+        Ok(Session {
+            exec,
+            plan,
+            params,
+            grads: Arc::new(GradStore::new(n)),
+            training_step: AtomicBool::new(false),
+        })
     }
 
     fn check_params(plan: &Arc<ModulePlan>, params: &Arc<ParamStore>) -> Result<(), ExecError> {
@@ -220,17 +216,6 @@ impl Session {
             }
         }
         Ok(())
-    }
-
-    fn assemble(exec: Arc<Executor>, plan: Arc<ModulePlan>, params: Arc<ParamStore>) -> Self {
-        let n = plan.module.params.len();
-        Session {
-            exec,
-            plan,
-            params,
-            grads: Arc::new(GradStore::new(n)),
-            training_step: AtomicBool::new(false),
-        }
     }
 
     /// Claims the training-step token for one clearing training call.

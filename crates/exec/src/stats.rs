@@ -18,7 +18,7 @@
 //! final frame teardown — no straggler is lost and none is double-counted.
 //!
 //! Kernel profiling stays on the executor-lifetime instance only: it is a
-//! calibration tool, not a per-run metric.
+//! diagnostic, not a per-run metric.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -108,9 +108,8 @@ impl ExecStats {
         Self::default()
     }
 
-    /// Turns on per-op-kind timing (used to calibrate the virtual-time
-    /// executor; adds a mutex acquisition per op, so keep it off for
-    /// benchmark runs).
+    /// Turns on per-op-kind timing (adds a mutex acquisition per op, so
+    /// keep it off for benchmark runs).
     pub fn enable_profiling(&self) {
         *self.profile.lock() = Some(HashMap::new());
         self.profile_on.store(true, Ordering::Release);

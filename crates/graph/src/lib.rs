@@ -25,7 +25,6 @@
 //! worker pool, and `rdg-autodiff` rewrites modules into training modules by
 //! synthesizing gradient SubGraphs with mirrored call sites.
 
-pub mod analysis;
 pub mod analyze;
 pub mod builder;
 pub mod dot;
@@ -34,7 +33,6 @@ pub mod module;
 pub mod op;
 pub mod subgraph;
 
-pub use analysis::{op_histogram, work_span, WorkSpan};
 pub use analyze::{
     analyze_module, body_is_straight_line, check_module, fuse_class, AbsDim, AbsShape,
     AnalysisConfig, AnalysisReport, BatchabilityReport, Diagnostic, FuseClass, Severity, ShapeMap,

@@ -38,6 +38,12 @@ fn tiny_dataset(batch: usize, seed: u64) -> Vec<Tensor> {
     Dataset::feeds_for(&d.split(Split::Train).to_vec())
 }
 
+/// A session pinned to the general frame path (both passes off).
+fn general_session(exec: &Arc<Executor>, m: Module) -> Session {
+    let plan = ModulePlan::with_options(Arc::new(m), SpecializeOptions::disabled()).unwrap();
+    Session::from_plan(Arc::clone(exec), plan, None).unwrap()
+}
+
 /// The shipped-model zoo: all three families × {recursive, iterative} ×
 /// {forward, training}, the TD models, and the quickstart fib — the same
 /// 17 modules the lint gate covers.
@@ -225,7 +231,7 @@ fn promoted_plans_preserve_fuse_signatures() {
     let general =
         ModulePlan::with_options(Arc::new(m.clone()), SpecializeOptions::disabled()).unwrap();
     let exec = Executor::with_threads(2);
-    let sess = Session::with_options(Arc::clone(&exec), m, SpecializeOptions::default()).unwrap();
+    let sess = Session::new(Arc::clone(&exec), m).unwrap();
     let feeds = vec![Tensor::scalar_i32(10)];
     for _ in 0..3 {
         sess.run(feeds.clone()).unwrap();
@@ -251,18 +257,8 @@ fn promoted_plans_preserve_fuse_signatures() {
 #[test]
 fn fib_specialized_matches_general_and_falls_back_on_new_shapes() {
     let exec = Executor::with_threads(2);
-    let gen = Session::with_options(
-        Arc::clone(&exec),
-        fib_module(),
-        SpecializeOptions::disabled(),
-    )
-    .unwrap();
-    let spec = Session::with_options(
-        Arc::clone(&exec),
-        fib_module(),
-        SpecializeOptions::default(),
-    )
-    .unwrap();
+    let gen = general_session(&exec, fib_module());
+    let spec = Session::new(Arc::clone(&exec), fib_module()).unwrap();
     for n in [1i32, 2, 7, 12] {
         let feeds = vec![Tensor::scalar_i32(n)];
         let want = gen.run(feeds.clone()).unwrap()[0].i32s().unwrap()[0];
@@ -293,23 +289,106 @@ fn fib_specialized_matches_general_and_falls_back_on_new_shapes() {
     assert_eq!(spec.run(fresh).unwrap()[0].i32s().unwrap()[0], want);
 }
 
+/// A depth-driven binary recursion whose leaves branch on *data*:
+/// `tree(d, x) = d > 0 ? tree(d-1, 0.4x) + tree(d-1, 0.6x)
+///                     : (x > 0.1 ? tanh x : -x)`.
+/// The depth feed is value-keyed, so every level unrolls; the leaf `Cond`
+/// reads an f32 and stays behind as a residual frame.
+fn data_leaf_tree_module() -> Module {
+    let mut mb = ModuleBuilder::new();
+    let h = mb.declare_subgraph("tree", &[DType::I32, DType::F32], &[DType::F32]);
+    mb.define_subgraph(&h, |b| {
+        let d = b.input(0)?;
+        let x = b.input(1)?;
+        let zero = b.const_i32(0);
+        let inner = b.igt(d, zero)?;
+        let out = b.cond1(
+            inner,
+            DType::F32,
+            |b| {
+                let one = b.const_i32(1);
+                let d2 = b.isub(d, one)?;
+                let xl = b.scale(x, 0.4)?;
+                let xr = b.scale(x, 0.6)?;
+                let l = b.invoke(&h, &[d2, xl])?[0];
+                let r = b.invoke(&h, &[d2, xr])?[0];
+                b.add(l, r)
+            },
+            |b| {
+                let big = b.fgt_const(x, 0.1)?;
+                b.cond1(big, DType::F32, |b| b.tanh(x), |b| b.neg(x))
+            },
+        )?;
+        Ok(vec![out])
+    })
+    .expect("tree body");
+    let d = mb.main_input(DType::I32);
+    let x = mb.main_input(DType::F32);
+    let out = mb.invoke(&h, &[d, x]).expect("tree invoke")[0];
+    mb.set_outputs(&[out]).expect("outputs");
+    mb.finish().expect("tree module")
+}
+
+/// Regression: a "promotion" that saves nothing must not take one of the
+/// promoted-plan slots. A tree of more than 32 leaves is keyed by shape
+/// only, so unrolling expands main's one call and leaves the whole recursion
+/// behind one residual frame: the general path plus a frame, reported as
+/// hits. It is now refused (blacklisted, a miss); a partial unroll that
+/// removes more frames than it leaves still promotes.
+#[test]
+fn a_promotion_must_remove_more_frames_than_it_leaves() {
+    let exec = Executor::with_threads(2);
+    let cfg = ModelConfig::tiny(ModelKind::TreeRnn, 1);
+    let data = Dataset::generate_fixed_length(
+        DatasetConfig {
+            vocab: cfg.vocab,
+            n_train: 1,
+            n_valid: 0,
+            seed: 5,
+            ..DatasetConfig::default()
+        },
+        40,
+    );
+    let feeds = Dataset::feeds_for(data.split(Split::Train));
+    let sess = Session::new(Arc::clone(&exec), build_recursive(&cfg).unwrap()).unwrap();
+    for _ in 0..4 {
+        sess.run(feeds.clone()).unwrap();
+    }
+    let s = sess.plan().spec_stats();
+    assert_eq!(
+        (s.promotions, s.promoted_plans, s.residual_frames, s.hits),
+        (0, 0, 0, 0),
+        "a 40-leaf tree has nothing to unroll: {s:?}"
+    );
+    assert_eq!(s.misses, 4, "{s:?}");
+
+    // Useful residuals: depth 3 expands 15 calls and resolves 15 depth
+    // tests; the 8 data-dependent leaf branches stay as frames.
+    let feeds = vec![Tensor::scalar_i32(3), Tensor::scalar_f32(0.8)];
+    let gen = general_session(&exec, data_leaf_tree_module());
+    let spec = Session::new(Arc::clone(&exec), data_leaf_tree_module()).unwrap();
+    let want = gen.run(feeds.clone()).unwrap();
+    for _ in 0..4 {
+        let got = spec.run(feeds.clone()).unwrap();
+        assert_eq!(got[0].f32s().unwrap(), want[0].f32s().unwrap());
+    }
+    let s = spec.plan().spec_stats();
+    assert_eq!(
+        (s.promotions, s.unrolled_frames, s.residual_frames),
+        (1, 30, 8),
+        "{s:?}"
+    );
+    assert!(s.hits >= 2, "{s:?}");
+}
+
 /// Bitwise output equality between a pinned-general and a specializing
 /// session on shared weights, for one (module, feeds) pair. The spec
 /// session runs `rounds` times so later runs cross the promotion
 /// threshold and execute the promoted plan if one exists.
 fn assert_outputs_bit_identical(name: &str, m: Module, feeds: Vec<Tensor>, rounds: usize) {
     let exec = Executor::with_threads(2);
-    let gen = Session::with_options(Arc::clone(&exec), m.clone(), {
-        SpecializeOptions::disabled()
-    })
-    .unwrap();
-    let spec = Session::with_params_options(
-        Arc::clone(&exec),
-        m,
-        Arc::clone(gen.params()),
-        SpecializeOptions::default(),
-    )
-    .unwrap();
+    let gen = general_session(&exec, m.clone());
+    let spec = Session::with_params(Arc::clone(&exec), m, Arc::clone(gen.params())).unwrap();
     let want = gen.run(feeds.clone()).unwrap();
     for round in 0..rounds {
         let got = spec.run(feeds.clone()).unwrap();
@@ -343,17 +422,8 @@ fn assert_outputs_bit_identical(name: &str, m: Module, feeds: Vec<Tensor>, round
 fn assert_grads_bit_identical(name: &str, m: &Module, feeds: Vec<Tensor>) {
     let t = build_training_module(m, m.main.outputs[0]).unwrap();
     let exec = Executor::with_threads(1);
-    let gen = Session::with_options(Arc::clone(&exec), t.clone(), {
-        SpecializeOptions::disabled()
-    })
-    .unwrap();
-    let spec = Session::with_params_options(
-        Arc::clone(&exec),
-        t,
-        Arc::clone(gen.params()),
-        SpecializeOptions::default(),
-    )
-    .unwrap();
+    let gen = general_session(&exec, t.clone());
+    let spec = Session::with_params(Arc::clone(&exec), t, Arc::clone(gen.params())).unwrap();
     gen.run_training(feeds.clone()).unwrap();
     spec.run_training(feeds).unwrap();
     for (i, p) in gen.module().params.iter().enumerate() {
