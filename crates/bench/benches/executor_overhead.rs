@@ -8,6 +8,12 @@
 //! * `dispatch/invoke_chain/{100,1000}` — the same chains with every op
 //!   wrapped in a SubGraph invocation: the per-invoke premium over a plain
 //!   op is `(invoke_chain - op_chain) / n`.
+//! * `dispatch/spawn_sources/{0,3,10}` — the 1000-frame invoke chain again,
+//!   its body now also reading `k` parameters, all into one `StackRows`
+//!   with the argument: what a frame pays per zero-input node it is born
+//!   with. At `k = 0` it is `invoke_chain/1000` measured a second time;
+//!   `k > 0` adds two ops per frame whatever `k` is and no fork, so the
+//!   slope from 3 to 10 is seven reads.
 //! * `dispatch/fanout/{2,8}` — 100 stages of one producer read by `k`
 //!   independent consumers: the surplus path. A finishing worker keeps one
 //!   ready consumer and pushes the other `k-1` to the shared queue, so
@@ -46,19 +52,35 @@ fn chain_module(n: usize) -> Module {
     mb.finish().expect("finish")
 }
 
-/// A chain of `n` nested identity SubGraph invocations: measures per-frame
-/// overhead (spawn + argument passing + return delivery).
-fn invoke_chain_module(n: usize) -> Module {
+/// A chain of `n` invocations of `f(x) = x + Σ p_i + 1`, `k` scalar
+/// parameters read in the body: measures per-frame overhead (spawn +
+/// argument passing + return delivery) and, over `k`, what a frame pays per
+/// zero-input node it is born with. The reads and `x` feed one `StackRows`,
+/// so the body stays a chain (no fork, nothing for a second worker) and
+/// `k > 0` adds two ops to it whatever `k` is: the slope over `k` is the
+/// reads alone.
+fn invoke_chain_module(n: usize, k: usize) -> Module {
     let mut mb = ModuleBuilder::new();
-    let id = mb
-        .subgraph("ident", &[DType::F32], &[DType::F32], |b| {
-            let x = b.input(0)?;
-            Ok(vec![b.add_const(x, 1.0)?])
+    let params: Vec<_> = (0..k)
+        .map(|i| mb.param(format!("p{i}"), Tensor::scalar_f32(0.5)))
+        .collect();
+    let f = mb
+        .subgraph("step", &[DType::F32], &[DType::F32], |b| {
+            let mut y = b.input(0)?;
+            if !params.is_empty() {
+                let mut rows = vec![y];
+                for &p in &params {
+                    rows.push(b.param_read(p)?);
+                }
+                let stacked = b.stack_rows(&rows)?;
+                y = b.sum_all(stacked)?;
+            }
+            Ok(vec![b.add_const(y, 1.0)?])
         })
         .expect("subgraph");
     let mut x = mb.const_f32(0.0);
     for _ in 0..n {
-        x = mb.invoke(&id, &[x]).expect("invoke")[0];
+        x = mb.invoke(&f, &[x]).expect("invoke")[0];
     }
     mb.set_outputs(&[x]).expect("outputs");
     mb.finish().expect("finish")
@@ -97,8 +119,14 @@ fn dispatch_bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("op_chain", n), &n, |b, _| {
             b.iter(|| sess.run(vec![]).expect("run"))
         });
-        let sess = general_session(&exec, invoke_chain_module(n));
+        let sess = general_session(&exec, invoke_chain_module(n, 0));
         g.bench_with_input(BenchmarkId::new("invoke_chain", n), &n, |b, _| {
+            b.iter(|| sess.run(vec![]).expect("run"))
+        });
+    }
+    for k in [0usize, 3, 10] {
+        let sess = general_session(&exec, invoke_chain_module(1000, k));
+        g.bench_with_input(BenchmarkId::new("spawn_sources", k), &k, |b, _| {
             b.iter(|| sess.run(vec![]).expect("run"))
         });
     }
@@ -229,7 +257,7 @@ fn specialize_bench(c: &mut Criterion) {
     g.sample_size(20);
     let exec = Executor::with_threads(2);
 
-    let sess = Session::new(Arc::clone(&exec), invoke_chain_module(1000)).expect("session");
+    let sess = Session::new(Arc::clone(&exec), invoke_chain_module(1000, 0)).expect("session");
     for _ in 0..2 {
         sess.run(vec![]).expect("warmup");
     }

@@ -13,8 +13,9 @@
 //!    rest are enqueued, behind the existing work (FIFO).
 //! 3. When an **InvokeOp** is dequeued, its associated SubGraph "is passed
 //!    to and processed by the master, similar to step (1)": a child frame is
-//!    spawned and its source nodes join the *same* ready queue, served by
-//!    the *same* workers. The InvokeOp itself completes when the child frame
+//!    spawned, born with the values of its source nodes, and what those make
+//!    runnable is served by the *same* ready queue and the *same* workers.
+//!    The InvokeOp itself completes when the child frame
 //!    delivers its outputs — no thread ever blocks waiting, so recursion
 //!    depth is bounded by memory, not by threads or stack.
 //! 4. Frames form a **tree**, not a stack (paper §4.1.2 "graph execution
@@ -39,15 +40,20 @@
 //!   are recycled through a per-graph free list on the [`ExecutionPlan`],
 //!   so activating a SubGraph in the steady state allocates nothing but
 //!   the `Frame` header itself.
-//! * **Prelude publishing** — `Input` and `Const` nodes are resolved
-//!   *while the frame spawns* (the plan precomputed them), so a typical
-//!   invocation dispatches only real operations.
+//! * **Frames are born with their sources resolved** — every zero-input
+//!   node that needs no kernel (`Input`, `Const`, `Param`, `FwdValue`,
+//!   `FwdZeros`: the plan's prelude) gets its value *while the frame
+//!   spawns*, written into the frame's core before the frame is shared
+//!   with any other thread: no slot lock, no countdown, no task. What the
+//!   prelude leaves behind is static, so the plan precomputed it: the
+//!   countdown a frame starts from, the nodes it can run at once, and how
+//!   many are left (see `spawn_frame`).
 //! * **Work-first continuations** — one rule for every edge: whenever a
-//!   node finishes (a kernel, a backprop-cache read, a prelude publish, a
-//!   frame returning into its parent's Invoke/Cond node, a member of a
-//!   fused group), the first consumer it made ready stays with the worker
-//!   and only the surplus travels through the shared queue (see
-//!   `finish_node`). A worker so runs depth-first inside its own subtree
+//!   node finishes (a kernel, a frame returning into its parent's
+//!   Invoke/Cond node, a member of a fused group), the first consumer it
+//!   made ready stays with the worker and only the surplus travels through
+//!   the shared queue (see `finish_node`); a spawning frame's ready nodes
+//!   are split the same way. A worker so runs depth-first inside its own subtree
 //!   and a sibling subtree reaches another worker as one unit at the fork
 //!   — the caller/callee relationship the paper says an executor should
 //!   exploit — instead of every operation paying a push and a pop on the
@@ -66,7 +72,7 @@ use crate::error::ExecError;
 use crate::kernel::{self, KernelCtx};
 use crate::params::{GradStore, ParamStore};
 use crate::path::PathKey;
-use crate::plan::{ExecutionPlan, ModulePlan, PreludeValue};
+use crate::plan::{ExecutionPlan, ModulePlan, PreludeEntry, PreludeValue};
 use crate::queue::{ReadyQueue, SchedulerKind};
 use crate::stats::{ExecStats, StatsSnapshot};
 use crossbeam_channel::{bounded, Receiver, Sender};
@@ -135,7 +141,11 @@ impl FrameCore {
     /// Builds a fresh core sized and seeded from `plan`.
     fn fresh(plan: &ExecutionPlan) -> Self {
         FrameCore {
-            pending: plan.pending.iter().map(|&c| AtomicU32::new(c)).collect(),
+            pending: plan
+                .pending_at_spawn
+                .iter()
+                .map(|&c| AtomicU32::new(c))
+                .collect(),
             slots: plan
                 .fetch_counts
                 .iter()
@@ -151,7 +161,7 @@ impl FrameCore {
 
     /// Re-seeds a recycled core from `plan` (same graph, so same sizes).
     fn reset(&mut self, plan: &ExecutionPlan) {
-        for (p, &c) in self.pending.iter().zip(plan.pending.iter()) {
+        for (p, &c) in self.pending.iter().zip(plan.pending_at_spawn.iter()) {
             p.store(c, Ordering::Relaxed);
         }
         for (s, &fc) in self.slots.iter_mut().zip(plan.fetch_counts.iter()) {
@@ -186,7 +196,7 @@ impl CorePool {
     /// failed or cancelled run) while it sits idle in the free list.
     fn recycle(&self, mut core: FrameCore) {
         if core.pending.is_empty() && core.slots.is_empty() {
-            return; // the empty default left behind by `Frame::drop`
+            return; // the empty graph's core: nothing to reuse
         }
         for s in core.slots.iter_mut() {
             s.get_mut().outs = Outs::Pending;
@@ -606,7 +616,14 @@ impl Executor {
             #[cfg(test)]
             trace: Mutex::default(),
         });
-        let root = spawn_frame(&run, GraphRef::Main, PathKey::root(), feeds, None, 0);
+        let root = spawn_frame(
+            Arc::clone(&run),
+            GraphRef::Main,
+            PathKey::root(),
+            feeds,
+            None,
+            0,
+        );
         let handle = RunHandle {
             ctx: run,
             done_rx,
@@ -625,14 +642,23 @@ impl Drop for Executor {
     }
 }
 
-/// Spawns a frame: publishes its prelude (inputs and constants) inline and
-/// enqueues the remaining source nodes.
+/// Spawns a frame with its prelude already published.
 ///
-/// Returns at most one **continuation** — the first task the prelude made
-/// runnable, which the calling worker executes next instead of paying a
-/// queue round-trip. Any further runnable tasks are enqueued.
+/// The prelude values are written into the frame's core through `&mut`,
+/// **before** the frame is shared: nobody else can see the frame yet, so a
+/// value costs no slot lock, no countdown and no task — the plan's
+/// `pending_at_spawn` / `live_at_spawn` are the counters as the prelude
+/// would have left them. Training and inference run the same code; a
+/// `keep_value`/`keep_shape` prelude node reaches the backprop cache through
+/// the helper `finish_node` uses.
+///
+/// Returns at most one **continuation**: the first of the plan's
+/// `ready_at_spawn` nodes, which the calling worker executes next instead of
+/// paying a queue round-trip; the rest are enqueued as one batch. A graph
+/// with nothing left to run (it returns captures, constants or parameters,
+/// or is empty) returns to its parent on the spot.
 fn spawn_frame(
-    run: &Arc<RunContext>,
+    run: Arc<RunContext>,
     gref: GraphRef,
     path: PathKey,
     args: Vec<Tensor>,
@@ -640,86 +666,85 @@ fn spawn_frame(
     depth: u32,
 ) -> Option<Task> {
     let plan = run.plan.plan(gref);
-    run.run_stats.frames_spawned.fetch_add(1, Ordering::Relaxed);
-    run.run_stats.observe_depth(depth as u64);
-    if plan.is_empty() {
-        // Degenerate empty graph: deliver empty outputs immediately.
-        return match parent {
-            None => {
-                run.deliver(Ok(Vec::new()));
-                None
-            }
-            Some(link) => finish_node(run, link.frame, link.node, Vec::new()),
-        };
-    }
-    let frame = Arc::new(Frame {
-        run: Arc::clone(run),
+    let n_prelude = plan.prelude.len() as u64;
+    let stats = &run.run_stats;
+    stats.frames_spawned.fetch_add(1, Ordering::Relaxed);
+    stats.observe_depth(depth as u64);
+    stats.ops_executed.fetch_add(n_prelude, Ordering::Relaxed);
+    stats
+        .prelude_published
+        .fetch_add(n_prelude, Ordering::Relaxed);
+    let mut frame = Frame {
+        core: plan.pool.acquire(plan),
+        nodes_left: AtomicUsize::new(plan.live_at_spawn),
+        run,
         gref,
         path,
         depth,
         args,
-        core: plan.pool.acquire(plan),
-        nodes_left: AtomicUsize::new(plan.len()),
         parent,
-    });
-    let mut cont: Option<Task> = None;
-    // Prelude: values known at spawn time are published without dispatch.
-    if !plan.prelude.is_empty() {
-        run.run_stats
-            .ops_executed
-            .fetch_add(plan.prelude.len() as u64, Ordering::Relaxed);
-        run.run_stats
-            .prelude_published
-            .fetch_add(plan.prelude.len() as u64, Ordering::Relaxed);
-        for entry in &plan.prelude {
-            let out = match &entry.value {
-                PreludeValue::Arg { index, dtype } => match frame.args.get(*index) {
-                    Some(t) if t.dtype() == *dtype => t.clone(),
-                    got => {
-                        let source = match got {
-                            Some(t) => rdg_tensor::TensorError::DTypeMismatch {
-                                expected: *dtype,
-                                got: t.dtype(),
-                                ctx: "Input",
-                            },
-                            None => rdg_tensor::TensorError::invalid(format!(
-                                "frame has no argument {index}"
-                            )),
-                        };
-                        run.fail(ExecError::Kernel {
-                            graph: run.plan.module.graph_name(frame.gref),
-                            node: run
-                                .plan
-                                .module
-                                .graph(frame.gref)
-                                .node(entry.node)
-                                .name
-                                .clone(),
-                            source,
-                        });
-                        return None;
-                    }
-                },
-                PreludeValue::Const(t) => t.clone(),
-            };
-            match finish_node(run, Arc::clone(&frame), entry.node, vec![out]) {
-                Some(t) if cont.is_none() => cont = Some(t),
-                Some(t) => run.queue.push(depth as u64, t),
-                None => {}
+    };
+    // The plan lives in the run, which the frame now owns.
+    let plan = frame.run.plan.plan(gref);
+    for entry in &plan.prelude {
+        let out = match prelude_value(&frame, entry) {
+            Ok(t) => t,
+            Err(e) => {
+                frame.run.fail(e);
+                return None;
             }
+        };
+        cache_outputs(&frame, plan, entry.node, std::slice::from_ref(&out));
+        frame.core.slots[entry.node.0 as usize].get_mut().outs = Outs::One(Some(out));
+    }
+    if plan.live_at_spawn == 0 {
+        let (parent, node, outs) = frame_return(&frame)?;
+        drop(frame);
+        return finish_node(parent, node, outs);
+    }
+    let frame = Arc::new(frame);
+    let (&first, rest) = frame
+        .run
+        .plan
+        .plan(gref)
+        .ready_at_spawn
+        .split_first()
+        .expect("an acyclic graph with live nodes has one ready at spawn");
+    let task = |node| Task {
+        frame: Arc::clone(&frame),
+        node,
+    };
+    if !rest.is_empty() {
+        let queue = &frame.run.queue;
+        queue.push_batch(rest.iter().map(|&n| (depth as u64, task(n))));
+    }
+    Some(task(first))
+}
+
+/// Resolves one prelude node for a frame that is not shared yet.
+fn prelude_value(frame: &Frame, entry: &PreludeEntry) -> Result<Tensor, ExecError> {
+    match &entry.value {
+        PreludeValue::Arg { index, dtype } => {
+            let source = match frame.args.get(*index) {
+                Some(t) if t.dtype() == *dtype => return Ok(t.clone()),
+                Some(t) => rdg_tensor::TensorError::DTypeMismatch {
+                    expected: *dtype,
+                    got: t.dtype(),
+                    ctx: "Input",
+                },
+                None => rdg_tensor::TensorError::invalid(format!("frame has no argument {index}")),
+            };
+            let module = &frame.run.plan.module;
+            Err(ExecError::Kernel {
+                graph: module.graph_name(frame.gref),
+                node: module.graph(frame.gref).node(entry.node).name.clone(),
+                source,
+            })
         }
+        PreludeValue::Const(t) => Ok(t.clone()),
+        PreludeValue::Param(p) => Ok(frame.run.params.read(*p)),
+        PreludeValue::Fwd { of, zeros } => read_fwd(frame, *of, *zeros),
     }
-    // The other sources (e.g. `Param` reads) go to the queue as one wave.
-    if !plan.queued_sources.is_empty() {
-        run.queue.push_batch(
-            depth as u64,
-            plan.queued_sources.iter().map(|&s| Task {
-                frame: Arc::clone(&frame),
-                node: s,
-            }),
-        );
-    }
-    cont
 }
 
 /// Reads one input port, implementing last-reader-takes semantics.
@@ -755,13 +780,14 @@ fn fetch(frame: &Frame, p: PortRef) -> Result<Tensor, ExecError> {
 /// Spawns the child frame of a call site (`Invoke`, or the branch a `Cond`
 /// chose); `node` in `frame` is its return location.
 fn call(
-    run: &Arc<RunContext>,
     frame: Arc<Frame>,
     node: NodeId,
     sub: SubGraphId,
     site: CallSiteId,
     args: Vec<Tensor>,
 ) -> Option<Task> {
+    // The one refcount a frame takes on its run; ops read through it.
+    let run = Arc::clone(&frame.run);
     let path = call_path(run.cache.as_deref(), &frame.path, site);
     let depth = frame.depth + 1;
     let link = ParentLink { frame, node };
@@ -772,7 +798,9 @@ fn call(
 /// should run next (see the module docs on work-first continuations).
 pub(crate) fn execute_task(task: Task) -> Option<Task> {
     let Task { frame, node } = task;
-    let run = Arc::clone(&frame.run);
+    // Read through the frame: a per-op clone of the run's `Arc` would put a
+    // refcount write on the cache line every op of the run reads.
+    let run = &*frame.run;
     if run.cancelled() {
         // Counted on the run's own stats only; the straggler delta past the
         // completion-time absorb reaches the lifetime aggregate exactly
@@ -802,7 +830,10 @@ pub(crate) fn execute_task(task: Task) -> Option<Task> {
         .push((std::thread::current().id(), node, frame.path.clone()));
 
     match &n.op {
-        OpKind::Invoke { sub, site, .. } => call(&run, frame, node, *sub, *site, inputs),
+        OpKind::Invoke { sub, site, .. } => {
+            let (sub, site) = (*sub, *site);
+            call(frame, node, sub, site, inputs)
+        }
         OpKind::Cond {
             sub_then,
             sub_else,
@@ -829,17 +860,7 @@ pub(crate) fn execute_task(task: Task) -> Option<Task> {
             } else {
                 (*sub_else, *site_else, else_args)
             };
-            call(&run, frame, node, sub, site, args)
-        }
-        OpKind::FwdValue { of } | OpKind::FwdZeros { of } => {
-            let zeros = matches!(n.op, OpKind::FwdZeros { .. });
-            match read_fwd(&run, &frame, *of, zeros) {
-                Ok(t) => finish_node(&run, frame, node, vec![t]),
-                Err(e) => {
-                    run.fail(e);
-                    None
-                }
-            }
+            call(frame, node, sub, site, args)
         }
         op => {
             // Fusion-eligibility denominator: ticked for every batchable
@@ -854,8 +875,8 @@ pub(crate) fn execute_task(task: Task) -> Option<Task> {
                 grads: run.grads.as_deref(),
                 stats: &run.run_stats,
             };
-            match timed_kernel(&run, op, || kernel::execute(op, inputs, &kctx)) {
-                Ok(outs) => finish_node(&run, frame, node, outs),
+            match timed_kernel(run, op, || kernel::execute(op, inputs, &kctx)) {
+                Ok(outs) => finish_node(frame, node, outs),
                 Err(e) => {
                     run.fail(ExecError::Kernel {
                         graph: run.plan.module.graph_name(frame.gref),
@@ -917,11 +938,10 @@ fn flush_chain(stats: &ExecStats) {
     }
 }
 
-/// Hands claimed-but-unstarted tasks back to the shared queue.
+/// Hands claimed-but-unstarted tasks back to the shared queue, under one
+/// lock acquisition, waking as many workers as tasks returned.
 fn hand_back(q: &ReadyQueue<Task>, tasks: impl Iterator<Item = Task>) {
-    for t in tasks {
-        q.push(t.frame.depth as u64, t);
-    }
+    q.push_batch(tasks.map(|t| (t.frame.depth as u64, t)));
 }
 
 /// Scalar drain of one popped batch: each claimed task heads a chain of
@@ -1056,7 +1076,7 @@ fn sig_of(kind: FuseKind, stacked: &Tensor, shared: &Tensor) -> Option<Sig> {
 /// identical `kernel::execute` + `finish_node` sequence as `execute_task`.
 fn execute_fetched(task: Task, inputs: Vec<Tensor>, pending: &mut Vec<Task>) {
     let Task { frame, node } = task;
-    let run = Arc::clone(&frame.run);
+    let run = &*frame.run;
     let n = run.plan.module.graph(frame.gref).node(node);
     let kctx = KernelCtx {
         args: &frame.args,
@@ -1064,8 +1084,8 @@ fn execute_fetched(task: Task, inputs: Vec<Tensor>, pending: &mut Vec<Task>) {
         grads: run.grads.as_deref(),
         stats: &run.run_stats,
     };
-    match timed_kernel(&run, &n.op, || kernel::execute(&n.op, inputs, &kctx)) {
-        Ok(outs) => pending.extend(finish_node(&run, frame, node, outs)),
+    match timed_kernel(run, &n.op, || kernel::execute(&n.op, inputs, &kctx)) {
+        Ok(outs) => pending.extend(finish_node(frame, node, outs)),
         Err(e) => {
             run.fail(ExecError::Kernel {
                 graph: run.plan.module.graph_name(frame.gref),
@@ -1100,7 +1120,7 @@ fn execute_group(members: Vec<Task>, pending: &mut Vec<Task>) {
 
     let mut fetched: Vec<Fetched> = Vec::with_capacity(members.len());
     for task in members {
-        let run = Arc::clone(&task.frame.run);
+        let run = &*task.frame.run;
         if run.cancelled() {
             run.run_stats
                 .cancelled_tasks
@@ -1202,10 +1222,13 @@ fn execute_fused_subgroup(
                         }
                     }
                 }
-                let run = Arc::clone(&m.task.frame.run);
-                run.run_stats.fused_tasks.fetch_add(1, Ordering::Relaxed);
                 let Task { frame, node } = m.task;
-                pending.extend(finish_node(&run, frame, node, vec![out]));
+                frame
+                    .run
+                    .run_stats
+                    .fused_tasks
+                    .fetch_add(1, Ordering::Relaxed);
+                pending.extend(finish_node(frame, node, vec![out]));
             }
         }
         Err(_) => {
@@ -1220,12 +1243,8 @@ fn execute_fused_subgroup(
 }
 
 /// Resolves a `FwdValue`/`FwdZeros` read against the backprop cache.
-fn read_fwd(
-    run: &Arc<RunContext>,
-    frame: &Frame,
-    of: PortRef,
-    zeros: bool,
-) -> Result<Tensor, ExecError> {
+fn read_fwd(frame: &Frame, of: PortRef, zeros: bool) -> Result<Tensor, ExecError> {
+    let run = &frame.run;
     let fwd_gref = match frame.gref {
         GraphRef::Sub(id) => {
             let sg = run.plan.module.subgraph(id);
@@ -1260,6 +1279,65 @@ fn read_fwd(
     }
 }
 
+/// Backprop-cache writes for one published node: its values if the plan
+/// keeps them, its shapes if it keeps those. Training runs only.
+fn cache_outputs(frame: &Frame, plan: &ExecutionPlan, node: NodeId, outs: &[Tensor]) {
+    let Some(cache) = &frame.run.cache else {
+        return;
+    };
+    let (value, shape) = (
+        plan.keep_value[node.0 as usize],
+        plan.keep_shape[node.0 as usize],
+    );
+    if !(value || shape) {
+        return;
+    }
+    for (port, t) in outs.iter().enumerate() {
+        let key = CacheKey {
+            gref: frame.gref,
+            path: frame.path.clone(),
+            node,
+            port: port as u16,
+        };
+        if shape {
+            cache.shapes.insert(key.clone(), t.shape().clone());
+        }
+        if value {
+            cache.values.insert(key, t.clone());
+            frame
+                .run
+                .run_stats
+                .cache_writes
+                .fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A completed frame's results. The root's finish the run; any other
+/// frame's are handed back with their return location, the parent's
+/// Invoke/Cond node, on which they are a publish like any other.
+fn frame_return(frame: &Frame) -> Option<(Arc<Frame>, NodeId, Vec<Tensor>)> {
+    let run = &frame.run;
+    let g = run.plan.module.graph(frame.gref);
+    let mut outs = Vec::with_capacity(g.outputs.len());
+    for &p in &g.outputs {
+        match fetch(frame, p) {
+            Ok(t) => outs.push(t),
+            Err(e) => {
+                run.fail(e);
+                return None;
+            }
+        }
+    }
+    match &frame.parent {
+        None => {
+            run.deliver(Ok(outs));
+            None
+        }
+        Some(link) => Some((Arc::clone(&link.frame), link.node, outs)),
+    }
+}
+
 /// Publishes a node's outputs, notifies dependents, and cascades frame
 /// completions up the frame tree (iteratively — tail-recursive frames can be
 /// thousands deep).
@@ -1271,45 +1349,10 @@ fn read_fwd(
 /// parent's Invoke/Cond node, so a return edge follows the same rule. At
 /// most one task is returned: a ready consumer keeps its frame open, so the
 /// cascade cannot climb past a frame that yielded one.
-fn finish_node(
-    run: &Arc<RunContext>,
-    mut frame: Arc<Frame>,
-    mut node: NodeId,
-    mut outs: Vec<Tensor>,
-) -> Option<Task> {
+fn finish_node(mut frame: Arc<Frame>, mut node: NodeId, mut outs: Vec<Tensor>) -> Option<Task> {
     loop {
-        let plan = run.plan.plan(frame.gref);
-        // Backprop cache writes (training mode only).
-        if let Some(cache) = &run.cache {
-            let ni = node.0 as usize;
-            if plan.keep_value[ni] {
-                for (port, t) in outs.iter().enumerate() {
-                    cache.values.insert(
-                        CacheKey {
-                            gref: frame.gref,
-                            path: frame.path.clone(),
-                            node,
-                            port: port as u16,
-                        },
-                        t.clone(),
-                    );
-                    run.run_stats.cache_writes.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if plan.keep_shape[ni] {
-                for (port, t) in outs.iter().enumerate() {
-                    cache.shapes.insert(
-                        CacheKey {
-                            gref: frame.gref,
-                            path: frame.path.clone(),
-                            node,
-                            port: port as u16,
-                        },
-                        t.shape().clone(),
-                    );
-                }
-            }
-        }
+        let plan = frame.run.plan.plan(frame.gref);
+        cache_outputs(&frame, plan, node, &outs);
         // Publish outputs (single-output nodes stay allocation-free).
         {
             let published = if outs.len() == 1 {
@@ -1332,43 +1375,21 @@ fn finish_node(
             }
         }
         if !surplus.is_empty() {
-            run.queue.push_batch(
-                frame.depth as u64,
-                surplus.into_iter().map(|c| Task {
+            frame.run.queue.push_batch(surplus.into_iter().map(|c| {
+                let task = Task {
                     frame: Arc::clone(&frame),
                     node: c,
-                }),
-            );
+                };
+                (frame.depth as u64, task)
+            }));
         }
         // Frame countdown.
         if frame.nodes_left.fetch_sub(1, Ordering::AcqRel) != 1 {
             return cont.map(|node| Task { frame, node });
         }
-        // Frame complete: gather its outputs and deliver to the parent
-        // Invoke/Cond node (its "return location"), or finish the run.
-        let g = run.plan.module.graph(frame.gref);
-        let mut fouts = Vec::with_capacity(g.outputs.len());
-        for &p in &g.outputs {
-            match fetch(&frame, p) {
-                Ok(t) => fouts.push(t),
-                Err(e) => {
-                    run.fail(e);
-                    return None;
-                }
-            }
-        }
-        match &frame.parent {
-            None => {
-                run.deliver(Ok(fouts));
-                return None;
-            }
-            Some(link) => {
-                let parent_frame = Arc::clone(&link.frame);
-                node = link.node;
-                outs = fouts;
-                frame = parent_frame;
-            }
-        }
+        // Frame complete: its outputs go to the parent's Invoke/Cond node
+        // (its "return location"), or finish the run.
+        (frame, node, outs) = frame_return(&frame)?;
     }
 }
 

@@ -342,3 +342,186 @@ fn inference_builds_no_paths_and_training_one_node_per_frame() {
     assert_eq!(deepest[0].len(), deepest[1].len());
     assert!(!deepest[0].ptr_eq(&deepest[1]));
 }
+
+/// The general path, pinned: no inlining, so every call below is a frame.
+fn planned_general(m: Module) -> (Arc<ModulePlan>, Arc<ParamStore>) {
+    let opts = crate::SpecializeOptions::disabled();
+    let plan = ModulePlan::with_options(Arc::new(m), opts).unwrap();
+    let params = Arc::new(ParamStore::from_module(&plan.module));
+    (plan, params)
+}
+
+/// Cores of `gref` waiting in the plan's free list.
+fn pooled(plan: &ModulePlan, gref: GraphRef) -> usize {
+    plan.plan(gref).pool.0.lock().len()
+}
+
+/// Main graphs whose callee has nothing to run once its sources are
+/// resolved: `cap` returns a capture, `par` a parameter. `call` wires the
+/// callee(s) into main; the expected output is `cap + par = 100 + 7`.
+fn born_complete(
+    call: impl FnOnce(&mut ModuleBuilder, rdg_graph::Wire, rdg_graph::ParamId) -> rdg_graph::Wire,
+) -> Module {
+    let mut mb = ModuleBuilder::new();
+    let bias = mb.const_f32(100.0);
+    let w = mb.param("w", Tensor::scalar_f32(7.0));
+    let out = call(&mut mb, bias, w);
+    mb.set_outputs(&[out]).unwrap();
+    mb.finish().unwrap()
+}
+
+#[test]
+fn a_graph_with_nothing_left_to_run_completes_while_it_spawns() {
+    let exec = Executor::with_threads(1);
+    // As main: a constant, and a parameter, returned as they are. The run is
+    // over before `start` returns; there is no task to queue.
+    for main_is_param in [false, true] {
+        let m = born_complete(|mb, bias, w| match main_is_param {
+            true => mb.param_read(w).unwrap(),
+            false => bias,
+        });
+        let (plan, params) = planned_general(m);
+        assert_eq!(plan.plan(GraphRef::Main).live_at_spawn, 0);
+        let (h, root) = exec
+            .start(&plan, &params, vec![], None, None, false)
+            .unwrap();
+        assert!(root.is_none() && h.is_finished());
+        let stats = Arc::clone(h.stats());
+        let want = if main_is_param { 7.0 } else { 100.0 };
+        assert_eq!(scalar(h.wait()), want);
+        let s = stats.snapshot();
+        // Every node of main is prelude: the constant, and the read if any.
+        let n = plan.plan(GraphRef::Main).len() as u64;
+        assert_eq!(
+            (s.frames_spawned, s.ops_executed, s.prelude_published),
+            (1, n, n)
+        );
+        assert_eq!(pooled(&plan, GraphRef::Main), 1, "the core went back");
+    }
+
+    // Under Invoke: both callees return to main while they spawn, and main's
+    // `add` is the continuation of whichever call completed it.
+    let m = born_complete(|mb, bias, w| {
+        let cap = mb.subgraph("cap", &[], &[DType::F32], |_| Ok(vec![bias]));
+        let par = mb.subgraph("par", &[], &[DType::F32], |b| Ok(vec![b.param_read(w)?]));
+        let c = mb.invoke(&cap.unwrap(), &[]).unwrap()[0];
+        let p = mb.invoke(&par.unwrap(), &[]).unwrap()[0];
+        mb.add(c, p).unwrap()
+    });
+    let (plan, params) = planned_general(m);
+    let h = exec.submit(&plan, &params, vec![], None, None).unwrap();
+    let stats = Arc::clone(h.stats());
+    assert_eq!(scalar(h.wait()), 107.0);
+    let s = stats.snapshot();
+    assert_eq!(s.frames_spawned, 3);
+    // main's constant and one source per callee; two Invokes and the add.
+    assert_eq!((s.prelude_published, s.ops_executed), (3, 6));
+    for sub in 0..2 {
+        assert_eq!(pooled(&plan, GraphRef::Sub(SubGraphId(sub))), 1);
+    }
+
+    // As Cond branches: whichever the predicate picks is born complete.
+    for (pred, want) in [(1, 100.0), (0, 7.0)] {
+        let m = born_complete(|mb, bias, w| {
+            let p = mb.main_input(DType::I32);
+            mb.cond1(p, DType::F32, |_| Ok(bias), |b| b.param_read(w))
+                .unwrap()
+        });
+        let (plan, params) = planned_general(m);
+        let feeds = vec![Tensor::scalar_i32(pred)];
+        let h = exec.submit(&plan, &params, feeds, None, None).unwrap();
+        let stats = Arc::clone(h.stats());
+        assert_eq!(scalar(h.wait()), want);
+        assert_eq!(stats.snapshot().frames_spawned, 2);
+        let taken = SubGraphId(if pred != 0 { 0 } else { 1 });
+        assert_eq!(pooled(&plan, GraphRef::Sub(taken)), 1);
+    }
+}
+
+#[test]
+fn a_zero_argument_invoke_is_ready_at_spawn_and_still_dispatched() {
+    // main = seven() + seven(): two source nodes that are calls. Nothing is
+    // resolved at spawn; the first is the root task, the second its surplus.
+    let mut mb = ModuleBuilder::new();
+    let seven = mb
+        .subgraph("seven", &[], &[DType::F32], |b| {
+            let c = b.const_f32(3.0);
+            b.add_const(c, 4.0).map(|y| vec![y])
+        })
+        .unwrap();
+    let a = mb.invoke(&seven, &[]).unwrap()[0];
+    let b = mb.invoke(&seven, &[]).unwrap()[0];
+    let out = mb.add(a, b).unwrap();
+    mb.set_outputs(&[out]).unwrap();
+    let (plan, params) = planned_general(mb.finish().unwrap());
+    assert_eq!(plan.plan(GraphRef::Main).ready_at_spawn.len(), 2);
+
+    let exec = Executor::with_pool(0, SchedulerKind::Fifo);
+    let (h, root) = exec
+        .start(&plan, &params, vec![], None, None, false)
+        .unwrap();
+    let stats = Arc::clone(h.stats());
+    assert_eq!(stats.snapshot().ops_executed, 0, "main has no prelude");
+    // The test thread is the only worker: root chain first, then the queue.
+    let mut next = root;
+    while let Some(t) = next.or_else(|| exec.queue.try_pop()) {
+        next = execute_task(t);
+    }
+    assert_eq!(scalar(h.wait()), 14.0);
+    let s = stats.snapshot();
+    assert_eq!(s.frames_spawned, 3);
+    // Per callee: the Invoke, the constant (prelude), the add; and main's add.
+    assert_eq!((s.ops_executed, s.prelude_published), (7, 2));
+}
+
+#[test]
+fn a_failure_while_spawning_fails_the_run_once_and_the_counters_close() {
+    // `half(x: f32)` called with an f32, its Input then re-declared i32: the
+    // kind of disagreement only a forged module can carry past the builder.
+    let mut mb = ModuleBuilder::new();
+    let half = mb
+        .subgraph("half", &[DType::F32], &[DType::F32], |b| {
+            let x = b.input(0)?;
+            b.scale(x, 0.5).map(|y| vec![y])
+        })
+        .unwrap();
+    let x = mb.main_input(DType::F32);
+    let t = mb.tanh(x).unwrap();
+    let y = mb.invoke(&half, &[t]).unwrap()[0];
+    mb.set_outputs(&[y]).unwrap();
+    let mut m = mb.finish().unwrap();
+    let body = &mut m.subgraphs[0].graph;
+    let input = body.input_nodes[0];
+    body.nodes[input.0 as usize].op = OpKind::Input {
+        index: 0,
+        dtype: DType::I32,
+    };
+    let (plan, params) = planned_general(m);
+
+    let exec = executor_with_parked_worker();
+    let feeds = vec![Tensor::scalar_f32(0.25)];
+    let h = exec.submit(&plan, &params, feeds, None, None).unwrap();
+    let stats = Arc::clone(h.stats());
+    match h.wait() {
+        Err(ExecError::Kernel { graph, source, .. }) => {
+            assert_eq!(graph, "half");
+            assert!(matches!(
+                source,
+                rdg_tensor::TensorError::DTypeMismatch { ctx: "Input", .. }
+            ));
+        }
+        other => panic!("expected the Input mismatch, got {other:?}"),
+    }
+    wait_torn_down(&stats);
+    let s = stats.snapshot();
+    // main's Input, tanh, the Invoke, and the callee's prelude (counted as a
+    // whole when the spawn begins). The frame never existed for anyone else:
+    // nothing was queued, so nothing had to be dropped.
+    assert_eq!(
+        (s.frames_spawned, s.ops_executed, s.prelude_published),
+        (2, 4, 2)
+    );
+    assert_eq!(s.cancelled_tasks, 0);
+    assert_eq!(exec.stats().snapshot(), s);
+    assert_eq!(pooled(&plan, GraphRef::Sub(SubGraphId(0))), 1);
+}

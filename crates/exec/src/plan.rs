@@ -15,13 +15,19 @@
 //!   reader may *move* the tensor out (consumer refcounting).
 //! * `topo` — a topological order of the graph (diagnostics, deterministic
 //!   iteration, and the order in which the prelude publishes).
-//! * `prelude` — the source nodes whose value is known at frame-spawn time
-//!   without running a kernel: `Input` (the frame's argument) and `Const`
-//!   (the planned tensor). The executor publishes these directly while it
-//!   spawns the frame, so an invocation of a typical SubGraph enqueues only
-//!   the first *real* operation instead of a wave of trivial ones.
-//! * `queued_sources` — the remaining zero-input nodes (e.g. `Param`
-//!   reads), scheduled through the ready queue as usual.
+//! * `prelude` — every zero-input node that needs no kernel: `Input` (the
+//!   frame's argument), `Const` (the planned tensor), `Param` (a read of
+//!   the run's store) and `FwdValue`/`FwdZeros` (a backprop-cache read keyed
+//!   by the frame's path). A frame spawns inside its run and both stores are
+//!   written only between runs, so all of them are resolved while the frame
+//!   spawns: a frame is born with its sources in place and dispatches real
+//!   operations only.
+//! * `pending_at_spawn` / `ready_at_spawn` / `live_at_spawn` — the state the
+//!   prelude leaves behind. It is always published in full, so that state
+//!   is static: the countdown each frame is seeded with, the nodes runnable
+//!   the moment the frame exists (the consumers the prelude completed, and
+//!   any other zero-input node — a zero-argument `Invoke`), and how many
+//!   nodes are still to run.
 //! * keep flags — which node outputs training runs must write to the
 //!   backprop cache.
 //! * a pooled free-list of frame cores (pending counters + value slots),
@@ -43,12 +49,13 @@
 //! let main = plan.plan(GraphRef::Main);
 //! assert_eq!(main.topo.len(), 2);
 //! assert_eq!(main.prelude.len(), 1); // the constant resolves at spawn
-//! assert!(main.queued_sources.is_empty());
+//! assert_eq!(main.ready_at_spawn.len(), 1); // so the add is runnable at once
+//! assert_eq!(main.live_at_spawn, 1);
 //! ```
 
 pub mod specialize;
 
-use rdg_graph::{GraphRef, Module, NodeId, OpKind, SubGraphId};
+use rdg_graph::{GraphRef, Module, NodeId, OpKind, ParamId, PortRef, SubGraphId};
 use rdg_tensor::{DType, Tensor};
 use specialize::{Provenance, SpecializeOptions};
 use std::collections::{HashMap, HashSet};
@@ -66,6 +73,17 @@ pub enum PreludeValue {
     },
     /// A graph `Const`: the tensor is captured here at plan time.
     Const(Tensor),
+    /// A `Param` read: the run's store as it stands when the frame spawns
+    /// (the store is written between runs, never during one).
+    Param(ParamId),
+    /// A `FwdValue` / `FwdZeros` read of the backprop cache, keyed by the
+    /// spawning frame's path.
+    Fwd {
+        /// The forward port whose cached value (or shape) is read.
+        of: PortRef,
+        /// `FwdZeros`: zeros of the cached shape instead of the value.
+        zeros: bool,
+    },
 }
 
 /// One node the executor resolves inline while spawning a frame.
@@ -91,16 +109,24 @@ pub struct ExecutionPlan {
     /// For each node, the total number of value fetches it will receive
     /// (input references across all consumers plus graph-output reads).
     pub fetch_counts: Vec<u32>,
-    /// A topological order of the graph. `prelude` and `queued_sources`
-    /// are derived in this order, so spawn-time publishing is
-    /// deterministic.
+    /// A topological order of the graph. `prelude` is derived in this
+    /// order, so spawn-time publishing is deterministic.
     pub topo: Vec<NodeId>,
-    /// Nodes with no producers: ready the moment the frame spawns.
-    pub sources: Vec<NodeId>,
-    /// The subset of `sources` resolved inline at spawn (`Input`/`Const`).
+    /// The zero-input nodes that need no kernel, resolved while the frame
+    /// spawns (see [`PreludeValue`]).
     pub prelude: Vec<PreludeEntry>,
-    /// The subset of `sources` that still goes through the ready queue.
-    pub queued_sources: Vec<NodeId>,
+    /// `pending` once the whole prelude has been published: the countdown
+    /// every frame of this graph starts from.
+    pub pending_at_spawn: Vec<u32>,
+    /// The nodes outside the prelude that a new frame can run at once, in
+    /// the order the prelude completes them (zero-input nodes that are not
+    /// prelude, e.g. a zero-argument `Invoke`, last). The spawning worker
+    /// keeps the first as its continuation and queues the rest.
+    pub ready_at_spawn: Vec<NodeId>,
+    /// Nodes a new frame still has to run: `len() - prelude.len()`. Zero
+    /// when the graph only returns captures, constants or parameters; such
+    /// a frame completes while it spawns.
+    pub live_at_spawn: usize,
     /// Nodes whose output values must be written to the backprop cache.
     pub keep_value: Vec<bool>,
     /// Nodes whose output shapes must be written to the shape cache.
@@ -134,33 +160,51 @@ impl ExecutionPlan {
         for out in &g.outputs {
             fetch_counts[out.node.0 as usize] += 1;
         }
-        let sources: Vec<NodeId> = (0..n)
-            .filter(|&i| pending[i] == 0)
-            .map(|i| NodeId(i as u32))
-            .collect();
-        // Split the sources into spawn-resolvable prelude nodes and the
-        // rest, in topological order (the order the executor publishes the
-        // prelude at spawn). Only ops whose value is a pure function of the
-        // plan or the frame's arguments qualify; `Param` reads stay queued
-        // because the store mutates between runs.
+        // One rule: a zero-input node that needs no kernel is resolved while
+        // the frame spawns, in topological order. Its value is a function of
+        // the plan, the frame's arguments and path, and the run's stores,
+        // none of which changes while the run is alive.
         let mut prelude = Vec::new();
-        let mut queued_sources = Vec::new();
+        // Any other zero-input node (a zero-argument `Invoke`) is simply
+        // runnable at spawn.
+        let mut other_sources = Vec::new();
         for &s in topo.iter().filter(|&&n| pending[n.0 as usize] == 0) {
-            match &g.node(s).op {
-                OpKind::Input { index, dtype } => prelude.push(PreludeEntry {
-                    node: s,
-                    value: PreludeValue::Arg {
-                        index: *index,
-                        dtype: *dtype,
-                    },
-                }),
-                OpKind::Const(t) => prelude.push(PreludeEntry {
-                    node: s,
-                    value: PreludeValue::Const(t.clone()),
-                }),
-                _ => queued_sources.push(s),
+            let value = match &g.node(s).op {
+                OpKind::Input { index, dtype } => PreludeValue::Arg {
+                    index: *index,
+                    dtype: *dtype,
+                },
+                OpKind::Const(t) => PreludeValue::Const(t.clone()),
+                OpKind::Param(p) => PreludeValue::Param(*p),
+                OpKind::FwdValue { of } => PreludeValue::Fwd {
+                    of: *of,
+                    zeros: false,
+                },
+                OpKind::FwdZeros { of } => PreludeValue::Fwd {
+                    of: *of,
+                    zeros: true,
+                },
+                _ => {
+                    other_sources.push(s);
+                    continue;
+                }
+            };
+            prelude.push(PreludeEntry { node: s, value });
+        }
+        // The prelude is always published in full, so what it leaves behind
+        // is static: replay its publishes on the countdown once, here.
+        let mut pending_at_spawn = pending.clone();
+        let mut ready_at_spawn = Vec::new();
+        for entry in &prelude {
+            for &c in &consumers[entry.node.0 as usize] {
+                pending_at_spawn[c.0 as usize] -= 1;
+                if pending_at_spawn[c.0 as usize] == 0 {
+                    ready_at_spawn.push(c);
+                }
             }
         }
+        ready_at_spawn.extend(other_sources);
+        let live_at_spawn = n - prelude.len();
         let mut keep_value = vec![false; n];
         if let Some(set) = module.keep_sets.get(&gref) {
             for &(node, _port) in set {
@@ -183,9 +227,10 @@ impl ExecutionPlan {
             pending,
             fetch_counts,
             topo,
-            sources,
             prelude,
-            queued_sources,
+            pending_at_spawn,
+            ready_at_spawn,
+            live_at_spawn,
             keep_value,
             keep_shape,
             fuse,
@@ -554,10 +599,12 @@ mod tests {
         let m = Arc::new(mb.finish().unwrap());
         let plan = ModulePlan::new(m).unwrap();
         let p = plan.plan(GraphRef::Main);
-        // a, b are sources — and both are constants, so they are prelude.
-        assert_eq!(p.sources.len(), 2);
+        // a, b are zero-input constants, so they are prelude; publishing
+        // them leaves c runnable and c, d to run.
         assert_eq!(p.prelude.len(), 2);
-        assert!(p.queued_sources.is_empty());
+        assert_eq!(p.ready_at_spawn, [NodeId(2)]);
+        assert_eq!(p.pending_at_spawn, [0, 0, 0, 1]);
+        assert_eq!(p.live_at_spawn, 2);
         // c has one distinct consumer (d) but two fetches.
         assert_eq!(p.consumers[2].len(), 1);
         assert_eq!(p.fetch_counts[2], 2);
@@ -569,20 +616,39 @@ mod tests {
         assert!(p.topo[0] == NodeId(0) || p.topo[0] == NodeId(1));
     }
 
+    /// The rule the plan applies, one case per kind of zero-input node. That
+    /// resolving a `Param` at spawn is *safe* — the store is written between
+    /// runs, a frame spawns inside one — is a property of the runtime, pinned
+    /// as behaviour in `tests/spawn_sources.rs`.
     #[test]
-    fn param_sources_stay_queued() {
+    fn zero_input_nodes_without_a_kernel_resolve_at_spawn() {
         let mut mb = ModuleBuilder::new();
-        let w = mb.param_wire("w", Tensor::scalar_f32(1.0)).unwrap();
-        let c = mb.const_f32(2.0);
-        let y = mb.mul(w, c).unwrap();
-        mb.set_outputs(&[y]).unwrap();
-        let plan = ModulePlan::new(Arc::new(mb.finish().unwrap())).unwrap();
+        let w = mb.param_wire("w", Tensor::scalar_f32(1.0)).unwrap(); // node 0
+        let c = mb.const_f32(2.0); // 1
+        let y = mb.mul(w, c).unwrap(); // 2
+        let seven = mb
+            .subgraph("seven", &[], &[DType::F32], |b| Ok(vec![b.const_f32(7.0)]))
+            .unwrap();
+        let z = mb.invoke(&seven, &[]).unwrap()[0]; // 3
+        let out = mb.add(y, z).unwrap(); // 4
+        mb.set_outputs(&[out]).unwrap();
+        let opts = SpecializeOptions::disabled(); // keep the zero-argument Invoke
+        let plan = ModulePlan::with_options(Arc::new(mb.finish().unwrap()), opts).unwrap();
         let p = plan.plan(GraphRef::Main);
-        // The constant resolves at spawn; the parameter read must not (its
-        // value changes between runs).
-        assert_eq!(p.prelude.len(), 1);
-        assert_eq!(p.queued_sources.len(), 1);
-        assert_eq!(p.sources.len(), 2);
+        // The parameter read and the constant are both born with the frame.
+        let prelude: Vec<NodeId> = p.prelude.iter().map(|e| e.node).collect();
+        assert_eq!(prelude, [NodeId(0), NodeId(1)]);
+        assert!(matches!(p.prelude[0].value, PreludeValue::Param(_)));
+        // What they complete runs first; the zero-argument call has nothing
+        // to wait for either, but it needs a dispatch: ready, not resolved.
+        assert_eq!(p.ready_at_spawn, [NodeId(2), NodeId(3)]);
+        assert_eq!(p.live_at_spawn, p.len() - 2);
+        assert_eq!(p.pending_at_spawn[2], 0);
+        assert_eq!(p.pending_at_spawn[4], 2);
+        // The callee only returns a constant: nothing of it is left to run.
+        let callee = plan.plan(GraphRef::Sub(seven.id()));
+        assert_eq!(callee.live_at_spawn, 0);
+        assert!(callee.ready_at_spawn.is_empty());
     }
 
     #[test]

@@ -168,30 +168,20 @@ impl<T> ReadyQueue<T> {
         }
     }
 
-    /// Enqueues a wave of tasks of equal priority under **one** lock
+    /// Enqueues a wave of `(priority, task)` pairs under **one** lock
     /// acquisition, waking as many workers as there are new tasks.
-    pub fn push_batch(&self, priority: u64, items: impl IntoIterator<Item = T>) {
-        match &self.inner {
+    pub fn push_batch(&self, items: impl IntoIterator<Item = (u64, T)>) {
+        let (pushed, cond) = match &self.inner {
             Impl::Fifo { state, cond } => {
                 let mut st = state.lock();
                 let before = st.queue.len();
-                st.queue.extend(items);
-                let pushed = st.queue.len() - before;
-                drop(st);
-                match pushed {
-                    0 => {}
-                    1 => {
-                        cond.notify_one();
-                    }
-                    _ => {
-                        cond.notify_all();
-                    }
-                }
+                st.queue.extend(items.into_iter().map(|(_, item)| item));
+                (st.queue.len() - before, cond)
             }
             Impl::Prio { heap, cond } => {
                 let mut st = heap.lock();
-                let mut pushed = 0usize;
-                for item in items {
+                let before = st.heap.len();
+                for (priority, item) in items {
                     let seq = st.next_seq;
                     st.next_seq += 1;
                     st.heap.push(Prioritized {
@@ -199,18 +189,17 @@ impl<T> ReadyQueue<T> {
                         seq,
                         item,
                     });
-                    pushed += 1;
                 }
-                drop(st);
-                match pushed {
-                    0 => {}
-                    1 => {
-                        cond.notify_one();
-                    }
-                    _ => {
-                        cond.notify_all();
-                    }
-                }
+                (st.heap.len() - before, cond)
+            }
+        };
+        match pushed {
+            0 => {}
+            1 => {
+                cond.notify_one();
+            }
+            _ => {
+                cond.notify_all();
             }
         }
     }
@@ -339,8 +328,19 @@ mod tests {
     fn push_batch_preserves_fifo_order() {
         let q = ReadyQueue::new(SchedulerKind::Fifo);
         q.push(0, 1);
-        q.push_batch(0, [2, 3, 4]);
+        q.push_batch([2, 3, 4].map(|i| (0, i)));
         for want in 1..=4 {
+            assert_eq!(q.try_pop(), Some(want));
+        }
+    }
+
+    #[test]
+    fn push_batch_orders_a_mixed_wave_by_its_own_priorities() {
+        // A hand-back returns tasks of different frames, so of different
+        // depths, in one batch: each keeps its own priority.
+        let q = ReadyQueue::new(SchedulerKind::DepthPriority);
+        q.push_batch([(1, "shallow"), (7, "deep"), (1, "shallow too"), (4, "mid")]);
+        for want in ["deep", "mid", "shallow", "shallow too"] {
             assert_eq!(q.try_pop(), Some(want));
         }
     }
@@ -361,7 +361,7 @@ mod tests {
     fn pop_batch_drains_fair_shares_in_order() {
         for kind in [SchedulerKind::Fifo, SchedulerKind::DepthPriority] {
             let q = ReadyQueue::new(kind);
-            q.push_batch(0, 0..10);
+            q.push_batch((0..10).map(|i| (0, i)));
             let mut buf = Vec::new();
             assert!(q.pop_batch(&mut buf, 4));
             assert!(

@@ -28,10 +28,14 @@
 //! the FIFO, so the real executor's work-first rule, batched claims and
 //! hand-back — which change constants and, where workers are scarcer than
 //! the dataflow is wide, the order in which ready work starts — stay out of
-//! the model. `Input`/`Const` nodes are published while their frame spawns,
-//! inside the spawning task, and cost nothing of their own. The output is
-//! the virtual makespan, from which the harness derives paper-style
-//! throughput numbers: parallelism *shapes*, not absolute times.
+//! the model. Only what reaches `execute_task` is priced. A frame's prelude
+//! — `Input`, `Const`, `Param`, `FwdValue`, `FwdZeros`: every zero-input
+//! node that needs no kernel — is resolved while the frame spawns, inside
+//! the spawning task (whose `frame_ns` is the price of that), and costs
+//! nothing of its own; a parameter or backprop-cache read is a pointer copy,
+//! not a dispatch. The output is the virtual makespan, from which the
+//! harness derives paper-style throughput numbers: parallelism *shapes*, not
+//! absolute times.
 
 use crate::cache::BackpropCache;
 use crate::error::ExecError;

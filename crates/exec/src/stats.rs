@@ -83,7 +83,9 @@ pub struct ExecStats {
     pub inplace_updates: AtomicU64,
     /// Tasks that were dropped because the run was cancelled by an error.
     pub cancelled_tasks: AtomicU64,
-    /// Nodes resolved inline at frame spawn (`Input`/`Const` prelude).
+    /// Nodes resolved while their frame spawned: the plan's prelude
+    /// (`Input`, `Const`, `Param`, `FwdValue`, `FwdZeros`). Counted in
+    /// `ops_executed` too.
     pub prelude_published: AtomicU64,
     /// Tasks executed as continuations, bypassing the ready queue; added
     /// one chain at a time (see [`StatsSnapshot::continuations`]).

@@ -9,6 +9,7 @@
 #
 #   tools/ab_parent.sh --seed N [--parent REV] [--pairs 10] [--seconds S]
 #                      [--workloads "a b"] [--trace 0|1] [--out DIR]
+#                      [--json FILE]
 #
 #   --seed       required: use one that was not used while the change was
 #                written (the claim has to hold on an unseen seed)
@@ -20,6 +21,10 @@
 #   --out        scratch directory for the parent checkout, both target
 #                directories and runs.tsv (default $TMPDIR/rdg-ab); reusing
 #                it skips the rebuilds
+#   --json       also write the table as one JSON document (the per-PR
+#                `BENCH_<pr>.json` snapshot): per workload and metric both
+#                sides' q1/median/q3, pairs won/lost and the verdict, with
+#                the machine fingerprint, seed and pair count
 #
 # Prints, per workload and metric: each side's median and quartiles, the
 # relative change of the medians, and the pairs the change won / lost.
@@ -29,7 +34,7 @@
 set -euo pipefail
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
-parent=HEAD pairs=10 seed= seconds= workloads= trace=0 out=${TMPDIR:-/tmp}/rdg-ab
+parent=HEAD pairs=10 seed= seconds= workloads= trace=0 out=${TMPDIR:-/tmp}/rdg-ab json_out=
 while [ $# -gt 0 ]; do
     case $1 in
         --parent) parent=$2 ;;
@@ -39,7 +44,8 @@ while [ $# -gt 0 ]; do
         --workloads) workloads=$2 ;;
         --trace) trace=$2 ;;
         --out) out=$2 ;;
-        *) sed -n '2,27p' "$0" >&2; exit 2 ;;
+        --json) json_out=$2 ;;
+        *) sed -n '2,32p' "$0" >&2; exit 2 ;;
     esac
     shift 2
 done
@@ -72,9 +78,11 @@ build "$repo" "$out/tgt-change"
 run() { # <side> <workload> <pair>: appends "workload pair side metric value" rows
     local dir=$out/parent
     [ "$1" = change ] && dir=$out/cwd-change && mkdir -p "$dir"
-    local line status=0
-    line=$(cd "$dir" && "$out/tgt-$1/release/rdg_benchmark" --workload "$2" \
-        --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 1) || status=$?
+    local text line status=0
+    text=$(cd "$dir" && "$out/tgt-$1/release/rdg_benchmark" --workload "$2" \
+        --seed "$seed" --seconds "$seconds" --trace "$trace") || status=$?
+    line=${text##*$'\n'}
+    [ -s "$out/fingerprint" ] || grep -m 1 '^fingerprint:' <<<"$text" > "$out/fingerprint" || true
     [ $status -eq 0 ] || echo "  !! $1 $2 pair $3: exit $status (mismatch, failure or refusal)" >&2
     python3 - "$2" "$3" "$1" "$line" >> "$out/runs.tsv" <<'EOF'
 import json, sys
@@ -87,6 +95,7 @@ EOF
 }
 
 : > "$out/runs.tsv"
+: > "$out/fingerprint"
 echo "parent $rev vs working tree; seed $seed, $seconds s, $pairs pairs, trace $trace, nproc $(nproc)"
 for w in $workloads; do
     for p in $(seq 1 "$pairs"); do
@@ -96,7 +105,8 @@ for w in $workloads; do
     done
 done
 
-python3 - "$repo/BENCHMARK.json" "$out/runs.tsv" <<'EOF'
+python3 - "$repo/BENCHMARK.json" "$out/runs.tsv" "$json_out" "$rev" "$seed" "$seconds" "$trace" \
+    "$(cat "$out/fingerprint")" <<'EOF'
 import collections, json, statistics, sys
 bench = json.load(open(sys.argv[1]))
 spec = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
@@ -112,6 +122,7 @@ def q(xs):  # quartiles the way benchmark/src/stats.rs takes them (exclusive met
     return tuple(statistics.quantiles(xs, n=4)) if len(xs) > 1 else (xs[0],) * 3
 
 last = None
+doc = dict(zip(("parent", "seed", "seconds", "trace", "fingerprint"), sys.argv[4:9]), workloads={})
 for w, metric in order:
     pairs = [p for p in runs[w, metric].values() if len(p) == 2]
     a = [p["parent"] for p in pairs]
@@ -139,7 +150,15 @@ for w, metric in order:
         verdict = "unresolved (spread > bound)"
     else:
         verdict = "within bound" if bound is not None else ""
-    fmt = lambda x: f"{x:.4g}"
+    fmt = lambda x: f"{x:.4g}"  # the table and the JSON carry the same digits
     print(f"{metric:30} {'/'.join(map(fmt, (a1, am, a3))):>34} {'/'.join(map(fmt, (b1, bm, b3))):>34} "
           f"{rel:>+8.1%} {f'{won}/{lost}':>8}  {verdict}")
+    side = lambda q1, med, q3: {k: float(fmt(v)) for k, v in (("q1", q1), ("median", med), ("q3", q3))}
+    doc["workloads"].setdefault(w, {"pairs": len(pairs), "metrics": {}})["metrics"][metric] = {
+        "parent": side(a1, am, a3), "change": side(b1, bm, b3),
+        "rel_change": round(rel, 4), "won": won, "lost": lost, "verdict": verdict}
+if sys.argv[3]:
+    with open(sys.argv[3], "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
 EOF
