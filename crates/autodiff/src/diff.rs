@@ -65,6 +65,19 @@ impl DiffState {
             .push(g);
     }
 
+    /// Contributes `xᵀ·y` to the gradient of forward port `w`. Weight fast
+    /// path: when `w` is read straight from a parameter the product goes
+    /// into a factored sink and is never materialized; any other operand
+    /// gets the dense `MatMulAT`.
+    fn weight_grad(&mut self, w: PortRef, x: PortRef, y: PortRef) {
+        if let OpKind::Param(p) = self.fwd.node(w.node).op {
+            self.n1(OpKind::GradSinkOuter { param: p }, vec![x, y], DType::F32);
+        } else {
+            let d = self.n1(OpKind::MatMulAT, vec![x, y], DType::F32);
+            self.add_contrib(w, d);
+        }
+    }
+
     fn finalize(&mut self, node: NodeId, port: u16) -> Option<PortRef> {
         let v = self.contrib.remove(&(node.0, port))?;
         let mut it = v.into_iter();
@@ -523,9 +536,8 @@ impl GradBuilder {
                 let a = self.ref_value(st, ins[0]);
                 let b = self.ref_value(st, ins[1]);
                 let da = st.n1(OpKind::MatMulBT, vec![dy, b], DType::F32);
-                let db = st.n1(OpKind::MatMulAT, vec![a, dy], DType::F32);
                 st.add_contrib(ins[0], da);
-                st.add_contrib(ins[1], db);
+                st.weight_grad(ins[1], a, dy);
             }
             OpKind::MatMulAT => {
                 let dy = dy.expect("checked");
@@ -541,9 +553,8 @@ impl GradBuilder {
                 let a = self.ref_value(st, ins[0]);
                 let b = self.ref_value(st, ins[1]);
                 let da = st.n1(OpKind::MatMul, vec![dy, b], DType::F32);
-                let db = st.n1(OpKind::MatMulAT, vec![dy, a], DType::F32);
                 st.add_contrib(ins[0], da);
-                st.add_contrib(ins[1], db);
+                st.weight_grad(ins[1], dy, a);
             }
             OpKind::AddBias => {
                 let dy = dy.expect("checked");

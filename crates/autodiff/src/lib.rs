@@ -28,9 +28,11 @@
 //!   *shapes* for (`FwdZeros`); the executor caches values for the former
 //!   and shapes for the latter, so large loop-carried state in the iterative
 //!   baseline is not retained by value.
-//! * **Parameter gradients** drain into `GradSink` nodes (dense) or
+//! * **Parameter gradients** drain into `GradSink` nodes (dense),
 //!   `GradSinkRows` (row-sparse, for embedding `GatherRows` reads straight
-//!   from a parameter), accumulating across all frames of a step.
+//!   from a parameter) or `GradSinkOuter` (factored `aᵀ·dy`, for a `MatMul`
+//!   whose weight operand is read straight from a parameter),
+//!   accumulating across all frames of a step.
 //!
 //! [`gradcheck`] provides finite-difference verification used heavily by the
 //! test suite.

@@ -367,6 +367,120 @@ fn embedding_gradient_is_row_sparse() {
     assert_gradcheck(&m, &[]);
 }
 
+/// Nodes of the whole module (main and every SubGraph) whose op matches.
+fn count_ops(m: &rdg_graph::Module, pred: impl Fn(&rdg_graph::OpKind) -> bool) -> usize {
+    let subs = m.subgraphs.iter().map(|s| &s.graph);
+    std::iter::once(&m.main)
+        .chain(subs)
+        .flat_map(|g| g.nodes.iter())
+        .filter(|n| pred(&n.op))
+        .count()
+}
+
+fn sinks(m: &rdg_graph::Module) -> (usize, usize, usize) {
+    use rdg_graph::OpKind;
+    (
+        count_ops(m, |op| matches!(op, OpKind::GradSinkOuter { .. })),
+        count_ops(m, |op| matches!(op, OpKind::GradSink { .. })),
+        count_ops(m, |op| matches!(op, OpKind::MatMulAT)),
+    )
+}
+
+fn seq(rows: usize, cols: usize, step: f32) -> Tensor {
+    let v = (0..rows * cols).map(|i| (i as f32 - 2.0) * step).collect();
+    Tensor::from_f32([rows, cols], v).unwrap()
+}
+
+#[test]
+fn weight_gradient_is_factored() {
+    // loss = sum(x·W) with W read straight from a parameter: dW = xᵀ·1 goes
+    // into a factored sink and no dense product is built.
+    let x = seq(2, 3, 0.5);
+    let mut mb = ModuleBuilder::new();
+    let w = mb.param_wire("w", seq(3, 2, 0.1)).unwrap();
+    let xw = mb.constant(x.clone());
+    let y = mb.matmul(xw, w).unwrap();
+    let loss = mb.sum_all(y).unwrap();
+    mb.set_outputs(&[loss]).unwrap();
+    let m = mb.finish().unwrap();
+
+    let train = build_training_module(&m, m.main.outputs[0]).unwrap();
+    assert_eq!(sinks(&train), (1, 0, 0), "(factored, dense, MatMulAT)");
+
+    let s = Session::new(Executor::with_threads(2), train).unwrap();
+    s.run_training(vec![]).unwrap();
+    let g = s.grads().get(rdg_graph::ParamId(0)).unwrap();
+    let want = rdg_tensor::ops::matmul_at(&x, &Tensor::ones([2, 2])).unwrap();
+    assert_eq!(g.shape(), want.shape());
+    assert!(g.allclose(&want, 1e-6), "{g:?} vs {want:?}");
+    assert_gradcheck(&m, &[]);
+}
+
+#[test]
+fn shared_weight_gets_one_factored_sink_per_matmul() {
+    // loss = sum(tanh(x·W)·W): two reads of one parameter, two sinks
+    // accumulating into one gradient.
+    let mut mb = ModuleBuilder::new();
+    let w = mb.param_wire("w", seq(3, 3, 0.1)).unwrap();
+    let x = mb.constant(seq(2, 3, 0.3));
+    let h = mb.matmul(x, w).unwrap();
+    let h = mb.tanh(h).unwrap();
+    let y = mb.matmul(h, w).unwrap();
+    let loss = mb.sum_all(y).unwrap();
+    mb.set_outputs(&[loss]).unwrap();
+    let m = mb.finish().unwrap();
+
+    let train = build_training_module(&m, m.main.outputs[0]).unwrap();
+    assert_eq!(sinks(&train), (2, 0, 0), "(factored, dense, MatMulAT)");
+    assert_gradcheck(&m, &[]);
+}
+
+#[test]
+fn computed_operand_and_bias_keep_the_dense_path() {
+    // The right operand is 2·W, not a parameter read: its gradient is a
+    // tensor the Scale rule still needs, so MatMulAT builds it; the bias
+    // gradient is a dense sink as before.
+    let mut mb = ModuleBuilder::new();
+    let w = mb.param_wire("w", seq(3, 2, 0.1)).unwrap();
+    let b = mb.param_wire("b", seq(1, 2, 0.2)).unwrap();
+    let x = mb.constant(seq(2, 3, 0.3));
+    let w2 = mb.scale(w, 2.0).unwrap();
+    let y = mb.matmul(x, w2).unwrap();
+    let y = mb.add_bias(y, b).unwrap();
+    let y = mb.tanh(y).unwrap();
+    let loss = mb.sum_all(y).unwrap();
+    mb.set_outputs(&[loss]).unwrap();
+    let m = mb.finish().unwrap();
+
+    let train = build_training_module(&m, m.main.outputs[0]).unwrap();
+    assert_eq!(sinks(&train), (0, 2, 1), "(factored, dense, MatMulAT)");
+    assert_gradcheck(&m, &[]);
+}
+
+#[test]
+fn matmul_bt_weight_gradient_is_factored() {
+    // y = x·Wᵀ (no builder method: the op of a square MatMul is swapped):
+    // dW = dyᵀ·x, the same factored sink with its operands exchanged.
+    let x = seq(2, 3, 0.5);
+    let mut mb = ModuleBuilder::new();
+    let w = mb.param_wire("w", seq(3, 3, 0.1)).unwrap();
+    let xw = mb.constant(x.clone());
+    let y = mb.matmul(xw, w).unwrap();
+    let y = mb.tanh(y).unwrap();
+    let loss = mb.sum_all(y).unwrap();
+    mb.set_outputs(&[loss]).unwrap();
+    let mut m = mb.finish().unwrap();
+    for n in &mut m.main.nodes {
+        if matches!(n.op, rdg_graph::OpKind::MatMul) {
+            n.op = rdg_graph::OpKind::MatMulBT;
+        }
+    }
+
+    let train = build_training_module(&m, m.main.outputs[0]).unwrap();
+    assert_eq!(sinks(&train), (1, 0, 0), "(factored, dense, MatMulAT)");
+    assert_gradcheck(&m, &[]);
+}
+
 #[test]
 fn iterative_state_matrix_gradcheck() {
     // The iterative baseline's pattern: a state matrix threaded through

@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the tensor kernels that dominate model time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rdg_core::exec::GradStore;
+use rdg_core::graph::ParamId;
 use rdg_core::tensor::{ops, Tensor};
 
 fn matmul_bench(c: &mut Criterion) {
@@ -20,6 +22,52 @@ fn matmul_bench(c: &mut Criterion) {
             |bench, (a, b)| bench.iter(|| ops::matmul(a, b).expect("matmul")),
         );
     }
+    g.finish();
+}
+
+/// `dX = dY·Wᵀ` at the shapes the backward pass runs it: one tree node and
+/// a batch of 25 against the benchmark's TreeLSTM weight (`[336, 840]`,
+/// 1.1 MB), and a cache-resident TreeRNN-sized one.
+fn matmul_bt_bench(c: &mut Criterion) {
+    let mut g = c.benchmark_group("matmul_bt");
+    g.sample_size(20);
+    for &(m, k, n) in &[(1usize, 840usize, 336usize), (25, 840, 336), (1, 64, 32)] {
+        let a = Tensor::full([m, k], 0.5);
+        let b = Tensor::full([n, k], 0.25);
+        g.bench_with_input(
+            BenchmarkId::from_parameter(format!("{m}x{k}·{n}")),
+            &(a, b),
+            |bench, (a, b)| bench.iter(|| ops::matmul_bt(a, b).expect("matmul_bt")),
+        );
+    }
+    g.finish();
+}
+
+/// One weight-gradient contribution `G += xᵀ·dy` of a tree node into a warm
+/// `[336, 840]` accumulator: `dense` materializes `dW` (`matmul_at`) and
+/// adds it (`accumulate`); `factored` is the rank-1 update in place.
+fn grad_sink_bench(c: &mut Criterion) {
+    let mut g = c.benchmark_group("grad_sink");
+    g.sample_size(20);
+    let p = ParamId(0);
+    let x = Tensor::full([1, 336], 0.5);
+    let dy = Tensor::full([1, 840], 0.25);
+    let warm = || {
+        let gs = GradStore::new(1);
+        gs.accumulate(p, &Tensor::zeros([336, 840])).expect("warm");
+        gs
+    };
+    let gs = warm();
+    g.bench_function("dense/336x840", |b| {
+        b.iter(|| {
+            let dw = ops::matmul_at(&x, &dy).expect("matmul_at");
+            gs.accumulate(p, &dw).expect("accumulate")
+        })
+    });
+    let gs = warm();
+    g.bench_function("factored/336x840", |b| {
+        b.iter(|| gs.accumulate_outer(p, &x, &dy).expect("accumulate_outer"))
+    });
     g.finish();
 }
 
@@ -70,6 +118,8 @@ fn bilinear_bench(c: &mut Criterion) {
 criterion_group!(
     benches,
     matmul_bench,
+    matmul_bt_bench,
+    grad_sink_bench,
     elementwise_bench,
     gather_scatter_bench,
     bilinear_bench

@@ -13,8 +13,9 @@ pub enum ExecError {
         graph: String,
         /// Node name.
         node: String,
-        /// The underlying kernel error.
-        source: TensorError,
+        /// The underlying kernel error (boxed: it holds up to two inline
+        /// shapes, and `Result<_, ExecError>` is returned on every path).
+        source: Box<TensorError>,
     },
     /// Structural graph problem detected at run time.
     Graph(GraphError),
@@ -120,7 +121,7 @@ impl fmt::Display for ExecError {
 impl std::error::Error for ExecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ExecError::Kernel { source, .. } => Some(source),
+            ExecError::Kernel { source, .. } => Some(&**source),
             ExecError::Optimizer { source } => Some(source),
             ExecError::Graph(e) => Some(e),
             _ => None,
@@ -143,7 +144,7 @@ mod tests {
         let e = ExecError::Kernel {
             graph: "TreeLSTM".into(),
             node: "matmul_7".into(),
-            source: TensorError::invalid("boom"),
+            source: Box::new(TensorError::invalid("boom")),
         };
         let s = e.to_string();
         assert!(s.contains("TreeLSTM") && s.contains("matmul_7") && s.contains("boom"));

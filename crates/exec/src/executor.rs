@@ -452,6 +452,7 @@ impl Executor {
                 std::thread::Builder::new()
                     .name(format!("rdg-worker-{i}"))
                     .spawn(move || {
+                        crate::params::bind_worker_shard(i);
                         let mut batch: Vec<Task> = Vec::with_capacity(FUSED_TASK_BATCH);
                         let fusing = || fusing_runs.load(Ordering::Relaxed) != 0;
                         loop {
@@ -738,7 +739,7 @@ fn prelude_value(frame: &Frame, entry: &PreludeEntry) -> Result<Tensor, ExecErro
             Err(ExecError::Kernel {
                 graph: module.graph_name(frame.gref),
                 node: module.graph(frame.gref).node(entry.node).name.clone(),
-                source,
+                source: Box::new(source),
             })
         }
         PreludeValue::Const(t) => Ok(t.clone()),
@@ -848,7 +849,7 @@ pub(crate) fn execute_task(task: Task) -> Option<Task> {
                     run.fail(ExecError::Kernel {
                         graph: run.plan.module.graph_name(frame.gref),
                         node: n.name.clone(),
-                        source: e,
+                        source: Box::new(e),
                     });
                     return None;
                 }
@@ -881,7 +882,7 @@ pub(crate) fn execute_task(task: Task) -> Option<Task> {
                     run.fail(ExecError::Kernel {
                         graph: run.plan.module.graph_name(frame.gref),
                         node: n.name.clone(),
-                        source: e,
+                        source: Box::new(e),
                     });
                     None
                 }
@@ -1090,7 +1091,7 @@ fn execute_fetched(task: Task, inputs: Vec<Tensor>, pending: &mut Vec<Task>) {
             run.fail(ExecError::Kernel {
                 graph: run.plan.module.graph_name(frame.gref),
                 node: n.name.clone(),
-                source: e,
+                source: Box::new(e),
             });
         }
     }

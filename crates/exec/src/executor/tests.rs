@@ -506,7 +506,7 @@ fn a_failure_while_spawning_fails_the_run_once_and_the_counters_close() {
         Err(ExecError::Kernel { graph, source, .. }) => {
             assert_eq!(graph, "half");
             assert!(matches!(
-                source,
+                *source,
                 rdg_tensor::TensorError::DTypeMismatch { ctx: "Input", .. }
             ));
         }

@@ -33,6 +33,10 @@ pub fn execute(
     ctx: &KernelCtx<'_>,
 ) -> Result<Vec<Tensor>, TensorError> {
     let one = |t: Tensor| -> Result<Vec<Tensor>, TensorError> { Ok(vec![t]) };
+    let grads = || {
+        let why = || TensorError::invalid(format!("{} outside a training run", op.mnemonic()));
+        ctx.grads.ok_or_else(why)
+    };
     match op {
         OpKind::Input { index, dtype } => {
             let v = ctx
@@ -123,18 +127,16 @@ pub fn execute(
         }
 
         OpKind::GradSink { param } => {
-            let gs = ctx
-                .grads
-                .ok_or_else(|| TensorError::invalid("GradSink outside a training run"))?;
-            gs.accumulate(*param, &inputs[0])?;
+            grads()?.accumulate(*param, &inputs[0])?;
             one(Tensor::scalar_f32(0.0))
         }
         OpKind::GradSinkRows { param } => {
-            let gs = ctx
-                .grads
-                .ok_or_else(|| TensorError::invalid("GradSinkRows outside a training run"))?;
             let like = ctx.params.read(*param);
-            gs.accumulate_rows(*param, &like, &inputs[0], &inputs[1])?;
+            grads()?.accumulate_rows(*param, &like, &inputs[0], &inputs[1])?;
+            one(Tensor::scalar_f32(0.0))
+        }
+        OpKind::GradSinkOuter { param } => {
+            grads()?.accumulate_outer(*param, &inputs[0], &inputs[1])?;
             one(Tensor::scalar_f32(0.0))
         }
         OpKind::ZerosLike => one(Tensor::zeros_like(&inputs[0])),

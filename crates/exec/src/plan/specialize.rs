@@ -322,13 +322,7 @@ pub(crate) fn inline_trivial_invokes(module: &Module) -> Option<InlineOutcome> {
 pub(crate) fn unroll_eligible(m: &Module) -> bool {
     let clean = |g: &Graph| {
         !g.nodes.iter().any(|n| {
-            matches!(
-                n.op,
-                OpKind::FwdValue { .. }
-                    | OpKind::FwdZeros { .. }
-                    | OpKind::GradSink { .. }
-                    | OpKind::GradSinkRows { .. }
-            )
+            n.op.is_sink() || matches!(n.op, OpKind::FwdValue { .. } | OpKind::FwdZeros { .. })
         })
     };
     let has_calls = |g: &Graph| g.nodes.iter().any(|n| n.op.is_control_flow());
@@ -594,7 +588,8 @@ impl<'a> Expander<'a> {
                 OpKind::FwdValue { .. }
                 | OpKind::FwdZeros { .. }
                 | OpKind::GradSink { .. }
-                | OpKind::GradSinkRows { .. } => return Err(Abort),
+                | OpKind::GradSinkRows { .. }
+                | OpKind::GradSinkOuter { .. } => return Err(Abort),
                 OpKind::Param(_) => {
                     let nid = self.emit(
                         node.op.clone(),

@@ -172,12 +172,12 @@ impl Session {
             }
             None => Arc::new(ParamStore::from_module(&plan.module)),
         };
-        let n = plan.module.params.len();
+        let grads = GradStore::sharded(plan.module.params.len(), exec.n_threads());
         Ok(Session {
             exec,
             plan,
             params,
-            grads: Arc::new(GradStore::new(n)),
+            grads: Arc::new(grads),
             training_step: AtomicBool::new(false),
         })
     }

@@ -89,9 +89,10 @@ impl CostModel {
         }
         let numel = |i: usize| inputs.get(i).map_or(0, Tensor::numel);
         let work = match op {
-            OpKind::MatMul | OpKind::MatMulAT | OpKind::MatMulBT => {
+            OpKind::MatMul | OpKind::MatMulAT | OpKind::MatMulBT | OpKind::GradSinkOuter { .. } => {
                 // m·k·n MACs: each element of the first operand meets every
-                // output column, one per column of B (row, for ABᵀ).
+                // output column, one per column of B (row, for ABᵀ). The
+                // factored sink is priced as the `MatMulAT` it replaces.
                 let n = match inputs.get(1).and_then(|b| b.shape().as_matrix()) {
                     Some((rows, _)) if matches!(op, OpKind::MatMulBT) => rows,
                     Some((_, cols)) => cols,

@@ -268,6 +268,11 @@ fn cost_model_charges_matmul_by_macs() {
     );
     assert_eq!(at, cm.dispatch_ns + 128.0 * 64.0 * cm.mac_ns);
     assert_eq!(bt, at);
+    // The factored sink is the `MatMulAT` it replaces, not the k·(m+n)
+    // elements it is handed.
+    let sink = OpKind::GradSinkOuter { param: ParamId(0) };
+    let (a, dy) = (Tensor::zeros([1, 128]), Tensor::zeros([1, 64]));
+    assert_eq!(cm.op_cost(&sink, &[a, dy]), at);
     let tiny = cm.op_cost(&OpKind::Identity, &[]);
     assert!(tiny >= cm.dispatch_ns, "every op pays dispatch");
 }

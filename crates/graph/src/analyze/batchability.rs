@@ -61,6 +61,7 @@ fn is_compute(op: &OpKind) -> bool {
             | OpKind::FwdZeros { .. }
             | OpKind::GradSink { .. }
             | OpKind::GradSinkRows { .. }
+            | OpKind::GradSinkOuter { .. }
             | OpKind::ZerosLike
             | OpKind::OnesLike
             | OpKind::ZerosDyn { .. }

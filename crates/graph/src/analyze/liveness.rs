@@ -121,7 +121,9 @@ pub fn check_liveness(m: &Module, diags: &mut Vec<Diagnostic>) {
                     OpKind::Param(pid) => {
                         used_params.insert(pid.0);
                     }
-                    OpKind::GradSink { param } | OpKind::GradSinkRows { param } => {
+                    OpKind::GradSink { param }
+                    | OpKind::GradSinkRows { param }
+                    | OpKind::GradSinkOuter { param } => {
                         used_params.insert(param.0);
                     }
                     _ => {}

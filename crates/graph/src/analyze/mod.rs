@@ -262,13 +262,8 @@ pub fn body_is_straight_line(g: &crate::graph::Graph) -> bool {
     use crate::op::OpKind;
     g.nodes.iter().all(|n| {
         !n.op.is_control_flow()
-            && !matches!(
-                n.op,
-                OpKind::FwdValue { .. }
-                    | OpKind::FwdZeros { .. }
-                    | OpKind::GradSink { .. }
-                    | OpKind::GradSinkRows { .. }
-            )
+            && !n.op.is_sink()
+            && !matches!(n.op, OpKind::FwdValue { .. } | OpKind::FwdZeros { .. })
     })
 }
 

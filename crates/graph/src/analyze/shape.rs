@@ -763,6 +763,23 @@ impl<'m> Infer<'m> {
                 OpKind::BilinearGradX => vec![ins[0].clone()],
                 OpKind::BilinearGradV => vec![ins[1].clone()],
                 OpKind::GradSink { .. } | OpKind::GradSinkRows { .. } => vec![AbsShape::scalar()],
+                OpKind::GradSinkOuter { param } => {
+                    // `aᵀ·dy` is checked like the `MatMulAT` it replaces,
+                    // then against the parameter it is accumulated for.
+                    let w =
+                        AbsShape::from_dims(self.m.params[param.0 as usize].init.shape().dims());
+                    let fits = matmul_like(&ins[0], &ins[1], true, false).and_then(|g| {
+                        match (mat(&g), mat(&w)) {
+                            (Mat::Rc(m, n), Mat::Rc(pm, pn))
+                                if !m.conflicts(pm) && !n.conflicts(pn) =>
+                            {
+                                Ok(AbsShape::scalar())
+                            }
+                            _ => Err(format!("gradient {g} into parameter {w}")),
+                        }
+                    });
+                    vec![fits.unwrap_or_else(|msg| err(vec![0, 1], msg))]
+                }
             };
         debug_assert_eq!(out.len(), n_out);
         (out, diags)
@@ -868,7 +885,8 @@ fn expected_input_dtypes(op: &OpKind, arity: usize) -> Vec<Option<DType>> {
         | OpKind::SliceColsLike { .. }
         | OpKind::BilinearGradX
         | OpKind::BilinearGradV
-        | OpKind::GradSink { .. } => all(F32),
+        | OpKind::GradSink { .. }
+        | OpKind::GradSinkOuter { .. } => all(F32),
         OpKind::ArgmaxRows => all(F32),
         OpKind::IAdd
         | OpKind::ISub

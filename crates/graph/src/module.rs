@@ -208,7 +208,8 @@ impl Module {
                     }
                     OpKind::Param(p)
                     | OpKind::GradSink { param: p }
-                    | OpKind::GradSinkRows { param: p } => {
+                    | OpKind::GradSinkRows { param: p }
+                    | OpKind::GradSinkOuter { param: p } => {
                         if p.0 as usize >= self.params.len() {
                             return Err(crate::GraphError::invalid(format!(
                                 "{gname}/{}: unknown parameter id {}",

@@ -225,6 +225,13 @@ pub enum OpKind {
         /// Target parameter.
         param: ParamId,
     },
+    /// Accumulates the factored weight gradient `(a, dy) → G += aᵀ·dy`
+    /// (`a: [k, m]`, `dy: [k, n]`, `G: [m, n]`) for a parameter that a
+    /// `MatMul` read directly; the product is never materialized.
+    GradSinkOuter {
+        /// Target parameter.
+        param: ParamId,
+    },
     /// Zeros with the shape of the input.
     ZerosLike,
     /// Ones with the shape of the input.
@@ -340,6 +347,7 @@ impl OpKind {
             OpKind::FwdZeros { .. } => "FwdZeros",
             OpKind::GradSink { .. } => "GradSink",
             OpKind::GradSinkRows { .. } => "GradSinkRows",
+            OpKind::GradSinkOuter { .. } => "GradSinkOuter",
             OpKind::ZerosLike => "ZerosLike",
             OpKind::OnesLike => "OnesLike",
             OpKind::TanhGrad => "TanhGrad",
@@ -368,7 +376,10 @@ impl OpKind {
 
     /// Returns `true` for side-effecting gradient accumulation sinks.
     pub fn is_sink(&self) -> bool {
-        matches!(self, OpKind::GradSink { .. } | OpKind::GradSinkRows { .. })
+        matches!(
+            self,
+            OpKind::GradSink { .. } | OpKind::GradSinkRows { .. } | OpKind::GradSinkOuter { .. }
+        )
     }
 }
 
@@ -415,6 +426,7 @@ mod tests {
     fn sinks_are_flagged() {
         assert!(OpKind::GradSink { param: ParamId(0) }.is_sink());
         assert!(OpKind::GradSinkRows { param: ParamId(1) }.is_sink());
+        assert!(OpKind::GradSinkOuter { param: ParamId(2) }.is_sink());
         assert!(!OpKind::MatMul.is_sink());
     }
 

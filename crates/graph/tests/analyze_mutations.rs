@@ -155,6 +155,41 @@ fn forged_dtype_clash_detected() {
     assert_code(&m, codes::DTYPE_MISMATCH);
 }
 
+// -- class 6b: factored sink whose product does not fit its parameter ---------
+
+#[test]
+fn forged_factored_sink_shape_clash_detected() {
+    let mut mb = ModuleBuilder::new();
+    let w = mb.param("w", Tensor::zeros([3, 4]));
+    let out = mb.const_f32(0.0);
+    mb.set_outputs(&[out]).unwrap();
+    let base = mb.finish().unwrap();
+    // `GradSinkOuter(a, dy)` over two constants of the given shapes.
+    let with_sink = |a: [usize; 2], dy: [usize; 2]| {
+        let mut m = base.clone();
+        let inputs = [a, dy].map(|dims| {
+            let zeros = OpKind::Const(Tensor::zeros(dims));
+            PortRef::of(m.main.push_node(zeros, vec![], vec![DType::F32]))
+        });
+        let sink = OpKind::GradSinkOuter { param: w };
+        m.main.push_node(sink, inputs.to_vec(), vec![DType::F32]);
+        m
+    };
+    // aᵀ·dy = [3, 4]: what the parameter holds.
+    let ok = analyze_module(&with_sink([2, 3], [2, 4]));
+    assert!(
+        ok.diagnostics
+            .iter()
+            .all(|d| d.code != codes::SHAPE_MISMATCH),
+        "{:?}",
+        ok.diagnostics
+    );
+    // Operands exchanged: dyᵀ·a = [4, 3] into a [3, 4] parameter.
+    assert_code(&with_sink([2, 4], [2, 3]), codes::SHAPE_MISMATCH);
+    // Row counts that cannot meet: [2, 3]ᵀ·[3, 4].
+    assert_code(&with_sink([2, 3], [3, 4]), codes::SHAPE_MISMATCH);
+}
+
 // -- class 7: dead node -------------------------------------------------------
 
 #[test]

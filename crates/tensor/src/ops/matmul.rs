@@ -12,6 +12,7 @@
 //! the hot kernel for all models. Rank-1 operands are treated as single rows.
 
 use crate::error::TensorError;
+use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -116,6 +117,18 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 
 /// `C[m,n] = Aᵀ[m,k] · B[k,n]` where `A: [k, m]` (gradient w.r.t. weights).
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+    let (_, m, _) = as_mat(a, "matmul_at lhs")?;
+    let (_, n, _) = as_mat(b, "matmul_at rhs")?;
+    let mut c = Tensor::zeros([m, n]);
+    matmul_at_acc(&mut c, a, b)?;
+    Ok(c)
+}
+
+/// `C[m,n] += Aᵀ[m,k] · B[k,n]` in place: the [`matmul_at`] loop nest
+/// writing into an existing `C`, so a weight-gradient accumulator takes
+/// `xᵀ·dy` without the product ever being materialized. For `k = 1` every
+/// element receives the one product `matmul_at` would have stored.
+pub fn matmul_at_acc(c: &mut Tensor, a: &Tensor, b: &Tensor) -> Result<()> {
     let (ka, m, av) = as_mat(a, "matmul_at lhs")?;
     let (kb, n, bv) = as_mat(b, "matmul_at rhs")?;
     if ka != kb {
@@ -125,7 +138,14 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             ctx: "matmul_at",
         });
     }
-    let mut out = vec![0.0f32; m * n];
+    if c.shape().as_matrix() != Some((m, n)) {
+        return Err(TensorError::ShapeMismatch {
+            lhs: c.shape().clone(),
+            rhs: Shape::matrix(m, n),
+            ctx: "matmul_at_acc",
+        });
+    }
+    let out = c.make_f32_mut()?;
     for kk in 0..ka {
         let arow = &av[kk * m..(kk + 1) * m];
         let brow = &bv[kk * n..(kk + 1) * n];
@@ -139,10 +159,50 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             }
         }
     }
-    Tensor::from_f32([m, n], out)
+    Ok(())
+}
+
+/// Independent partial sums of one [`dot`]: wide enough to hide the FP-add
+/// latency that serializes a single accumulator, and a whole number of SIMD
+/// registers at every x86-64/aarch64 width LLVM picks for the baseline
+/// target.
+const LANES: usize = 8;
+
+/// `Σ a[k]·b[k]` in one fixed order: lane `l` sums the products at
+/// `k ≡ l (mod LANES)` over the whole chunks in ascending `k`, the lanes
+/// fold pairwise (`l += l + w` for `w = LANES/2, …, 1`), and the remainder
+/// (`k ≥ len − len % LANES`) is added to that sum one term at a time. The
+/// order depends on the length alone, so the result is a pure function of
+/// the two rows, the same for every caller and on every machine.
+fn dot(a: &[f32], b: &[f32]) -> f32 {
+    let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let (ra, rb) = (ca.remainder(), cb.remainder());
+    let mut acc = [0.0f32; LANES];
+    for (x, y) in ca.zip(cb) {
+        for l in 0..LANES {
+            acc[l] += x[l] * y[l];
+        }
+    }
+    let mut w = LANES / 2;
+    while w > 0 {
+        for l in 0..w {
+            acc[l] += acc[l + w];
+        }
+        w /= 2;
+    }
+    ra.iter().zip(rb).fold(acc[0], |s, (x, y)| s + x * y)
 }
 
 /// `C[m,n] = A[m,k] · Bᵀ[k,n]` where `B: [n, k]` (gradient w.r.t. inputs).
+///
+/// Contract: `C[i][j]` is the dot product of row `i` of `A` and row `j` of
+/// `B`, summed in an order fixed by `k` alone (8 interleaved partial sums
+/// folded pairwise, then the `k mod 8` tail), and depends on nothing else —
+/// one code path for every `m`, the same bits on every machine. A row-stacked
+/// (fused) call is therefore bit-identical to the one-row calls it replaces
+/// (`rdg_exec`'s `kernel::execute_stacked`), and `rdg_fold`'s `FoldEngine`,
+/// which batches through this function, stays bit-identical to the
+/// executor.
 pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, ka, av) = as_mat(a, "matmul_bt lhs")?;
     let (n, kb, bv) = as_mat(b, "matmul_bt rhs")?;
@@ -157,13 +217,8 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     for i in 0..m {
         let arow = &av[i * ka..(i + 1) * ka];
         let crow = &mut out[i * n..(i + 1) * n];
-        for j in 0..n {
-            let brow = &bv[j * kb..(j + 1) * kb];
-            let mut acc = 0.0f32;
-            for kk in 0..ka {
-                acc += arow[kk] * brow[kk];
-            }
-            crow[j] = acc;
+        for (j, c) in crow.iter_mut().enumerate() {
+            *c = dot(arow, &bv[j * kb..(j + 1) * kb]);
         }
     }
     Tensor::from_f32([m, n], out)
@@ -209,7 +264,11 @@ mod tests {
         let a = m(2, 3, vec![0.0; 6]);
         let b = m(2, 2, vec![0.0; 4]);
         assert!(matmul(&a, &b).is_err());
-        assert!(matmul_bt(&a, &a).is_err() || matmul_bt(&a, &a).is_ok()); // [2,3]x[2,3]ᵀ ok
+        // [2,3]·[2,3]ᵀ shares the inner dimension.
+        let x = m(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let xxt = matmul_bt(&x, &x).unwrap();
+        assert_eq!(xxt.shape().dims(), &[2, 2]);
+        assert_eq!(xxt.f32s().unwrap(), &[14.0, 32.0, 32.0, 77.0]);
         let c = m(3, 2, vec![0.0; 6]);
         assert!(matmul_bt(&a, &c).is_err());
         assert!(matmul_at(&a, &c).is_err());
@@ -267,6 +326,62 @@ mod tests {
                 "row {i} of the blocked path differs from the per-row path"
             );
         }
+    }
+
+    #[test]
+    fn matmul_bt_is_pure_per_element() {
+        // The fusion invariant: element (i, j) is a function of row i of A
+        // and row j of B alone, so row i of an m-row call is bit-identical
+        // to the one-row call. The k's straddle the lane width, and every
+        // result agrees with an f64 reference.
+        let (rows, cols) = (5usize, 7usize);
+        for kd in [1, 7, LANES - 1, LANES, LANES + 1, 2 * LANES + 3, 840] {
+            let av: Vec<f32> = (0..rows * kd)
+                .map(|i| ((i as f32) * 0.7310585).sin() * 3.0)
+                .collect();
+            let bv: Vec<f32> = (0..cols * kd)
+                .map(|i| ((i as f32) * 0.2718281).cos() * 0.5)
+                .collect();
+            let b = m(cols, kd, bv.clone());
+            let stacked = matmul_bt(&m(rows, kd, av.clone()), &b).unwrap();
+            let sv = stacked.f32s().unwrap();
+            for i in 0..rows {
+                let arow = &av[i * kd..(i + 1) * kd];
+                let want = matmul_bt(&m(1, kd, arow.to_vec()), &b).unwrap();
+                assert_eq!(
+                    &sv[i * cols..(i + 1) * cols],
+                    want.f32s().unwrap(),
+                    "k = {kd}: row {i} of the stacked call differs from the one-row call"
+                );
+                for j in 0..cols {
+                    let brow = &bv[j * kd..(j + 1) * kd];
+                    let (mut exact, mut scale) = (0.0f64, 0.0f64);
+                    for (&x, &y) in arow.iter().zip(brow) {
+                        exact += x as f64 * y as f64;
+                        scale += (x as f64 * y as f64).abs();
+                    }
+                    let got = sv[i * cols + j] as f64;
+                    assert!(
+                        (got - exact).abs() <= 1e-5 * scale.max(1e-30),
+                        "k = {kd}, ({i}, {j}): {got} vs {exact}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_at_acc_adds_the_product_in_place() {
+        let a = m(2, 3, vec![1.0, 0.0, 2.0, -1.0, 0.5, 0.0]);
+        let b = m(2, 2, vec![3.0, 4.0, 5.0, 6.0]);
+        let mut c = m(3, 2, vec![10.0; 6]);
+        matmul_at_acc(&mut c, &a, &b).unwrap();
+        let want = matmul_at(&a, &b).unwrap();
+        let sum: Vec<f32> = want.f32s().unwrap().iter().map(|x| x + 10.0).collect();
+        assert_eq!(c.f32s().unwrap(), sum.as_slice());
+        // A target of the wrong shape is an error, not an out-of-bounds write.
+        assert!(matmul_at_acc(&mut m(2, 3, vec![0.0; 6]), &a, &b).is_err());
+        assert!(matmul_at_acc(&mut c, &a, &m(3, 2, vec![0.0; 6])).is_err());
     }
 
     #[test]

@@ -1,43 +1,82 @@
 //! Row-major tensor shapes.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// How many of an inline shape's three slots are extents. Every tensor the
+/// models and kernels produce (scalars, vectors, matrices, bilinear
+/// weights) has one of these ranks.
+///
+/// A word-sized enum rather than a `u8`: the values it cannot take are
+/// where [`Repr`] keeps its tag, so a shape is four whole words. Around a
+/// byte-sized rank the compiler copies a shape with narrow, overlapping
+/// moves, and the wide load of the next clone stalls on them (measured:
+/// `dispatch/op_chain` +6 %).
+#[derive(Clone, Copy)]
+#[repr(usize)]
+enum Rank {
+    R0,
+    R1,
+    R2,
+    R3,
+}
 
 /// The shape (dimension sizes) of a [`crate::Tensor`], row-major.
 ///
 /// A rank-0 shape (`[]`) denotes a scalar with exactly one element; this is
 /// the convention used for loss values and control-flow predicates.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
-pub struct Shape(Vec<usize>);
+///
+/// Cloning a shape of rank ≤ 3 copies four words and allocates nothing, so a
+/// `Tensor::clone` — what argument passing, `fetch` and a frame's prelude
+/// are made of — is one reference-count increment. Higher ranks spill to the
+/// heap. Equality and hashing see only [`Shape::dims`].
+#[derive(Clone)]
+pub struct Shape(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `dims[..rank]` are the extents; the rest stay zero.
+    Inline {
+        rank: Rank,
+        dims: [usize; 3],
+    },
+    Spill(Box<[usize]>),
+}
 
 impl Shape {
     /// Creates a shape from explicit dimension sizes.
     pub fn new(dims: Vec<usize>) -> Self {
-        Shape(dims)
+        Shape::from(dims.as_slice())
     }
 
     /// The scalar shape `[]` (one element, rank zero).
     pub fn scalar() -> Self {
-        Shape(Vec::new())
+        Shape::from([])
     }
 
     /// A rank-1 shape `[n]`.
     pub fn vector(n: usize) -> Self {
-        Shape(vec![n])
+        Shape::from([n])
     }
 
     /// A rank-2 shape `[rows, cols]`.
     pub fn matrix(rows: usize, cols: usize) -> Self {
-        Shape(vec![rows, cols])
+        Shape::from([rows, cols])
     }
 
     /// Number of dimensions.
+    #[inline]
     pub fn rank(&self) -> usize {
-        self.0.len()
+        self.dims().len()
     }
 
     /// Dimension sizes as a slice.
+    #[inline]
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { rank, dims } => &dims[..*rank as usize],
+            Repr::Spill(dims) => dims,
+        }
     }
 
     /// Size of dimension `axis`.
@@ -46,12 +85,13 @@ impl Shape {
     ///
     /// Panics if `axis >= rank`; callers validate axes before indexing.
     pub fn dim(&self, axis: usize) -> usize {
-        self.0[axis]
+        self.dims()[axis]
     }
 
     /// Total number of elements (product of all dimensions, 1 for scalars).
+    #[inline]
     pub fn numel(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Returns `true` if this shape holds exactly one element.
@@ -64,9 +104,9 @@ impl Shape {
 
     /// Row-major strides for this shape (innermost dimension has stride 1).
     pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![0; self.0.len()];
+        let mut strides = vec![0; self.rank()];
         let mut acc = 1usize;
-        for (i, d) in self.0.iter().enumerate().rev() {
+        for (i, d) in self.dims().iter().enumerate().rev() {
             strides[i] = acc;
             acc *= d;
         }
@@ -77,8 +117,9 @@ impl Shape {
     ///
     /// Rank-1 shapes are viewed as a single row; returns `None` for rank > 2
     /// or rank 0.
+    #[inline]
     pub fn as_matrix(&self) -> Option<(usize, usize)> {
-        match self.0.as_slice() {
+        match self.dims() {
             [cols] => Some((1, *cols)),
             [rows, cols] => Some((*rows, *cols)),
             _ => None,
@@ -89,7 +130,7 @@ impl Shape {
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, d) in self.0.iter().enumerate() {
+        for (i, d) in self.dims().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -99,21 +140,64 @@ impl fmt::Display for Shape {
     }
 }
 
-impl From<Vec<usize>> for Shape {
-    fn from(dims: Vec<usize>) -> Self {
-        Shape(dims)
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Shape").field(&self.dims()).finish()
+    }
+}
+
+impl Default for Shape {
+    fn default() -> Self {
+        Shape::scalar()
+    }
+}
+
+impl PartialEq for Shape {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            // Unused slots are zero, so whole arrays compare: no `memcmp`.
+            (Repr::Inline { rank: r, dims: a }, Repr::Inline { rank: q, dims: b }) => {
+                *r as usize == *q as usize && a == b
+            }
+            _ => self.dims() == other.dims(),
+        }
+    }
+}
+
+impl Eq for Shape {}
+
+impl Hash for Shape {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.dims().hash(state);
     }
 }
 
 impl From<&[usize]> for Shape {
+    #[inline]
     fn from(dims: &[usize]) -> Self {
-        Shape(dims.to_vec())
+        let rank = match dims.len() {
+            0 => Rank::R0,
+            1 => Rank::R1,
+            2 => Rank::R2,
+            3 => Rank::R3,
+            _ => return Shape(Repr::Spill(dims.into())),
+        };
+        let mut inline = [0; 3];
+        inline[..dims.len()].copy_from_slice(dims);
+        Shape(Repr::Inline { rank, dims: inline })
+    }
+}
+
+impl From<Vec<usize>> for Shape {
+    fn from(dims: Vec<usize>) -> Self {
+        Shape::from(dims.as_slice())
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(dims: [usize; N]) -> Self {
-        Shape(dims.to_vec())
+        Shape::from(dims.as_slice())
     }
 }
 
@@ -155,6 +239,44 @@ mod tests {
     fn display_renders_brackets() {
         assert_eq!(Shape::new(vec![2, 3]).to_string(), "[2, 3]");
         assert_eq!(Shape::scalar().to_string(), "[]");
+    }
+
+    #[test]
+    fn inline_and_spilled_forms_agree() {
+        use std::collections::HashMap;
+        // Ranks 0–3 are inline, 4 and up spill; nothing observable differs.
+        for rank in 0..=5usize {
+            let dims: Vec<usize> = (2..2 + rank).collect();
+            let s = Shape::new(dims.clone());
+            assert_eq!(s.rank(), rank);
+            assert_eq!(s.dims(), dims.as_slice());
+            assert_eq!(s, Shape::from(dims.as_slice()));
+            assert_eq!(s.clone(), s);
+            assert_eq!(s.numel(), dims.iter().product::<usize>());
+            assert_eq!(format!("{s:?}"), format!("Shape({dims:?})"));
+            let mut want = vec![1usize; rank];
+            for i in (0..rank.saturating_sub(1)).rev() {
+                want[i] = want[i + 1] * dims[i + 1];
+            }
+            assert_eq!(s.strides(), want);
+        }
+        assert_eq!(Shape::default(), Shape::scalar());
+        assert_eq!(
+            std::mem::size_of::<Shape>(),
+            4 * std::mem::size_of::<usize>()
+        );
+        assert_eq!(Shape::from([2, 3, 4, 5, 6]).to_string(), "[2, 3, 4, 5, 6]");
+        // A prefix is a different shape, inline or not.
+        assert_ne!(Shape::from([2, 3]), Shape::from([2, 3, 1]));
+        assert_ne!(Shape::from([2, 3, 4]), Shape::from([2, 3, 4, 1]));
+        assert_ne!(Shape::from([0]), Shape::scalar());
+
+        let mut by_shape = HashMap::new();
+        by_shape.insert(Shape::matrix(2, 3), "matrix");
+        by_shape.insert(Shape::from([2, 3, 4, 5, 6]), "rank 5");
+        assert_eq!(by_shape[&Shape::new(vec![2, 3])], "matrix");
+        assert_eq!(by_shape[&Shape::new(vec![2, 3, 4, 5, 6])], "rank 5");
+        assert!(!by_shape.contains_key(&Shape::from([2, 3, 4, 5])));
     }
 
     #[test]
