@@ -22,8 +22,9 @@
 //! * `recursion/fib/{12,16}` — a fib-shaped doubly-recursive module: frame
 //!   fan-out, Cond branches, and deep PathKey reuse, the shape the paper's
 //!   recursive models actually execute.
-//! * `scheduler/{fifo,depth_priority}` — scheduling-policy ablation on the
-//!   same fib shape.
+//! * `scheduler/fifo` — the same fib shape at `fib(13)` on an executor of
+//!   its own: the row the policy ablation left behind when the FIFO became
+//!   the only ready-queue policy (PR 21), kept so its trajectory goes on.
 //! * `specialize/{invoke_chain/1000,fib/16}` — the same workloads through
 //!   the plan specializer (inlining + hot-shape unrolling): the B side of
 //!   the PR 10 A/B. The `dispatch`/`recursion` groups above are pinned to
@@ -189,21 +190,13 @@ fn recursion_bench(c: &mut Criterion) {
 }
 
 fn scheduler_bench(c: &mut Criterion) {
-    // FIFO (the paper's design) vs depth-priority (its §4.1.2 future-work
-    // idea) on a parallel recursion.
+    // The paper's global FIFO on a parallel recursion.
     let mut g = c.benchmark_group("scheduler");
     g.sample_size(10);
-    let module = fib_module(13);
-    for (name, kind) in [
-        ("fifo", SchedulerKind::Fifo),
-        ("depth_priority", SchedulerKind::DepthPriority),
-    ] {
-        let exec = Executor::new(2, kind);
-        // Pinned general: a promoted flat plan has no frames to schedule,
-        // which would turn the policy ablation into a no-op.
-        let sess = general_session(&exec, module.clone());
-        g.bench_function(name, |b| b.iter(|| sess.run(vec![]).expect("run")));
-    }
+    let exec = Executor::with_threads(2);
+    // Pinned general: a promoted flat plan has no frames to schedule.
+    let sess = general_session(&exec, fib_module(13));
+    g.bench_function("fifo", |b| b.iter(|| sess.run(vec![]).expect("run")));
     g.finish();
 }
 

@@ -44,7 +44,8 @@ impl NetModel {
 ///
 /// `E[max of n samples]` (synchronous SGD waits for the straggler), averaged
 /// over deterministic bootstrap windows, plus the network term. Returns
-/// `(step_seconds, instances_per_sec)`.
+/// `(step_seconds, instances_per_sec)`. This is [`model_step_injected`] with
+/// [`DelayInjector::none`]: adding its zero delay leaves every sample as is.
 pub fn model_step(
     samples: &[f64],
     n: usize,
@@ -52,19 +53,14 @@ pub fn model_step(
     net: &NetModel,
     param_bytes: f64,
 ) -> (f64, f64) {
-    assert!(!samples.is_empty(), "need calibration samples");
-    let mut max_sum = 0.0;
-    for w in 0..samples.len() {
-        let mut mx: f64 = 0.0;
-        for k in 0..n {
-            mx = mx.max(samples[(w + k * 7) % samples.len()]);
-        }
-        max_sum += mx;
-    }
-    let straggler_step = max_sum / samples.len() as f64;
-    let step = straggler_step + net.sync_cost(n, param_bytes);
-    let instances = (batch_per_machine * n) as f64;
-    (step, instances / step)
+    model_step_injected(
+        samples,
+        n,
+        batch_per_machine,
+        net,
+        param_bytes,
+        &DelayInjector::none(),
+    )
 }
 
 /// Deterministic replica-level delay injection for the virtual-time
@@ -172,7 +168,7 @@ impl DelayInjector {
 /// injected stall on *one* machine stalls the whole synchronous step —
 /// exactly the degradation mode the serving fuzzer's `Stall` event probes
 /// on the dispatcher side. With [`DelayInjector::none`] this is
-/// [`model_step`] exactly.
+/// [`model_step`], which calls it so.
 pub fn model_step_injected(
     samples: &[f64],
     n: usize,
@@ -279,10 +275,22 @@ mod tests {
     fn no_injection_reduces_to_the_plain_model_exactly() {
         let samples: Vec<f64> = (0..24).map(|i| 0.08 + 0.01 * ((i % 5) as f64)).collect();
         let net = NetModel::default();
-        for n in [1usize, 4, 8] {
+        // `(step, instances/s)` bits of the plain model before it became a
+        // call of the injected one (PR 21): the same to the last digit.
+        let pinned: [(usize, u64, u64); 3] = [
+            (1, 0x3fb9_62fc_962f_c964, 0x4059_35c8_1135_c810),
+            (4, 0x3fbd_affd_d0c2_6c69, 0x4075_8ed3_c69a_aca1),
+            (8, 0x3fbe_c10e_e1d3_7d7b, 0x4084_cf69_fae2_bc17),
+        ];
+        for (n, step, tput) in pinned {
             let plain = model_step(&samples, n, 10, &net, 1e6);
             let inj = model_step_injected(&samples, n, 10, &net, 1e6, &DelayInjector::none());
             assert_eq!(plain, inj, "n={n}: none() must be the identity");
+            assert_eq!(
+                (plain.0.to_bits(), plain.1.to_bits()),
+                (step, tput),
+                "n={n}"
+            );
         }
         assert!(DelayInjector::none().is_none());
     }

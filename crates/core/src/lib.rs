@@ -79,8 +79,8 @@ pub mod prelude {
     pub use rdg_autodiff::{build_training_module, check_gradients};
     pub use rdg_data::{Dataset, DatasetConfig, Instance, Split, TreeShape};
     pub use rdg_exec::{
-        ClassStats, Executor, Priority, SchedulerKind, ServeClient, ServeConfig, ServeError,
-        ServeStats, Session, WaveSizing,
+        ClassStats, Executor, Priority, ServeClient, ServeConfig, ServeError, ServeStats, Session,
+        WaveSizing,
     };
     pub use rdg_graph::{GraphRef, Module, ModuleBuilder, ParamId, SubGraphHandle, Wire};
     pub use rdg_models::{

@@ -64,7 +64,16 @@
 //!   has nothing to do (`run_batch`, `run_batch_fused`).
 //! * **Batched queue transfer** — the surplus of a fork is pushed (and
 //!   claimed) under one lock acquisition via [`ReadyQueue::push_batch`] /
-//!   [`ReadyQueue::pop_batch`].
+//!   [`ReadyQueue::pop_batch`]. The queue is the paper's one global FIFO;
+//!   it has no other policy.
+//! * **One task body** — every task is *claimed* (`claim`: the cancel
+//!   check, the input reads, the `ops_executed`/`fusable_seen` ticks), then
+//!   either spawns a child frame (`Invoke`, `Cond`) or runs its kernel and
+//!   publishes (`run_kernel`, `finish_node`). The fused path claims the
+//!   members of a group the same way and differs only in making one stacked
+//!   kernel call for them. A worker drains a claim with the scalar loop
+//!   (`run_batch`) or, while any run that opted into fusion is alive, with
+//!   the grouping loop (`run_batch_fused`).
 
 use crate::batch::{self, FuseKind, GroupKey};
 use crate::cache::{call_path, BackpropCache, CacheKey};
@@ -73,7 +82,7 @@ use crate::kernel::{self, KernelCtx};
 use crate::params::{GradStore, ParamStore};
 use crate::path::PathKey;
 use crate::plan::{ExecutionPlan, ModulePlan, PreludeEntry, PreludeValue};
-use crate::queue::{ReadyQueue, SchedulerKind};
+use crate::queue::ReadyQueue;
 use crate::stats::{ExecStats, StatsSnapshot};
 use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -432,17 +441,16 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Spawns `n_threads` (at least one) execution threads with the given
-    /// scheduler.
-    pub fn new(n_threads: usize, kind: SchedulerKind) -> Arc<Self> {
-        Self::with_pool(n_threads.max(1), kind)
+    /// Spawns `n_threads` (at least one) execution threads.
+    pub fn with_threads(n_threads: usize) -> Arc<Self> {
+        Self::with_pool(n_threads.max(1))
     }
 
     /// An executor with exactly `n_threads` workers. Zero is the virtual
     /// clock's ([`crate::sim`]): it executes every task of its runs itself,
     /// so nothing ever waits on the queue.
-    pub(crate) fn with_pool(n_threads: usize, kind: SchedulerKind) -> Arc<Self> {
-        let queue = Arc::new(ReadyQueue::new(kind));
+    pub(crate) fn with_pool(n_threads: usize) -> Arc<Self> {
+        let queue = Arc::new(ReadyQueue::default());
         let stats = Arc::new(ExecStats::new());
         let fusing_runs = Arc::new(AtomicUsize::new(0));
         let workers = (0..n_threads)
@@ -484,11 +492,6 @@ impl Executor {
             fusing_runs,
             n_threads,
         })
-    }
-
-    /// FIFO executor with `n_threads` workers.
-    pub fn with_threads(n_threads: usize) -> Arc<Self> {
-        Self::new(n_threads, SchedulerKind::Fifo)
     }
 
     /// Number of execution threads.
@@ -561,9 +564,7 @@ impl Executor {
         fuse: bool,
     ) -> Result<RunHandle, ExecError> {
         let (handle, root) = self.start(plan, params, feeds, grads, cache, fuse)?;
-        if let Some(t) = root {
-            self.queue.push(0, t);
-        }
+        self.queue.push_batch(root);
         Ok(handle)
     }
 
@@ -717,7 +718,7 @@ fn spawn_frame(
     };
     if !rest.is_empty() {
         let queue = &frame.run.queue;
-        queue.push_batch(rest.iter().map(|&n| (depth as u64, task(n))));
+        queue.push_batch(rest.iter().map(|&n| task(n)));
     }
     Some(task(first))
 }
@@ -735,12 +736,7 @@ fn prelude_value(frame: &Frame, entry: &PreludeEntry) -> Result<Tensor, ExecErro
                 },
                 None => rdg_tensor::TensorError::invalid(format!("frame has no argument {index}")),
             };
-            let module = &frame.run.plan.module;
-            Err(ExecError::Kernel {
-                graph: module.graph_name(frame.gref),
-                node: module.graph(frame.gref).node(entry.node).name.clone(),
-                source: Box::new(source),
-            })
+            Err(kernel_error(frame, entry.node, source))
         }
         PreludeValue::Const(t) => Ok(t.clone()),
         PreludeValue::Param(p) => Ok(frame.run.params.read(*p)),
@@ -797,7 +793,51 @@ fn call(
 
 /// Executes one scheduled node; may return a continuation task the worker
 /// should run next (see the module docs on work-first continuations).
+///
+/// Every task runs the same sequence: [`claim`], then a call site spawns
+/// its child frame (`Invoke`, or the branch a `Cond` picks) and any other
+/// node runs [`run_kernel`]. The fused path ([`execute_group`]) is the same
+/// two steps with one stacked kernel call in between.
 pub(crate) fn execute_task(task: Task) -> Option<Task> {
+    let mut inputs = claim(&task)?;
+    let frame = &task.frame;
+    let (sub, site, args) = match &frame.run.plan.module.graph(frame.gref).node(task.node).op {
+        OpKind::Invoke { sub, site, .. } => (*sub, *site, inputs),
+        OpKind::Cond {
+            sub_then,
+            sub_else,
+            site_then,
+            site_else,
+            n_then_in,
+            ..
+        } => {
+            let pred = match inputs[0].as_i32_scalar() {
+                Ok(v) => v,
+                Err(e) => {
+                    frame.run.fail(kernel_error(frame, task.node, e));
+                    return None;
+                }
+            };
+            let mut rest = inputs.split_off(1);
+            let else_args = rest.split_off(*n_then_in as usize);
+            if pred != 0 {
+                (*sub_then, *site_then, rest)
+            } else {
+                (*sub_else, *site_else, else_args)
+            }
+        }
+        _ => return run_kernel(task, inputs),
+    };
+    call(task.frame, task.node, sub, site, args)
+}
+
+/// Takes a task's inputs, or drops the task: `None` if its run is cancelled
+/// (counted in `cancelled_tasks`) or a read fails (which fails the run).
+/// A claimed task counts as executed, and as fusion-eligible when the plan's
+/// `fuse` metadata says its node is batchable — ticked whether or not a
+/// partner turns up, so the fused fraction compares like against like in
+/// scalar A/B runs.
+fn claim(task: &Task) -> Option<Vec<Tensor>> {
     let Task { frame, node } = task;
     // Read through the frame: a per-op clone of the run's `Arc` would put a
     // refcount write on the cache line every op of the run reads.
@@ -811,12 +851,10 @@ pub(crate) fn execute_task(task: Task) -> Option<Task> {
             .fetch_add(1, Ordering::Relaxed);
         return None;
     }
-    let graph = run.plan.module.graph(frame.gref);
-    let n = graph.node(node);
-
-    let mut inputs = Vec::with_capacity(n.inputs.len());
-    for &p in &n.inputs {
-        match fetch(&frame, p) {
+    let ports = &run.plan.module.graph(frame.gref).node(*node).inputs;
+    let mut inputs = Vec::with_capacity(ports.len());
+    for &p in ports {
+        match fetch(frame, p) {
             Ok(t) => inputs.push(t),
             Err(e) => {
                 run.fail(e);
@@ -825,69 +863,46 @@ pub(crate) fn execute_task(task: Task) -> Option<Task> {
         }
     }
     run.run_stats.ops_executed.fetch_add(1, Ordering::Relaxed);
+    if run.plan.plan(frame.gref).fuse[node.0 as usize].is_some() {
+        run.run_stats.fusable_seen.fetch_add(1, Ordering::Relaxed);
+    }
     #[cfg(test)]
     run.trace
         .lock()
-        .push((std::thread::current().id(), node, frame.path.clone()));
+        .push((std::thread::current().id(), *node, frame.path.clone()));
+    Some(inputs)
+}
 
-    match &n.op {
-        OpKind::Invoke { sub, site, .. } => {
-            let (sub, site) = (*sub, *site);
-            call(frame, node, sub, site, inputs)
+/// Runs a claimed task's kernel on its inputs and publishes the outputs;
+/// returns the continuation `finish_node` hands back. A kernel error fails
+/// the task's run only.
+fn run_kernel(task: Task, inputs: Vec<Tensor>) -> Option<Task> {
+    let Task { frame, node } = task;
+    let run = &*frame.run;
+    let op = &run.plan.module.graph(frame.gref).node(node).op;
+    let kctx = KernelCtx {
+        args: &frame.args,
+        params: &run.params,
+        grads: run.grads.as_deref(),
+        stats: &run.run_stats,
+    };
+    match timed_kernel(run, op, || kernel::execute(op, inputs, &kctx)) {
+        Ok(outs) => finish_node(frame, node, outs),
+        Err(e) => {
+            run.fail(kernel_error(&frame, node, e));
+            None
         }
-        OpKind::Cond {
-            sub_then,
-            sub_else,
-            site_then,
-            site_else,
-            n_then_in,
-            ..
-        } => {
-            let pred = match inputs[0].as_i32_scalar() {
-                Ok(v) => v,
-                Err(e) => {
-                    run.fail(ExecError::Kernel {
-                        graph: run.plan.module.graph_name(frame.gref),
-                        node: n.name.clone(),
-                        source: Box::new(e),
-                    });
-                    return None;
-                }
-            };
-            let mut rest = inputs.split_off(1);
-            let else_args = rest.split_off(*n_then_in as usize);
-            let (sub, site, args) = if pred != 0 {
-                (*sub_then, *site_then, rest)
-            } else {
-                (*sub_else, *site_else, else_args)
-            };
-            call(frame, node, sub, site, args)
-        }
-        op => {
-            // Fusion-eligibility denominator: ticked for every batchable
-            // node regardless of whether a partner was available, so the
-            // fused fraction compares like against like in scalar A/B runs.
-            if run.plan.plan(frame.gref).fuse[node.0 as usize].is_some() {
-                run.run_stats.fusable_seen.fetch_add(1, Ordering::Relaxed);
-            }
-            let kctx = KernelCtx {
-                args: &frame.args,
-                params: &run.params,
-                grads: run.grads.as_deref(),
-                stats: &run.run_stats,
-            };
-            match timed_kernel(run, op, || kernel::execute(op, inputs, &kctx)) {
-                Ok(outs) => finish_node(frame, node, outs),
-                Err(e) => {
-                    run.fail(ExecError::Kernel {
-                        graph: run.plan.module.graph_name(frame.gref),
-                        node: n.name.clone(),
-                        source: Box::new(e),
-                    });
-                    None
-                }
-            }
-        }
+    }
+}
+
+/// The error a node of `frame` reports when its kernel, its `Cond`
+/// predicate or its prelude argument fails: the graph and node by name.
+fn kernel_error(frame: &Frame, node: NodeId, source: rdg_tensor::TensorError) -> ExecError {
+    let module = &frame.run.plan.module;
+    ExecError::Kernel {
+        graph: module.graph_name(frame.gref),
+        node: module.graph(frame.gref).node(node).name.clone(),
+        source: Box::new(source),
     }
 }
 
@@ -939,12 +954,6 @@ fn flush_chain(stats: &ExecStats) {
     }
 }
 
-/// Hands claimed-but-unstarted tasks back to the shared queue, under one
-/// lock acquisition, waking as many workers as tasks returned.
-fn hand_back(q: &ReadyQueue<Task>, tasks: impl Iterator<Item = Task>) {
-    q.push_batch(tasks.map(|t| (t.frame.depth as u64, t)));
-}
-
 /// Scalar drain of one popped batch: each claimed task heads a chain of
 /// continuations that the worker follows until no consumer is ready.
 ///
@@ -963,7 +972,7 @@ fn run_batch(q: &ReadyQueue<Task>, batch: &mut Vec<Task>) {
         let mut next = execute_task(task);
         while let Some(t) = next {
             if !batch.is_empty() && q.has_idle() {
-                hand_back(q, batch.drain(..).rev());
+                q.push_batch(batch.drain(..).rev());
             }
             CHAIN.set(CHAIN.get() + 1);
             next = execute_task(t);
@@ -1007,7 +1016,7 @@ fn run_batch_fused(q: &ReadyQueue<Task>, batch: &mut Vec<Task>) {
         }
         if pending.len() > 1 && q.has_idle() {
             let keep = pending.len().div_ceil(2);
-            hand_back(q, pending.drain(keep..));
+            q.push_batch(pending.drain(keep..));
         }
         // What is left runs next, as continuations. Counted before it runs
         // (a run cannot complete while one is outstanding), one add per
@@ -1071,32 +1080,6 @@ fn sig_of(kind: FuseKind, stacked: &Tensor, shared: &Tensor) -> Option<Sig> {
     })
 }
 
-/// Executes one claimed task whose inputs are already fetched: the scalar
-/// tail of the fused path, used for validation fallbacks, singleton
-/// subgroups, and per-member isolation after a fused kernel error. Runs the
-/// identical `kernel::execute` + `finish_node` sequence as `execute_task`.
-fn execute_fetched(task: Task, inputs: Vec<Tensor>, pending: &mut Vec<Task>) {
-    let Task { frame, node } = task;
-    let run = &*frame.run;
-    let n = run.plan.module.graph(frame.gref).node(node);
-    let kctx = KernelCtx {
-        args: &frame.args,
-        params: &run.params,
-        grads: run.grads.as_deref(),
-        stats: &run.run_stats,
-    };
-    match timed_kernel(run, &n.op, || kernel::execute(&n.op, inputs, &kctx)) {
-        Ok(outs) => pending.extend(finish_node(frame, node, outs)),
-        Err(e) => {
-            run.fail(ExecError::Kernel {
-                graph: run.plan.module.graph_name(frame.gref),
-                node: n.name.clone(),
-                source: Box::new(e),
-            });
-        }
-    }
-}
-
 /// Executes a same-node group of tasks, fusing as many members as the
 /// runtime signatures allow into single stacked kernel calls.
 ///
@@ -1106,53 +1089,27 @@ fn execute_fetched(task: Task, inputs: Vec<Tensor>, pending: &mut Vec<Task>) {
 /// and a fused kernel error falls back to per-member scalar execution so a
 /// failing instance fails only its own run.
 fn execute_group(members: Vec<Task>, pending: &mut Vec<Task>) {
-    let (op, in_ports, kind) = {
-        let f0 = &members[0].frame;
-        let g = f0.run.plan.module.graph(f0.gref);
-        let n = g.node(members[0].node);
-        let kind = f0.run.plan.plan(f0.gref).fuse[members[0].node.0 as usize]
+    let (op, kind) = {
+        let (f0, node) = (&members[0].frame, members[0].node);
+        let kind = f0.run.plan.plan(f0.gref).fuse[node.0 as usize]
             .expect("grouped tasks are batchable by construction");
-        (n.op.clone(), n.inputs.clone(), kind)
+        (
+            f0.run.plan.module.graph(f0.gref).node(node).op.clone(),
+            kind,
+        )
     };
     let (stack_idx, shared_idx) = match kind {
         FuseKind::RowsShared => (0usize, 1usize),
         FuseKind::ColsShared => (1, 0),
     };
 
-    let mut fetched: Vec<Fetched> = Vec::with_capacity(members.len());
-    for task in members {
-        let run = &*task.frame.run;
-        if run.cancelled() {
-            run.run_stats
-                .cancelled_tasks
-                .fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        let mut inputs = Vec::with_capacity(in_ports.len());
-        let mut ok = true;
-        for &p in &in_ports {
-            match fetch(&task.frame, p) {
-                Ok(t) => inputs.push(t),
-                Err(e) => {
-                    run.fail(e);
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            continue;
-        }
-        run.run_stats.ops_executed.fetch_add(1, Ordering::Relaxed);
-        run.run_stats.fusable_seen.fetch_add(1, Ordering::Relaxed);
-        #[cfg(test)]
-        run.trace.lock().push((
-            std::thread::current().id(),
-            task.node,
-            task.frame.path.clone(),
-        ));
-        fetched.push(Fetched { task, inputs });
-    }
+    let fetched: Vec<Fetched> = members
+        .into_iter()
+        .filter_map(|task| {
+            let inputs = claim(&task)?;
+            Some(Fetched { task, inputs })
+        })
+        .collect();
     if fetched.is_empty() {
         return;
     }
@@ -1166,7 +1123,7 @@ fn execute_group(members: Vec<Task>, pending: &mut Vec<Task>) {
     for sub in subgroups {
         if sub.len() == 1 {
             let m = slots[sub[0]].take().expect("subgroup indices are disjoint");
-            execute_fetched(m.task, m.inputs, pending);
+            pending.extend(run_kernel(m.task, m.inputs));
             continue;
         }
         let group: Vec<Fetched> = sub
@@ -1218,7 +1175,7 @@ fn execute_fused_subgroup(
                     match out.reshape(m.inputs[0].shape().clone()) {
                         Ok(t) => out = t,
                         Err(_) => {
-                            execute_fetched(m.task, m.inputs, pending);
+                            pending.extend(run_kernel(m.task, m.inputs));
                             continue;
                         }
                     }
@@ -1237,7 +1194,7 @@ fn execute_fused_subgroup(
             // Re-run every member scalar with its own (already fetched)
             // inputs so only genuinely failing instances fail their runs.
             for m in group {
-                execute_fetched(m.task, m.inputs, pending);
+                pending.extend(run_kernel(m.task, m.inputs));
             }
         }
     }
@@ -1376,13 +1333,13 @@ fn finish_node(mut frame: Arc<Frame>, mut node: NodeId, mut outs: Vec<Tensor>) -
             }
         }
         if !surplus.is_empty() {
-            frame.run.queue.push_batch(surplus.into_iter().map(|c| {
-                let task = Task {
+            frame
+                .run
+                .queue
+                .push_batch(surplus.into_iter().map(|node| Task {
                     frame: Arc::clone(&frame),
-                    node: c,
-                };
-                (frame.depth as u64, task)
-            }));
+                    node,
+                }));
         }
         // Frame countdown.
         if frame.nodes_left.fetch_sub(1, Ordering::AcqRel) != 1 {

@@ -456,7 +456,7 @@ fn a_zero_argument_invoke_is_ready_at_spawn_and_still_dispatched() {
     let (plan, params) = planned_general(mb.finish().unwrap());
     assert_eq!(plan.plan(GraphRef::Main).ready_at_spawn.len(), 2);
 
-    let exec = Executor::with_pool(0, SchedulerKind::Fifo);
+    let exec = Executor::with_pool(0);
     let (h, root) = exec
         .start(&plan, &params, vec![], None, None, false)
         .unwrap();
@@ -524,4 +524,57 @@ fn a_failure_while_spawning_fails_the_run_once_and_the_counters_close() {
     assert_eq!(s.cancelled_tasks, 0);
     assert_eq!(exec.stats().snapshot(), s);
     assert_eq!(pooled(&plan, GraphRef::Sub(SubGraphId(0))), 1);
+}
+
+#[test]
+fn a_cancelled_member_drops_out_of_its_fused_group() {
+    // `tanh(x · W)`: the head of every run is the batchable `MatMul`.
+    let mut mb = ModuleBuilder::new();
+    let x = mb.main_input(DType::F32);
+    let w = mb.param("w", Tensor::from_f32(vec![3, 2], vec![0.5; 6]).unwrap());
+    let w = mb.param_read(w).unwrap();
+    let y = mb.matmul(x, w).unwrap();
+    let y = mb.tanh(y).unwrap();
+    mb.set_outputs(&[y]).unwrap();
+    let (plan, params) = planned(mb.finish().unwrap());
+    let row = |v: f32| vec![Tensor::from_f32(vec![1, 3], vec![v, 1.0, -2.0]).unwrap()];
+
+    // The test thread is the only worker: three fusing runs, the middle one
+    // cancelled, claimed in one batch. All three heads form one group; the
+    // cancelled member drops out at its claim and the other two fuse.
+    let exec = Executor::with_pool(0);
+    let (handles, mut batch): (Vec<RunHandle>, Vec<Task>) = [0.25, 0.5, 0.75]
+        .into_iter()
+        .map(|v| {
+            let (h, root) = exec
+                .start(&plan, &params, row(v), None, None, true)
+                .unwrap();
+            (h, root.expect("the MatMul is ready at spawn"))
+        })
+        .unzip();
+    handles[1].cancel();
+    run_batch_fused(&exec.queue, &mut batch);
+    assert!(exec.queue.try_pop().is_none(), "nothing was left behind");
+    let stats: Vec<_> = handles.iter().map(|h| Arc::clone(h.stats())).collect();
+    let outs: Vec<_> = handles.into_iter().map(RunHandle::wait).collect();
+    assert!(matches!(outs[1], Err(ExecError::Cancelled)));
+    let [a, c, b] = [0, 1, 2].map(|i| stats[i].snapshot());
+    assert_eq!(
+        (c.cancelled_tasks, c.fusable_seen, c.fused_tasks),
+        (1, 0, 0)
+    );
+    assert_eq!((a.fused_groups, a.fused_tasks, b.fused_tasks), (1, 1, 1));
+
+    // Each survivor equals its own scalar run bit for bit.
+    for (i, v) in [(0, 0.25), (2, 0.75)] {
+        let (h, root) = exec
+            .start(&plan, &params, row(v), None, None, false)
+            .unwrap();
+        let mut next = root;
+        while let Some(t) = next {
+            next = execute_task(t);
+        }
+        let (want, got) = (h.wait().unwrap(), outs[i].as_ref().unwrap());
+        assert_eq!(want[0].f32s().unwrap(), got[0].f32s().unwrap());
+    }
 }

@@ -5,9 +5,11 @@
 //! "Improving the Expressiveness of Deep Learning Frameworks with
 //! Recursion" (§4–§5):
 //!
-//! * [`executor::Executor`] — master/worker execution: a global ready queue
-//!   ([`queue::ReadyQueue`]) feeding a pool of execution threads, with
-//!   dependency-count scheduling. `InvokeOp` execution spawns a child frame
+//! * [`executor::Executor`] — master/worker execution: one global FIFO
+//!   ready queue ([`queue::ReadyQueue`]) feeding a pool of execution
+//!   threads ([`executor::Executor::with_threads`]), with dependency-count
+//!   scheduling and one claim → kernel → publish sequence for every task,
+//!   scalar or fused. `InvokeOp` execution spawns a child frame
 //!   scheduled like any other operations — recursive graphs run on the
 //!   unmodified machinery (paper §4.1.2). The hot path is engineered down
 //!   to near plain-op cost per invoke: frame cores are pooled,
@@ -110,7 +112,6 @@ pub use params::{GradStore, ParamStore};
 pub use path::{PathKey, PathTable};
 pub use plan::specialize::{Provenance, SpecializeOptions};
 pub use plan::{ExecutionPlan, ModulePlan, SpecKey, SpecStats};
-pub use queue::SchedulerKind;
 pub use serve::{
     ClassStats, LatencyPercentiles, Priority, ReplicaSnapshot, ServeClient, ServeConfig,
     ServeError, ServeQueue, ServeStats, ServeTicket, WaveRecord, WaveSizing,

@@ -42,7 +42,6 @@ use crate::error::ExecError;
 use crate::executor::{execute_task, Executor, Task};
 use crate::params::{GradStore, ParamStore};
 use crate::plan::ModulePlan;
-use crate::queue::SchedulerKind;
 use rdg_graph::OpKind;
 use rdg_tensor::Tensor;
 use std::cmp::Reverse;
@@ -172,7 +171,7 @@ impl SimExecutor {
         grads: Option<Arc<GradStore>>,
         cache: Option<Arc<BackpropCache>>,
     ) -> Result<SimResult, ExecError> {
-        let exec = Executor::with_pool(0, SchedulerKind::Fifo);
+        let exec = Executor::with_pool(0);
         let (handle, root) = exec.start(plan, params, feeds, grads, cache, false)?;
         // The virtual FIFO: tasks with the virtual time they became ready.
         // No thread drains the executor's queue, so after a spawn or a task

@@ -1,7 +1,6 @@
-//! Executor robustness: determinism, concurrency, error paths, scheduler
-//! equivalence.
+//! Executor robustness: determinism, concurrency, error paths.
 
-use rdg_exec::{Executor, SchedulerKind, Session};
+use rdg_exec::{Executor, Session};
 use rdg_graph::{Module, ModuleBuilder};
 use rdg_tensor::{DType, Tensor};
 use std::sync::Arc;
@@ -61,19 +60,6 @@ fn thread_count_does_not_change_results() {
     }
     assert_eq!(values[0].to_bits(), values[1].to_bits());
     assert_eq!(values[1].to_bits(), values[2].to_bits());
-}
-
-#[test]
-fn both_schedulers_compute_the_same_value() {
-    let fifo = Session::new(Executor::new(2, SchedulerKind::Fifo), tree_sum_module(7)).unwrap();
-    let prio = Session::new(
-        Executor::new(2, SchedulerKind::DepthPriority),
-        tree_sum_module(7),
-    )
-    .unwrap();
-    let a = fifo.run(vec![]).unwrap()[0].as_f32_scalar().unwrap();
-    let b = prio.run(vec![]).unwrap()[0].as_f32_scalar().unwrap();
-    assert_eq!(a.to_bits(), b.to_bits());
 }
 
 #[test]

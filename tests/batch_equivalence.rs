@@ -19,9 +19,11 @@
 //! 3. Fusion is a property of each run, not of the pool: a serve loop that
 //!    shuts down takes nothing from another loop on the same executor, and a
 //!    bare run beside a fusing loop joins no group.
+//! 4. Cancelling one of several fusing runs claimed together drops that run
+//!    alone: the others still fuse, and every counter is accounted once.
 
 use proptest::prelude::*;
-use rdg_core::exec::{RunHandle, ServeTicket, StatsSnapshot};
+use rdg_core::exec::{ExecError, ExecStats, RunHandle, ServeTicket, StatsSnapshot};
 use rdg_core::prelude::*;
 use std::sync::Arc;
 
@@ -404,4 +406,73 @@ fn a_bare_run_beside_a_fusing_serve_loop_stays_scalar() {
     assert_eq!(bare.fused_tasks, 0, "a run that did not opt in was fused");
     let groups = exec.stats().snapshot().fused_groups - before.fused_groups;
     assert!(groups > 0, "the opted-in runs around it formed no group");
+}
+
+/// Three fusing runs of one plan queue up behind the plug and one of them is
+/// cancelled before the worker gets to any of them (ROADMAP 4(d); the
+/// executor's unit tests pin the member dropping out of a group it was
+/// claimed into). The worker's fused drain claims the cancelled run's head
+/// beside a survivor's and drops it there, so that run reports `Cancelled`
+/// and fuses nothing, while the two survivors go on forming groups and match
+/// their solo scalar runs bit for bit. Once every run has torn down, the
+/// executor's lifetime counters are the sum of the four runs' own.
+#[test]
+fn a_run_cancelled_beside_fusing_partners_drops_out_and_the_rest_still_fuse() {
+    let (exec, sess, request, scalar) = one_worker_fixture();
+    let before = exec.stats().snapshot();
+    let plug = plug(&exec);
+    let (plan, _) = sess.plan().resolve_for_feeds(&request);
+    let [a, cancelled, b] = [(); 3].map(|_| {
+        exec.submit_fused(&plan, sess.params(), request.clone())
+            .expect("submit")
+    });
+    cancelled.cancel();
+    assert!(!plug.is_finished(), "the plug ended before the cancel");
+    let stats = [&plug, &a, &cancelled, &b].map(|h| Arc::clone(h.stats()));
+    assert!(matches!(cancelled.wait(), Err(ExecError::Cancelled)));
+    for (h, ctx) in [(a, "first survivor"), (b, "second survivor")] {
+        assert_bit_equal(&scalar, &h.wait().expect(ctx), ctx);
+    }
+    plug.wait().expect("plug");
+    let runs = stats.map(|s| {
+        wait_torn_down(&s);
+        s.snapshot()
+    });
+    let [_, a, c, b] = runs;
+    assert_eq!(c.fused_tasks, 0, "the cancelled run was fused");
+    assert!(c.cancelled_tasks >= 1, "the cancelled run dropped no task");
+    let (groups, members) = (
+        a.fused_groups + b.fused_groups,
+        a.fused_tasks + b.fused_tasks,
+    );
+    assert!(groups > 0, "the survivors formed no fused group");
+    assert!(
+        members >= 2 * groups,
+        "{members} members in {groups} groups"
+    );
+    let after = exec.stats().snapshot();
+    let counters: [(&str, fn(&StatsSnapshot) -> u64); 8] = [
+        ("ops_executed", |s| s.ops_executed),
+        ("frames_spawned", |s| s.frames_spawned),
+        ("prelude_published", |s| s.prelude_published),
+        ("continuations", |s| s.continuations),
+        ("cancelled_tasks", |s| s.cancelled_tasks),
+        ("fusable_seen", |s| s.fusable_seen),
+        ("fused_tasks", |s| s.fused_tasks),
+        ("fused_groups", |s| s.fused_groups),
+    ];
+    for (name, get) in counters {
+        let runs_total: u64 = runs.iter().map(get).sum();
+        assert_eq!(get(&after) - get(&before), runs_total, "{name}");
+    }
+}
+
+/// Blocks until the runtime has let go of a run's stats: its stragglers
+/// have drained and its teardown fold into the lifetime counters is done.
+fn wait_torn_down(stats: &Arc<ExecStats>) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while Arc::strong_count(stats) > 1 {
+        assert!(std::time::Instant::now() < deadline, "run never tore down");
+        std::thread::yield_now();
+    }
 }
