@@ -13,11 +13,12 @@
 //!   barrier. Honest wall-clock numbers, but bounded by the host's physical
 //!   cores (the paper used 8 × 36-core machines).
 //! * [`run_virtual`] — calibrated virtual time: per-step compute times are
-//!   *measured* on one real machine, then an `N`-machine synchronous step is
-//!   modeled as `max` of `N` bootstrap-sampled compute times (stragglers)
-//!   plus a parameter-server network term derived from the actual parameter
-//!   byte count and a configurable bandwidth/latency. This is the documented
-//!   hardware substitution for the paper's cluster.
+//!   *measured* on one real machine, then an `N`-machine synchronous step
+//!   costs one formula ([`model_step`]): the mean over bootstrap windows of
+//!   the `max` of `N` sampled compute times (the straggler) plus a
+//!   parameter-server network term from the actual parameter byte count and
+//!   a configurable bandwidth/latency ([`NetModel::sync_cost`]). This is the
+//!   documented hardware substitution for the paper's cluster.
 
 //!
 //! Serving: [`serve_real`] stands up `n` model replicas on one shared
@@ -37,4 +38,4 @@ pub use server::{
     pick_replica, run_real, serve_real, ClassLatency, ClusterConfig, ClusterReport, Routing,
     ServeClusterConfig, ServeClusterReport,
 };
-pub use virtual_time::{model_step, model_step_injected, run_virtual, DelayInjector, NetModel};
+pub use virtual_time::{model_step, run_virtual, NetModel};

@@ -311,14 +311,17 @@ fn inference_builds_no_paths_and_training_one_node_per_frame() {
     let plan = ModulePlan::with_options(Arc::new(tree(5)), opts).unwrap();
     let params = Arc::new(ParamStore::from_module(&plan.module));
     // Every inference entry point (`Session::run`, `run_many`, `submit_run`,
-    // the serve dispatcher) starts its runs here, scalar or fused: no
+    // the serve dispatcher) starts its runs like this, scalar or fused: no
     // cache, so no table, and every frame of the 63-call recursion sits at
     // the root path.
     for fuse in [false, true] {
-        let run = crate::session::Launched::start(&exec, &plan, &params, vec![], fuse).unwrap();
-        let ctx = Arc::clone(&run.handle().ctx);
+        let resolved = plan.resolve_for_feeds(&[]);
+        let run = exec
+            .submit_with(&resolved, &params, vec![], None, None, fuse)
+            .unwrap();
+        let ctx = Arc::clone(&run.ctx);
         assert!(ctx.cache.is_none());
-        run.join().unwrap();
+        run.wait().unwrap();
         let paths = traced_paths(&ctx);
         assert!(paths.len() > 63 && paths.iter().all(PathKey::is_empty));
     }

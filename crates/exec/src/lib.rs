@@ -111,7 +111,7 @@ pub use executor::{Executor, RunHandle};
 pub use params::{GradStore, ParamStore};
 pub use path::{PathKey, PathTable};
 pub use plan::specialize::{Provenance, SpecializeOptions};
-pub use plan::{ExecutionPlan, ModulePlan, SpecKey, SpecStats};
+pub use plan::{ExecutionPlan, ModulePlan, SpecStats};
 pub use serve::{
     ClassStats, LatencyPercentiles, Priority, ReplicaSnapshot, ServeClient, ServeConfig,
     ServeError, ServeQueue, ServeStats, ServeTicket, WaveRecord, WaveSizing,

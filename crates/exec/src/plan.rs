@@ -250,11 +250,6 @@ impl ExecutionPlan {
     }
 }
 
-/// A promoted-but-unobserved feed signature, handed back by
-/// [`ModulePlan::resolve_for_feeds`] so the caller can report the run's
-/// frame count via [`ModulePlan::observe_run`] once it completes.
-pub struct SpecKey(Vec<u8>);
-
 /// Counters describing what the plan-time specializer has done for one
 /// [`ModulePlan`] so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -279,18 +274,10 @@ pub struct SpecStats {
     pub residual_frames: u64,
 }
 
-/// One profiled feed signature: how often it recurred and (when a session
-/// observed a completed run) how many frames the general path spawned for
-/// it — the signal that promotion is worth it.
-#[derive(Default)]
-struct ProfEntry {
-    count: u32,
-    max_frames: u64,
-}
-
 #[derive(Default)]
 struct SpecTable {
-    profile: HashMap<Vec<u8>, ProfEntry>,
+    /// How often each not-yet-promoted feed signature has recurred.
+    profile: HashMap<Vec<u8>, u32>,
     promoted: HashMap<Vec<u8>, Arc<ModulePlan>>,
     blacklist: HashSet<Vec<u8>>,
 }
@@ -463,44 +450,28 @@ impl ModulePlan {
     /// the resulting flat plan is cached on this plan, so subsequent equal
     /// signatures dispatch with zero call/return frames. Everything else —
     /// cold signatures, blacklisted ones, failed expansions — takes the
-    /// general frame machinery (`self`).
-    ///
-    /// The returned [`SpecKey`], when present, should be passed to
-    /// [`ModulePlan::observe_run`] with the completed run's spawned-frame
-    /// count; the profile uses it to skip signatures too small to pay for
-    /// specialization.
-    pub fn resolve_for_feeds(
-        self: &Arc<Self>,
-        feeds: &[Tensor],
-    ) -> (Arc<ModulePlan>, Option<SpecKey>) {
-        let Some(spec) = &self.spec else {
-            return (Arc::clone(self), None);
+    /// general frame machinery (`self`). A signature with nothing worth
+    /// unrolling is refused by the expander itself (a promotion must remove
+    /// more frames than it leaves) and blacklisted on its first hot run.
+    pub fn resolve_for_feeds(self: &Arc<Self>, feeds: &[Tensor]) -> Arc<ModulePlan> {
+        let Some(spec) = self.spec.as_ref().filter(|s| s.unrollable) else {
+            return Arc::clone(self);
         };
-        if !spec.unrollable {
-            return (Arc::clone(self), None);
-        }
         let key = specialize::spec_key(feeds);
         let mut t = spec.table.lock().expect("spec table");
         if let Some(p) = t.promoted.get(&key) {
             spec.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(p), None);
+            return Arc::clone(p);
         }
-        if t.blacklist.contains(&key) {
+        if t.blacklist.contains(&key)
+            || (t.profile.len() >= PROFILE_CAP && !t.profile.contains_key(&key))
+        {
             spec.misses.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(self), None);
+            return Arc::clone(self);
         }
-        if t.profile.len() >= PROFILE_CAP && !t.profile.contains_key(&key) {
-            spec.misses.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(self), None);
-        }
-        let entry = t.profile.entry(key.clone()).or_default();
-        entry.count += 1;
-        let hot = entry.count >= specialize::HOT_AFTER
-            // A signature whose observed general-path runs spawn fewer than
-            // two frames has nothing to unroll; an unobserved one (serve
-            // path) is given the benefit of the doubt — the worthwhileness
-            // check below rejects frame-free expansions anyway.
-            && (entry.max_frames >= 2 || entry.max_frames == 0);
+        let count = t.profile.entry(key.clone()).or_default();
+        *count += 1;
+        let hot = *count >= specialize::HOT_AFTER;
         if hot && t.promoted.len() < specialize::MAX_PROMOTED {
             // The expander recurses one Rust frame per plan-time call-chain
             // level (bounded, but deep × debug-size frames can exceed a
@@ -539,28 +510,15 @@ impl ModulePlan {
                     spec.folded_ops.fetch_add(folded, Ordering::Relaxed);
                     spec.residual_frames.fetch_add(residuals, Ordering::Relaxed);
                     t.promoted.insert(key, Arc::clone(&plan));
-                    return (plan, None);
+                    return plan;
                 }
                 None => {
                     t.blacklist.insert(key);
-                    spec.misses.fetch_add(1, Ordering::Relaxed);
-                    return (Arc::clone(self), None);
                 }
             }
         }
         spec.misses.fetch_add(1, Ordering::Relaxed);
-        (Arc::clone(self), Some(SpecKey(key)))
-    }
-
-    /// Feeds a completed general-path run's spawned-frame count back into
-    /// the shape profile (see [`ModulePlan::resolve_for_feeds`]).
-    pub fn observe_run(&self, key: SpecKey, frames_spawned: u64) {
-        if let Some(spec) = &self.spec {
-            let mut t = spec.table.lock().expect("spec table");
-            if let Some(e) = t.profile.get_mut(&key.0) {
-                e.max_frames = e.max_frames.max(frames_spawned);
-            }
-        }
+        Arc::clone(self)
     }
 
     /// Specializer counters for this plan (all zero when specialization is

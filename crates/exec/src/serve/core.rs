@@ -28,8 +28,9 @@
 //!                     close · add_client · drop_client
 //! ```
 //!
-//! — so what the schedule fuzzer and the RON corpus exercise through the
-//! twin is the code the live loop ships, not a model of it.
+//! — so what the scripted suites and the schedule fuzzer (`rdg_serve_fuzz`,
+//! with its RON corpus) exercise through the twin is the code the live
+//! loop ships, not a model of it.
 
 use super::classes::{ClassQueues, Queued};
 use super::controller::{predicted_wait_ns, WaveController};

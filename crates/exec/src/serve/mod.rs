@@ -64,7 +64,7 @@
 //! condvars, the wall clock, executor submit/join and the stats ledger.
 //! [`test_support::ScriptedServe`] is the other driver — a virtual clock
 //! and scripted service times around the *same* core — so the scripted
-//! suites, the schedule fuzzer ([`fuzz`]) and the committed corpus test the
+//! suites, the schedule fuzzer (`rdg_serve_fuzz`) and its corpus test the
 //! rules that ship, and `tests/serve_differential.rs` only has to check
 //! that this driver feeds the core the events it should.
 //!
@@ -96,15 +96,13 @@
 pub(crate) mod classes;
 pub(crate) mod controller;
 pub(crate) mod core;
-pub mod fuzz;
 pub mod test_support;
 
 use self::core::{must_cancel, DispatchCore, Refusal};
 use crate::error::ExecError;
-use crate::executor::Executor;
+use crate::executor::{Executor, RunHandle};
 use crate::params::ParamStore;
 use crate::plan::ModulePlan;
-use crate::session::Launched;
 use crate::stats::{ExecStats, StatsSnapshot};
 use classes::Queued;
 use crossbeam_channel::{bounded, Receiver, Sender};
@@ -873,28 +871,29 @@ fn dispatcher_loop(
         // cross-request fusion (`GroupKey` is keyed by plan pointer) still
         // groups them. Whether they fuse at all rides on each run.
         let fuse = shared.config.cross_request_batching;
-        let runs: Vec<Result<Launched, ExecError>> = wave
+        let runs: Vec<Result<RunHandle, ExecError>> = wave
             .iter_mut()
             .map(|q| {
                 let wait_ns = dispatched_ns.saturating_sub(q.enqueued_ns);
                 for tracks in [&stats.latency, &stats.class_latency[q.class.index()]] {
                     tracks.wait.record_ns(wait_ns);
                 }
-                Launched::start(exec, plan, params, std::mem::take(&mut q.item.feeds), fuse)
+                let feeds = std::mem::take(&mut q.item.feeds);
+                let resolved = plan.resolve_for_feeds(&feeds);
+                exec.submit_with(&resolved, params, feeds, None, None, fuse)
             })
             .collect();
         let wave_len = wave.len();
         let mut last_done_ns = dispatched_ns;
         for (q, run) in wave.drain(..).zip(runs) {
             let mut cancelled_for_slo = false;
-            let result = run.and_then(|run| {
-                let handle = run.handle();
+            let result = run.and_then(|handle| {
                 cancelled_for_slo =
                     must_cancel(q.deadline_ns, shared.now_ns(), handle.is_finished());
                 if cancelled_for_slo {
                     handle.cancel();
                 }
-                run.join()
+                handle.wait()
             });
             let done_ns = shared.now_ns();
             last_done_ns = done_ns;

@@ -147,9 +147,8 @@ impl ScriptedWave {
 ///   admission exactly like the live last-`Drop`;
 /// * [`ScriptedServe::stall_worker`] injects a replica-level delay — one
 ///   simulated worker lane is unavailable until a virtual deadline, the
-///   clockless analogue of a straggling replica in
-///   `rdg_cluster::virtual_time` (same semantics the fuzzer's `Stall`
-///   event and the cluster delay injector share).
+///   clockless analogue of a straggling replica (the schedule fuzzer's
+///   `Stall` event).
 pub struct ScriptedServe {
     /// The same `DispatchCore` the live loop runs — every admission,
     /// wave-formation, eviction, cancel and controller decision is its.
@@ -208,12 +207,7 @@ impl ScriptedServe {
     }
 
     /// Offers one request to the core at the current virtual time.
-    pub(crate) fn admit(
-        &mut self,
-        class: Priority,
-        id: u64,
-        slo_ns: Option<u64>,
-    ) -> ScriptedAdmission {
+    fn admit(&mut self, class: Priority, id: u64, slo_ns: Option<u64>) -> ScriptedAdmission {
         let deadline = slo_ns.map(|slo| self.now_ns.saturating_add(slo));
         match self.core.admit(class, id, self.now_ns, deadline) {
             Ok(()) => ScriptedAdmission::Admitted,
@@ -414,7 +408,8 @@ impl ScriptedServe {
     /// Runs waves until every queued request has dispatched (the scripted
     /// analogue of the dispatcher's shutdown drain) and returns them in
     /// wave order. Nothing accepted is ever left behind — the conservation
-    /// oracle the fuzzer and the QoS property suite both check.
+    /// oracle the schedule fuzzer (`rdg_serve_fuzz`) and the QoS property
+    /// suite both check.
     pub fn drain(&mut self, service_ns: impl Fn(u64) -> u64) -> Vec<ScriptedWave> {
         let mut waves = Vec::new();
         while let Some(w) = self.run_wave(&service_ns) {

@@ -89,52 +89,6 @@ impl Drop for StepToken<'_> {
     }
 }
 
-/// An inference run in flight that was dispatched through the plan
-/// specializer: the one resolve → submit → join → profile-feedback sequence
-/// behind [`Session::run`], [`Session::run_many`] and the serve dispatcher.
-pub(crate) struct Launched {
-    handle: RunHandle,
-    /// The general plan and the signature it is profiling, when this run
-    /// took the general path on a not-yet-promoted signature.
-    profiled: Option<(Arc<ModulePlan>, crate::SpecKey)>,
-}
-
-impl Launched {
-    /// Resolves `feeds` to the plan to execute ([`ModulePlan::resolve_for_feeds`]:
-    /// a hot feed signature runs its promoted flat plan) and submits the
-    /// run, opted into cross-request fusion when `fuse` is set. No cache:
-    /// an inference run builds no paths.
-    pub(crate) fn start(
-        exec: &Arc<Executor>,
-        plan: &Arc<ModulePlan>,
-        params: &Arc<ParamStore>,
-        feeds: Vec<Tensor>,
-        fuse: bool,
-    ) -> Result<Launched, ExecError> {
-        let (resolved, key) = plan.resolve_for_feeds(&feeds);
-        let handle = exec.submit_with(&resolved, params, feeds, None, None, fuse)?;
-        let profiled = key.map(|key| (Arc::clone(plan), key));
-        Ok(Launched { handle, profiled })
-    }
-
-    /// The run's handle (completion probe, cancellation).
-    pub(crate) fn handle(&self) -> &RunHandle {
-        &self.handle
-    }
-
-    /// Waits for the run; a completed general-path run feeds its
-    /// spawned-frame count back into the specializer's shape profile.
-    pub(crate) fn join(self) -> Result<Vec<Tensor>, ExecError> {
-        let Some((plan, key)) = self.profiled else {
-            return self.handle.wait();
-        };
-        let stats = Arc::clone(self.handle.stats());
-        let out = self.handle.wait();
-        plan.observe_run(key, stats.frames_spawned.load(Ordering::Relaxed));
-        out
-    }
-}
-
 impl Session {
     /// Plans `module` and initializes fresh parameters from its specs.
     pub fn new(exec: Arc<Executor>, module: Module) -> Result<Self, ExecError> {
@@ -261,25 +215,20 @@ impl Session {
     /// The run is dispatched through the plan specializer
     /// ([`ModulePlan::resolve_for_feeds`]): a hot feed signature executes
     /// its promoted flat plan, everything else takes the general frame
-    /// machinery. Completed general-path runs feed their spawned-frame
-    /// count back into the shape profile.
+    /// machinery.
     pub fn run(&self, feeds: Vec<Tensor>) -> Result<Vec<Tensor>, ExecError> {
-        self.launch(feeds)?.join()
-    }
-
-    fn launch(&self, feeds: Vec<Tensor>) -> Result<Launched, ExecError> {
-        Launched::start(&self.exec, &self.plan, &self.params, feeds, false)
+        self.submit_run(feeds)?.wait()
     }
 
     /// Starts an inference run without blocking (serving path).
     ///
     /// The returned [`RunHandle`] joins the run; any number may be in
-    /// flight at once, sharing the executor's worker pool. Hot feed
-    /// signatures dispatch to their promoted specialized plan; because the
-    /// caller owns the join, this path only *consumes* promotions (it never
-    /// feeds the shape profile).
+    /// flight at once, sharing the executor's worker pool. Like
+    /// [`Session::run`], hot feed signatures dispatch to their promoted
+    /// specialized plan. No cache: an inference run builds no paths.
     pub fn submit_run(&self, feeds: Vec<Tensor>) -> Result<RunHandle, ExecError> {
-        Ok(self.launch(feeds)?.handle)
+        let plan = self.plan.resolve_for_feeds(&feeds);
+        self.exec.submit(&plan, &self.params, feeds, None, None)
     }
 
     /// Serves a batch of independent inference requests concurrently.
@@ -289,11 +238,10 @@ impl Session {
     /// back positionally; each request fails or succeeds on its own (a bad
     /// feed in one request does not poison its neighbours).
     pub fn run_many(&self, feeds_list: Vec<Vec<Tensor>>) -> Vec<Result<Vec<Tensor>, ExecError>> {
-        let launched: Vec<Result<Launched, ExecError>> =
-            feeds_list.into_iter().map(|f| self.launch(f)).collect();
-        launched
-            .into_iter()
-            .map(|l| l.and_then(Launched::join))
+        let runs: Vec<Result<RunHandle, ExecError>> =
+            feeds_list.into_iter().map(|f| self.submit_run(f)).collect();
+        runs.into_iter()
+            .map(|r| r.and_then(RunHandle::wait))
             .collect()
     }
 

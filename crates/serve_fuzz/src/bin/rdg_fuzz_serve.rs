@@ -1,12 +1,12 @@
 //! `rdg_fuzz_serve` — seeded adversarial schedule fuzzing for the serving
 //! stack, from the command line / CI.
 //!
-//! Runs one deterministic campaign of `rdg_exec::serve::fuzz` and prints
+//! Runs one deterministic campaign of `rdg_serve_fuzz` and prints
 //! the report: the worst interactive p99 found, the search trajectory,
 //! and any oracle violations. Minimized findings (the worst-case scenario
 //! and every violation reproducer) are written as RON-style scripts to
 //! the output directory, ready to be committed into
-//! `crates/exec/tests/corpus/serve_schedules/`.
+//! `crates/serve_fuzz/tests/corpus/serve_schedules/`.
 //!
 //! Configuration is via environment (CI-friendly; no CLI parsing):
 //!
@@ -25,7 +25,7 @@
 //! hundred milliseconds for the default 2000 iterations, independent of
 //! the scripted service durations.
 
-use rdg_exec::serve::fuzz::{run_campaign, FuzzConfig};
+use rdg_serve_fuzz::{run_campaign, FuzzConfig};
 use std::path::Path;
 
 fn env_u64(name: &str, default: u64) -> u64 {

@@ -1,6 +1,6 @@
 //! Adversarial schedule fuzzing for the serving stack (FRET-style).
 //!
-//! The QoS machinery of this module's parent — aged-priority pop, EWMA
+//! The QoS machinery of `rdg_exec::serve` — aged-priority pop, EWMA
 //! wave sizing, per-class backpressure, drain-on-shutdown — is exercised
 //! by hand-written scripts and random property tests, but neither
 //! *searches* for worst cases: the tail behavior that matters at scale
@@ -8,7 +8,7 @@
 //! ever sampled. FRET ("Dynamic Fuzzing-Based Whole-System Timing
 //! Analysis", SNIPPETS.md §2) showed that fuzzing **schedules** — arrival
 //! times and service durations, not payloads — finds worst-case timings
-//! no hand-written stress test reaches. This module is that idea applied
+//! no hand-written stress test reaches. This crate is that idea applied
 //! to the serving dispatcher:
 //!
 //! * a [`Scenario`] is a complete, serializable serving schedule: queue
@@ -28,7 +28,7 @@
 //!   independently, from the outside;
 //! * [`replay_fused`] replays the same scenario under the wave-granularity
 //!   model of the executor's cross-request batch fuser (same
-//!   `batch::plan_groups`, group service = member max), so every oracle is
+//!   `rdg_exec::plan_groups`, group service = member max), so every oracle is
 //!   also checked on fused completion schedules — without touching the
 //!   [`Scenario`] format or any scalar corpus pin;
 //! * [`run_campaign`] is the seeded, fully deterministic search loop:
@@ -38,73 +38,34 @@
 //! * [`minimize`] delta-debugs any finding down to a small reproducer,
 //!   and the RON-style [`Scenario::to_ron`] / [`Scenario::from_ron`]
 //!   round-trip lets findings live as committed corpus files under
-//!   `crates/exec/tests/corpus/serve_schedules/` that a plain
+//!   `crates/serve_fuzz/tests/corpus/serve_schedules/` that a plain
 //!   `cargo test` replays exactly.
 //!
 //! The `rdg_fuzz_serve` binary drives a campaign from the command line /
 //! CI; `tests/serve_fuzz.rs` pins determinism and the oracles, and
 //! `tests/serve_fuzz_corpus.rs` replays the committed corpus.
 //!
-//! Everything here is a pure function of the seed: no wall clock, no
-//! thread scheduling, no global state. Same seed → same scenarios, same
-//! worst case, same report, on every host.
+//! This crate is test tooling: it reaches the dispatcher only through
+//! `rdg_exec`'s public [`ScriptedServe`], and nothing in the runtime
+//! depends on it. Everything here is a pure function of the seed (every
+//! random decision is drawn from one seeded [`StdRng`]): no wall clock,
+//! no thread scheduling, no global state. Same seed → same scenarios,
+//! same worst case, same report, on every host.
 
-use super::test_support::{ScriptedAdmission, ScriptedRequest, ScriptedServe, ScriptedShed};
-use super::{Priority, ServeConfig, WaveSizing};
+#![warn(missing_docs)]
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rdg_exec::serve::test_support::{
+    ScriptedAdmission, ScriptedRequest, ScriptedServe, ScriptedShed,
+};
+use rdg_exec::{Priority, ServeConfig, WaveSizing};
 use std::fmt;
 use std::time::Duration;
 
-// ---------------------------------------------------------------------
-// Deterministic RNG (SplitMix64, self-contained so the fuzzer adds no
-// dependency to the runtime crate).
-// ---------------------------------------------------------------------
-
-/// The fuzzer's seeded generator: SplitMix64. Deterministic across
-/// platforms; every random decision of a campaign flows from one seed.
-#[derive(Clone, Debug)]
-pub struct FuzzRng {
-    state: u64,
-}
-
-impl FuzzRng {
-    /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        FuzzRng { state: seed }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, n)`; `n = 0` yields 0.
-    pub fn below(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.next_u64() % n
-        }
-    }
-
-    /// Uniform draw in `[lo, hi]`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.below(hi - lo + 1)
-    }
-
-    /// `true` with probability `num / den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
-
-    /// Uniform pick from a non-empty slice.
-    pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.below(xs.len() as u64) as usize]
-    }
+/// Uniform pick from a non-empty slice.
+fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> T {
+    xs[rng.gen_range(0..xs.len())]
 }
 
 // ---------------------------------------------------------------------
@@ -170,8 +131,8 @@ pub enum Event {
     /// Form and run one dispatch wave (no-op on an empty queue).
     Wave,
     /// Replica-level delay injection: worker lane `lane % workers` is
-    /// busy with non-request work for `dur_ns` from now (the scripted
-    /// analogue of a straggling replica in `rdg_cluster::virtual_time`).
+    /// busy with non-request work for `dur_ns` from now (a straggling
+    /// replica; [`ScriptedServe::stall_worker`]).
     Stall(usize, u64),
     /// Clone a client handle.
     CloneClient,
@@ -237,19 +198,6 @@ impl Scenario {
             aging_step: Duration::from_nanos(self.aging_step_ns),
             ..ServeConfig::default()
         }
-    }
-
-    /// The scenario's replica-stall events as `(lane, dur_ns)` pairs —
-    /// the delay profile `rdg_cluster::virtual_time`'s injector consumes
-    /// when a schedule found here is replayed at cluster level.
-    pub fn stall_events(&self) -> Vec<(usize, u64)> {
-        self.events
-            .iter()
-            .filter_map(|e| match *e {
-                Event::Stall(lane, dur) => Some((lane, dur)),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -382,7 +330,12 @@ impl Replay<'_> {
         let (s, out) = (&mut self.s, &mut self.out);
         let id = self.services.len() as u64;
         self.services.push(service.min(MAX_DUR_NS));
-        match s.admit(class, id, slo) {
+        let admission = match slo {
+            Some(slo) => s.submit_deadline(class, id, slo),
+            None if s.submit(class, id) => ScriptedAdmission::Admitted,
+            None => ScriptedAdmission::Rejected,
+        };
+        match admission {
             ScriptedAdmission::Admitted => {
                 out.accepted.push(SubmitMeta {
                     id,
@@ -647,20 +600,20 @@ fn check_order_oracles(scenario: &Scenario, out: &mut ReplayOutcome) {
 
 /// Generates a random scenario from `rng` (the campaign's initial
 /// population and the fall-back when a mutation empties a schedule).
-pub fn generate(rng: &mut FuzzRng, seed: u64, max_events: usize, workers: usize) -> Scenario {
-    let capacity = *rng.pick(&[2usize, 4, 8, 16]);
-    let batch_multiple = *rng.pick(&[1usize, 2, 4]);
-    let aging_step_ns = *rng.pick(&[250_000u64, 1_000_000, 4_000_000]);
-    let sizing = if rng.chance(7, 10) {
+pub fn generate(rng: &mut StdRng, seed: u64, max_events: usize, workers: usize) -> Scenario {
+    let capacity = pick(rng, &[2usize, 4, 8, 16]);
+    let batch_multiple = pick(rng, &[1usize, 2, 4]);
+    let aging_step_ns = pick(rng, &[250_000u64, 1_000_000, 4_000_000]);
+    let sizing = if rng.gen_range(0..10u64) < 7 {
         SizingSpec::Dynamic {
-            max_multiple: *rng.pick(&[2usize, 4, 8]),
-            budget_ns: *rng.pick(&[500_000u64, 2_000_000, 8_000_000]),
-            alpha_milli: *rng.pick(&[100u32, 250, 500, 1000]),
+            max_multiple: pick(rng, &[2usize, 4, 8]),
+            budget_ns: pick(rng, &[500_000u64, 2_000_000, 8_000_000]),
+            alpha_milli: pick(rng, &[100u32, 250, 500, 1000]),
         }
     } else {
         SizingSpec::Fixed
     };
-    let n = rng.range(8, max_events.max(9) as u64) as usize;
+    let n = rng.gen_range(8..=max_events.max(9));
     let mut events = Vec::with_capacity(n);
     for _ in 0..n {
         events.push(random_event(rng, aging_step_ns, workers));
@@ -682,19 +635,19 @@ pub fn generate(rng: &mut FuzzRng, seed: u64, max_events: usize, workers: usize)
 /// One random event, weighted toward submissions (the schedule's meat).
 /// A quarter of the submissions carry an SLO, so every campaign
 /// exercises all three shed points alongside plain traffic.
-fn random_event(rng: &mut FuzzRng, aging_step_ns: u64, workers: usize) -> Event {
-    match rng.below(100) {
-        0..=39 => Event::Submit(*rng.pick(&Priority::ALL), random_service_ns(rng)),
+fn random_event(rng: &mut StdRng, aging_step_ns: u64, workers: usize) -> Event {
+    match rng.gen_range(0..100u64) {
+        0..=39 => Event::Submit(pick(rng, &Priority::ALL), random_service_ns(rng)),
         40..=54 => Event::SubmitSlo(
-            *rng.pick(&Priority::ALL),
+            pick(rng, &Priority::ALL),
             random_service_ns(rng),
-            rng.range(200_000, 30_000_000),
+            rng.gen_range(200_000..=30_000_000),
         ),
         55..=74 => Event::Wave,
-        75..=89 => Event::Advance(rng.below(4 * aging_step_ns.max(1))),
+        75..=89 => Event::Advance(rng.gen_range(0..4 * aging_step_ns.max(1))),
         90..=93 => Event::Stall(
-            rng.below(workers.max(1) as u64) as usize,
-            rng.range(100_000, 20_000_000),
+            rng.gen_range(0..workers.max(1)),
+            rng.gen_range(100_000..=20_000_000),
         ),
         94..=95 => Event::CloneClient,
         96..=97 => Event::DropClient,
@@ -705,12 +658,12 @@ fn random_event(rng: &mut FuzzRng, aging_step_ns: u64, workers: usize) -> Event 
 /// A scripted service duration: mostly sub-millisecond, with a heavy
 /// tail of multi-millisecond spikes and occasional zero-duration
 /// requests (the degenerate case the controller must survive).
-fn random_service_ns(rng: &mut FuzzRng) -> u64 {
-    match rng.below(10) {
+fn random_service_ns(rng: &mut StdRng) -> u64 {
+    match rng.gen_range(0..10u64) {
         0 => 0,
-        1..=6 => rng.range(50_000, 1_200_000),
-        7..=8 => rng.range(1_200_000, 8_000_000),
-        _ => rng.range(8_000_000, MAX_DUR_NS),
+        1..=6 => rng.gen_range(50_000..=1_200_000),
+        7..=8 => rng.gen_range(1_200_000..=8_000_000),
+        _ => rng.gen_range(8_000_000..=MAX_DUR_NS),
     }
 }
 
@@ -718,11 +671,11 @@ fn random_service_ns(rng: &mut FuzzRng) -> u64 {
 /// FRET repertoire (perturb a duration, flip a class, insert/delete/
 /// duplicate an event span, move the shutdown point, splice in a donor's
 /// suffix when one is provided).
-pub fn mutate(parent: &Scenario, donor: Option<&Scenario>, rng: &mut FuzzRng) -> Scenario {
+pub fn mutate(parent: &Scenario, donor: Option<&Scenario>, rng: &mut StdRng) -> Scenario {
     let mut sc = parent.clone();
     sc.expect_p99_ns = None;
     sc.name.clear();
-    let ops = 1 + rng.below(3);
+    let ops = rng.gen_range(1..=3u64);
     for _ in 0..ops {
         mutate_once(&mut sc, donor, rng);
     }
@@ -733,17 +686,17 @@ pub fn mutate(parent: &Scenario, donor: Option<&Scenario>, rng: &mut FuzzRng) ->
     sc
 }
 
-fn mutate_once(sc: &mut Scenario, donor: Option<&Scenario>, rng: &mut FuzzRng) {
+fn mutate_once(sc: &mut Scenario, donor: Option<&Scenario>, rng: &mut StdRng) {
     let n = sc.events.len();
-    match rng.below(10) {
+    match rng.gen_range(0..10u64) {
         // Perturb one duration field (service, gap, or stall).
         0 | 1 => {
             if n == 0 {
                 return;
             }
-            let i = rng.below(n as u64) as usize;
-            let scale = |rng: &mut FuzzRng, v: u64| -> u64 {
-                match rng.below(5) {
+            let i = rng.gen_range(0..n);
+            let scale = |rng: &mut StdRng, v: u64| -> u64 {
+                match rng.gen_range(0..5u64) {
                     0 => 0,
                     1 => v / 2,
                     2 => v.saturating_mul(2).min(MAX_DUR_NS),
@@ -753,7 +706,7 @@ fn mutate_once(sc: &mut Scenario, donor: Option<&Scenario>, rng: &mut FuzzRng) {
             };
             match &mut sc.events[i] {
                 Event::SubmitSlo(_, service, slo) => {
-                    if rng.chance(1, 2) {
+                    if rng.gen_range(0..2u64) == 0 {
                         *service = scale(rng, *service);
                     } else {
                         *slo = scale(rng, *slo);
@@ -772,9 +725,9 @@ fn mutate_once(sc: &mut Scenario, donor: Option<&Scenario>, rng: &mut FuzzRng) {
                 .events
                 .iter_mut()
                 .filter(|e| matches!(e, Event::Submit(..) | Event::SubmitSlo(..)))
-                .nth(rng.below(16) as usize)
+                .nth(rng.gen_range(0..16))
             {
-                let flipped = *rng.pick(&Priority::ALL);
+                let flipped = pick(rng, &Priority::ALL);
                 match ev {
                     Event::Submit(class, _) | Event::SubmitSlo(class, _, _) => *class = flipped,
                     _ => unreachable!("filtered to submissions"),
@@ -783,7 +736,7 @@ fn mutate_once(sc: &mut Scenario, donor: Option<&Scenario>, rng: &mut FuzzRng) {
         }
         // Insert a random event.
         3 | 4 => {
-            let at = rng.below(n as u64 + 1) as usize;
+            let at = rng.gen_range(0..=n);
             let ev = random_event(rng, sc.aging_step_ns, sc.workers);
             sc.events.insert(at, ev);
         }
@@ -792,8 +745,8 @@ fn mutate_once(sc: &mut Scenario, donor: Option<&Scenario>, rng: &mut FuzzRng) {
             if n == 0 {
                 return;
             }
-            let at = rng.below(n as u64) as usize;
-            let len = (1 + rng.below(4) as usize).min(n - at);
+            let at = rng.gen_range(0..n);
+            let len = rng.gen_range(1..=4usize).min(n - at);
             sc.events.drain(at..at + len);
         }
         // Duplicate a span (burst amplification).
@@ -801,10 +754,10 @@ fn mutate_once(sc: &mut Scenario, donor: Option<&Scenario>, rng: &mut FuzzRng) {
             if n == 0 {
                 return;
             }
-            let at = rng.below(n as u64) as usize;
-            let len = (1 + rng.below(6) as usize).min(n - at);
+            let at = rng.gen_range(0..n);
+            let len = rng.gen_range(1..=6usize).min(n - at);
             let span: Vec<Event> = sc.events[at..at + len].to_vec();
-            let insert_at = rng.below(sc.events.len() as u64 + 1) as usize;
+            let insert_at = rng.gen_range(0..=sc.events.len());
             for (k, ev) in span.into_iter().enumerate() {
                 sc.events.insert(insert_at + k, ev);
             }
@@ -813,8 +766,8 @@ fn mutate_once(sc: &mut Scenario, donor: Option<&Scenario>, rng: &mut FuzzRng) {
         // Move (or toggle) the shutdown point.
         8 => {
             sc.events.retain(|e| !matches!(e, Event::Shutdown));
-            if rng.chance(2, 3) {
-                let at = rng.below(sc.events.len() as u64 + 1) as usize;
+            if rng.gen_range(0..3u64) < 2 {
+                let at = rng.gen_range(0..=sc.events.len());
                 sc.events.insert(at, Event::Shutdown);
             }
         }
@@ -822,8 +775,8 @@ fn mutate_once(sc: &mut Scenario, donor: Option<&Scenario>, rng: &mut FuzzRng) {
         _ => {
             if let Some(d) = donor {
                 if n > 0 && !d.events.is_empty() {
-                    let cut = rng.below(n as u64) as usize;
-                    let dcut = rng.below(d.events.len() as u64) as usize;
+                    let cut = rng.gen_range(0..n);
+                    let dcut = rng.gen_range(0..d.events.len());
                     sc.events.truncate(cut);
                     sc.events.extend_from_slice(&d.events[dcut..]);
                     sc.events.truncate(512);
@@ -1003,7 +956,7 @@ impl CampaignReport {
 /// worst-case p99s and oracle violations are delta-debugged down before
 /// they are reported. Pure in `config` — no wall clock anywhere.
 pub fn run_campaign(config: &FuzzConfig) -> CampaignReport {
-    let mut rng = FuzzRng::new(config.seed);
+    let mut rng = StdRng::seed_from_u64(config.seed);
     let mut search = Search::default();
     let mut pool: Vec<(Scenario, u64, f64)> = Vec::with_capacity(config.pool);
 
@@ -1019,16 +972,16 @@ pub fn run_campaign(config: &FuzzConfig) -> CampaignReport {
     // Search loop.
     for iter in 1..=config.iters {
         let parent = {
-            let a = rng.below(pool.len() as u64) as usize;
-            let b = rng.below(pool.len() as u64) as usize;
+            let a = rng.gen_range(0..pool.len());
+            let b = rng.gen_range(0..pool.len());
             if pool[a].1 >= pool[b].1 {
                 a
             } else {
                 b
             }
         };
-        let donor_idx = rng.below(pool.len() as u64) as usize;
-        let donor = rng.chance(15, 100).then(|| &pool[donor_idx].0);
+        let donor_idx = rng.gen_range(0..pool.len());
+        let donor = (rng.gen_range(0..100u64) < 15).then(|| &pool[donor_idx].0);
         let child = mutate(&pool[parent].0, donor, &mut rng);
         let out = search.score(&child, iter);
         // Pool update: replace the weakest member when the child beats it

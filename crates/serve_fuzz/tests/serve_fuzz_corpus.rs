@@ -19,7 +19,7 @@
 //!   p99 than *every* hand-written stress pattern — the corpus proves
 //!   the fuzzer reaches tails the hand-written tests never did.
 
-use rdg_exec::serve::fuzz::{baseline_scenarios, replay, replay_fused, Scenario};
+use rdg_serve_fuzz::{baseline_scenarios, replay, replay_fused, Scenario};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {

@@ -242,7 +242,7 @@ fn eight_identical_behind_a_plug(
         .map(|_| {
             let feeds = request.clone();
             if fuse {
-                let (plan, _) = sess.plan().resolve_for_feeds(&feeds);
+                let plan = sess.plan().resolve_for_feeds(&feeds);
                 exec.submit_fused(&plan, sess.params(), feeds)
             } else {
                 sess.submit_run(feeds)
@@ -385,7 +385,7 @@ fn a_bare_run_beside_a_fusing_serve_loop_stays_scalar() {
         std::thread::yield_now();
     }
     let fused = || {
-        let (plan, _) = sess.plan().resolve_for_feeds(&request);
+        let plan = sess.plan().resolve_for_feeds(&request);
         exec.submit_fused(&plan, sess.params(), request.clone())
             .expect("fused run")
     };
@@ -421,7 +421,7 @@ fn a_run_cancelled_beside_fusing_partners_drops_out_and_the_rest_still_fuse() {
     let (exec, sess, request, scalar) = one_worker_fixture();
     let before = exec.stats().snapshot();
     let plug = plug(&exec);
-    let (plan, _) = sess.plan().resolve_for_feeds(&request);
+    let plan = sess.plan().resolve_for_feeds(&request);
     let [a, cancelled, b] = [(); 3].map(|_| {
         exec.submit_fused(&plan, sess.params(), request.clone())
             .expect("submit")
