@@ -26,9 +26,11 @@
 //!   its own: the row the policy ablation left behind when the FIFO became
 //!   the only ready-queue policy (PR 21), kept so its trajectory goes on.
 //! * `specialize/{invoke_chain/1000,fib/16}` — the same workloads through
-//!   the plan specializer (inlining + hot-shape unrolling): the B side of
-//!   the PR 10 A/B. The `dispatch`/`recursion` groups above are pinned to
-//!   [`SpecializeOptions::disabled`] so they stay the A baseline.
+//!   the plan specializer, whose one pass is hot-shape unrolling: both rows
+//!   measure a promoted plan (the chain's calls expanded into main, fib's
+//!   recursion folded to a constant). The `dispatch`/`recursion` groups
+//!   above are built with [`ModulePlan::general`] so they stay the general
+//!   frame path.
 //!
 //! Set `CRITERION_JSON=results/executor_overhead.json` to append one JSON
 //! record per benchmark (see the criterion shim docs); `PERFORMANCE.md`
@@ -37,7 +39,7 @@
 //! specializer's hit/miss/promotion counters.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rdg_core::exec::{ModulePlan, SpecializeOptions};
+use rdg_core::exec::ModulePlan;
 use rdg_core::prelude::*;
 use std::sync::Arc;
 
@@ -104,10 +106,9 @@ fn fanout_module(k: usize, stages: usize) -> Module {
     mb.finish().expect("finish")
 }
 
-/// A session pinned to the general frame path (the A baseline).
+/// A session on the general frame path (no specializer).
 fn general_session(exec: &Arc<Executor>, module: Module) -> Session {
-    let plan =
-        ModulePlan::with_options(Arc::new(module), SpecializeOptions::disabled()).expect("plan");
+    let plan = ModulePlan::general(Arc::new(module)).expect("plan");
     Session::from_plan(Arc::clone(exec), plan, None).expect("session")
 }
 
@@ -228,8 +229,7 @@ fn record_spec_stats(workload: &str, sess: &Session) {
         };
         let _ = writeln!(
             f,
-            "{{\"spec_stats\":\"{workload}\",\"inlined_invokes\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{hit_rate:.4},\"promotions\":{},\"promoted_plans\":{},\"unrolled_frames\":{},\"folded_ops\":{},\"residual_frames\":{},\"unix_time\":{unix_time}}}",
-            s.inlined_invokes,
+            "{{\"spec_stats\":\"{workload}\",\"hits\":{},\"misses\":{},\"hit_rate\":{hit_rate:.4},\"promotions\":{},\"promoted_plans\":{},\"unrolled_frames\":{},\"folded_ops\":{},\"residual_frames\":{},\"unix_time\":{unix_time}}}",
             s.hits,
             s.misses,
             s.promotions,
@@ -242,10 +242,10 @@ fn record_spec_stats(workload: &str, sess: &Session) {
 }
 
 fn specialize_bench(c: &mut Criterion) {
-    // The B side of the PR 10 A/B: identical workloads to
-    // `dispatch/invoke_chain/1000` and `recursion/fib/16`, run through the
-    // plan specializer. Two warmup runs cross the `HOT_AFTER` promotion
-    // threshold before measurement, matching a warmed serving process.
+    // Identical workloads to `dispatch/invoke_chain/1000` and
+    // `recursion/fib/16`, run through the plan specializer. Two warmup runs
+    // cross the `HOT_AFTER` promotion threshold before measurement,
+    // matching a warmed serving process, so both rows time a promoted plan.
     let mut g = c.benchmark_group("specialize");
     g.sample_size(20);
     let exec = Executor::with_threads(2);

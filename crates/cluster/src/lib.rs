@@ -1,5 +1,4 @@
-//! Data-parallel multi-machine training (paper Figure 10) and
-//! admission-controlled multi-replica serving.
+//! Data-parallel multi-machine training (paper Figure 10).
 //!
 //! The paper scales TreeLSTM training to 8 machines with "the well-known
 //! data parallelism technique" (parameter server, Li et al. OSDI '14) and
@@ -20,22 +19,8 @@
 //!   a configurable bandwidth/latency ([`NetModel::sync_cost`]). This is the
 //!   documented hardware substitution for the paper's cluster.
 
-//!
-//! Serving: [`serve_real`] stands up `n` model replicas on one shared
-//! parameter store, fronts each with a QoS-aware admission queue
-//! (`rdg_exec::ServeQueue`: per-class lanes, aged strict priority,
-//! EWMA-sized dispatch waves), and drives them from a pool of client
-//! threads whose classes follow `ServeClusterConfig::class_mix` — the
-//! request stream goes through bounded admission with backpressure, not
-//! bare `run_many`, so burst load cannot put unbounded root frames in
-//! flight on any machine. The report carries cluster-level per-class
-//! client-observed latency percentiles next to the aggregate.
-
 pub mod server;
 pub mod virtual_time;
 
-pub use server::{
-    pick_replica, run_real, serve_real, ClassLatency, ClusterConfig, ClusterReport, Routing,
-    ServeClusterConfig, ServeClusterReport,
-};
+pub use server::{run_real, ClusterConfig, ClusterReport};
 pub use virtual_time::{model_step, run_virtual, NetModel};

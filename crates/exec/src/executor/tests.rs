@@ -307,8 +307,7 @@ fn traced_paths(ctx: &RunContext) -> Vec<PathKey> {
 fn inference_builds_no_paths_and_training_one_node_per_frame() {
     let exec = Executor::with_threads(2);
     // The general path, pinned: a promoted plan folds this recursion away.
-    let opts = crate::SpecializeOptions::disabled();
-    let plan = ModulePlan::with_options(Arc::new(tree(5)), opts).unwrap();
+    let plan = ModulePlan::general(Arc::new(tree(5))).unwrap();
     let params = Arc::new(ParamStore::from_module(&plan.module));
     // Every inference entry point (`Session::run`, `run_many`, `submit_run`,
     // the serve dispatcher) starts its runs like this, scalar or fused: no
@@ -346,10 +345,9 @@ fn inference_builds_no_paths_and_training_one_node_per_frame() {
     assert!(!deepest[0].ptr_eq(&deepest[1]));
 }
 
-/// The general path, pinned: no inlining, so every call below is a frame.
+/// The general path, pinned: every call below is a frame.
 fn planned_general(m: Module) -> (Arc<ModulePlan>, Arc<ParamStore>) {
-    let opts = crate::SpecializeOptions::disabled();
-    let plan = ModulePlan::with_options(Arc::new(m), opts).unwrap();
+    let plan = ModulePlan::general(Arc::new(m)).unwrap();
     let params = Arc::new(ParamStore::from_module(&plan.module));
     (plan, params)
 }

@@ -110,11 +110,10 @@ pub use error::ExecError;
 pub use executor::{Executor, RunHandle};
 pub use params::{GradStore, ParamStore};
 pub use path::{PathKey, PathTable};
-pub use plan::specialize::{Provenance, SpecializeOptions};
 pub use plan::{ExecutionPlan, ModulePlan, SpecStats};
 pub use serve::{
-    ClassStats, LatencyPercentiles, Priority, ReplicaSnapshot, ServeClient, ServeConfig,
-    ServeError, ServeQueue, ServeStats, ServeTicket, WaveRecord, WaveSizing,
+    ClassStats, LatencyPercentiles, Priority, ServeClient, ServeConfig, ServeError, ServeQueue,
+    ServeStats, ServeTicket, WaveRecord, WaveSizing,
 };
 pub use session::Session;
 pub use stats::{ExecStats, StatsSnapshot};

@@ -33,6 +33,13 @@
 //! * a pooled free-list of frame cores (pending counters + value slots),
 //!   so frame activation reuses allocations across invocations and runs.
 //!
+//! Planning never rewrites a module: [`ModulePlan::new`] plans it exactly
+//! as built. What a run executes can still differ per feed signature — the
+//! one specializer pass ([`specialize`], hot-shape unrolling) promotes a
+//! recurring signature to a flat plan of its own, which
+//! [`ModulePlan::resolve_for_feeds`] then hands out. [`ModulePlan::general`]
+//! builds a plan without that state: every run takes the frame machinery.
+//!
 //! # Example
 //!
 //! ```
@@ -57,7 +64,6 @@ pub mod specialize;
 
 use rdg_graph::{GraphRef, Module, NodeId, OpKind, ParamId, PortRef, SubGraphId};
 use rdg_tensor::{DType, Tensor};
-use specialize::{Provenance, SpecializeOptions};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -254,8 +260,6 @@ impl ExecutionPlan {
 /// [`ModulePlan`] so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpecStats {
-    /// `Invoke` nodes eliminated by inlining at plan build.
-    pub inlined_invokes: usize,
     /// Runs dispatched to a promoted (specialized) plan.
     pub hits: u64,
     /// Runs that took the general frame machinery.
@@ -286,13 +290,12 @@ struct SpecTable {
 /// (bounds memory under adversarial feed streams).
 const PROFILE_CAP: usize = 4096;
 
-/// Mutable specializer state attached to a plan built with specialization
-/// enabled. Promoted plans live and die with the owning [`ModulePlan`] —
-/// dropping the plan drops its whole specialized cache, so invalidation is
-/// keyed exactly like the plan itself.
+/// Mutable specializer state, attached only to a plan whose module is
+/// unroll-eligible. Promoted plans live and die with the owning
+/// [`ModulePlan`] — dropping the plan drops its whole specialized cache, so
+/// invalidation is keyed exactly like the plan itself.
+#[derive(Default)]
 struct SpecState {
-    inlined: usize,
-    unrollable: bool,
     table: Mutex<SpecTable>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -302,33 +305,23 @@ struct SpecState {
     residual_frames: AtomicU64,
 }
 
-impl SpecState {
-    fn new(inlined: usize) -> Self {
-        SpecState {
-            inlined,
-            unrollable: false,
-            table: Mutex::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-            unrolled_frames: AtomicU64::new(0),
-            folded_ops: AtomicU64::new(0),
-            residual_frames: AtomicU64::new(0),
-        }
-    }
-}
+/// For each node of a promoted plan's flattened main graph, the
+/// `(graph, node)` of the original-module node it was copied from (`None`
+/// for synthesized nodes, e.g. materialized fold results).
+type NodeOrigins = Vec<Option<(GraphRef, NodeId)>>;
 
 /// All plans for a module, plus the module itself.
 pub struct ModulePlan {
-    /// The planned module.
+    /// The planned module: the one the plan was built from, except on a
+    /// promoted plan, whose main graph is the unrolled one.
     pub module: Arc<Module>,
     main: ExecutionPlan,
     subs: Vec<ExecutionPlan>,
-    /// Node provenance when this plan's graphs were rewritten by the
-    /// specializer (inlined, or an unrolled promotion).
-    provenance: Option<Provenance>,
-    /// Specializer state; `None` when built with specialization disabled
-    /// (and on promoted plans, which must not re-specialize).
+    /// Where a promoted plan's main-graph nodes came from; `None` on every
+    /// other plan.
+    provenance: Option<NodeOrigins>,
+    /// Specializer state; `None` on general plans, on modules the unroller
+    /// cannot expand, and on promoted plans (which never re-specialize).
     spec: Option<SpecState>,
 }
 
@@ -339,83 +332,36 @@ impl ModulePlan {
     /// single frame spawns; the inferred abstract shapes are recorded on
     /// each [`ExecutionPlan`] for downstream specialization.
     ///
-    /// Plan-time specialization runs with the default options (both passes
-    /// on); use [`ModulePlan::with_options`] to pin anything else.
+    /// The module is planned exactly as built (`plan.module` is the `Arc`
+    /// passed in). When it is unroll-eligible, the plan also carries the
+    /// specializer's profile, and [`ModulePlan::resolve_for_feeds`] promotes
+    /// recurring feed signatures.
     pub fn new(module: Arc<Module>) -> rdg_graph::Result<Arc<Self>> {
-        Self::with_options(module, SpecializeOptions::default())
+        let spec = specialize::unroll_eligible(&module).then(SpecState::default);
+        Self::build(module, spec, None)
     }
 
-    /// Like [`ModulePlan::new`], with explicit specializer options.
-    pub fn with_options(
+    /// Like [`ModulePlan::new`], without the specializer: every run of this
+    /// plan takes the general frame machinery.
+    pub fn general(module: Arc<Module>) -> rdg_graph::Result<Arc<Self>> {
+        Self::build(module, None, None)
+    }
+
+    /// Validation, analysis and per-graph plan construction (every path).
+    fn build(
         module: Arc<Module>,
-        opts: SpecializeOptions,
+        spec: Option<SpecState>,
+        provenance: Option<NodeOrigins>,
     ) -> rdg_graph::Result<Arc<Self>> {
         module.validate()?;
-        let mut plan = if opts.inline {
-            match specialize::inline_trivial_invokes(&module) {
-                // The inlined module must independently survive validation
-                // and analysis; if it somehow does not, the original module
-                // is planned unchanged (inlining is an optimization, never
-                // a new failure mode).
-                Some(outcome) => {
-                    let inlined_module = Arc::new(outcome.module);
-                    match inlined_module
-                        .validate()
-                        .and_then(|()| Self::build_graphs(&inlined_module))
-                    {
-                        Ok((main, subs)) => ModulePlan {
-                            module: inlined_module,
-                            main,
-                            subs,
-                            provenance: Some(outcome.provenance),
-                            spec: Some(SpecState::new(outcome.inlined)),
-                        },
-                        Err(_) => Self::build_plain(module)?,
-                    }
-                }
-                None => Self::build_plain(module)?,
-            }
-        } else {
-            Self::build_plain(module)?
-        };
-        if opts.enabled() {
-            let unrollable = opts.unroll && specialize::unroll_eligible(&plan.module);
-            match &mut plan.spec {
-                Some(s) => s.unrollable = unrollable,
-                None => {
-                    let mut s = SpecState::new(0);
-                    s.unrollable = unrollable;
-                    plan.spec = Some(s);
-                }
-            }
-        }
-        Ok(Arc::new(plan))
-    }
-
-    /// Plans a module with no specializer state attached.
-    fn build_plain(module: Arc<Module>) -> rdg_graph::Result<ModulePlan> {
-        let (main, subs) = Self::build_graphs(&module)?;
-        Ok(ModulePlan {
-            module,
-            main,
-            subs,
-            provenance: None,
-            spec: None,
-        })
-    }
-
-    /// Analysis + per-graph plan construction (shared by every path).
-    fn build_graphs(
-        module: &Arc<Module>,
-    ) -> rdg_graph::Result<(ExecutionPlan, Vec<ExecutionPlan>)> {
         let report = rdg_graph::analyze::check_module(
-            module,
+            &module,
             &rdg_graph::analyze::AnalysisConfig::default(),
         )?;
-        let mut main = ExecutionPlan::build(module, GraphRef::Main)?;
+        let mut main = ExecutionPlan::build(&module, GraphRef::Main)?;
         main.shapes = report.shapes.graph_shapes(GraphRef::Main).clone();
         let mut subs = (0..module.subgraphs.len())
-            .map(|i| ExecutionPlan::build(module, GraphRef::Sub(SubGraphId(i as u32))))
+            .map(|i| ExecutionPlan::build(&module, GraphRef::Sub(SubGraphId(i as u32))))
             .collect::<rdg_graph::Result<Vec<_>>>()?;
         for (i, sub) in subs.iter_mut().enumerate() {
             sub.shapes = report
@@ -423,7 +369,13 @@ impl ModulePlan {
                 .graph_shapes(GraphRef::Sub(SubGraphId(i as u32)))
                 .clone();
         }
-        Ok((main, subs))
+        Ok(Arc::new(ModulePlan {
+            module,
+            main,
+            subs,
+            provenance,
+            spec,
+        }))
     }
 
     /// The plan for one graph.
@@ -434,18 +386,19 @@ impl ModulePlan {
         }
     }
 
-    /// Node provenance for graphs the specializer rewrote: for each node of
-    /// a rewritten graph, the `(graph, node)` of the original-module node it
-    /// was copied from (`None` for synthesized nodes, e.g. materialized
-    /// fold results). `None` when nothing was rewritten.
-    pub fn provenance(&self) -> Option<&Provenance> {
-        self.provenance.as_ref()
+    /// Node provenance of a promoted plan: for each node of its unrolled
+    /// main graph, the `(graph, node)` of the original-module node it was
+    /// copied from (`None` for synthesized nodes, e.g. materialized fold
+    /// results). `None` on every plan that is not a promotion — its module
+    /// is the one it was built from.
+    pub fn provenance(&self) -> Option<&[Option<(GraphRef, NodeId)>]> {
+        self.provenance.as_deref()
     }
 
     /// Resolves the plan to execute for one feed vector.
     ///
-    /// With unrolling enabled, a feed signature that has recurred twice
-    /// (`specialize::HOT_AFTER`) is promoted: the module is
+    /// On a plan carrying the specializer, a feed signature that has
+    /// recurred twice (`specialize::HOT_AFTER`) is promoted: the module is
     /// expanded for that signature (`specialize::unroll_for_feeds`) and
     /// the resulting flat plan is cached on this plan, so subsequent equal
     /// signatures dispatch with zero call/return frames. Everything else —
@@ -454,7 +407,7 @@ impl ModulePlan {
     /// unrolling is refused by the expander itself (a promotion must remove
     /// more frames than it leaves) and blacklisted on its first hot run.
     pub fn resolve_for_feeds(self: &Arc<Self>, feeds: &[Tensor]) -> Arc<ModulePlan> {
-        let Some(spec) = self.spec.as_ref().filter(|s| s.unrollable) else {
+        let Some(spec) = self.spec.as_ref() else {
             return Arc::clone(self);
         };
         let key = specialize::spec_key(feeds);
@@ -489,21 +442,12 @@ impl ModulePlan {
             });
             let promoted = expanded.and_then(|outcome| {
                 let counters = outcome.counters();
-                let module = Arc::new(outcome.module);
-                Self::with_options(module, SpecializeOptions::disabled())
+                Self::build(Arc::new(outcome.module), None, Some(outcome.provenance))
                     .ok()
-                    .map(|p| (p, outcome.provenance, counters))
+                    .map(|p| (p, counters))
             });
             match promoted {
-                Some((plan, prov, (frames, folded, residuals))) => {
-                    // Attach provenance to the freshly built plan (sole
-                    // owner at this point, so the mutation is safe).
-                    let mut plan = plan;
-                    if let Some(p) = Arc::get_mut(&mut plan) {
-                        let mut map = Provenance::new();
-                        map.insert(GraphRef::Main, prov);
-                        p.provenance = Some(map);
-                    }
+                Some((plan, (frames, folded, residuals))) => {
                     spec.promotions.fetch_add(1, Ordering::Relaxed);
                     spec.hits.fetch_add(1, Ordering::Relaxed);
                     spec.unrolled_frames.fetch_add(frames, Ordering::Relaxed);
@@ -521,13 +465,12 @@ impl ModulePlan {
         Arc::clone(self)
     }
 
-    /// Specializer counters for this plan (all zero when specialization is
-    /// disabled).
+    /// Specializer counters for this plan (all zero on a plan without the
+    /// specializer).
     pub fn spec_stats(&self) -> SpecStats {
         match &self.spec {
             None => SpecStats::default(),
             Some(s) => SpecStats {
-                inlined_invokes: s.inlined,
                 hits: s.hits.load(Ordering::Relaxed),
                 misses: s.misses.load(Ordering::Relaxed),
                 promotions: s.promotions.load(Ordering::Relaxed),
@@ -590,8 +533,7 @@ mod tests {
         let z = mb.invoke(&seven, &[]).unwrap()[0]; // 3
         let out = mb.add(y, z).unwrap(); // 4
         mb.set_outputs(&[out]).unwrap();
-        let opts = SpecializeOptions::disabled(); // keep the zero-argument Invoke
-        let plan = ModulePlan::with_options(Arc::new(mb.finish().unwrap()), opts).unwrap();
+        let plan = ModulePlan::new(Arc::new(mb.finish().unwrap())).unwrap();
         let p = plan.plan(GraphRef::Main);
         // The parameter read and the constant are both born with the frame.
         let prelude: Vec<NodeId> = p.prelude.iter().map(|e| e.node).collect();

@@ -1,62 +1,45 @@
-//! Plan-time specialization: trivial-invoke inlining and hot-shape
-//! unrolling.
+//! Plan-time specialization: hot-shape unrolling.
 //!
 //! The paper's recursive `invoke` pays a frame (spawn + argument passing +
-//! return delivery) per activation. Cortex and the TF recursive-functions
-//! line of work both make the same observation: most of that cost is
-//! *compilable away* once the plan, not the frame, is the unit of
-//! optimization. This module implements the two plan-time passes:
+//! return delivery) per activation, and runs it on the unmodified executor
+//! at about a plain op's cost (§4.1.2). Planning a module therefore never
+//! rewrites it: [`ModulePlan::new`] plans the module exactly as built. The
+//! one rewrite is per feed signature, at run time, and only for a signature
+//! that recurs. Cortex makes the observation this builds on: once a
+//! recursion's control flow is known, its frames are *compilable away*.
 //!
-//! 1. **Trivial-invoke inlining** (`inline_trivial_invokes`) — a SubGraph
-//!    body that is straight-line (op-only: no control flow, no
-//!    path-dependent or effectful autodiff ops — see
-//!    [`rdg_graph::analyze::body_is_straight_line`]) is spliced into its
-//!    caller at plan build, so the call costs zero frames. Runs to a
-//!    fixpoint so a sub that *becomes* straight-line after its own callees
-//!    inline is inlined in a later pass.
-//! 2. **Hot-shape unrolling** (`unroll_for_feeds`) — given a concrete
-//!    feed signature (shapes always; values for small `i32` feeds), the
-//!    whole recursion is abstract-interpreted at plan time: every `Invoke`
-//!    is expanded in place, every `Cond` whose predicate folds to a known
-//!    constant is resolved to its taken branch, and every op whose operands
-//!    are all known is constant-folded through the *same* kernels the
-//!    executor runs (so folded results are bit-exact). What cannot be
-//!    decided statically is left behind as a *residual* `Invoke`/`Cond`
-//!    (fresh call sites, general frame machinery) — the fallback path.
+//! **Hot-shape unrolling** (`unroll_for_feeds`) — given a concrete feed
+//! signature (shapes always; values for small `i32` feeds), the whole
+//! recursion is abstract-interpreted at plan time: every `Invoke` is
+//! expanded in place, every `Cond` whose predicate folds to a known
+//! constant is resolved to its taken branch, and every op whose operands
+//! are all known is constant-folded through the *same* kernels the executor
+//! runs (so folded results are bit-exact). What cannot be decided
+//! statically is left behind as a *residual* `Invoke`/`Cond` (fresh call
+//! sites, general frame machinery) — the fallback path.
 //!
-//! Both passes preserve op kinds verbatim on every surviving node, so the
+//! The expander copies op kinds verbatim onto every surviving node, so the
 //! serving executor's cross-request fuse signature
 //! ([`crate::batch::fuse_kind`], keyed per plan by `GroupKey`) classifies a
-//! specialized node exactly like its general-plan twin. The [`Provenance`]
-//! maps record which original node each specialized node descends from;
-//! the regression suite uses them to assert that fuse-class agreement.
+//! specialized node exactly like its general-plan twin. A promoted plan's
+//! [`ModulePlan::provenance`] records which original node each node of its
+//! flattened main graph descends from; the regression suite uses it to
+//! assert that fuse-class agreement.
 //!
-//! # Safety rules (what is *never* rewritten)
+//! # What is never unrolled
 //!
-//! Node ids are load-bearing in three places, so graphs where they escape
-//! are frozen against rewriting:
-//!
-//! * graphs with non-empty keep-sets or shape-keep-sets (the sets name
-//!   `(node, port)` pairs the backprop cache interns per invocation path);
-//! * forward graphs that are some gradient SubGraph's `grad_of` target
-//!   (their node ids are referenced by `FwdValue`/`FwdZeros` in the
-//!   gradient twin, and their activations are cached per forward frame —
-//!   which also means an `Invoke` *of* such a SubGraph is never inlined:
-//!   the forward frame must actually spawn for the cache to fill);
-//! * a main graph containing `FwdValue`/`FwdZeros` (self-referential ids).
-//!
-//! Unrolling is stricter still: it requires a module with no keeps, no
-//! gradient twins, and no autodiff ops anywhere — the training path always
-//! takes the general frame machinery (and still benefits from inlining).
+//! Node ids are load-bearing wherever the backprop cache is involved: keep
+//! sets name `(node, port)` pairs, and `FwdValue`/`FwdZeros` in a gradient
+//! twin name nodes of its forward graph. Unrolling therefore requires a
+//! module with no keeps, no gradient twins, and no autodiff ops anywhere —
+//! the training path always takes the general frame machinery.
 
 use crate::plan::ModulePlan;
-use rdg_graph::analyze::{body_is_straight_line, AbsDim, AbsShape};
+use rdg_graph::analyze::{AbsDim, AbsShape};
 use rdg_graph::{CallSiteId, Graph, GraphRef, Module, NodeId, OpKind, PortRef, SubGraphId};
 use rdg_tensor::{DType, Tensor};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-/// Largest straight-line body the inliner will splice per call site.
-const MAX_INLINE_NODES: usize = 32;
 /// Deepest invocation chain the unroller will expand before leaving a
 /// residual frame (also the plan-time recursion bound of the expander).
 const MAX_UNROLL_DEPTH: usize = 512;
@@ -73,249 +56,6 @@ pub(crate) const MAX_PROMOTED: usize = 8;
 /// specialization key (and are therefore foldable); larger tensors and all
 /// `f32` feeds contribute shape only.
 const MAX_VALUE_KEY_ELEMS: usize = 64;
-
-/// Per-graph node provenance: for each node of a rewritten graph, the
-/// `(graph, node)` in the original module it was copied from (`None` for
-/// synthesized nodes such as materialized fold results).
-pub type Provenance = HashMap<GraphRef, Vec<Option<(GraphRef, NodeId)>>>;
-
-/// Which passes of the plan-time specializer run. The default has both on;
-/// tests and benches that need the general path, or one pass alone, build
-/// their plan with `ModulePlan::with_options`. No environment variable
-/// changes what a plan does.
-#[derive(Clone, Debug)]
-pub struct SpecializeOptions {
-    /// Splice straight-line SubGraph bodies into callers at plan build.
-    pub inline: bool,
-    /// Promote recurring feed signatures to pre-expanded flat plans.
-    pub unroll: bool,
-}
-
-impl Default for SpecializeOptions {
-    fn default() -> Self {
-        SpecializeOptions {
-            inline: true,
-            unroll: true,
-        }
-    }
-}
-
-impl SpecializeOptions {
-    /// Both passes off: plans behave exactly as before this module existed.
-    pub fn disabled() -> Self {
-        SpecializeOptions {
-            inline: false,
-            unroll: false,
-        }
-    }
-
-    /// `true` when any pass is active.
-    pub fn enabled(&self) -> bool {
-        self.inline || self.unroll
-    }
-}
-
-// ---------------------------------------------------------------------
-// Pass 1: trivial-invoke inlining
-// ---------------------------------------------------------------------
-
-/// Result of the inline pass.
-pub(crate) struct InlineOutcome {
-    /// The rewritten module (unchanged graphs are cloned as-is).
-    pub module: Module,
-    /// Number of `Invoke` nodes eliminated across all graphs and passes.
-    pub inlined: usize,
-    /// Node provenance for every rewritten graph.
-    pub provenance: Provenance,
-}
-
-/// Graphs whose node ids escape the graph (see module docs) and must not
-/// be renumbered — and whose frames must actually spawn.
-fn frozen_graphs(m: &Module) -> HashSet<GraphRef> {
-    let mut frozen = HashSet::new();
-    for (gref, set) in &m.keep_sets {
-        if !set.is_empty() {
-            frozen.insert(*gref);
-        }
-    }
-    for (gref, set) in &m.shape_keep_sets {
-        if !set.is_empty() {
-            frozen.insert(*gref);
-        }
-    }
-    for s in &m.subgraphs {
-        if let Some(fwd) = s.grad_of {
-            frozen.insert(GraphRef::Sub(fwd));
-        }
-    }
-    let self_referential = |g: &Graph| {
-        g.nodes
-            .iter()
-            .any(|n| matches!(n.op, OpKind::FwdValue { .. } | OpKind::FwdZeros { .. }))
-    };
-    if self_referential(&m.main) {
-        frozen.insert(GraphRef::Main);
-    }
-    frozen
-}
-
-/// Per-SubGraph inlinability under the current module shape.
-fn inlinable_subs(m: &Module, frozen: &HashSet<GraphRef>) -> Vec<bool> {
-    m.subgraphs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            !frozen.contains(&GraphRef::Sub(SubGraphId(i as u32)))
-                && s.grad_of.is_none()
-                && s.graph.len() <= MAX_INLINE_NODES
-                && body_is_straight_line(&s.graph)
-        })
-        .collect()
-}
-
-/// Splices every inlinable `Invoke` of `gref` in place. Returns `None`
-/// when the graph has nothing to inline (or an edge pattern the splicer
-/// does not handle, in which case the graph is left untouched).
-fn splice_graph(
-    m: &Module,
-    gref: GraphRef,
-    inlinable: &[bool],
-) -> Option<(Graph, Vec<Option<(GraphRef, NodeId)>>, usize)> {
-    let g = m.graph(gref);
-    let has_work = g.nodes.iter().any(|n| {
-        matches!(&n.op, OpKind::Invoke { sub, mirror: false, .. }
-                 if inlinable[sub.0 as usize])
-    });
-    if !has_work {
-        return None;
-    }
-
-    let mut out = Graph::new();
-    let mut prov: Vec<Option<(GraphRef, NodeId)>> = Vec::new();
-    // For each original node, its output ports in the rewritten graph.
-    let mut port_map: Vec<Vec<PortRef>> = Vec::with_capacity(g.len());
-    let map_port = |pm: &[Vec<PortRef>], p: &PortRef| -> Option<PortRef> {
-        pm.get(p.node.0 as usize)
-            .and_then(|v| v.get(p.port as usize))
-            .copied()
-    };
-    let mut inlined = 0usize;
-
-    for (idx, node) in g.nodes.iter().enumerate() {
-        let mapped: Option<Vec<PortRef>> =
-            node.inputs.iter().map(|p| map_port(&port_map, p)).collect();
-        // Builder graphs are push-ordered; a forward edge means this is not
-        // a graph we know how to rewrite. Leave it untouched.
-        let mapped = mapped?;
-        match &node.op {
-            OpKind::Invoke {
-                sub, mirror: false, ..
-            } if inlinable[sub.0 as usize] => {
-                let body = &m.subgraph(*sub).graph;
-                let mut bmap: Vec<Vec<PortRef>> = Vec::with_capacity(body.len());
-                for (bidx, bn) in body.nodes.iter().enumerate() {
-                    if let OpKind::Input { index, .. } = &bn.op {
-                        bmap.push(vec![*mapped.get(*index)?]);
-                        continue;
-                    }
-                    let bi: Option<Vec<PortRef>> =
-                        bn.inputs.iter().map(|p| map_port(&bmap, p)).collect();
-                    let nid = out.push_node(bn.op.clone(), bi?, body.out_dtypes[bidx].clone());
-                    out.nodes[nid.0 as usize].name = format!("{}.{}", node.name, bn.name);
-                    prov.push(Some((GraphRef::Sub(*sub), NodeId(bidx as u32))));
-                    bmap.push(ports_of(&out, nid));
-                }
-                let outs: Option<Vec<PortRef>> =
-                    body.outputs.iter().map(|p| map_port(&bmap, p)).collect();
-                port_map.push(outs?);
-                inlined += 1;
-            }
-            op => {
-                let nid = out.push_node(op.clone(), mapped, g.out_dtypes[idx].clone());
-                out.nodes[nid.0 as usize].name = node.name.clone();
-                prov.push(Some((gref, NodeId(idx as u32))));
-                port_map.push(ports_of(&out, nid));
-            }
-        }
-    }
-    let outs: Option<Vec<PortRef>> = g.outputs.iter().map(|p| map_port(&port_map, p)).collect();
-    out.outputs = outs?;
-    Some((out, prov, inlined))
-}
-
-fn ports_of(g: &Graph, n: NodeId) -> Vec<PortRef> {
-    (0..g.out_dtypes[n.0 as usize].len())
-        .map(|p| PortRef {
-            node: n,
-            port: p as u16,
-        })
-        .collect()
-}
-
-/// Follows provenance transitively back to the original module.
-fn resolve_prov(prov: &Provenance, gref: GraphRef, node: NodeId) -> Option<(GraphRef, NodeId)> {
-    match prov.get(&gref) {
-        Some(v) => v[node.0 as usize],
-        None => Some((gref, node)),
-    }
-}
-
-/// Runs the inline pass to a fixpoint (bounded). Returns `None` when
-/// nothing was inlined.
-pub(crate) fn inline_trivial_invokes(module: &Module) -> Option<InlineOutcome> {
-    let mut m = module.clone();
-    let mut total = 0usize;
-    let mut provenance: Provenance = HashMap::new();
-    for _pass in 0..8 {
-        let frozen = frozen_graphs(&m);
-        let inlinable = inlinable_subs(&m, &frozen);
-        if !inlinable.iter().any(|&b| b) {
-            break;
-        }
-        let mut pass_inlined = 0usize;
-        let mut rewrites: Vec<(GraphRef, Graph, Vec<Option<(GraphRef, NodeId)>>)> = Vec::new();
-        let grefs = std::iter::once(GraphRef::Main)
-            .chain((0..m.subgraphs.len()).map(|i| GraphRef::Sub(SubGraphId(i as u32))));
-        for gref in grefs {
-            if frozen.contains(&gref) {
-                continue;
-            }
-            if let Some((g, prov, n)) = splice_graph(&m, gref, &inlinable) {
-                // Compose this pass's provenance through the accumulated
-                // map so entries always point at *original* module nodes.
-                let composed = prov
-                    .into_iter()
-                    .map(|e| e.and_then(|(g2, n2)| resolve_prov(&provenance, g2, n2)))
-                    .collect();
-                rewrites.push((gref, g, composed));
-                pass_inlined += n;
-            }
-        }
-        if pass_inlined == 0 {
-            break;
-        }
-        for (gref, g, prov) in rewrites {
-            match gref {
-                GraphRef::Main => m.main = g,
-                GraphRef::Sub(id) => m.subgraphs[id.0 as usize].graph = g,
-            }
-            provenance.insert(gref, prov);
-        }
-        total += pass_inlined;
-    }
-    if total == 0 {
-        return None;
-    }
-    Some(InlineOutcome {
-        module: m,
-        inlined: total,
-        provenance,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Pass 2: hot-shape unrolling (feed-signature specialization)
-// ---------------------------------------------------------------------
 
 /// `true` when the module is safe to unroll at all (see module docs) and
 /// unrolling could plausibly pay (it has at least one call site).

@@ -124,12 +124,9 @@ impl WaveController {
 /// the per-request service EWMA is `ewma_ns` and `workers` lanes drain
 /// concurrently: `depth × ewma ÷ workers`, saturating.
 ///
-/// This is the one prediction rule of the serving stack, with exactly two
-/// callers: predictive admission shedding (`DispatchCore::admit`, behind
-/// [`super::ServeClient::submit_slo_with`] and the scripted driver alike)
-/// and the cluster's join-shortest-queue routing
-/// ([`super::ReplicaSnapshot::predicted_wait_ns`]) — so the two agree on
-/// what "too late to bother" means.
+/// The prediction rule of predictive admission shedding, its one caller
+/// (`DispatchCore::admit`, behind [`super::ServeClient::submit_slo_with`]
+/// and the scripted driver alike).
 pub(crate) fn predicted_wait_ns(depth: usize, ewma_ns: u64, workers: usize) -> u64 {
     let w = workers.max(1) as u128;
     (depth as u128 * ewma_ns as u128 / w).min(u64::MAX as u128) as u64

@@ -103,7 +103,7 @@ use crate::error::ExecError;
 use crate::executor::{Executor, RunHandle};
 use crate::params::ParamStore;
 use crate::plan::ModulePlan;
-use crate::stats::{ExecStats, StatsSnapshot};
+use crate::stats::ExecStats;
 use classes::Queued;
 use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
@@ -346,9 +346,9 @@ impl LatencyPercentiles {
     /// nanosecond samples. Sorts `samples` in place; an empty set yields
     /// the all-zero snapshot.
     ///
-    /// This is *the* quantile rule of the serving stack — `ServeStats`
-    /// snapshots and `rdg_cluster::serve_real`'s client-observed report
-    /// both go through it, so their numbers stay comparable.
+    /// This is *the* quantile rule of the serving stack: `ServeStats`
+    /// snapshots and the serving bench's client-observed latencies both go
+    /// through it, so their numbers stay comparable.
     pub fn from_ns_samples(samples: &mut Vec<u64>) -> Self {
         if samples.is_empty() {
             return LatencyPercentiles::default();
@@ -510,7 +510,7 @@ pub struct ServeStats {
     /// The controller's current per-request service EWMA, nanoseconds —
     /// `0` until the first dynamic-sizing observation (and always under
     /// [`WaveSizing::Fixed`]). This is the estimate predictive shedding
-    /// and cluster routing divide by.
+    /// divides by.
     pub service_ewma_ns: u64,
     /// enqueue → dispatch (time spent queued), all classes.
     pub wait: LatencyPercentiles,
@@ -518,17 +518,18 @@ pub struct ServeStats {
     pub service: LatencyPercentiles,
     /// enqueue → complete (what the client observes), all classes.
     pub total: LatencyPercentiles,
-    /// Fused kernel calls issued since this loop started (each covered ≥2
-    /// request instances). Zero when `cross_request_batching` is off.
+    /// Fused kernel calls issued by this loop's runs (each covered ≥2
+    /// request instances; a group counts toward the run of its first
+    /// member). Zero when `cross_request_batching` is off.
     pub fusion_groups: u64,
-    /// Kernel instances executed through a fused call since this loop
-    /// started — the numerator of [`ServeStats::fused_fraction`].
+    /// This loop's kernel instances executed through a fused call — the
+    /// numerator of [`ServeStats::fused_fraction`].
     pub fusion_instances: u64,
-    /// Fusion-eligible kernel instances (batchable graph nodes) executed
-    /// since this loop started, fused or not — the denominator of
-    /// [`ServeStats::fused_fraction`]. Counted on the shared executor, so
-    /// concurrent non-serving runs on the same executor smear in; with the
-    /// usual one-loop-per-executor layout it is exact once runs complete.
+    /// This loop's fusion-eligible kernel instances (batchable graph
+    /// nodes), fused or not — the denominator of
+    /// [`ServeStats::fused_fraction`]. All three fusion rows are the sums of
+    /// each joined request's own run counters, so other runs on the same
+    /// executor never count here; a request shows up once it is joined.
     pub fusion_eligible: u64,
     /// The per-class split, indexed by [`Priority::index`].
     pub classes: [ClassStats; Priority::COUNT],
@@ -629,43 +630,6 @@ struct Request {
     tx: Sender<Result<Vec<Tensor>, ServeError>>,
 }
 
-/// A cheap point-in-time load snapshot of one serving loop, for
-/// join-shortest-queue replica routing (`rdg_cluster::serve_real`): queue
-/// depth and in-flight count plus the service EWMA to turn depth into a
-/// predicted wait. Reading one costs a short lock plus two atomic loads —
-/// cheap enough to take per routing decision. A snapshot is immediately
-/// stale, of course; the router treats it as a hint, never a guarantee.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReplicaSnapshot {
-    /// Requests queued across all lanes at snapshot time.
-    pub queue_depth: usize,
-    /// Root frames in flight at snapshot time.
-    pub in_flight: usize,
-    /// Per-request service EWMA, nanoseconds (`0` = no estimate yet).
-    pub service_ewma_ns: u64,
-    /// The loop's worker count (what the queue drains through).
-    pub workers: usize,
-}
-
-impl ReplicaSnapshot {
-    /// Nominal per-request service estimate used before the replica has
-    /// observed anything: 1 ms, so early routing degrades to plain
-    /// shortest-queue-length comparison.
-    pub const DEFAULT_SERVICE_NS: u64 = 1_000_000;
-
-    /// Predicted wait for one more request behind this snapshot's load:
-    /// `(queued + in flight) × ewma ÷ workers` (the same prediction rule
-    /// predictive admission shedding uses).
-    pub fn predicted_wait_ns(&self) -> u64 {
-        let ewma = if self.service_ewma_ns == 0 {
-            Self::DEFAULT_SERVICE_NS
-        } else {
-            self.service_ewma_ns
-        };
-        controller::predicted_wait_ns(self.queue_depth + self.in_flight, ewma, self.workers)
-    }
-}
-
 /// The lifecycle counters of one class.
 #[derive(Default)]
 struct ClassCounters {
@@ -707,6 +671,9 @@ struct StatsInner {
     /// windows — percentile windows cannot be merged after the fact).
     latency: LatencyTracks,
     in_flight: AtomicUsize,
+    /// The sum of every joined request's run counters (the fusion rows of
+    /// [`ServeStats`] read it).
+    runs: ExecStats,
 }
 
 /// The admission-control subsystem: per-class bounded lanes + dispatcher
@@ -733,12 +700,6 @@ pub struct ServeQueue {
     /// complete timestamp is `epoch.elapsed()` in nanoseconds — the same
     /// integer timeline the pure scheduling units run on under test.
     epoch: Instant,
-    /// The executor's lifetime counters, for the fusion-rate rows of
-    /// [`ServeStats`] (completed runs fold their counters in there).
-    exec_stats: Arc<ExecStats>,
-    /// What `exec_stats` read when this loop started; the fusion rows are
-    /// the delta past this baseline.
-    fusion_base: StatsSnapshot,
     config: ServeConfig,
 }
 
@@ -756,8 +717,6 @@ impl ServeQueue {
         config: ServeConfig,
     ) -> ServeClient {
         let window = config.latency_window;
-        let exec_stats = Arc::clone(exec.stats());
-        let fusion_base = exec_stats.snapshot();
         let shared = Arc::new(ServeQueue {
             state: Mutex::new(DispatchCore::new(exec.n_threads(), &config)),
             not_empty: Condvar::new(),
@@ -767,12 +726,11 @@ impl ServeQueue {
                 class_latency: std::array::from_fn(|_| LatencyTracks::new(window)),
                 latency: LatencyTracks::new(window),
                 in_flight: AtomicUsize::new(0),
+                runs: ExecStats::new(),
             },
             dispatch_log: Mutex::new(Vec::new()),
             dispatcher: Mutex::new(None),
             epoch: Instant::now(),
-            exec_stats,
-            fusion_base,
             config,
         });
         let worker = {
@@ -893,7 +851,10 @@ fn dispatcher_loop(
                 if cancelled_for_slo {
                     handle.cancel();
                 }
-                handle.wait()
+                let counters = Arc::clone(handle.stats());
+                let result = handle.wait();
+                stats.runs.absorb(&counters);
+                result
             });
             let done_ns = shared.now_ns();
             last_done_ns = done_ns;
@@ -1201,20 +1162,6 @@ impl ServeClient {
         self.shared.state.lock().service_ewma_ns()
     }
 
-    /// A point-in-time load snapshot of this replica for routing
-    /// decisions: queued + in-flight depth, service EWMA, worker count.
-    /// The cluster's join-shortest-queue router compares these across
-    /// replicas via [`ReplicaSnapshot::predicted_wait_ns`].
-    pub fn load_snapshot(&self) -> ReplicaSnapshot {
-        let st = self.shared.state.lock();
-        ReplicaSnapshot {
-            queue_depth: st.queue().len(),
-            in_flight: self.shared.stats.in_flight.load(Ordering::Relaxed),
-            service_ewma_ns: st.service_ewma_ns().unwrap_or(0),
-            workers: st.workers(),
-        }
-    }
-
     /// The dispatch waves recorded so far — empty unless the loop was
     /// started with [`ServeConfig::record_dispatch`] set. Call after
     /// [`ServeClient::shutdown`] for the complete log.
@@ -1226,20 +1173,15 @@ impl ServeClient {
     /// aggregate and per class.
     pub fn stats(&self) -> ServeStats {
         let s = &self.shared.stats;
-        // Fusion rates: executor-lifetime counters past the loop-start
-        // baseline. Completed runs fold their per-run counters into the
-        // executor aggregate at finish, so these are exact once a wave has
-        // joined (in-flight work shows up on completion).
-        let exec_now = self.shared.exec_stats.snapshot();
-        let base = &self.shared.fusion_base;
+        let runs = s.runs.snapshot();
         let mut agg = ServeStats {
             in_flight: s.in_flight.load(Ordering::Relaxed),
             wait: s.latency.wait.percentiles(),
             service: s.latency.service.percentiles(),
             total: s.latency.total.percentiles(),
-            fusion_groups: exec_now.fused_groups - base.fused_groups,
-            fusion_instances: exec_now.fused_tasks - base.fused_tasks,
-            fusion_eligible: exec_now.fusable_seen - base.fusable_seen,
+            fusion_groups: runs.fused_groups,
+            fusion_instances: runs.fused_tasks,
+            fusion_eligible: runs.fusable_seen,
             ..ServeStats::default()
         };
         {

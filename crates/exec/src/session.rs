@@ -106,9 +106,8 @@ impl Session {
     }
 
     /// Binds an already-built plan — tests and benches that pin the general
-    /// or the specialized path build theirs with
-    /// [`ModulePlan::with_options`] — to `params`, or to fresh parameters
-    /// initialized from the module's specs when `None`.
+    /// path build theirs with [`ModulePlan::general`] — to `params`, or to
+    /// fresh parameters initialized from the module's specs when `None`.
     ///
     /// A shared store must match the module's parameter specs — same count
     /// and, per parameter, same dtype and shape. A mismatched store is

@@ -5,9 +5,7 @@
 
 use rdg_autodiff::build_training_module;
 use rdg_data::{Dataset, DatasetConfig, Split, TreeShape};
-use rdg_exec::{
-    BackpropCache, ExecError, Executor, ModulePlan, ParamStore, Session, SpecializeOptions,
-};
+use rdg_exec::{BackpropCache, ExecError, Executor, ModulePlan, ParamStore, Session};
 use rdg_graph::{Module, ModuleBuilder, ParamId};
 use rdg_models::{build_recursive, ModelConfig, ModelKind};
 use rdg_tensor::{DType, Tensor};
@@ -44,7 +42,7 @@ fn sum_of_reads(depth: i32, w: f32) -> (Arc<ModulePlan>, ParamId) {
     let out = mb.invoke(&h, &[n0]).unwrap();
     mb.set_outputs(&[out[0]]).unwrap();
     let module = Arc::new(mb.finish().unwrap());
-    let plan = ModulePlan::with_options(module, SpecializeOptions::disabled()).unwrap();
+    let plan = ModulePlan::general(module).unwrap();
     (plan, w)
 }
 
@@ -113,11 +111,7 @@ fn square_through_a_call(w0: f32, x: f32) -> Module {
 #[test]
 fn training_reads_what_the_spawn_cached_and_sees_the_step_between_steps() {
     let (w0, x, lr) = (1.5f32, 2.0f32, 0.01f32);
-    let plan = ModulePlan::with_options(
-        Arc::new(square_through_a_call(w0, x)),
-        SpecializeOptions::disabled(),
-    )
-    .unwrap();
+    let plan = ModulePlan::general(Arc::new(square_through_a_call(w0, x))).unwrap();
     let sess = Session::from_plan(Executor::with_threads(2), plan, None).unwrap();
     let w = ParamId(0);
 
@@ -157,7 +151,7 @@ fn training_reads_what_the_spawn_cached_and_sees_the_step_between_steps() {
 fn a_cache_miss_while_spawning_is_the_runs_error() {
     let mut module = square_through_a_call(1.5, 2.0);
     module.keep_sets.clear();
-    let plan = ModulePlan::with_options(Arc::new(module), SpecializeOptions::disabled()).unwrap();
+    let plan = ModulePlan::general(Arc::new(module)).unwrap();
     let exec = Executor::with_threads(2);
     let sess = Session::from_plan(Arc::clone(&exec), plan, None).unwrap();
     let run = sess.submit_training(vec![]).unwrap();
@@ -207,7 +201,7 @@ fn sentence(words: usize, vocab: usize) -> Vec<Tensor> {
 fn treernn_inference_takes_one_task_per_leaf_from_the_queue() {
     let cfg = ModelConfig::tiny(ModelKind::TreeRnn, 1);
     let module = Arc::new(build_recursive(&cfg).unwrap());
-    let plan = ModulePlan::with_options(module, SpecializeOptions::disabled()).unwrap();
+    let plan = ModulePlan::general(module).unwrap();
     let params = Arc::new(ParamStore::from_module(&plan.module));
     let exec = Executor::with_threads(1);
     for leaves in [1usize, 2, 7, 32] {

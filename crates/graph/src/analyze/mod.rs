@@ -248,25 +248,6 @@ pub fn check_module(m: &Module, cfg: &AnalysisConfig) -> crate::Result<AnalysisR
     Ok(report)
 }
 
-/// Plan-time inlinability hook: `true` when a graph body is *straight-line*
-/// — every node is a plain operation, with no `Invoke`/`Cond` control flow
-/// and no path-dependent or effectful autodiff ops (`FwdValue`, `FwdZeros`,
-/// `GradSink*`).
-///
-/// Such a body can be spliced into its caller verbatim: it reads nothing
-/// from the invocation path, publishes nothing into the backprop cache, and
-/// produces nothing but its declared output ports — so the call frame is
-/// pure overhead. `rdg-exec`'s plan specializer uses this to decide which
-/// SubGraphs cost zero frames after inlining.
-pub fn body_is_straight_line(g: &crate::graph::Graph) -> bool {
-    use crate::op::OpKind;
-    g.nodes.iter().all(|n| {
-        !n.op.is_control_flow()
-            && !n.op.is_sink()
-            && !matches!(n.op, OpKind::FwdValue { .. } | OpKind::FwdZeros { .. })
-    })
-}
-
 /// Internal helper shared by the passes: a diagnostic anchored at a node,
 /// with the graph/node name and op mnemonic folded into the message.
 pub(crate) fn node_diag(

@@ -34,8 +34,8 @@ pub mod op;
 pub mod subgraph;
 
 pub use analyze::{
-    analyze_module, body_is_straight_line, check_module, fuse_class, AbsDim, AbsShape,
-    AnalysisConfig, AnalysisReport, BatchabilityReport, Diagnostic, FuseClass, Severity, ShapeMap,
+    analyze_module, check_module, fuse_class, AbsDim, AbsShape, AnalysisConfig, AnalysisReport,
+    BatchabilityReport, Diagnostic, FuseClass, Severity, ShapeMap,
 };
 pub use builder::{ModuleBuilder, SubGraphHandle, Wire};
 pub use graph::{Graph, GraphError, Node, NodeId, PortRef};

@@ -17,13 +17,14 @@
 //!    accounting stays closed with batching on — fused members resolve
 //!    their own tickets exactly once.
 //! 3. Fusion is a property of each run, not of the pool: a serve loop that
-//!    shuts down takes nothing from another loop on the same executor, and a
-//!    bare run beside a fusing loop joins no group.
+//!    shuts down takes nothing from another loop on the same executor, a
+//!    bare run beside a fusing loop joins no group, and a loop's fusion
+//!    counters count its own requests' runs and nothing else.
 //! 4. Cancelling one of several fusing runs claimed together drops that run
 //!    alone: the others still fuse, and every counter is accounted once.
 
 use proptest::prelude::*;
-use rdg_core::exec::{ExecError, ExecStats, RunHandle, ServeTicket, StatsSnapshot};
+use rdg_core::exec::{ExecError, ExecStats, ModulePlan, RunHandle, ServeTicket, StatsSnapshot};
 use rdg_core::prelude::*;
 use std::sync::Arc;
 
@@ -406,6 +407,39 @@ fn a_bare_run_beside_a_fusing_serve_loop_stays_scalar() {
     assert_eq!(bare.fused_tasks, 0, "a run that did not opt in was fused");
     let groups = exec.stats().snapshot().fused_groups - before.fused_groups;
     assert!(groups > 0, "the opted-in runs around it formed no group");
+}
+
+/// A serve loop's fusion rows are its own requests' run counters: N
+/// identical requests served beside a bare `run_many` on the same executor
+/// report exactly N solo runs' worth of fusion-eligible kernels, whatever
+/// the bare runs did meanwhile. The plan is general, so every run executes
+/// the same tasks whatever the specializer would make of a recurring tree.
+#[test]
+fn a_serve_loops_fusion_rows_count_its_own_runs_only() {
+    const N: u64 = 6;
+    let (exec, sess, request, _) = one_worker_fixture();
+    let plan = ModulePlan::general(Arc::clone(&sess.plan().module)).expect("plan");
+    let sess = Session::from_plan(exec, plan, None).expect("session");
+    let solo = sess.submit_run(request.clone()).expect("solo run");
+    let solo_stats = Arc::clone(solo.stats());
+    solo.wait().expect("solo run");
+    let per_run = solo_stats.snapshot().fusable_seen;
+    assert!(per_run > 0, "the tree has batchable kernels");
+
+    let client = sess.serve();
+    let tickets: Vec<_> = (0..N)
+        .map(|_| client.submit(request.clone()).expect("admit"))
+        .collect();
+    for out in sess.run_many(vec![request.clone(); 4]) {
+        out.expect("bare run");
+    }
+    for t in tickets {
+        t.wait().expect("request");
+    }
+    let st = client.stats();
+    client.shutdown();
+    assert_eq!(st.fusion_eligible, N * per_run, "{st:?}");
+    assert!(st.fusion_instances <= st.fusion_eligible);
 }
 
 /// Three fusing runs of one plan queue up behind the plug and one of them is

@@ -1,25 +1,27 @@
-//! Plan-specialization contracts: the compiler passes added for the
-//! specializer (trivial-invoke inlining + hot-shape unrolling) must be
-//! *invisible* except for speed.
+//! Plan-specialization contracts: the specializer's one pass, hot-shape
+//! unrolling, must be *invisible* except for speed, and planning itself
+//! must rewrite nothing.
 //!
 //! 1. **Bit-exactness** — a session running through the specializer
 //!    produces byte-identical outputs (and, for training twins, identical
 //!    `GradStore` contents) to a session pinned to the general frame
 //!    path, on shared weights, across all three model families in both
 //!    recursive and iterative form. Property-tested over dataset seeds.
-//! 2. **Fuse-signature preservation** — every node a rewritten plan maps
+//! 2. **Fuse-signature preservation** — every node a promoted plan maps
 //!    back to an original node (via [`ModulePlan::provenance`]) must have
-//!    the same `analyze::fuse_class` and the same plan-level `FuseKind`,
-//!    across the whole shipped-model zoo. A specialized node whose fuse
-//!    signature drifted from its general-plan twin would silently drop
-//!    out of cross-request fusion groups (`fused_fraction` collapses with
-//!    no correctness signal).
+//!    the same `analyze::fuse_class` and the same plan-level `FuseKind`.
+//!    A specialized node whose fuse signature drifted from its
+//!    general-plan twin would silently drop out of cross-request fusion
+//!    groups (`fused_fraction` collapses with no correctness signal).
 //! 3. **Fallback** — an unobserved feed signature takes the general path
 //!    and completes; promotion only ever swaps in a plan for signatures
 //!    the profile has seen.
+//! 4. **No plan-time rewrite** — `ModulePlan::new` plans the module it is
+//!    given, across the whole shipped-model zoo; only a promoted plan
+//!    carries a different module.
 
 use proptest::prelude::*;
-use rdg::exec::{ModulePlan, SpecializeOptions};
+use rdg::exec::{ModulePlan, SpecStats};
 use rdg::graph::analyze::fuse_class;
 use rdg::graph::GraphRef;
 use rdg::prelude::*;
@@ -38,9 +40,9 @@ fn tiny_dataset(batch: usize, seed: u64) -> Vec<Tensor> {
     Dataset::feeds_for(&d.split(Split::Train).to_vec())
 }
 
-/// A session pinned to the general frame path (both passes off).
+/// A session pinned to the general frame path (no specializer).
 fn general_session(exec: &Arc<Executor>, m: Module) -> Session {
-    let plan = ModulePlan::with_options(Arc::new(m), SpecializeOptions::disabled()).unwrap();
+    let plan = ModulePlan::general(Arc::new(m)).unwrap();
     Session::from_plan(Arc::clone(exec), plan, None).unwrap()
 }
 
@@ -108,8 +110,9 @@ fn fib_module() -> Module {
 }
 
 /// A main graph chaining `n` invokes of a straight-line "dense" SubGraph
-/// (MatMul + AddBias + Tanh) — the canonical inline target, with fusable
-/// ops inside the body so inlining must carry their fuse signatures.
+/// (MatMul + AddBias + Tanh), with fusable ops inside the body so the
+/// unroller, which expands every call inline, must carry their fuse
+/// signatures.
 fn dense_chain_module(n: usize) -> Module {
     let mut mb = ModuleBuilder::new();
     let w = mb
@@ -134,7 +137,7 @@ fn dense_chain_module(n: usize) -> Module {
     mb.finish().unwrap()
 }
 
-/// Asserts every provenance-mapped node of `spec`'s rewritten module has
+/// Asserts every provenance-mapped node of `spec`'s unrolled main graph has
 /// the same analyzer fuse class and the same plan-level `FuseKind` as the
 /// original node it came from. Returns the number of mapped nodes.
 fn assert_fuse_signatures_preserved(
@@ -147,79 +150,105 @@ fn assert_fuse_signatures_preserved(
         return 0;
     };
     let mut mapped = 0usize;
-    for (gref, nodes) in prov {
-        for (idx, entry) in nodes.iter().enumerate() {
-            let Some((ogref, onode)) = entry else {
-                continue;
-            };
-            mapped += 1;
-            let new_op = &spec.module.graph(*gref).nodes[idx].op;
-            let old_op = &original.graph(*ogref).nodes[onode.0 as usize].op;
-            assert_eq!(
-                fuse_class(new_op),
-                fuse_class(old_op),
-                "{name}: fuse_class drifted at {} node {idx} \
-                 (from {} node {})",
-                spec.module.graph_name(*gref),
-                original.graph_name(*ogref),
-                onode.0,
-            );
-            let new_fuse = spec.plan(*gref).fuse[idx];
-            let old_fuse = general.plan(*ogref).fuse[onode.0 as usize];
-            assert_eq!(
-                new_fuse,
-                old_fuse,
-                "{name}: plan-level FuseKind drifted at {} node {idx} — \
-                 the specialized twin would drop out of fusion groups",
-                spec.module.graph_name(*gref),
-            );
-        }
+    for (idx, entry) in prov.iter().enumerate() {
+        let Some((ogref, onode)) = entry else {
+            continue;
+        };
+        mapped += 1;
+        let new_op = &spec.module.main.nodes[idx].op;
+        let old_op = &original.graph(*ogref).nodes[onode.0 as usize].op;
+        assert_eq!(
+            fuse_class(new_op),
+            fuse_class(old_op),
+            "{name}: fuse_class drifted at main node {idx} (from {} node {})",
+            original.graph_name(*ogref),
+            onode.0,
+        );
+        let new_fuse = spec.plan(GraphRef::Main).fuse[idx];
+        let old_fuse = general.plan(*ogref).fuse[onode.0 as usize];
+        assert_eq!(
+            new_fuse, old_fuse,
+            "{name}: plan-level FuseKind drifted at main node {idx} — \
+             the specialized twin would drop out of fusion groups",
+        );
     }
     mapped
 }
 
+/// Plans `m` with the specializer and resolves `feeds` until the signature
+/// promotes (`HOT_AFTER` = 2 sightings); returns the promoted plan.
+fn promote(name: &str, m: Module, feeds: &[Tensor]) -> Arc<ModulePlan> {
+    let plan = ModulePlan::new(Arc::new(m)).unwrap();
+    plan.resolve_for_feeds(feeds);
+    let promoted = plan.resolve_for_feeds(feeds);
+    assert!(
+        !Arc::ptr_eq(&promoted, &plan),
+        "{name}: a recurring signature promotes: {:?}",
+        plan.spec_stats()
+    );
+    promoted
+}
+
 /// Satellite regression: `fuse_class` agreement between specialized and
-/// general plans across the entire shipped-model zoo.
+/// general plans. The unroller expands every call inline. Each tree
+/// family's recursive and iterative inference module resolves a recurring
+/// tree, and whatever plan that yields must agree with the general one
+/// (today these trees are refused and resolve to the general plan, which
+/// maps nothing). The dense chain does promote, and must map its ops back
+/// through provenance call by call.
 #[test]
 fn inlining_preserves_fuse_signatures_across_the_zoo() {
-    for (name, m) in zoo() {
-        let original = m.clone();
-        let general =
-            ModulePlan::with_options(Arc::new(m.clone()), SpecializeOptions::disabled()).unwrap();
-        let spec = ModulePlan::with_options(
-            Arc::new(m),
-            SpecializeOptions {
-                unroll: false,
-                ..SpecializeOptions::default()
-            },
-        )
-        .unwrap();
-        assert_fuse_signatures_preserved(&name, &original, &general, &spec);
+    let feeds = tiny_dataset(1, 11);
+    for kind in [ModelKind::TreeRnn, ModelKind::Rntn, ModelKind::TreeLstm] {
+        let cfg = ModelConfig::tiny(kind, 1);
+        for (style, m) in [
+            ("rec", build_recursive(&cfg).unwrap()),
+            ("itr", build_iterative(&cfg).unwrap()),
+        ] {
+            let name = format!("{kind:?}-{style}");
+            let general = ModulePlan::general(Arc::new(m.clone())).unwrap();
+            let plan = ModulePlan::new(Arc::new(m.clone())).unwrap();
+            plan.resolve_for_feeds(&feeds);
+            let spec = plan.resolve_for_feeds(&feeds);
+            assert_fuse_signatures_preserved(&name, &m, &general, &spec);
+        }
     }
-    // Non-vacuity: a module built around an inlinable fusable body must
-    // actually inline and must map its MatMul/AddBias nodes.
+    // The dense chain must map its MatMul/AddBias/Tanh nodes, 3 per call.
     let m = dense_chain_module(8);
-    let original = m.clone();
-    let general =
-        ModulePlan::with_options(Arc::new(m.clone()), SpecializeOptions::disabled()).unwrap();
-    let spec = ModulePlan::with_options(
-        Arc::new(m),
-        SpecializeOptions {
-            unroll: false,
-            ..SpecializeOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(
-        spec.spec_stats().inlined_invokes,
-        8,
-        "every dense invoke should inline"
-    );
-    let mapped = assert_fuse_signatures_preserved("dense-chain", &original, &general, &spec);
+    let general = ModulePlan::general(Arc::new(m.clone())).unwrap();
+    let spec = promote("dense-chain", m.clone(), &[]);
+    let mapped = assert_fuse_signatures_preserved("dense-chain", &m, &general, &spec);
     assert!(
         mapped >= 8 * 3,
-        "inlined bodies should map their ops through provenance, got {mapped}"
+        "unrolled calls should map their ops through provenance, got {mapped}"
     );
+}
+
+/// Planning never rewrites a module: `ModulePlan::new` keeps the very `Arc`
+/// it was given, for every zoo module and for the dense chain (whose
+/// straight-line calls are the easiest to splice). Only a promoted plan
+/// carries a different module, and only it carries provenance.
+#[test]
+fn plans_keep_the_module_they_were_given() {
+    let mut modules = zoo();
+    modules.push(("dense-chain".to_string(), dense_chain_module(8)));
+    for (name, m) in modules {
+        let m = Arc::new(m);
+        let plan = ModulePlan::new(Arc::clone(&m)).unwrap();
+        assert!(
+            Arc::ptr_eq(&plan.module, &m),
+            "{name}: module was rewritten"
+        );
+        assert!(plan.provenance().is_none(), "{name}");
+    }
+    let m = Arc::new(fib_module());
+    let plan = ModulePlan::new(Arc::clone(&m)).unwrap();
+    let feeds = [Tensor::scalar_i32(6)];
+    plan.resolve_for_feeds(&feeds);
+    let promoted = plan.resolve_for_feeds(&feeds);
+    assert!(Arc::ptr_eq(&plan.module, &m));
+    assert!(!Arc::ptr_eq(&promoted.module, &m));
+    assert!(promoted.provenance().is_some());
 }
 
 /// Hot-shape promotion preserves fuse signatures too: promote fib, then
@@ -228,8 +257,7 @@ fn inlining_preserves_fuse_signatures_across_the_zoo() {
 fn promoted_plans_preserve_fuse_signatures() {
     let m = fib_module();
     let original = m.clone();
-    let general =
-        ModulePlan::with_options(Arc::new(m.clone()), SpecializeOptions::disabled()).unwrap();
+    let general = ModulePlan::general(Arc::new(m.clone())).unwrap();
     let exec = Executor::with_threads(2);
     let sess = Session::new(Arc::clone(&exec), m).unwrap();
     let feeds = vec![Tensor::scalar_i32(10)];
@@ -382,8 +410,14 @@ fn a_promotion_must_remove_more_frames_than_it_leaves() {
 /// Bitwise output equality between a pinned-general and a specializing
 /// session on shared weights, for one (module, feeds) pair. The spec
 /// session runs `rounds` times so later runs cross the promotion
-/// threshold and execute the promoted plan if one exists.
-fn assert_outputs_bit_identical(name: &str, m: Module, feeds: Vec<Tensor>, rounds: usize) {
+/// threshold and execute the promoted plan if one exists. Returns the spec
+/// session's specializer counters.
+fn assert_outputs_bit_identical(
+    name: &str,
+    m: Module,
+    feeds: Vec<Tensor>,
+    rounds: usize,
+) -> SpecStats {
     let exec = Executor::with_threads(2);
     let gen = general_session(&exec, m.clone());
     let spec = Session::with_params(Arc::clone(&exec), m, Arc::clone(gen.params())).unwrap();
@@ -412,6 +446,7 @@ fn assert_outputs_bit_identical(name: &str, m: Module, feeds: Vec<Tensor>, round
             }
         }
     }
+    spec.plan().spec_stats()
 }
 
 /// Identical `GradStore` contents between a pinned-general and a
@@ -488,36 +523,23 @@ proptest! {
     }
 }
 
-/// Inlined plans must still fuse in the *executor*: the dense-chain module
-/// runs with identical results whether or not its invokes were spliced,
-/// and the spliced plan reports every invoke gone.
+/// The dense chain through a promoted plan: every call expanded into main,
+/// no frame left, and the outputs bit-identical to the general path's.
 #[test]
 fn inlined_dense_chain_runs_bit_identical() {
-    assert_outputs_bit_identical("dense-chain-100", dense_chain_module(100), vec![], 3);
-    let spec = ModulePlan::with_options(
-        Arc::new(dense_chain_module(100)),
-        SpecializeOptions {
-            unroll: false,
-            ..SpecializeOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(spec.spec_stats().inlined_invokes, 100);
+    let s = assert_outputs_bit_identical("dense-chain-100", dense_chain_module(100), vec![], 3);
+    assert_eq!(
+        (s.promotions, s.unrolled_frames, s.residual_frames, s.hits),
+        (1, 100, 0, 2),
+        "{s:?}"
+    );
 }
 
-/// `GraphRef::Main` must appear in provenance whenever main was rewritten
-/// — downstream consumers (the fuse regression above) key on it.
+/// A promoted plan's provenance covers its whole unrolled main graph —
+/// downstream consumers (the fuse regression above) index it by node.
 #[test]
 fn provenance_covers_rewritten_main() {
-    let spec = ModulePlan::with_options(
-        Arc::new(dense_chain_module(4)),
-        SpecializeOptions {
-            unroll: false,
-            ..SpecializeOptions::default()
-        },
-    )
-    .unwrap();
-    let prov = spec.provenance().expect("inlining rewrote main");
-    let main = prov.get(&GraphRef::Main).expect("main provenance");
-    assert_eq!(main.len(), spec.module.main.nodes.len());
+    let spec = promote("dense-chain-4", dense_chain_module(4), &[]);
+    let prov = spec.provenance().expect("a promoted plan has provenance");
+    assert_eq!(prov.len(), spec.module.main.nodes.len());
 }
