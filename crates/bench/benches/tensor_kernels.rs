@@ -5,6 +5,9 @@ use rdg_core::exec::GradStore;
 use rdg_core::graph::ParamId;
 use rdg_core::tensor::{ops, Tensor};
 
+/// `matmul` at the models' shapes; `1x1536x768` and `2x1536x768` are the
+/// `serve.wide.closed` combine GEMV (TreeRNN, hidden 768) alone and as a
+/// fused pair.
 fn matmul_bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("matmul");
     g.sample_size(20);
@@ -13,6 +16,8 @@ fn matmul_bench(c: &mut Criterion) {
         (1, 336, 168),
         (25, 336, 168),
         (64, 64, 64),
+        (1, 1536, 768),
+        (2, 1536, 768),
     ] {
         let a = Tensor::full([m, k], 0.5);
         let b = Tensor::full([k, n], 0.25);

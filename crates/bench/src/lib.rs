@@ -178,11 +178,12 @@ pub fn results_dir() -> std::path::PathBuf {
 }
 
 /// Appends one JSON line describing a table run to `results/<name>.json`:
-/// `{"table":…,"headers":[…],"rows":[[…]],"unix_time":…}`.
+/// `{"table":…,"headers":[…],"rows":[[…]],"isa":…,"unix_time":…}`.
 ///
 /// The file is append-only JSON-lines, so successive runs (and successive
 /// PRs) accumulate a trajectory that tooling can diff without parsing the
-/// human-format text tables.
+/// human-format text tables. `isa` is the matmul build that produced the
+/// record (`rdg_tensor::ops::vector_isa`: `"avx2"` or `"baseline"`).
 pub fn record_json(name: &str, title: &str, headers: &[String], rows: &[Vec<String>]) {
     let dir = results_dir();
     if std::fs::create_dir_all(&dir).is_err() {
@@ -208,10 +209,11 @@ pub fn record_json(name: &str, title: &str, headers: &[String], rows: &[Vec<Stri
     {
         let _ = writeln!(
             f,
-            "{{\"table\":\"{}\",\"headers\":{},\"rows\":[{}],\"unix_time\":{}}}",
+            "{{\"table\":\"{}\",\"headers\":{},\"rows\":[{}],\"isa\":\"{}\",\"unix_time\":{}}}",
             json_escape(title),
             cells(headers),
             rows_json.join(","),
+            rdg_core::tensor::ops::vector_isa(),
             unix_time
         );
     }

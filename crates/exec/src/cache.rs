@@ -145,9 +145,9 @@ pub struct CacheKey {
 #[derive(Default)]
 pub struct BackpropCache {
     /// Full tensor values.
-    pub values: ShardedMap<CacheKey, Tensor>,
+    pub(crate) values: ShardedMap<CacheKey, Tensor>,
     /// Shape-only entries.
-    pub shapes: ShardedMap<CacheKey, Shape>,
+    pub(crate) shapes: ShardedMap<CacheKey, Shape>,
     /// One node per frame the run spawned below the root.
     paths: PathTable,
 }
@@ -168,6 +168,12 @@ impl BackpropCache {
     /// The path of a frame called at `site` from a frame at `parent`.
     pub fn child_path(&self, parent: &PathKey, site: CallSiteId) -> PathKey {
         self.paths.child(parent, site)
+    }
+
+    /// Number of full values the cache holds.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        self.values.len()
     }
 
     /// Number of path nodes the cache holds: the distinct call paths of

@@ -359,7 +359,7 @@ fn training_run_fills_grads_and_cache_like_a_real_run() {
             .unwrap();
         assert!(cache.path_nodes() > words, "one path per forward frame");
         assert_eq!(cache.path_nodes(), real_cache.path_nodes(), "{words} words");
-        assert_eq!(cache.values.len(), real_cache.values.len(), "{words} words");
+        assert_eq!(cache.len(), real_cache.len(), "{words} words");
 
         let loss = sess.run_training(feeds).unwrap();
         assert_eq!(bits(&r.outputs[0]), bits(&loss[0]), "{words} words: loss");

@@ -132,7 +132,7 @@ fn training_reads_what_the_spawn_cached_and_sees_the_step_between_steps() {
     // Two forward frames keep both their inputs; two backward frames read
     // both back. None of the eight was a task.
     assert_eq!((s.cache_writes, s.cache_reads), (4, 4));
-    assert_eq!(cache.values.len(), 4);
+    assert_eq!(cache.len(), 4);
     let g = sess.grads().get(w).unwrap().as_f32_scalar().unwrap();
     assert_eq!(g, 2.0 * w0 * x * x);
 

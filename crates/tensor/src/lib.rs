@@ -14,12 +14,20 @@
 //!   gather/scatter, concatenation/slicing, and the bilinear tensor product
 //!   used by the RNTN model.
 //!
-//! All kernels are pure safe Rust (no BLAS); the matmul kernel uses a
-//! cache-friendly `i-k-j` loop ordering that autovectorizes well.
+//! All kernels are plain Rust (no BLAS, no intrinsics) that autovectorizes;
+//! the matmul kernel uses a cache-friendly `i-k-j` loop ordering. Every
+//! kernel is one build for the baseline target except `matmul` and
+//! `matmul_at`/`matmul_at_acc`, whose loop nests also get an AVX2 build of
+//! the same source, picked at run time ([`ops::vector_isa`] names it) and
+//! bit-identical to the baseline one. The call into that build is the
+//! crate's only `unsafe` block (`ops/matmul.rs`); the crate denies
+//! `unsafe_code` everywhere else.
 //!
 //! Everything is fallible: kernels return [`TensorError`] on shape or dtype
 //! mismatches rather than panicking, so the executor can surface graph-level
 //! errors with context.
+
+#![deny(unsafe_code)]
 
 pub mod error;
 pub mod ops;

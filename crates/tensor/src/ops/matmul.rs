@@ -10,6 +10,15 @@
 //! `matmul` and `matmul_at` use the `i-k-j` loop order (unit-stride inner
 //! loop over both output row and `B` row), which LLVM autovectorizes; this is
 //! the hot kernel for all models. Rank-1 operands are treated as single rows.
+//!
+//! Two contracts. `matmul` and `matmul_at`/`matmul_at_acc` are one source
+//! with two builds and the same bits: their loop nests are `#[inline(always)]`
+//! bodies over slices that `with_host_isa` runs as compiled or in an AVX2
+//! copy, picked at run time. Without `fma`, intrinsics or `mul_add` (Rust
+//! never contracts `a * b + c`), wider registers change how many output
+//! elements one instruction updates, never the rounding of any one of them.
+//! `matmul_bt` is a single build: no feature detection, one `dot` order on
+//! every machine.
 
 use crate::error::TensorError;
 use crate::shape::Shape;
@@ -25,6 +34,135 @@ fn as_mat<'t>(t: &'t Tensor, ctx: &'static str) -> Result<(usize, usize, &'t [f3
     Ok((r, c, t.f32s()?))
 }
 
+/// One kernel's loop nest: `self` carries its dimensions, `run` computes
+/// `C` from `A` and `B`. Every impl marks `run` `#[inline(always)]`, so each
+/// build [`with_host_isa`] can pick compiles the whole nest for its own
+/// target features. The slices stay function arguments down to that build,
+/// so it knows `C` aliases neither operand and vectorizes without overlap
+/// checks.
+trait LoopNest {
+    fn run(self, a: &[f32], b: &[f32], c: &mut [f32]);
+}
+
+/// The empty nest, which [`vector_isa`] runs to learn the build.
+impl LoopNest for () {
+    fn run(self, _: &[f32], _: &[f32], _: &mut [f32]) {}
+}
+
+/// Runs `nest` in the widest build of the kernels the host supports and
+/// names it: `"avx2"` on an x86-64 host that reports AVX2, `"baseline"` (the
+/// target as compiled) otherwise. The only `unsafe` block of the crate.
+#[allow(unsafe_code)]
+fn with_host_isa(nest: impl LoopNest, a: &[f32], b: &[f32], c: &mut [f32]) -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        fn avx2(nest: impl LoopNest, a: &[f32], b: &[f32], c: &mut [f32]) {
+            nest.run(a, b, c)
+        }
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the host reports AVX2, the one feature `avx2` is
+            // compiled for.
+            unsafe { avx2(nest, a, b, c) };
+            return "avx2";
+        }
+    }
+    nest.run(a, b, c);
+    "baseline"
+}
+
+/// The build [`matmul`] and [`matmul_at_acc`] run on this host: `"avx2"`
+/// or `"baseline"`, from the same detection their dispatch uses. Both give
+/// the same bits; records name it so a figure says what produced it.
+pub fn vector_isa() -> &'static str {
+    with_host_isa((), &[], &[], &mut [])
+}
+
+/// The [`matmul`] loop nest, `C[m,n] += A[m,k] · B[k,n]`, as `(m, k, n)`.
+struct MatMul(usize, usize, usize);
+
+impl LoopNest for MatMul {
+    #[inline(always)]
+    fn run(self, av: &[f32], bv: &[f32], out: &mut [f32]) {
+        let MatMul(m, ka, n) = self;
+        if m > 1 && m * n <= 12_288 {
+            // Row-block (k-outer) order, 4-way unrolled over k: stream B
+            // exactly once for the whole block, keep each 4-row B panel
+            // L1-resident across the m output rows, and amortize the C-row
+            // load/store over four fused multiply-adds. This is what makes
+            // cross-request fusion pay — m stacked GEMVs against a weight
+            // matrix larger than L2 read it once instead of m times, at a
+            // quarter of the per-FMA store traffic. Gated on C fitting
+            // comfortably in L1 (48 KB here), so large training batches keep
+            // the i-k-j order below.
+            //
+            // Bit-exact vs the i-k-j order: each output element accumulates
+            // its k terms in the same ascending order — the unrolled update
+            // is left-associated, so every intermediate rounding matches the
+            // one-k-at-a-time sequence — with the same zero skips (a block
+            // containing a zero falls back to per-k updates). Only the
+            // traversal across elements changes.
+            let mut kk = 0usize;
+            while kk + 4 <= ka {
+                let (b0, b1, b2, b3) = (
+                    &bv[kk * n..(kk + 1) * n],
+                    &bv[(kk + 1) * n..(kk + 2) * n],
+                    &bv[(kk + 2) * n..(kk + 3) * n],
+                    &bv[(kk + 3) * n..(kk + 4) * n],
+                );
+                for i in 0..m {
+                    let a = &av[i * ka + kk..i * ka + kk + 4];
+                    let crow = &mut out[i * n..(i + 1) * n];
+                    if a[0] != 0.0 && a[1] != 0.0 && a[2] != 0.0 && a[3] != 0.0 {
+                        let (a0, a1, a2, a3) = (a[0], a[1], a[2], a[3]);
+                        for j in 0..n {
+                            crow[j] = crow[j] + a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+                        }
+                    } else {
+                        for (aik, brow) in [(a[0], b0), (a[1], b1), (a[2], b2), (a[3], b3)] {
+                            if aik == 0.0 {
+                                continue;
+                            }
+                            for j in 0..n {
+                                crow[j] += aik * brow[j];
+                            }
+                        }
+                    }
+                }
+                kk += 4;
+            }
+            while kk < ka {
+                let brow = &bv[kk * n..(kk + 1) * n];
+                for i in 0..m {
+                    let aik = av[i * ka + kk];
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    let crow = &mut out[i * n..(i + 1) * n];
+                    for j in 0..n {
+                        crow[j] += aik * brow[j];
+                    }
+                }
+                kk += 1;
+            }
+            return;
+        }
+        for i in 0..m {
+            let arow = &av[i * ka..(i + 1) * ka];
+            let crow = &mut out[i * n..(i + 1) * n];
+            for (kk, &aik) in arow.iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                let brow = &bv[kk * n..(kk + 1) * n];
+                for j in 0..n {
+                    crow[j] += aik * brow[j];
+                }
+            }
+        }
+    }
+}
+
 /// `C[m,n] = A[m,k] · B[k,n]`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, ka, av) = as_mat(a, "matmul lhs")?;
@@ -37,81 +175,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         });
     }
     let mut out = vec![0.0f32; m * n];
-    if m > 1 && m * n <= 12_288 {
-        // Row-block (k-outer) order, 4-way unrolled over k: stream B
-        // exactly once for the whole block, keep each 4-row B panel
-        // L1-resident across the m output rows, and amortize the C-row
-        // load/store over four fused multiply-adds. This is what makes
-        // cross-request fusion pay — m stacked GEMVs against a weight
-        // matrix larger than L2 read it once instead of m times, at a
-        // quarter of the per-FMA store traffic. Gated on C fitting
-        // comfortably in L1 (48 KB here), so large training batches keep
-        // the i-k-j order below.
-        //
-        // Bit-exact vs the i-k-j order: each output element accumulates
-        // its k terms in the same ascending order — the unrolled update
-        // is left-associated, so every intermediate rounding matches the
-        // one-k-at-a-time sequence — with the same zero skips (a block
-        // containing a zero falls back to per-k updates). Only the
-        // traversal across elements changes.
-        let mut kk = 0usize;
-        while kk + 4 <= ka {
-            let (b0, b1, b2, b3) = (
-                &bv[kk * n..(kk + 1) * n],
-                &bv[(kk + 1) * n..(kk + 2) * n],
-                &bv[(kk + 2) * n..(kk + 3) * n],
-                &bv[(kk + 3) * n..(kk + 4) * n],
-            );
-            for i in 0..m {
-                let a = &av[i * ka + kk..i * ka + kk + 4];
-                let crow = &mut out[i * n..(i + 1) * n];
-                if a[0] != 0.0 && a[1] != 0.0 && a[2] != 0.0 && a[3] != 0.0 {
-                    let (a0, a1, a2, a3) = (a[0], a[1], a[2], a[3]);
-                    for j in 0..n {
-                        crow[j] = crow[j] + a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-                    }
-                } else {
-                    for (aik, brow) in [(a[0], b0), (a[1], b1), (a[2], b2), (a[3], b3)] {
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        for j in 0..n {
-                            crow[j] += aik * brow[j];
-                        }
-                    }
-                }
-            }
-            kk += 4;
-        }
-        while kk < ka {
-            let brow = &bv[kk * n..(kk + 1) * n];
-            for i in 0..m {
-                let aik = av[i * ka + kk];
-                if aik == 0.0 {
-                    continue;
-                }
-                let crow = &mut out[i * n..(i + 1) * n];
-                for j in 0..n {
-                    crow[j] += aik * brow[j];
-                }
-            }
-            kk += 1;
-        }
-        return Tensor::from_f32([m, n], out);
-    }
-    for i in 0..m {
-        let arow = &av[i * ka..(i + 1) * ka];
-        let crow = &mut out[i * n..(i + 1) * n];
-        for (kk, &aik) in arow.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &bv[kk * n..(kk + 1) * n];
-            for j in 0..n {
-                crow[j] += aik * brow[j];
-            }
-        }
-    }
+    with_host_isa(MatMul(m, ka, n), av, bv, &mut out);
     Tensor::from_f32([m, n], out)
 }
 
@@ -122,6 +186,30 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let mut c = Tensor::zeros([m, n]);
     matmul_at_acc(&mut c, a, b)?;
     Ok(c)
+}
+
+/// The [`matmul_at_acc`] loop nest, `C[m,n] += Aᵀ[m,k] · B[k,n]` with
+/// `A: [k, m]`, as `(m, k, n)`.
+struct MatMulAt(usize, usize, usize);
+
+impl LoopNest for MatMulAt {
+    #[inline(always)]
+    fn run(self, av: &[f32], bv: &[f32], out: &mut [f32]) {
+        let MatMulAt(m, ka, n) = self;
+        for kk in 0..ka {
+            let arow = &av[kk * m..(kk + 1) * m];
+            let brow = &bv[kk * n..(kk + 1) * n];
+            for (i, &aki) in arow.iter().enumerate() {
+                if aki == 0.0 {
+                    continue;
+                }
+                let crow = &mut out[i * n..(i + 1) * n];
+                for j in 0..n {
+                    crow[j] += aki * brow[j];
+                }
+            }
+        }
+    }
 }
 
 /// `C[m,n] += Aᵀ[m,k] · B[k,n]` in place: the [`matmul_at`] loop nest
@@ -145,20 +233,7 @@ pub fn matmul_at_acc(c: &mut Tensor, a: &Tensor, b: &Tensor) -> Result<()> {
             ctx: "matmul_at_acc",
         });
     }
-    let out = c.make_f32_mut()?;
-    for kk in 0..ka {
-        let arow = &av[kk * m..(kk + 1) * m];
-        let brow = &bv[kk * n..(kk + 1) * n];
-        for (i, &aki) in arow.iter().enumerate() {
-            if aki == 0.0 {
-                continue;
-            }
-            let crow = &mut out[i * n..(i + 1) * n];
-            for j in 0..n {
-                crow[j] += aki * brow[j];
-            }
-        }
-    }
+    with_host_isa(MatMulAt(m, ka, n), av, bv, c.make_f32_mut()?);
     Ok(())
 }
 
@@ -326,6 +401,61 @@ mod tests {
                 "row {i} of the blocked path differs from the per-row path"
             );
         }
+    }
+
+    /// The two-builds contract: `matmul` and `matmul_at_acc`, dispatched,
+    /// equal their bare loop nests — compiled into this test for the
+    /// baseline target — bit for bit. The shapes straddle every boundary a
+    /// wider build handles differently: `n mod 8` (vector tails), `m` on
+    /// both sides of the row-block gate `m·n ≤ 12 288`, `k mod 4` (unrolled
+    /// blocks and their remainder), and zeros in `A` that send some blocks
+    /// down the skip lane while others take the unrolled lane; the
+    /// accumulating kernel adds into `-0.0` and into a non-zero matrix. On a
+    /// host without AVX2 the dispatched call is the baseline build as well,
+    /// and the test compares the baseline with itself.
+    #[test]
+    fn wide_and_baseline_kernels_agree_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let fill = |len: usize, seed: f32| -> Vec<f32> {
+            (0..len)
+                .map(|i| match i % 13 {
+                    5 => 0.0,
+                    9 => -0.0,
+                    _ => ((i as f32 + seed) * 0.7310585).sin() * 3.0,
+                })
+                .collect()
+        };
+        for mm in [1usize, 2, 16, 17] {
+            for kd in 8..12 {
+                for n in (1..9).chain(768..776) {
+                    let (av, bv) = (fill(mm * kd, 0.5), fill(kd * n, 1.5));
+                    let got = matmul(&m(mm, kd, av.clone()), &m(kd, n, bv.clone())).unwrap();
+                    let mut want = vec![0.0; mm * n];
+                    MatMul(mm, kd, n).run(&av, &bv, &mut want);
+                    let at = format!("matmul {mm}x{kd}x{n}");
+                    assert_eq!(bits(got.f32s().unwrap()), bits(&want), "{at}");
+
+                    for init in [vec![-0.0; mm * n], fill(mm * n, 2.5)] {
+                        let mut got = m(mm, n, init.clone());
+                        let a = m(kd, mm, av.clone());
+                        matmul_at_acc(&mut got, &a, &m(kd, n, bv.clone())).unwrap();
+                        let mut want = init;
+                        MatMulAt(mm, kd, n).run(&av, &bv, &mut want);
+                        let at = format!("matmul_at_acc {kd}x{mm}, {kd}x{n}");
+                        assert_eq!(bits(got.f32s().unwrap()), bits(&want), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vector_isa_is_avx2_exactly_when_the_host_reports_it() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        assert_eq!(vector_isa(), if avx2 { "avx2" } else { "baseline" });
     }
 
     #[test]
