@@ -5,9 +5,11 @@ use rdg_core::exec::GradStore;
 use rdg_core::graph::ParamId;
 use rdg_core::tensor::{ops, Tensor};
 
-/// `matmul` at the models' shapes; `1x1536x768` and `2x1536x768` are the
+/// `matmul` at the models' shapes; `1x128x128` is one TD-TreeLSTM gate
+/// (hidden 128), and `1x1536x768` and `2x1536x768` are the
 /// `serve.wide.closed` combine GEMV (TreeRNN, hidden 768) alone and as a
-/// fused pair.
+/// fused pair. Each row runs at the one heap layout its process happens to
+/// have; under the AVX2 build `1x128x128` moves with that layout.
 fn matmul_bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("matmul");
     g.sample_size(20);
