@@ -25,21 +25,12 @@
 //! * `scheduler/fifo` — the same fib shape at `fib(13)` on an executor of
 //!   its own: the row the policy ablation left behind when the FIFO became
 //!   the only ready-queue policy (PR 21), kept so its trajectory goes on.
-//! * `specialize/{invoke_chain/1000,fib/16}` — the same workloads through
-//!   the plan specializer, whose one pass is hot-shape unrolling: both rows
-//!   measure a promoted plan (the chain's calls expanded into main, fib's
-//!   recursion folded to a constant). The `dispatch`/`recursion` groups
-//!   above are built with [`ModulePlan::general`] so they stay the general
-//!   frame path.
 //!
 //! Set `CRITERION_JSON=results/executor_overhead.json` to append one JSON
 //! record per benchmark (see the criterion shim docs); `PERFORMANCE.md`
-//! tracks the medians across PRs. The `specialize` group additionally
-//! appends one `{"spec_stats": …}` record per workload carrying the
-//! specializer's hit/miss/promotion counters.
+//! tracks the medians across PRs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rdg_core::exec::ModulePlan;
 use rdg_core::prelude::*;
 use std::sync::Arc;
 
@@ -106,10 +97,8 @@ fn fanout_module(k: usize, stages: usize) -> Module {
     mb.finish().expect("finish")
 }
 
-/// A session on the general frame path (no specializer).
-fn general_session(exec: &Arc<Executor>, module: Module) -> Session {
-    let plan = ModulePlan::general(Arc::new(module)).expect("plan");
-    Session::from_plan(Arc::clone(exec), plan, None).expect("session")
+fn session(exec: &Arc<Executor>, module: Module) -> Session {
+    Session::new(Arc::clone(exec), module).expect("session")
 }
 
 fn dispatch_bench(c: &mut Criterion) {
@@ -117,23 +106,23 @@ fn dispatch_bench(c: &mut Criterion) {
     g.sample_size(20);
     let exec = Executor::with_threads(2);
     for n in [100usize, 1000] {
-        let sess = general_session(&exec, chain_module(n));
+        let sess = session(&exec, chain_module(n));
         g.bench_with_input(BenchmarkId::new("op_chain", n), &n, |b, _| {
             b.iter(|| sess.run(vec![]).expect("run"))
         });
-        let sess = general_session(&exec, invoke_chain_module(n, 0));
+        let sess = session(&exec, invoke_chain_module(n, 0));
         g.bench_with_input(BenchmarkId::new("invoke_chain", n), &n, |b, _| {
             b.iter(|| sess.run(vec![]).expect("run"))
         });
     }
     for k in [0usize, 3, 10] {
-        let sess = general_session(&exec, invoke_chain_module(1000, k));
+        let sess = session(&exec, invoke_chain_module(1000, k));
         g.bench_with_input(BenchmarkId::new("spawn_sources", k), &k, |b, _| {
             b.iter(|| sess.run(vec![]).expect("run"))
         });
     }
     for k in [2usize, 8] {
-        let sess = general_session(&exec, fanout_module(k, 100));
+        let sess = session(&exec, fanout_module(k, 100));
         g.bench_with_input(BenchmarkId::new("fanout", k), &k, |b, _| {
             b.iter(|| sess.run(vec![]).expect("run"))
         });
@@ -182,7 +171,7 @@ fn recursion_bench(c: &mut Criterion) {
     g.sample_size(10);
     let exec = Executor::with_threads(2);
     for n in [12i32, 16] {
-        let sess = general_session(&exec, fib_module(n));
+        let sess = session(&exec, fib_module(n));
         g.bench_with_input(BenchmarkId::new("fib", n), &n, |b, _| {
             b.iter(|| sess.run(vec![]).expect("run"))
         });
@@ -195,87 +184,10 @@ fn scheduler_bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduler");
     g.sample_size(10);
     let exec = Executor::with_threads(2);
-    // Pinned general: a promoted flat plan has no frames to schedule.
-    let sess = general_session(&exec, fib_module(13));
+    let sess = session(&exec, fib_module(13));
     g.bench_function("fifo", |b| b.iter(|| sess.run(vec![]).expect("run")));
     g.finish();
 }
 
-/// Appends one JSON line with the session's specializer counters to the
-/// `CRITERION_JSON` file (the same trajectory the criterion shim writes),
-/// so the A/B in `results/` carries hit-rate alongside the timings.
-fn record_spec_stats(workload: &str, sess: &Session) {
-    let Ok(path) = std::env::var("CRITERION_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let s = sess.plan().spec_stats();
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        use std::io::Write as _;
-        let hit_rate = if s.hits + s.misses > 0 {
-            s.hits as f64 / (s.hits + s.misses) as f64
-        } else {
-            0.0
-        };
-        let _ = writeln!(
-            f,
-            "{{\"spec_stats\":\"{workload}\",\"hits\":{},\"misses\":{},\"hit_rate\":{hit_rate:.4},\"promotions\":{},\"promoted_plans\":{},\"unrolled_frames\":{},\"folded_ops\":{},\"residual_frames\":{},\"unix_time\":{unix_time}}}",
-            s.hits,
-            s.misses,
-            s.promotions,
-            s.promoted_plans,
-            s.unrolled_frames,
-            s.folded_ops,
-            s.residual_frames,
-        );
-    }
-}
-
-fn specialize_bench(c: &mut Criterion) {
-    // Identical workloads to `dispatch/invoke_chain/1000` and
-    // `recursion/fib/16`, run through the plan specializer. Two warmup runs
-    // cross the `HOT_AFTER` promotion threshold before measurement,
-    // matching a warmed serving process, so both rows time a promoted plan.
-    let mut g = c.benchmark_group("specialize");
-    g.sample_size(20);
-    let exec = Executor::with_threads(2);
-
-    let sess = Session::new(Arc::clone(&exec), invoke_chain_module(1000, 0)).expect("session");
-    for _ in 0..2 {
-        sess.run(vec![]).expect("warmup");
-    }
-    g.bench_with_input(BenchmarkId::new("invoke_chain", 1000), &1000, |b, _| {
-        b.iter(|| sess.run(vec![]).expect("run"))
-    });
-    record_spec_stats("invoke_chain/1000", &sess);
-
-    let sess = Session::new(Arc::clone(&exec), fib_module(16)).expect("session");
-    for _ in 0..2 {
-        sess.run(vec![]).expect("warmup");
-    }
-    g.bench_with_input(BenchmarkId::new("fib", 16), &16, |b, _| {
-        b.iter(|| sess.run(vec![]).expect("run"))
-    });
-    record_spec_stats("fib/16", &sess);
-
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    dispatch_bench,
-    recursion_bench,
-    scheduler_bench,
-    specialize_bench
-);
+criterion_group!(benches, dispatch_bench, recursion_bench, scheduler_bench);
 criterion_main!(benches);

@@ -26,8 +26,9 @@ fn main() {
     let exec = Executor::with_threads(opts.threads);
     for &batch in batches {
         let mut cfg = TdConfig::paper_default(batch);
+        // Quick mode only bounds the trees: a smaller hidden size makes the
+        // generator stop at the root, and the table would time no recursion.
         if opts.quick {
-            cfg.hidden = 32;
             cfg.max_depth = 5;
         }
         let feeds = td_feeds(&cfg, 14);
@@ -47,6 +48,11 @@ fn main() {
             .expect("count");
         assert_eq!(nr, ni, "implementations must agree on generated trees");
         println!("batch {batch}: {nr} total nodes generated per run");
+        assert!(
+            nr as usize > batch,
+            "batch {batch} generated {nr} nodes: no tree grew past its root, \
+             so the Recursive column would time no recursion"
+        );
 
         let thr_itr = throughput(batch, window, || {
             s_itr.run(feeds.clone()).expect("run");

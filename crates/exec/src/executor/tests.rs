@@ -306,17 +306,14 @@ fn traced_paths(ctx: &RunContext) -> Vec<PathKey> {
 #[test]
 fn inference_builds_no_paths_and_training_one_node_per_frame() {
     let exec = Executor::with_threads(2);
-    // The general path, pinned: a promoted plan folds this recursion away.
-    let plan = ModulePlan::general(Arc::new(tree(5))).unwrap();
-    let params = Arc::new(ParamStore::from_module(&plan.module));
+    let (plan, params) = planned(tree(5));
     // Every inference entry point (`Session::run`, `run_many`, `submit_run`,
     // the serve dispatcher) starts its runs like this, scalar or fused: no
     // cache, so no table, and every frame of the 63-call recursion sits at
     // the root path.
     for fuse in [false, true] {
-        let resolved = plan.resolve_for_feeds(&[]);
         let run = exec
-            .submit_with(&resolved, &params, vec![], None, None, fuse)
+            .submit_with(&plan, &params, vec![], None, None, fuse)
             .unwrap();
         let ctx = Arc::clone(&run.ctx);
         assert!(ctx.cache.is_none());
@@ -343,13 +340,6 @@ fn inference_builds_no_paths_and_training_one_node_per_frame() {
     assert_eq!(caches[0].path_nodes(), 2 * 63);
     assert_eq!(deepest[0].len(), deepest[1].len());
     assert!(!deepest[0].ptr_eq(&deepest[1]));
-}
-
-/// The general path, pinned: every call below is a frame.
-fn planned_general(m: Module) -> (Arc<ModulePlan>, Arc<ParamStore>) {
-    let plan = ModulePlan::general(Arc::new(m)).unwrap();
-    let params = Arc::new(ParamStore::from_module(&plan.module));
-    (plan, params)
 }
 
 /// Cores of `gref` waiting in the plan's free list.
@@ -381,7 +371,7 @@ fn a_graph_with_nothing_left_to_run_completes_while_it_spawns() {
             true => mb.param_read(w).unwrap(),
             false => bias,
         });
-        let (plan, params) = planned_general(m);
+        let (plan, params) = planned(m);
         assert_eq!(plan.plan(GraphRef::Main).live_at_spawn, 0);
         let (h, root) = exec
             .start(&plan, &params, vec![], None, None, false)
@@ -409,7 +399,7 @@ fn a_graph_with_nothing_left_to_run_completes_while_it_spawns() {
         let p = mb.invoke(&par.unwrap(), &[]).unwrap()[0];
         mb.add(c, p).unwrap()
     });
-    let (plan, params) = planned_general(m);
+    let (plan, params) = planned(m);
     let h = exec.submit(&plan, &params, vec![], None, None).unwrap();
     let stats = Arc::clone(h.stats());
     assert_eq!(scalar(h.wait()), 107.0);
@@ -428,7 +418,7 @@ fn a_graph_with_nothing_left_to_run_completes_while_it_spawns() {
             mb.cond1(p, DType::F32, |_| Ok(bias), |b| b.param_read(w))
                 .unwrap()
         });
-        let (plan, params) = planned_general(m);
+        let (plan, params) = planned(m);
         let feeds = vec![Tensor::scalar_i32(pred)];
         let h = exec.submit(&plan, &params, feeds, None, None).unwrap();
         let stats = Arc::clone(h.stats());
@@ -454,7 +444,7 @@ fn a_zero_argument_invoke_is_ready_at_spawn_and_still_dispatched() {
     let b = mb.invoke(&seven, &[]).unwrap()[0];
     let out = mb.add(a, b).unwrap();
     mb.set_outputs(&[out]).unwrap();
-    let (plan, params) = planned_general(mb.finish().unwrap());
+    let (plan, params) = planned(mb.finish().unwrap());
     assert_eq!(plan.plan(GraphRef::Main).ready_at_spawn.len(), 2);
 
     let exec = Executor::with_pool(0);
@@ -497,7 +487,7 @@ fn a_failure_while_spawning_fails_the_run_once_and_the_counters_close() {
         index: 0,
         dtype: DType::I32,
     };
-    let (plan, params) = planned_general(m);
+    let (plan, params) = planned(m);
 
     let exec = executor_with_parked_worker();
     let feeds = vec![Tensor::scalar_f32(0.25)];

@@ -25,7 +25,8 @@
 //! * [`plan::ModulePlan`] / [`plan::ExecutionPlan`] — per-graph scheduling
 //!   metadata (topological order, in-degree counts, consumer wiring,
 //!   spawn-time-resolvable prelude), precompiled once per module and reused
-//!   by every frame.
+//!   by every frame. A plan is never rewritten: every run of a session
+//!   executes the one plan it was built with, whatever the feeds.
 //! * [`path::PathKey`] / [`path::PathTable`] — invocation paths
 //!   (call-site chains), the keys of the backprop cache, hash-consed in a
 //!   table the cache owns: extending a path is a lookup in that table and

@@ -34,11 +34,8 @@
 //!   so frame activation reuses allocations across invocations and runs.
 //!
 //! Planning never rewrites a module: [`ModulePlan::new`] plans it exactly
-//! as built. What a run executes can still differ per feed signature — the
-//! one specializer pass ([`specialize`], hot-shape unrolling) promotes a
-//! recurring signature to a flat plan of its own, which
-//! [`ModulePlan::resolve_for_feeds`] then hands out. [`ModulePlan::general`]
-//! builds a plan without that state: every run takes the frame machinery.
+//! as built, and every run of a session executes that one plan — recursion
+//! runs on the unmodified frame machinery, whatever the feeds.
 //!
 //! # Example
 //!
@@ -60,13 +57,9 @@
 //! assert_eq!(main.live_at_spawn, 1);
 //! ```
 
-pub mod specialize;
-
 use rdg_graph::{GraphRef, Module, NodeId, OpKind, ParamId, PortRef, SubGraphId};
 use rdg_tensor::{DType, Tensor};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// How one prelude node's outputs are produced at frame-spawn time.
 pub enum PreludeValue {
@@ -141,10 +134,6 @@ pub struct ExecutionPlan {
     /// across concurrent frames (see [`crate::batch::fuse_kind`]). Computed
     /// here so dispatch-time grouping is an index, not a shape derivation.
     pub fuse: Vec<Option<crate::batch::FuseKind>>,
-    /// Statically inferred abstract shape per node output port, from the
-    /// plan-time analyzer's interprocedural fixpoint. `Known` dims here are
-    /// guaranteed by the analysis; consumers may specialize on them.
-    pub shapes: Vec<Vec<rdg_graph::analyze::AbsShape>>,
     /// Pooled frame cores (pending counters + value slots) recycled across
     /// activations of this graph.
     pub(crate) pool: crate::executor::CorePool,
@@ -240,7 +229,6 @@ impl ExecutionPlan {
             keep_value,
             keep_shape,
             fuse,
-            shapes: Vec::new(),
             pool: crate::executor::CorePool::default(),
         })
     }
@@ -256,126 +244,41 @@ impl ExecutionPlan {
     }
 }
 
-/// Counters describing what the plan-time specializer has done for one
-/// [`ModulePlan`] so far.
+/// Plan-specialization counters, kept only because the repo benchmark reads
+/// them through [`ModulePlan::spec_stats`]. Every run executes the plan
+/// [`ModulePlan::new`] built, so they are always zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpecStats {
-    /// Runs dispatched to a promoted (specialized) plan.
+    /// Runs dispatched to a promoted plan.
     pub hits: u64,
-    /// Runs that took the general frame machinery.
+    /// Runs that took the frame machinery.
     pub misses: u64,
-    /// Feed signatures promoted to specialized plans.
+    /// Feed signatures promoted to plans of their own.
     pub promotions: u64,
-    /// Specialized plans currently cached.
-    pub promoted_plans: usize,
-    /// Call frames (`Invoke` + statically resolved `Cond`) expanded away at
-    /// plan time across all promotions.
-    pub unrolled_frames: u64,
-    /// Ops constant-folded through the kernels across all promotions.
-    pub folded_ops: u64,
-    /// Residual `Invoke`/`Cond` frames left in promoted plans (the general
-    /// fallback edges inside otherwise-flat plans).
-    pub residual_frames: u64,
 }
-
-#[derive(Default)]
-struct SpecTable {
-    /// How often each not-yet-promoted feed signature has recurred.
-    profile: HashMap<Vec<u8>, u32>,
-    promoted: HashMap<Vec<u8>, Arc<ModulePlan>>,
-    blacklist: HashSet<Vec<u8>>,
-}
-
-/// Feed signatures profiled before the table stops admitting new ones
-/// (bounds memory under adversarial feed streams).
-const PROFILE_CAP: usize = 4096;
-
-/// Mutable specializer state, attached only to a plan whose module is
-/// unroll-eligible. Promoted plans live and die with the owning
-/// [`ModulePlan`] — dropping the plan drops its whole specialized cache, so
-/// invalidation is keyed exactly like the plan itself.
-#[derive(Default)]
-struct SpecState {
-    table: Mutex<SpecTable>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    promotions: AtomicU64,
-    unrolled_frames: AtomicU64,
-    folded_ops: AtomicU64,
-    residual_frames: AtomicU64,
-}
-
-/// For each node of a promoted plan's flattened main graph, the
-/// `(graph, node)` of the original-module node it was copied from (`None`
-/// for synthesized nodes, e.g. materialized fold results).
-type NodeOrigins = Vec<Option<(GraphRef, NodeId)>>;
 
 /// All plans for a module, plus the module itself.
 pub struct ModulePlan {
-    /// The planned module: the one the plan was built from, except on a
-    /// promoted plan, whose main graph is the unrolled one.
+    /// The planned module, exactly as passed to [`ModulePlan::new`].
     pub module: Arc<Module>,
     main: ExecutionPlan,
     subs: Vec<ExecutionPlan>,
-    /// Where a promoted plan's main-graph nodes came from; `None` on every
-    /// other plan.
-    provenance: Option<NodeOrigins>,
-    /// Specializer state; `None` on general plans, on modules the unroller
-    /// cannot expand, and on promoted plans (which never re-specialize).
-    spec: Option<SpecState>,
 }
 
 impl ModulePlan {
     /// Validates and statically analyzes the module, then computes every
     /// graph's plan. Analyzer *errors* (definite shape/dtype mismatches,
     /// ill-founded recursion, double publishes) reject the module before a
-    /// single frame spawns; the inferred abstract shapes are recorded on
-    /// each [`ExecutionPlan`] for downstream specialization.
-    ///
-    /// The module is planned exactly as built (`plan.module` is the `Arc`
-    /// passed in). When it is unroll-eligible, the plan also carries the
-    /// specializer's profile, and [`ModulePlan::resolve_for_feeds`] promotes
-    /// recurring feed signatures.
+    /// single frame spawns. The module is planned exactly as built
+    /// (`plan.module` is the `Arc` passed in).
     pub fn new(module: Arc<Module>) -> rdg_graph::Result<Arc<Self>> {
-        let spec = specialize::unroll_eligible(&module).then(SpecState::default);
-        Self::build(module, spec, None)
-    }
-
-    /// Like [`ModulePlan::new`], without the specializer: every run of this
-    /// plan takes the general frame machinery.
-    pub fn general(module: Arc<Module>) -> rdg_graph::Result<Arc<Self>> {
-        Self::build(module, None, None)
-    }
-
-    /// Validation, analysis and per-graph plan construction (every path).
-    fn build(
-        module: Arc<Module>,
-        spec: Option<SpecState>,
-        provenance: Option<NodeOrigins>,
-    ) -> rdg_graph::Result<Arc<Self>> {
         module.validate()?;
-        let report = rdg_graph::analyze::check_module(
-            &module,
-            &rdg_graph::analyze::AnalysisConfig::default(),
-        )?;
-        let mut main = ExecutionPlan::build(&module, GraphRef::Main)?;
-        main.shapes = report.shapes.graph_shapes(GraphRef::Main).clone();
-        let mut subs = (0..module.subgraphs.len())
+        rdg_graph::analyze::check_module(&module, &rdg_graph::analyze::AnalysisConfig::default())?;
+        let main = ExecutionPlan::build(&module, GraphRef::Main)?;
+        let subs = (0..module.subgraphs.len())
             .map(|i| ExecutionPlan::build(&module, GraphRef::Sub(SubGraphId(i as u32))))
             .collect::<rdg_graph::Result<Vec<_>>>()?;
-        for (i, sub) in subs.iter_mut().enumerate() {
-            sub.shapes = report
-                .shapes
-                .graph_shapes(GraphRef::Sub(SubGraphId(i as u32)))
-                .clone();
-        }
-        Ok(Arc::new(ModulePlan {
-            module,
-            main,
-            subs,
-            provenance,
-            spec,
-        }))
+        Ok(Arc::new(ModulePlan { module, main, subs }))
     }
 
     /// The plan for one graph.
@@ -386,100 +289,11 @@ impl ModulePlan {
         }
     }
 
-    /// Node provenance of a promoted plan: for each node of its unrolled
-    /// main graph, the `(graph, node)` of the original-module node it was
-    /// copied from (`None` for synthesized nodes, e.g. materialized fold
-    /// results). `None` on every plan that is not a promotion — its module
-    /// is the one it was built from.
-    pub fn provenance(&self) -> Option<&[Option<(GraphRef, NodeId)>]> {
-        self.provenance.as_deref()
-    }
-
-    /// Resolves the plan to execute for one feed vector.
-    ///
-    /// On a plan carrying the specializer, a feed signature that has
-    /// recurred twice (`specialize::HOT_AFTER`) is promoted: the module is
-    /// expanded for that signature (`specialize::unroll_for_feeds`) and
-    /// the resulting flat plan is cached on this plan, so subsequent equal
-    /// signatures dispatch with zero call/return frames. Everything else —
-    /// cold signatures, blacklisted ones, failed expansions — takes the
-    /// general frame machinery (`self`). A signature with nothing worth
-    /// unrolling is refused by the expander itself (a promotion must remove
-    /// more frames than it leaves) and blacklisted on its first hot run.
-    pub fn resolve_for_feeds(self: &Arc<Self>, feeds: &[Tensor]) -> Arc<ModulePlan> {
-        let Some(spec) = self.spec.as_ref() else {
-            return Arc::clone(self);
-        };
-        let key = specialize::spec_key(feeds);
-        let mut t = spec.table.lock().expect("spec table");
-        if let Some(p) = t.promoted.get(&key) {
-            spec.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(p);
-        }
-        if t.blacklist.contains(&key)
-            || (t.profile.len() >= PROFILE_CAP && !t.profile.contains_key(&key))
-        {
-            spec.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(self);
-        }
-        let count = t.profile.entry(key.clone()).or_default();
-        *count += 1;
-        let hot = *count >= specialize::HOT_AFTER;
-        if hot && t.promoted.len() < specialize::MAX_PROMOTED {
-            // The expander recurses one Rust frame per plan-time call-chain
-            // level (bounded, but deep × debug-size frames can exceed a
-            // 2 MB caller stack), so the one-time expansion runs on a
-            // dedicated big-stack thread.
-            let expanded = std::thread::scope(|s| {
-                std::thread::Builder::new()
-                    .name("rdg-specialize".into())
-                    .stack_size(16 * 1024 * 1024)
-                    .spawn_scoped(s, || specialize::unroll_for_feeds(self, feeds))
-                    .map_or(None, |h| match h.join() {
-                        Ok(outcome) => outcome,
-                        Err(p) => std::panic::resume_unwind(p),
-                    })
-            });
-            let promoted = expanded.and_then(|outcome| {
-                let counters = outcome.counters();
-                Self::build(Arc::new(outcome.module), None, Some(outcome.provenance))
-                    .ok()
-                    .map(|p| (p, counters))
-            });
-            match promoted {
-                Some((plan, (frames, folded, residuals))) => {
-                    spec.promotions.fetch_add(1, Ordering::Relaxed);
-                    spec.hits.fetch_add(1, Ordering::Relaxed);
-                    spec.unrolled_frames.fetch_add(frames, Ordering::Relaxed);
-                    spec.folded_ops.fetch_add(folded, Ordering::Relaxed);
-                    spec.residual_frames.fetch_add(residuals, Ordering::Relaxed);
-                    t.promoted.insert(key, Arc::clone(&plan));
-                    return plan;
-                }
-                None => {
-                    t.blacklist.insert(key);
-                }
-            }
-        }
-        spec.misses.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(self)
-    }
-
-    /// Specializer counters for this plan (all zero on a plan without the
-    /// specializer).
+    /// Always [`SpecStats::default`]: nothing specializes a plan. Kept for
+    /// the repo benchmark, which pins this signature; ROADMAP item 1(f)
+    /// removes it together with that pin.
     pub fn spec_stats(&self) -> SpecStats {
-        match &self.spec {
-            None => SpecStats::default(),
-            Some(s) => SpecStats {
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                promotions: s.promotions.load(Ordering::Relaxed),
-                promoted_plans: s.table.lock().expect("spec table").promoted.len(),
-                unrolled_frames: s.unrolled_frames.load(Ordering::Relaxed),
-                folded_ops: s.folded_ops.load(Ordering::Relaxed),
-                residual_frames: s.residual_frames.load(Ordering::Relaxed),
-            },
-        }
+        SpecStats::default()
     }
 }
 

@@ -824,10 +824,10 @@ fn dispatcher_loop(
         stats.in_flight.store(wave.len(), Ordering::Relaxed);
         // Launch the whole wave before joining any of it: the wave's root
         // frames execute concurrently, and in-flight work is bounded by
-        // the wave size — that is the admission-control contract. Requests
-        // resolving to the same promoted plan share its `Arc`, so
-        // cross-request fusion (`GroupKey` is keyed by plan pointer) still
-        // groups them. Whether they fuse at all rides on each run.
+        // the wave size — that is the admission-control contract. Every
+        // request runs the loop's one plan, so cross-request fusion
+        // (`GroupKey` is keyed by plan pointer) can group any of them.
+        // Whether they fuse at all rides on each run.
         let fuse = shared.config.cross_request_batching;
         let runs: Vec<Result<RunHandle, ExecError>> = wave
             .iter_mut()
@@ -837,8 +837,7 @@ fn dispatcher_loop(
                     tracks.wait.record_ns(wait_ns);
                 }
                 let feeds = std::mem::take(&mut q.item.feeds);
-                let resolved = plan.resolve_for_feeds(&feeds);
-                exec.submit_with(&resolved, params, feeds, None, None, fuse)
+                exec.submit_with(plan, params, feeds, None, None, fuse)
             })
             .collect();
         let wave_len = wave.len();

@@ -3,7 +3,8 @@
 //! A session is the user-facing entry point of the runtime: it plans the
 //! module once ([`crate::ModulePlan`]), allocates (or shares) a parameter
 //! store, and exposes [`Session::run`] for inference and
-//! [`Session::run_training`] for loss + gradient runs.
+//! [`Session::run_training`] for loss + gradient runs. Every run — inference,
+//! training or served — executes that one plan.
 //!
 //! # Concurrency
 //!
@@ -105,9 +106,8 @@ impl Session {
         Self::from_plan(exec, ModulePlan::new(Arc::new(module))?, Some(params))
     }
 
-    /// Binds an already-built plan — tests and benches that pin the general
-    /// path build theirs with [`ModulePlan::general`] — to `params`, or to
-    /// fresh parameters initialized from the module's specs when `None`.
+    /// Binds an already-built plan to `params`, or to fresh parameters
+    /// initialized from the module's specs when `None`.
     ///
     /// A shared store must match the module's parameter specs — same count
     /// and, per parameter, same dtype and shape. A mismatched store is
@@ -203,18 +203,12 @@ impl Session {
         &self.exec
     }
 
-    /// The session's module plan (carries the specializer state; see
-    /// [`ModulePlan::spec_stats`]).
+    /// The session's module plan, which every one of its runs executes.
     pub fn plan(&self) -> &Arc<ModulePlan> {
         &self.plan
     }
 
     /// Inference run: no gradient accumulation, no activation caching.
-    ///
-    /// The run is dispatched through the plan specializer
-    /// ([`ModulePlan::resolve_for_feeds`]): a hot feed signature executes
-    /// its promoted flat plan, everything else takes the general frame
-    /// machinery.
     pub fn run(&self, feeds: Vec<Tensor>) -> Result<Vec<Tensor>, ExecError> {
         self.submit_run(feeds)?.wait()
     }
@@ -222,12 +216,11 @@ impl Session {
     /// Starts an inference run without blocking (serving path).
     ///
     /// The returned [`RunHandle`] joins the run; any number may be in
-    /// flight at once, sharing the executor's worker pool. Like
-    /// [`Session::run`], hot feed signatures dispatch to their promoted
-    /// specialized plan. No cache: an inference run builds no paths.
+    /// flight at once, sharing the executor's worker pool. No cache: an
+    /// inference run builds no paths.
     pub fn submit_run(&self, feeds: Vec<Tensor>) -> Result<RunHandle, ExecError> {
-        let plan = self.plan.resolve_for_feeds(&feeds);
-        self.exec.submit(&plan, &self.params, feeds, None, None)
+        self.exec
+            .submit(&self.plan, &self.params, feeds, None, None)
     }
 
     /// Serves a batch of independent inference requests concurrently.

@@ -11,8 +11,8 @@ use rdg_models::{build_recursive, ModelConfig, ModelKind};
 use rdg_tensor::{DType, Tensor};
 use std::sync::Arc;
 
-/// `acc(n) = n > 0 ? w + acc(n − 1) : w` called as `acc(depth)`, on the
-/// general path: `depth + 1` frames of `acc` and as many Cond branches, each
+/// `acc(n) = n > 0 ? w + acc(n − 1) : w` called as `acc(depth)`:
+/// `depth + 1` frames of `acc` and as many Cond branches, each
 /// branch reading `w` itself. The output is `(depth + 1) · w` only if every
 /// frame of the run saw the same store.
 fn sum_of_reads(depth: i32, w: f32) -> (Arc<ModulePlan>, ParamId) {
@@ -42,7 +42,7 @@ fn sum_of_reads(depth: i32, w: f32) -> (Arc<ModulePlan>, ParamId) {
     let out = mb.invoke(&h, &[n0]).unwrap();
     mb.set_outputs(&[out[0]]).unwrap();
     let module = Arc::new(mb.finish().unwrap());
-    let plan = ModulePlan::general(module).unwrap();
+    let plan = ModulePlan::new(module).unwrap();
     (plan, w)
 }
 
@@ -111,8 +111,7 @@ fn square_through_a_call(w0: f32, x: f32) -> Module {
 #[test]
 fn training_reads_what_the_spawn_cached_and_sees_the_step_between_steps() {
     let (w0, x, lr) = (1.5f32, 2.0f32, 0.01f32);
-    let plan = ModulePlan::general(Arc::new(square_through_a_call(w0, x))).unwrap();
-    let sess = Session::from_plan(Executor::with_threads(2), plan, None).unwrap();
+    let sess = Session::new(Executor::with_threads(2), square_through_a_call(w0, x)).unwrap();
     let w = ParamId(0);
 
     let cache = Arc::new(BackpropCache::new());
@@ -151,9 +150,8 @@ fn training_reads_what_the_spawn_cached_and_sees_the_step_between_steps() {
 fn a_cache_miss_while_spawning_is_the_runs_error() {
     let mut module = square_through_a_call(1.5, 2.0);
     module.keep_sets.clear();
-    let plan = ModulePlan::general(Arc::new(module)).unwrap();
     let exec = Executor::with_threads(2);
-    let sess = Session::from_plan(Arc::clone(&exec), plan, None).unwrap();
+    let sess = Session::new(Arc::clone(&exec), module).unwrap();
     let run = sess.submit_training(vec![]).unwrap();
     let stats = Arc::clone(run.stats());
     match run.wait() {
@@ -201,7 +199,7 @@ fn sentence(words: usize, vocab: usize) -> Vec<Tensor> {
 fn treernn_inference_takes_one_task_per_leaf_from_the_queue() {
     let cfg = ModelConfig::tiny(ModelKind::TreeRnn, 1);
     let module = Arc::new(build_recursive(&cfg).unwrap());
-    let plan = ModulePlan::general(module).unwrap();
+    let plan = ModulePlan::new(module).unwrap();
     let params = Arc::new(ParamStore::from_module(&plan.module));
     let exec = Executor::with_threads(1);
     for leaves in [1usize, 2, 7, 32] {

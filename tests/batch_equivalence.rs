@@ -24,7 +24,7 @@
 //!    alone: the others still fuse, and every counter is accounted once.
 
 use proptest::prelude::*;
-use rdg_core::exec::{ExecError, ExecStats, ModulePlan, RunHandle, ServeTicket, StatsSnapshot};
+use rdg_core::exec::{ExecError, ExecStats, RunHandle, ServeTicket, StatsSnapshot};
 use rdg_core::prelude::*;
 use std::sync::Arc;
 
@@ -243,8 +243,7 @@ fn eight_identical_behind_a_plug(
         .map(|_| {
             let feeds = request.clone();
             if fuse {
-                let plan = sess.plan().resolve_for_feeds(&feeds);
-                exec.submit_fused(&plan, sess.params(), feeds)
+                exec.submit_fused(sess.plan(), sess.params(), feeds)
             } else {
                 sess.submit_run(feeds)
             }
@@ -386,8 +385,7 @@ fn a_bare_run_beside_a_fusing_serve_loop_stays_scalar() {
         std::thread::yield_now();
     }
     let fused = || {
-        let plan = sess.plan().resolve_for_feeds(&request);
-        exec.submit_fused(&plan, sess.params(), request.clone())
+        exec.submit_fused(sess.plan(), sess.params(), request.clone())
             .expect("fused run")
     };
     let [a, bare, b] = [
@@ -412,14 +410,11 @@ fn a_bare_run_beside_a_fusing_serve_loop_stays_scalar() {
 /// A serve loop's fusion rows are its own requests' run counters: N
 /// identical requests served beside a bare `run_many` on the same executor
 /// report exactly N solo runs' worth of fusion-eligible kernels, whatever
-/// the bare runs did meanwhile. The plan is general, so every run executes
-/// the same tasks whatever the specializer would make of a recurring tree.
+/// the bare runs did meanwhile.
 #[test]
 fn a_serve_loops_fusion_rows_count_its_own_runs_only() {
     const N: u64 = 6;
-    let (exec, sess, request, _) = one_worker_fixture();
-    let plan = ModulePlan::general(Arc::clone(&sess.plan().module)).expect("plan");
-    let sess = Session::from_plan(exec, plan, None).expect("session");
+    let (_, sess, request, _) = one_worker_fixture();
     let solo = sess.submit_run(request.clone()).expect("solo run");
     let solo_stats = Arc::clone(solo.stats());
     solo.wait().expect("solo run");
@@ -455,9 +450,8 @@ fn a_run_cancelled_beside_fusing_partners_drops_out_and_the_rest_still_fuse() {
     let (exec, sess, request, scalar) = one_worker_fixture();
     let before = exec.stats().snapshot();
     let plug = plug(&exec);
-    let plan = sess.plan().resolve_for_feeds(&request);
     let [a, cancelled, b] = [(); 3].map(|_| {
-        exec.submit_fused(&plan, sess.params(), request.clone())
+        exec.submit_fused(sess.plan(), sess.params(), request.clone())
             .expect("submit")
     });
     cancelled.cancel();

@@ -3,8 +3,11 @@
 //!
 //! With shared parameters, all three implementations (recursive, iterative,
 //! unrolled) must agree on forward losses/logits and on every parameter
-//! gradient, for all three model families.
+//! gradient, for all three model families. And the recursion is run, not
+//! rewritten: planning keeps the module it is given, and a session runs
+//! its one plan on every call, however often the feeds recur.
 
+use rdg_core::exec::ModulePlan;
 use rdg_core::prelude::*;
 use std::sync::Arc;
 
@@ -166,4 +169,131 @@ fn recursive_executor_stats_show_parallel_frames() {
         .frames_spawned
         .load(std::sync::atomic::Ordering::Relaxed);
     assert!(frames > 3, "tree recursion must spawn frames, saw {frames}");
+}
+
+/// The shipped-model zoo: all three families × {recursive, iterative} ×
+/// {forward, training}, the TD models, and the quickstart fib — the same
+/// 17 modules the lint gate covers.
+fn zoo() -> Vec<(String, Module)> {
+    let mut out = Vec::new();
+    for (kind, kname) in [
+        (ModelKind::TreeRnn, "tree-rnn"),
+        (ModelKind::Rntn, "rntn"),
+        (ModelKind::TreeLstm, "tree-lstm"),
+    ] {
+        let cfg = ModelConfig::tiny(kind, 4);
+        for (style, m) in [
+            ("rec", build_recursive(&cfg).unwrap()),
+            ("itr", build_iterative(&cfg).unwrap()),
+        ] {
+            let t = build_training_module(&m, m.main.outputs[0]).unwrap();
+            out.push((format!("{kname}-{style}"), m));
+            out.push((format!("{kname}-{style}-train"), t));
+        }
+    }
+    let td = TdConfig::tiny(4);
+    for (name, m) in [
+        ("td-rec", build_td_recursive(&td).unwrap()),
+        ("td-itr", build_td_iterative(&td).unwrap()),
+    ] {
+        let t = build_training_module(&m, m.main.outputs[1]).unwrap();
+        out.push((name.to_string(), m));
+        out.push((format!("{name}-train"), t));
+    }
+    out.push(("quickstart-fib".to_string(), fib_module()));
+    out
+}
+
+/// The quickstart recursive fib (value-dependent `Cond`, doubly recursive).
+fn fib_module() -> Module {
+    let mut mb = ModuleBuilder::new();
+    let fib = mb.declare_subgraph("fib", &[DType::I32], &[DType::I32]);
+    mb.define_subgraph(&fib, |b| {
+        let n = b.input(0)?;
+        let one = b.const_i32(1);
+        let base = b.ile(n, one)?;
+        let out = b.cond1(
+            base,
+            DType::I32,
+            |b| b.identity(n),
+            |b| {
+                let a = b.isub(n, one)?;
+                let two = b.const_i32(2);
+                let c = b.isub(n, two)?;
+                let fa = b.invoke(&fib, &[a])?[0];
+                let fc = b.invoke(&fib, &[c])?[0];
+                b.iadd(fa, fc)
+            },
+        )?;
+        Ok(vec![out])
+    })
+    .expect("fib body");
+    let n = mb.main_input(DType::I32);
+    let out = mb.invoke(&fib, &[n]).expect("fib invoke")[0];
+    mb.set_outputs(&[out]).expect("outputs");
+    mb.finish().expect("fib module")
+}
+
+/// A main graph chaining `n` invokes of a straight-line "dense" SubGraph
+/// (MatMul + AddBias + Tanh): the easiest calls there are to splice.
+fn dense_chain_module(n: usize) -> Module {
+    let mut mb = ModuleBuilder::new();
+    let w = mb
+        .param_wire("w", Tensor::from_f32([4, 4], vec![0.1; 16]).unwrap())
+        .unwrap();
+    let bias = mb
+        .param_wire("b", Tensor::from_f32([1, 4], vec![0.01; 4]).unwrap())
+        .unwrap();
+    let h = mb
+        .subgraph("dense", &[DType::F32], &[DType::F32], |b| {
+            let x = b.input(0)?;
+            let y = b.matmul(x, w)?;
+            let y = b.add_bias(y, bias)?;
+            Ok(vec![b.tanh(y)?])
+        })
+        .unwrap();
+    let mut x = mb.constant(Tensor::from_f32([1, 4], vec![1.0; 4]).unwrap());
+    for _ in 0..n {
+        x = mb.invoke(&h, &[x]).unwrap()[0];
+    }
+    mb.set_outputs(&[x]).unwrap();
+    mb.finish().unwrap()
+}
+
+/// Recurring feeds change nothing about how a run executes: `fib(12)` run
+/// three times with identical feeds through one session spawns the same
+/// frames every time, because every run executes the plan the session was
+/// built with — the recursion is never folded away by a later run.
+#[test]
+fn recurring_feeds_run_the_same_frames_every_time() {
+    let sess = Session::new(Executor::with_threads(2), fib_module()).unwrap();
+    let feeds = vec![Tensor::scalar_i32(12)];
+    let frames: Vec<u64> = (0..3)
+        .map(|_| {
+            let run = sess.submit_run(feeds.clone()).unwrap();
+            let stats = Arc::clone(run.stats());
+            let out = run.wait().unwrap();
+            assert_eq!(out[0].i32s().unwrap(), [144]);
+            stats.snapshot().frames_spawned
+        })
+        .collect();
+    assert!(frames[0] > 0, "fib(12) spawns frames");
+    assert_eq!(frames, [frames[0]; 3], "every run spawns the same frames");
+}
+
+/// Planning never rewrites a module: `ModulePlan::new` keeps the very `Arc`
+/// it was given, for every zoo module and for the dense chain (whose
+/// straight-line calls are the easiest to splice).
+#[test]
+fn plans_keep_the_module_they_were_given() {
+    let mut modules = zoo();
+    modules.push(("dense-chain".to_string(), dense_chain_module(8)));
+    for (name, m) in modules {
+        let m = Arc::new(m);
+        let plan = ModulePlan::new(Arc::clone(&m)).unwrap();
+        assert!(
+            Arc::ptr_eq(&plan.module, &m),
+            "{name}: module was rewritten"
+        );
+    }
 }
