@@ -214,26 +214,17 @@ fn batching_fixture(threads: usize, quick: bool) -> (Session, Vec<Vec<Tensor>>) 
 }
 
 /// One cross-request-batching measurement: a closed loop of `conc`
-/// offered requests through the admission queue, with the dispatch-time
-/// kernel fuser either off (the scalar PR 5–7 path) or on. Fixed wave
-/// sizing at a saturating multiple keeps both arms' admission schedules
-/// identical, so the fuser is the only variable. Returns the requests/s
-/// plus the client's final `ServeStats` (latency percentiles and the
-/// fusion telemetry rows).
+/// offered requests through an admission queue configured by `config`.
+/// Returns the requests/s plus the client's final `ServeStats` (latency
+/// percentiles and the fusion telemetry rows).
 fn batching_arm(
     sess: &Session,
     requests: &[Vec<Tensor>],
     window: Duration,
     conc: usize,
-    fused: bool,
+    config: ServeConfig,
 ) -> (f64, ServeStats) {
-    let client = sess.serve_with(ServeConfig {
-        capacity: 64,
-        batch_multiple: 16,
-        sizing: WaveSizing::Fixed,
-        cross_request_batching: fused,
-        ..ServeConfig::default()
-    });
+    let client = sess.serve_with(config);
     let mut cursor = 0usize;
     let rps = throughput(conc, window, || {
         let tickets: Vec<_> = (0..conc)
@@ -253,10 +244,18 @@ fn batching_arm(
 }
 
 /// The cross-request batching A/B table: identical saturating mixed-depth
-/// traffic, scalar dispatch vs the dispatch-time fuser, with the fusion
-/// telemetry (groups formed, instances fused, eligible instances, fused
-/// fraction) carried per row. Appended to
-/// `results/serving_throughput.json`.
+/// traffic, with the fusion telemetry (groups formed, instances fused,
+/// eligible instances, fused fraction) carried per row. Three arms:
+///
+/// * `queued-scalar` and `queued-fused` — fixed waves of workers × 16 with
+///   the dispatch-time fuser off (the scalar path) and on; the same
+///   admission schedule, so the fuser is the only variable;
+/// * `queued-default` — `ServeConfig::default()`, the dynamic controller:
+///   its budget target alone would run waves of 2 here, and its backlog
+///   waves (this model stacks a 4.5 MB weight) are what bring it close to
+///   `queued-fused`.
+///
+/// Appended to `results/serving_throughput.json`.
 ///
 /// With `RDG_ASSERT_SPEEDUP=1` the arm also enforces the PR 8 acceptance
 /// floor — fused ≥ 1.3× scalar requests/s and ≥ 50% of eligible
@@ -289,15 +288,24 @@ fn record_batching_ab(opts: &BenchOpts) {
             "fused_frac",
         ],
     );
-    let mut rps_by_mode = [0.0f64; 2];
-    let mut last_frac = 0.0f64;
-    for (i, (mode, fused)) in [("queued-scalar", false), ("queued-fused", true)]
-        .into_iter()
-        .enumerate()
-    {
-        let (rps, st) = batching_arm(sess, requests, window, CONC, fused);
+    let fixed = |fused: bool| ServeConfig {
+        capacity: 64,
+        batch_multiple: 16,
+        sizing: WaveSizing::Fixed,
+        cross_request_batching: fused,
+        ..ServeConfig::default()
+    };
+    let arms = [
+        ("queued-scalar", fixed(false)),
+        ("queued-fused", fixed(true)),
+        ("queued-default", ServeConfig::default()),
+    ];
+    let mut rps_by_mode = [0.0f64; 3];
+    let mut frac_by_mode = [0.0f64; 3];
+    for (i, (mode, config)) in arms.into_iter().enumerate() {
+        let (rps, st) = batching_arm(sess, requests, window, CONC, config);
         rps_by_mode[i] = rps;
-        last_frac = st.fused_fraction();
+        frac_by_mode[i] = st.fused_fraction();
         table.row(&[
             mode.into(),
             CONC.to_string(),
@@ -307,7 +315,7 @@ fn record_batching_ab(opts: &BenchOpts) {
             st.fusion_groups.to_string(),
             st.fusion_instances.to_string(),
             st.fusion_eligible.to_string(),
-            format!("{:.3}", last_frac),
+            format!("{:.3}", frac_by_mode[i]),
         ]);
     }
     table.emit("serving_throughput");
@@ -318,9 +326,9 @@ fn record_batching_ab(opts: &BenchOpts) {
             "fused serving only {ratio:.2}x scalar (floor 1.3x)"
         );
         assert!(
-            last_frac >= 0.5,
+            frac_by_mode[1] >= 0.5,
             "only {:.0}% of eligible instances fused (floor 50%)",
-            last_frac * 100.0
+            frac_by_mode[1] * 100.0
         );
     }
 }

@@ -52,6 +52,16 @@ pub enum FuseKind {
     ColsShared,
 }
 
+impl FuseKind {
+    /// The operand indices `(stacked, shared)`.
+    pub(crate) fn operands(self) -> (usize, usize) {
+        match self {
+            FuseKind::RowsShared => (0, 1),
+            FuseKind::ColsShared => (1, 0),
+        }
+    }
+}
+
 /// Plan-build-time batchability classification for one graph node.
 ///
 /// Returns `None` for ops that are structural, not row/column separable, or

@@ -1098,10 +1098,7 @@ fn execute_group(members: Vec<Task>, pending: &mut Vec<Task>) {
             kind,
         )
     };
-    let (stack_idx, shared_idx) = match kind {
-        FuseKind::RowsShared => (0usize, 1usize),
-        FuseKind::ColsShared => (1, 0),
-    };
+    let (stack_idx, shared_idx) = kind.operands();
 
     let fetched: Vec<Fetched> = members
         .into_iter()

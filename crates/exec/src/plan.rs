@@ -57,6 +57,7 @@
 //! assert_eq!(main.live_at_spawn, 1);
 //! ```
 
+use crate::params::ParamStore;
 use rdg_graph::{GraphRef, Module, NodeId, OpKind, ParamId, PortRef, SubGraphId};
 use rdg_tensor::{DType, Tensor};
 use std::sync::Arc;
@@ -289,6 +290,32 @@ impl ModulePlan {
         }
     }
 
+    /// The largest parameter, in bytes, that a batchable node reads as its
+    /// shared operand — what one stacked call reads once for its whole
+    /// group instead of once per member. 0 when no batchable node shares a
+    /// parameter.
+    pub(crate) fn largest_stacked_param_bytes(&self, params: &ParamStore) -> usize {
+        let subs = (self.subs.iter().enumerate())
+            .map(|(i, plan)| (GraphRef::Sub(SubGraphId(i as u32)), plan));
+        std::iter::once((GraphRef::Main, &self.main))
+            .chain(subs)
+            .flat_map(|(gref, plan)| {
+                let g = self.module.graph(gref);
+                plan.fuse
+                    .iter()
+                    .zip(&g.nodes)
+                    .filter_map(move |(kind, node)| {
+                        let shared = node.inputs.get(kind.as_ref()?.operands().1)?;
+                        match g.node(shared.node).op {
+                            OpKind::Param(p) => Some(params.read(p).numel() * size_of::<f32>()),
+                            _ => None,
+                        }
+                    })
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Always [`SpecStats::default`]: nothing specializes a plan. Kept for
     /// the repo benchmark, which pins this signature; ROADMAP item 1(f)
     /// removes it together with that pin.
@@ -302,6 +329,33 @@ mod tests {
     use super::*;
     use rdg_graph::ModuleBuilder;
     use rdg_tensor::Tensor;
+
+    #[test]
+    fn largest_stacked_param_counts_only_shared_parameters() {
+        // x·W with a 2 MiB W, W·y (W is the stacked operand there, y the
+        // shared one), and x·y (nothing shared is a parameter).
+        let mut mb = ModuleBuilder::new();
+        let x = mb.main_input(DType::F32);
+        let y = mb.main_input(DType::F32);
+        let big = mb.param_wire("w", Tensor::zeros([1024, 512])).unwrap();
+        let small = mb.param_wire("v", Tensor::zeros([8, 8])).unwrap();
+        let a = mb.matmul(x, small).unwrap();
+        let b = mb.matmul(big, y).unwrap();
+        let c = mb.matmul(x, y).unwrap();
+        mb.set_outputs(&[a, b, c]).unwrap();
+        let plan = ModulePlan::new(Arc::new(mb.finish().unwrap())).unwrap();
+        let params = ParamStore::from_module(&plan.module);
+        assert_eq!(plan.largest_stacked_param_bytes(&params), 8 * 8 * 4);
+
+        let mut mb = ModuleBuilder::new();
+        let x = mb.main_input(DType::F32);
+        let w = mb.param_wire("w", Tensor::zeros([1024, 512])).unwrap();
+        let h = mb.matmul(x, w).unwrap();
+        mb.set_outputs(&[h]).unwrap();
+        let plan = ModulePlan::new(Arc::new(mb.finish().unwrap())).unwrap();
+        let params = ParamStore::from_module(&plan.module);
+        assert_eq!(plan.largest_stacked_param_bytes(&params), 2 << 20);
+    }
 
     #[test]
     fn plan_counts_match_simple_graph() {

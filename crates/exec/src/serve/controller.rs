@@ -17,6 +17,20 @@
 //! wave: the live dispatcher with measured drain times, or
 //! [`super::test_support::ScriptedServe`] with scripted ones — so tests
 //! assert the resulting targets exactly.
+//!
+//! The budget bounds how long the *next* arrival waits behind a wave. It
+//! stops bounding anything once the `Interactive` lane is saturated: with
+//! `hi = workers × max_multiple` `Interactive` requests queued, every
+//! arrival waits for all of them, because none overtakes a queued
+//! `Interactive` request. On a loop whose requests stack a large weight,
+//! `DispatchCore::form_wave` then forms one *backlog wave* of [`hi`]
+//! instead of `hi / target` budget waves. `Interactive` is the one class
+//! whose backlog such a wave cannot hurt; a `Batch` backlog would be
+//! overtaken by a fresh `Interactive` arrival, so it keeps budget waves.
+//! Backlog waves feed [`WaveController::observe_wave`] like any other,
+//! and [`WaveController::target`] stays the budget target.
+//!
+//! [`hi`]: WaveController::hi
 
 use super::WaveSizing;
 
@@ -90,32 +104,33 @@ impl WaveController {
         self.ewma_ns
     }
 
-    /// The wave target the next dispatch wave should use.
+    /// The wave target the next dispatch wave should use: the budget
+    /// target.
     pub(crate) fn target(&self) -> usize {
+        let (WaveSizing::Dynamic { wave_budget, .. }, Some(hi), Some(ewma)) =
+            (self.sizing, self.hi(), self.ewma_ns)
+        else {
+            // Fixed sizing, or nothing observed yet: the configured
+            // multiple (the first waves teach the dynamic controller).
+            return self.initial;
+        };
+        if ewma <= 0.0 {
+            return hi;
+        }
+        // Largest wave whose predicted drain (wave/workers × ewma) fits the
+        // budget.
+        let budget_ns = wave_budget.as_nanos() as f64;
+        let ideal = (self.workers as f64 * budget_ns / ewma).floor() as usize;
+        ideal.clamp(self.workers, hi)
+    }
+
+    /// The upper clamp of dynamic sizing, `workers × max_multiple` — also
+    /// the size of a backlog wave (`DispatchCore::form_wave`). `None` under
+    /// fixed sizing, which has no clamp and forms no backlog waves.
+    pub(crate) fn hi(&self) -> Option<usize> {
         match self.sizing {
-            WaveSizing::Fixed => self.initial,
-            WaveSizing::Dynamic {
-                max_multiple,
-                wave_budget,
-                ..
-            } => {
-                let ewma = match self.ewma_ns {
-                    // Nothing observed yet: start from the configured
-                    // multiple and let the first waves teach us.
-                    None => return self.initial,
-                    Some(ns) => ns,
-                };
-                let lo = self.workers;
-                let hi = self.workers * max_multiple.max(1);
-                if ewma <= 0.0 {
-                    return hi;
-                }
-                // Largest wave whose predicted drain (wave/workers × ewma)
-                // fits the budget.
-                let budget_ns = wave_budget.as_nanos() as f64;
-                let ideal = (self.workers as f64 * budget_ns / ewma).floor() as usize;
-                ideal.clamp(lo, hi)
-            }
+            WaveSizing::Fixed => None,
+            WaveSizing::Dynamic { max_multiple, .. } => Some(self.workers * max_multiple.max(1)),
         }
     }
 }

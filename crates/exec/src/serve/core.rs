@@ -7,8 +7,10 @@
 //! * whether a submission is admitted, bounced off a full lane, refused
 //!   because admission closed, or shed up front because its predicted wait
 //!   already overruns its deadline ([`DispatchCore::admit`]);
-//! * which requests form the next wave and which are evicted at pop
-//!   because their deadline already passed ([`DispatchCore::form_wave`]);
+//! * which requests form the next wave — the controller's budget target,
+//!   or a backlog wave of its upper clamp when a stacked weight makes one
+//!   pay — and which are evicted at pop because their deadline already
+//!   passed ([`DispatchCore::form_wave`]);
 //! * whether a dispatched request is cancelled when the join loop reaches
 //!   it ([`must_cancel`]);
 //! * what the controller learns from a finished wave
@@ -61,14 +63,20 @@ pub(crate) struct DispatchCore<T> {
     /// What the lanes drain through: the denominator of predicted waits.
     workers: usize,
     predictive_shed_from: Option<Priority>,
+    /// Whether a saturated `Interactive` lane gets backlog waves of the
+    /// controller's upper clamp (see [`DispatchCore::form_wave`]).
+    backlog_waves: bool,
     /// Waves formed with at least one request to run.
     batches: u64,
 }
 
 impl<T> DispatchCore<T> {
     /// A core over `workers` lanes with `config`'s capacity, sizing, aging
-    /// and shedding parameters; open, with one client.
-    pub(crate) fn new(workers: usize, config: &ServeConfig) -> Self {
+    /// and shedding parameters; open, with one client. `backlog_waves` says
+    /// whether the loop's plan stacks a large weight, which is what makes a
+    /// backlog wave pay (the live loop decides it from its plan and
+    /// parameters; `ScriptedServe` passes `false`).
+    pub(crate) fn new(workers: usize, config: &ServeConfig, backlog_waves: bool) -> Self {
         let workers = workers.max(1);
         let aging_ns = config.aging_step.as_nanos().min(u64::MAX as u128) as u64;
         DispatchCore {
@@ -79,6 +87,7 @@ impl<T> DispatchCore<T> {
             capacity: config.capacity.max(1),
             workers,
             predictive_shed_from: config.predictive_shed_from,
+            backlog_waves,
             batches: 0,
         }
     }
@@ -121,11 +130,21 @@ impl<T> DispatchCore<T> {
     }
 
     /// Forms the next wave at `now_ns`: pops by aged priority until `run`
-    /// holds the controller's target, diverting every popped request whose
-    /// deadline has already passed into `evicted` — evictions consume no
-    /// wave slot. Both vectors are appended to; pass them in empty.
+    /// holds the wave's size, diverting every popped request whose deadline
+    /// has already passed into `evicted` — evictions consume no wave slot.
+    /// Both vectors are appended to; pass them in empty.
     ///
-    /// Returns the target the wave was sized by, or `None` when nothing was
+    /// The size is the controller's budget target, except for a *backlog
+    /// wave*: with `backlog_waves` on and at least `hi` (the controller's
+    /// upper clamp) `Interactive` requests queued, the wave takes `hi`. The
+    /// budget bounds how long the next arrival waits behind a wave, and no
+    /// arrival overtakes a queued `Interactive` request, so every arrival
+    /// waits for those `hi` anyway; one stacked wave drains them sooner
+    /// than `hi / target` budget waves. A backlog of `Batch` or
+    /// `BestEffort` work gets no such wave: a fresh `Interactive` arrival
+    /// would overtake it at the next wave boundary.
+    ///
+    /// Returns the size the wave was formed to, or `None` when nothing was
     /// queued. A wave whose every pop was evicted comes back with an empty
     /// `run` and counts no batch.
     pub(crate) fn form_wave(
@@ -137,7 +156,12 @@ impl<T> DispatchCore<T> {
         if self.queue.is_empty() {
             return None;
         }
-        let target = self.controller.target();
+        let target = match self.controller.hi() {
+            Some(hi) if self.backlog_waves && self.queue.len_class(Priority::Interactive) >= hi => {
+                hi
+            }
+            _ => self.controller.target(),
+        };
         while run.len() < target {
             let Some(q) = self.queue.pop_next(now_ns) else {
                 break;
@@ -253,6 +277,7 @@ mod tests {
                 predictive_shed_from: shed_from,
                 ..ServeConfig::default()
             },
+            false,
         )
     }
 
@@ -442,6 +467,76 @@ mod tests {
         c.wave_done(run.len(), 7 * MS);
         assert_eq!(c.controller().ewma_ns(), ewma);
         assert_eq!(c.controller().target(), target);
+    }
+
+    /// 2 workers, 64 slots per lane, `hi` = 2 × 8 = 16, backlog waves
+    /// `on` or off, and one 20 ms-per-request wave observed: the budget
+    /// target sits at its floor of 2. Then `n` requests of `class` queue.
+    fn saturated(on: bool, class: Priority, n: u64) -> DispatchCore<u64> {
+        let mut c = DispatchCore::new(
+            2,
+            &ServeConfig {
+                capacity: 64,
+                sizing: WaveSizing::Dynamic {
+                    max_multiple: 8,
+                    wave_budget: Duration::from_millis(4),
+                    ewma_alpha: 1.0,
+                },
+                ..ServeConfig::default()
+            },
+            on,
+        );
+        c.wave_done(2, 20 * MS);
+        assert_eq!(c.controller().target(), 2);
+        assert_eq!(c.controller().hi(), Some(16));
+        for id in 0..n {
+            c.admit(class, id, 0, None).unwrap();
+        }
+        c
+    }
+
+    /// The size of the next wave formed at t = 0.
+    fn next_wave(c: &mut DispatchCore<u64>) -> usize {
+        let (mut run, mut evicted) = (Vec::new(), Vec::new());
+        let sized = c.form_wave(0, &mut run, &mut evicted).unwrap();
+        assert_eq!(run.len(), sized);
+        assert!(evicted.is_empty());
+        sized
+    }
+
+    #[test]
+    fn backlog_of_hi_interactive_requests_gets_a_wave_of_hi() {
+        let mut c = saturated(true, Interactive, 16);
+        assert_eq!(next_wave(&mut c), 16);
+        assert_eq!(
+            c.controller().target(),
+            2,
+            "the budget target does not move"
+        );
+        assert!(c.queue().is_empty());
+        assert_eq!(c.batches(), 1);
+    }
+
+    #[test]
+    fn backlog_below_hi_gets_the_budget_target() {
+        let mut c = saturated(true, Interactive, 15);
+        assert_eq!(next_wave(&mut c), 2);
+        assert_eq!(c.queue().len_class(Interactive), 13);
+    }
+
+    #[test]
+    fn backlog_of_batch_requests_gets_the_budget_target() {
+        // A fresh Interactive arrival would overtake this backlog at the
+        // next wave boundary, so a wave of 16 would hold it back.
+        let mut c = saturated(true, Batch, 16);
+        assert_eq!(next_wave(&mut c), 2);
+    }
+
+    #[test]
+    fn backlog_waves_off_keeps_budget_waves() {
+        let mut c = saturated(false, Interactive, 32);
+        let waves: Vec<usize> = (0..16).map(|_| next_wave(&mut c)).collect();
+        assert_eq!(waves, [2; 16]);
     }
 
     #[test]

@@ -38,7 +38,13 @@
 //!   drain time fits the configured wave budget, clamped to
 //!   `[workers, workers × max_multiple]`; [`WaveSizing::Fixed`] recovers
 //!   the PR 4 `workers × batch_multiple` behavior exactly (see
-//!   `controller.rs`).
+//!   `controller.rs`). One case overrides the budget: when the requests
+//!   stack a large weight and the `Interactive` lane already holds
+//!   `workers × max_multiple` requests, the wave takes that many. Every
+//!   arrival would wait for those requests anyway — nothing overtakes a
+//!   queued `Interactive` request — and one stacked wave drains them
+//!   sooner than many small ones. A backlog of lower classes keeps budget
+//!   waves, because a fresh `Interactive` arrival overtakes it.
 //! * **Latency accounting** — every request carries its
 //!   enqueue → dispatch → complete timestamps; [`ServeClient::stats`]
 //!   snapshots queue-wait, service, and total latency as p50/p95/p99
@@ -114,6 +120,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// A loop forms backlog waves (see [`WaveSizing::Dynamic`]) when its
+/// requests stack a parameter larger than this, which a stacked call reads
+/// once per group instead of once per member. Stacking a cache-resident
+/// weight measured about 20 % slower than the scalar calls (PERFORMANCE.md,
+/// "Serving throughput"), so small models keep their budget waves.
+const BACKLOG_WEIGHT_BYTES: usize = 1 << 20;
+
 /// Admission class of one serving request.
 ///
 /// Classes are *strictly* ordered — `Interactive` beats `Batch` beats
@@ -178,6 +191,16 @@ pub enum WaveSizing {
     /// to `[workers, workers × max_multiple]`. Starts from
     /// `workers ×` [`ServeConfig::batch_multiple`] until the first
     /// observation arrives.
+    ///
+    /// The budget bounds how long the next arrival waits behind a wave.
+    /// When the loop fuses and its requests stack a parameter over 1 MiB
+    /// (one stacked call reads it once for the whole group), a saturated
+    /// `Interactive` lane — `workers × max_multiple` requests queued —
+    /// gets a *backlog wave* of that many instead: no arrival overtakes a
+    /// queued `Interactive` request, so each would wait for them anyway,
+    /// and one wide wave drains them sooner. `Interactive` is the one
+    /// class whose backlog a wide wave cannot hurt; a `Batch` or
+    /// `BestEffort` backlog keeps budget waves.
     Dynamic {
         /// Upper clamp, as a multiple of the worker count.
         max_multiple: usize,
@@ -503,9 +526,12 @@ pub struct ServeStats {
     pub queue_depth: usize,
     /// Root frames in flight right now.
     pub in_flight: usize,
-    /// The wave target the *next* dispatch wave will use — constant under
+    /// The budget target of the *next* dispatch wave — constant under
     /// [`WaveSizing::Fixed`], live controller output under
-    /// [`WaveSizing::Dynamic`].
+    /// [`WaveSizing::Dynamic`]. A backlog wave (see
+    /// [`WaveSizing::Dynamic`]) is larger than this; it shows in
+    /// [`ServeStats::batches`] (fewer waves for the same requests) and in
+    /// the dispatch log, not here.
     pub wave_target: usize,
     /// The controller's current per-request service EWMA, nanoseconds —
     /// `0` until the first dynamic-sizing observation (and always under
@@ -611,7 +637,8 @@ impl ServeStats {
 /// time so it is comparable across a live run and a scripted replay.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WaveRecord {
-    /// The controller's wave target when this wave formed.
+    /// The size this wave was formed to: the controller's target, or its
+    /// upper clamp for a backlog wave (see [`WaveSizing::Dynamic`]).
     pub target: usize,
     /// Admission sequence numbers (0 = first accepted request) in
     /// dispatch order within the wave.
@@ -717,8 +744,10 @@ impl ServeQueue {
         config: ServeConfig,
     ) -> ServeClient {
         let window = config.latency_window;
+        let backlog_waves = config.cross_request_batching
+            && plan.largest_stacked_param_bytes(&params) > BACKLOG_WEIGHT_BYTES;
         let shared = Arc::new(ServeQueue {
-            state: Mutex::new(DispatchCore::new(exec.n_threads(), &config)),
+            state: Mutex::new(DispatchCore::new(exec.n_threads(), &config, backlog_waves)),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             stats: StatsInner {
@@ -1142,9 +1171,10 @@ impl ServeClient {
         }
     }
 
-    /// The wave target the next dispatch wave will use — constant under
+    /// The budget target of the next dispatch wave — constant under
     /// [`WaveSizing::Fixed`], live controller output under
-    /// [`WaveSizing::Dynamic`].
+    /// [`WaveSizing::Dynamic`] (a backlog wave is larger; see
+    /// [`ServeStats::wave_target`]).
     pub fn wave_target(&self) -> usize {
         self.shared.state.lock().controller().target()
     }

@@ -167,8 +167,9 @@ impl ScriptedServe {
     /// Builds a harness over `workers` simulated workers with `config`'s
     /// capacity, sizing, and aging parameters (the latency-window knob is
     /// irrelevant here — the harness reports raw numbers, not windows).
+    /// Its scripted requests stack no weight, so it forms no backlog waves.
     pub fn new(workers: usize, config: &ServeConfig) -> Self {
-        let core = DispatchCore::new(workers, config);
+        let core = DispatchCore::new(workers, config, false);
         ScriptedServe {
             stall_until: vec![0; core.workers()],
             core,

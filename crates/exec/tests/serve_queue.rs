@@ -8,8 +8,10 @@
 //! three-class stress storm with deadlines and abandoned tickets whose
 //! per-class accounting must close exactly.
 
+use rdg_data::{Dataset, DatasetConfig, Split};
 use rdg_exec::{ExecError, Executor, Priority, ServeConfig, ServeError, Session, WaveSizing};
 use rdg_graph::{Module, ModuleBuilder};
+use rdg_models::{build_recursive, ModelConfig, ModelKind};
 use rdg_tensor::{DType, Tensor};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -533,4 +535,74 @@ fn stress_three_classes_with_deadlines_and_abandons() {
         "aggregate abandoned is the sum of the classes"
     );
     assert_eq!(st.queue_depth, 0);
+}
+
+/// A saturated `Interactive` lane on a model that stacks a large weight
+/// (TreeRNN hidden 512: the combine matrix is 1024 × 512 × 4 B = 2 MiB)
+/// gets waves of the controller's upper clamp, workers × `max_multiple` =
+/// 16, whatever its budget target. Every answer is bit-identical to
+/// `Session::run`.
+#[test]
+fn saturated_lane_stacking_a_large_weight_gets_a_wave_of_hi() {
+    const ROUND: usize = 32;
+    let cfg = ModelConfig {
+        kind: ModelKind::TreeRnn,
+        vocab: 100,
+        embed: 8,
+        hidden: 512,
+        classes: 2,
+        batch: 1,
+        seed: 7,
+    };
+    let data = Dataset::generate(DatasetConfig {
+        vocab: cfg.vocab,
+        n_train: ROUND,
+        n_valid: 0,
+        min_len: 4,
+        max_len: 8,
+        seed: 38,
+        ..DatasetConfig::default()
+    });
+    let requests = Dataset::feeds_per_instance(data.split(Split::Train));
+    let s = Session::new(Executor::with_threads(2), build_recursive(&cfg).unwrap()).unwrap();
+    let want: Vec<Vec<Tensor>> = requests.iter().map(|f| s.run(f.clone()).unwrap()).collect();
+    let client = s.serve_with(ServeConfig {
+        record_dispatch: true,
+        ..ServeConfig::default()
+    });
+    // A warm-up round teaches the controller the service time; the second
+    // round then finds a backlog.
+    for _round in 0..2 {
+        let tickets: Vec<_> = requests
+            .iter()
+            .map(|f| client.submit(f.clone()).unwrap())
+            .collect();
+        for (i, (t, want)) in tickets.into_iter().zip(&want).enumerate() {
+            let got = t.wait().unwrap();
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(want) {
+                let bits = |t: &Tensor| {
+                    t.f32s()
+                        .unwrap()
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(g), bits(w), "request {i}");
+            }
+        }
+    }
+    client.shutdown();
+    let log = client.dispatch_log();
+    let hi = 16;
+    let second_round = log
+        .iter()
+        .filter(|w| w.seqs.iter().all(|&q| q >= ROUND as u64));
+    assert!(
+        second_round
+            .clone()
+            .any(|w| w.seqs.len() == hi && w.target == hi),
+        "no wave of {hi} in the second round: {:?}",
+        second_round.map(|w| w.seqs.len()).collect::<Vec<_>>()
+    );
 }
