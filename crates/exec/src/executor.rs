@@ -522,17 +522,18 @@ impl Executor {
     /// Submits an inference run that opts into cross-request batch fusion:
     /// its batchable kernels may be stacked with those of other opted-in
     /// runs of the same plan into one kernel call (see [`crate::batch`]),
-    /// bit-for-bit equal to the scalar calls it replaces. This is what the
-    /// serving dispatcher does for every request when
-    /// `ServeConfig::cross_request_batching` is set; a run submitted any
-    /// other way never joins a group, whatever else the pool is serving.
+    /// bit-for-bit equal to the scalar calls it replaces. This is how the
+    /// serving dispatcher starts every request; a run submitted any other
+    /// way never joins a group, whatever else the pool is serving.
     pub fn submit_fused(
         self: &Arc<Self>,
         plan: &Arc<ModulePlan>,
         params: &Arc<ParamStore>,
         feeds: Vec<Tensor>,
     ) -> Result<RunHandle, ExecError> {
-        self.submit_with(plan, params, feeds, None, None, true)
+        let (handle, root) = self.start(plan, params, feeds, None, None, true)?;
+        self.queue.push_batch(root);
+        Ok(handle)
     }
 
     /// Submits a run without blocking and returns its [`RunHandle`].
@@ -550,20 +551,7 @@ impl Executor {
         grads: Option<Arc<GradStore>>,
         cache: Option<Arc<BackpropCache>>,
     ) -> Result<RunHandle, ExecError> {
-        self.submit_with(plan, params, feeds, grads, cache, false)
-    }
-
-    /// [`Executor::submit`] with the run's fusion opt-in spelled out.
-    pub(crate) fn submit_with(
-        self: &Arc<Self>,
-        plan: &Arc<ModulePlan>,
-        params: &Arc<ParamStore>,
-        feeds: Vec<Tensor>,
-        grads: Option<Arc<GradStore>>,
-        cache: Option<Arc<BackpropCache>>,
-        fuse: bool,
-    ) -> Result<RunHandle, ExecError> {
-        let (handle, root) = self.start(plan, params, feeds, grads, cache, fuse)?;
+        let (handle, root) = self.start(plan, params, feeds, grads, cache, false)?;
         self.queue.push_batch(root);
         Ok(handle)
     }

@@ -312,9 +312,12 @@ fn inference_builds_no_paths_and_training_one_node_per_frame() {
     // cache, so no table, and every frame of the 63-call recursion sits at
     // the root path.
     for fuse in [false, true] {
-        let run = exec
-            .submit_with(&plan, &params, vec![], None, None, fuse)
-            .unwrap();
+        let run = if fuse {
+            exec.submit_fused(&plan, &params, vec![])
+        } else {
+            exec.submit(&plan, &params, vec![], None, None)
+        }
+        .unwrap();
         let ctx = Arc::clone(&run.ctx);
         assert!(ctx.cache.is_none());
         run.wait().unwrap();

@@ -37,13 +37,15 @@
 //! * [`params::ParamStore`] / [`params::GradStore`] — parameters live
 //!   outside the graph; gradients accumulate concurrently from many frames.
 //! * [`session::Session`] — a planned module bound to parameters.
-//! * [`serve::ServeQueue`] — QoS-aware admission-controlled serving:
+//! * [`serve`] — QoS-aware admission-controlled serving:
 //!   per-class bounded lanes ([`serve::Priority`]) with backpressure in
 //!   front of the executor, an aged strict-priority pick (starvation is
 //!   bounded by the aging step), a dispatcher whose wave size adapts to
 //!   observed service times ([`serve::WaveSizing`]), and per-request
 //!   latency percentiles aggregate and per class ([`serve::ServeStats`]).
-//!   Entered via [`session::Session::serve`].
+//!   Entered via [`session::Session::serve`] or
+//!   [`session::Session::serve_with`], whose [`serve::ServeClient`] is the
+//!   loop's whole surface; every loop fuses kernels across its requests.
 //! * [`sim`] — the same interpreter driven on one thread under a virtual
 //!   clock, used to reproduce the paper's resource-dependent results on
 //!   hardware smaller than the authors' 36-core testbed.
@@ -113,8 +115,8 @@ pub use params::{GradStore, ParamStore};
 pub use path::{PathKey, PathTable};
 pub use plan::{ExecutionPlan, ModulePlan, SpecStats};
 pub use serve::{
-    ClassStats, LatencyPercentiles, Priority, ServeClient, ServeConfig, ServeError, ServeQueue,
-    ServeStats, ServeTicket, WaveRecord, WaveSizing,
+    ClassStats, LatencyPercentiles, Priority, ServeClient, ServeConfig, ServeError, ServeStats,
+    ServeTicket, WaveRecord, WaveSizing,
 };
 pub use session::Session;
 pub use stats::{ExecStats, StatsSnapshot};

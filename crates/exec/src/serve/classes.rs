@@ -44,18 +44,21 @@ pub(crate) struct Queued<T> {
 /// structure runs under the real clock and the tests' virtual one.
 pub(crate) struct ClassQueues<T> {
     lanes: [VecDeque<Queued<T>>; Priority::COUNT],
-    /// Nanoseconds of queue wait that promote a request one class.
-    /// `0` collapses every lane to effective class 0 — global FIFO by
-    /// enqueue time, i.e. the class-blind PR 4 queue.
+    /// Nanoseconds of queue wait that promote a request one class, at
+    /// least 1. At 1 ns every request that has waited 2 ns sits at
+    /// effective class 0, so the pop is FIFO by enqueue time — the
+    /// class-blind queue.
     aging_step_ns: u64,
     next_seq: u64,
 }
 
 impl<T> ClassQueues<T> {
+    /// Empty lanes promoting one class per `aging_step_ns` waited (a step
+    /// of 0 counts as 1).
     pub(crate) fn new(aging_step_ns: u64) -> Self {
         ClassQueues {
             lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            aging_step_ns,
+            aging_step_ns: aging_step_ns.max(1),
             next_seq: 0,
         }
     }
@@ -105,9 +108,6 @@ impl<T> ClassQueues<T> {
     /// index minus one promotion per full aging step waited, floored at
     /// class 0 (`Interactive`).
     fn effective(&self, q: &Queued<T>, now_ns: u64) -> usize {
-        if self.aging_step_ns == 0 {
-            return 0;
-        }
         let waited = now_ns.saturating_sub(q.enqueued_ns);
         q.class
             .index()

@@ -140,7 +140,7 @@ impl WaveController {
 /// concurrently: `depth × ewma ÷ workers`, saturating.
 ///
 /// The prediction rule of predictive admission shedding, its one caller
-/// (`DispatchCore::admit`, behind [`super::ServeClient::submit_slo_with`]
+/// (`DispatchCore::admit`, behind [`super::ServeClient::submit_slo`]
 /// and the scripted driver alike).
 pub(crate) fn predicted_wait_ns(depth: usize, ewma_ns: u64, workers: usize) -> u64 {
     let w = workers.max(1) as u128;

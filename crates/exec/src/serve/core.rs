@@ -62,7 +62,6 @@ pub(crate) struct DispatchCore<T> {
     capacity: usize,
     /// What the lanes drain through: the denominator of predicted waits.
     workers: usize,
-    predictive_shed_from: Option<Priority>,
     /// Whether a saturated `Interactive` lane gets backlog waves of the
     /// controller's upper clamp (see [`DispatchCore::form_wave`]).
     backlog_waves: bool,
@@ -71,8 +70,8 @@ pub(crate) struct DispatchCore<T> {
 }
 
 impl<T> DispatchCore<T> {
-    /// A core over `workers` lanes with `config`'s capacity, sizing, aging
-    /// and shedding parameters; open, with one client. `backlog_waves` says
+    /// A core over `workers` lanes with `config`'s capacity, sizing and
+    /// aging parameters; open, with one client. `backlog_waves` says
     /// whether the loop's plan stacks a large weight, which is what makes a
     /// backlog wave pay (the live loop decides it from its plan and
     /// parameters; `ScriptedServe` passes `false`).
@@ -86,7 +85,6 @@ impl<T> DispatchCore<T> {
             clients: 1,
             capacity: config.capacity.max(1),
             workers,
-            predictive_shed_from: config.predictive_shed_from,
             backlog_waves,
             batches: 0,
         }
@@ -96,8 +94,10 @@ impl<T> DispatchCore<T> {
     /// `deadline_ns` if it has an SLO — or hands it back with the reason.
     ///
     /// The checks run in a fixed order: closed, then full, then (only with
-    /// a deadline, a class at or past `predictive_shed_from`, and a live
-    /// EWMA) predicted wait `depth × ewma ÷ workers` past the deadline.
+    /// a deadline, a `BestEffort` request, and a live EWMA) predicted wait
+    /// `depth × ewma ÷ workers` past the deadline. Predictive shedding
+    /// covers the scavenger class alone: overload sheds the cheapest work
+    /// before it queues, and the classes above it wait for a slot instead.
     pub(crate) fn admit(
         &mut self,
         class: Priority,
@@ -106,12 +106,8 @@ impl<T> DispatchCore<T> {
         deadline_ns: Option<u64>,
     ) -> Result<(), (Refusal, T)> {
         let depth = self.queue.len_class(class);
-        let predicted_miss = match (
-            deadline_ns,
-            self.predictive_shed_from,
-            self.service_ewma_ns(),
-        ) {
-            (Some(deadline), Some(from), Some(ewma)) if class.index() >= from.index() => {
+        let predicted_miss = match (deadline_ns, self.service_ewma_ns()) {
+            (Some(deadline), Some(ewma)) if class == Priority::BestEffort => {
                 now_ns.saturating_add(predicted_wait_ns(depth, ewma, self.workers)) > deadline
             }
             _ => false,
@@ -262,7 +258,7 @@ mod tests {
 
     /// 2 workers, 2 slots per lane, waves of 4; α = 1 so one observed wave
     /// sets the EWMA exactly.
-    fn core(shed_from: Option<Priority>) -> DispatchCore<u64> {
+    fn core() -> DispatchCore<u64> {
         DispatchCore::new(
             2,
             &ServeConfig {
@@ -274,28 +270,25 @@ mod tests {
                     ewma_alpha: 1.0,
                 },
                 aging_step: Duration::from_millis(1),
-                predictive_shed_from: shed_from,
                 ..ServeConfig::default()
             },
             false,
         )
     }
 
-    /// One admission case: a core with `shed_from`, an EWMA of 1 ms if
-    /// `ewma`, `depth` requests already in `class`'s lane, closed unless
-    /// `open` — then one more submit with `deadline` must come back `want`.
-    #[allow(clippy::too_many_arguments)]
+    /// One admission case: a core with an EWMA of 1 ms if `ewma`, `depth`
+    /// requests already in `class`'s lane, closed unless `open` — then one
+    /// more submit with `deadline` must come back `want`.
     fn case(
         name: &str,
         open: bool,
         depth: usize,
-        shed_from: Option<Priority>,
         ewma: bool,
         class: Priority,
         deadline: Option<u64>,
         want: Result<(), Refusal>,
     ) {
-        let mut c = core(shed_from);
+        let mut c = core();
         if ewma {
             c.wave_done(2, MS);
             assert_eq!(c.service_ewma_ns(), Some(MS), "{name}");
@@ -315,50 +308,31 @@ mod tests {
     #[test]
     fn admission_matrix() {
         use Refusal::{Closed, Full, ShedPredicted};
-        let from = Some(Batch);
-        // The predictive rows look at a 1-deep lane at 1 ms EWMA on 2
-        // workers: predicted wait 0.5 ms.
+        // `BestEffort` is the one class predictive shedding covers. The
+        // predictive rows look at a 1-deep lane at 1 ms EWMA on 2 workers:
+        // predicted wait 0.5 ms.
         let (over, under) = (Some(MS / 2 - 1), Some(MS / 2));
-        //   name                          open   depth from  ewma  class  deadline  want
-        case(
-            "open, space, no SLO",
-            true,
-            0,
-            from,
-            true,
-            Batch,
-            None,
-            Ok(()),
-        );
+        let shed = BestEffort;
+        //   name                        open   depth ewma  class        deadline  want
+        case("open, space, no SLO", true, 0, true, shed, None, Ok(()));
         case(
             "open, space, loose SLO",
             true,
             0,
-            from,
             true,
-            Batch,
+            shed,
             Some(0),
             Ok(()),
         );
-        case("closed", false, 0, from, true, Batch, None, Err(Closed));
-        case(
-            "closed beats full",
-            false,
-            2,
-            from,
-            true,
-            Batch,
-            over,
-            Err(Closed),
-        );
-        case("full, no SLO", true, 2, from, true, Batch, None, Err(Full));
+        case("closed", false, 0, true, shed, None, Err(Closed));
+        case("closed beats full", false, 2, true, shed, over, Err(Closed));
+        case("full, no SLO", true, 2, true, shed, None, Err(Full));
         case(
             "full beats predicted",
             true,
             2,
-            from,
             true,
-            Batch,
+            shed,
             Some(0),
             Err(Full),
         );
@@ -366,68 +340,37 @@ mod tests {
             "SLO under predicted wait",
             true,
             1,
-            from,
             true,
-            Batch,
+            shed,
             over,
             Err(ShedPredicted),
         );
+        case("SLO at predicted wait", true, 1, true, shed, under, Ok(()));
         case(
-            "SLO at predicted wait",
+            "Batch is above the shed class",
             true,
             1,
-            from,
             true,
             Batch,
-            under,
+            over,
             Ok(()),
         );
         case(
-            "class past shed_from",
+            "Interactive is above the shed class",
             true,
             1,
-            from,
-            true,
-            BestEffort,
-            over,
-            Err(ShedPredicted),
-        );
-        case(
-            "class above shed_from",
-            true,
-            1,
-            from,
             true,
             Interactive,
             over,
             Ok(()),
         );
-        case(
-            "shedding disabled",
-            true,
-            1,
-            None,
-            true,
-            BestEffort,
-            over,
-            Ok(()),
-        );
-        case("EWMA unset", true, 1, from, false, Batch, over, Ok(()));
-        case(
-            "no SLO never sheds",
-            true,
-            1,
-            from,
-            true,
-            Batch,
-            None,
-            Ok(()),
-        );
+        case("EWMA unset", true, 1, false, shed, over, Ok(()));
+        case("no SLO never sheds", true, 1, true, shed, None, Ok(()));
     }
 
     #[test]
     fn evictions_take_no_wave_slots() {
-        let mut c = core(None);
+        let mut c = core();
         // Two expired interactive requests ahead of four live ones across
         // the lanes: the wave of 4 must still fill with live work.
         c.admit(Interactive, 0, 0, Some(5)).unwrap();
@@ -452,7 +395,7 @@ mod tests {
 
     #[test]
     fn all_evicted_wave_counts_no_batch_and_teaches_nothing() {
-        let mut c = core(None);
+        let mut c = core();
         c.wave_done(2, MS);
         let (target, ewma) = (c.controller().target(), c.controller().ewma_ns());
         c.admit(Interactive, 0, 0, Some(1)).unwrap();
@@ -560,7 +503,7 @@ mod tests {
 
     #[test]
     fn last_client_closes_and_nothing_reopens() {
-        let mut c = core(None);
+        let mut c = core();
         c.add_client();
         assert!(!c.drop_client(), "one handle left");
         assert!(c.is_open());
@@ -581,7 +524,7 @@ mod tests {
 
     #[test]
     fn explicit_close_keeps_the_client_count() {
-        let mut c = core(None);
+        let mut c = core();
         c.close();
         assert!(!c.is_open());
         assert!(c.drop_client(), "the one client was still counted");

@@ -19,13 +19,13 @@
 //!
 //! * **Admission classes** — every request carries a [`Priority`]
 //!   (`Interactive` / `Batch` / `BestEffort`). Each class has its own
-//!   bounded lane with its own backpressure: [`ServeClient::try_submit_with`]
+//!   bounded lane with its own backpressure: [`ServeClient::try_submit`]
 //!   fails fast with [`ServeError::QueueFull`] when *its class* is full,
-//!   [`ServeClient::submit_with`] blocks, [`ServeClient::submit_deadline_with`]
+//!   [`ServeClient::submit`] blocks, [`ServeClient::submit_deadline`]
 //!   bounds the wait. A saturated `Batch` lane never blocks admission of an
-//!   `Interactive` request. Plain `submit`/`try_submit` use the client's
-//!   default class ([`ServeClient::with_priority`] makes class-defaulted
-//!   clones to hand to each traffic source).
+//!   `Interactive` request. A client submits into its own class;
+//!   [`ServeClient::with_priority`] makes a clone for another class, to
+//!   hand to each traffic source.
 //! * **Aged strict priority** — the dispatcher drains lanes strictly by
 //!   class, *except* that a request promotes itself one class per
 //!   [`ServeConfig::aging_step`] waited, so a hot `Interactive` stream can
@@ -55,9 +55,12 @@
 //!   client) stops admission, drains every already-accepted request, and
 //!   joins the dispatcher. No accepted request is ever lost.
 //!
-//! The usual entry point is [`crate::Session::serve`] /
-//! [`crate::Session::serve_with`], which wire a session's plan, parameters,
-//! and executor into [`ServeQueue::start`].
+//! A loop is opened with [`crate::Session::serve`] (default
+//! [`ServeConfig`]) or [`crate::Session::serve_with`], which wire the
+//! session's plan, parameters and executor into a dispatcher thread and
+//! hand back its first [`ServeClient`]. Every loop fuses same-shape
+//! kernels across its requests (see [`crate::batch`]); a bare
+//! [`Executor::run`] beside it stays scalar.
 //!
 //! # One core, two drivers
 //!
@@ -127,6 +130,10 @@ use std::time::{Duration, Instant};
 /// "Serving throughput"), so small models keep their budget waves.
 const BACKLOG_WEIGHT_BYTES: usize = 1 << 20;
 
+/// Samples each latency distribution keeps for its percentiles (the most
+/// recent ones; counts and means cover the loop's whole life).
+const LATENCY_WINDOW: usize = 4096;
+
 /// Admission class of one serving request.
 ///
 /// Classes are *strictly* ordered — `Interactive` beats `Batch` beats
@@ -193,7 +200,7 @@ pub enum WaveSizing {
     /// observation arrives.
     ///
     /// The budget bounds how long the next arrival waits behind a wave.
-    /// When the loop fuses and its requests stack a parameter over 1 MiB
+    /// When the loop's requests stack a parameter over 1 MiB
     /// (one stacked call reads it once for the whole group), a saturated
     /// `Interactive` lane — `workers × max_multiple` requests queued —
     /// gets a *backlog wave* of that many instead: no arrival overtakes a
@@ -243,15 +250,13 @@ pub struct ServeConfig {
     /// wave under [`WaveSizing::Fixed`], the starting point under
     /// [`WaveSizing::Dynamic`].
     pub batch_multiple: usize,
-    /// Sliding-window size (samples) of each latency distribution kept for
-    /// percentile snapshots.
-    pub latency_window: usize,
     /// How the dispatcher sizes its waves (default: dynamic EWMA).
     pub sizing: WaveSizing,
     /// Queue wait that promotes a request one class (anti-starvation
-    /// aging). Tune it toward the lower classes' latency tolerance;
-    /// `Duration::ZERO` disables class separation entirely (global FIFO —
-    /// the class-blind PR 4 queue, useful as an A/B baseline).
+    /// aging). Tune it toward the lower classes' latency tolerance. Steps
+    /// below 1 ns count as 1 ns, where every request that has waited 2 ns
+    /// competes at `Interactive` urgency and the pop is FIFO by enqueue
+    /// time — in effect a class-blind FIFO queue.
     pub aging_step: Duration,
     /// Record every dispatch wave (controller target + admission sequence
     /// numbers in pop order) for retrieval via
@@ -260,28 +265,6 @@ pub struct ServeConfig {
     /// live driver (threads, condvars, wall clock) fed the dispatcher core
     /// the same events the `ScriptedServe` driver does.
     pub record_dispatch: bool,
-    /// Least-urgent end of the classes eligible for **predictive
-    /// admission shedding**: an SLO-carrying submit into a class at least
-    /// this far down the urgency order is rejected up front with
-    /// [`ServeError::Shed`] when the predicted queue wait (lane depth ×
-    /// EWMA service estimate ÷ workers) already exceeds its deadline —
-    /// overload sheds cheap work *before* it queues. `None` disables the
-    /// check; the default sheds `BestEffort` only (set
-    /// `Some(Priority::Batch)` to cover `Batch` too). Inert until the
-    /// dynamic controller has an EWMA, and for requests without an SLO.
-    pub predictive_shed_from: Option<Priority>,
-    /// Fuse same-shape kernels across concurrent requests into stacked
-    /// kernel calls of at most `batch::MAX_GROUP` instances (see
-    /// `crate::batch`). **On** by default for serving. It is a property of
-    /// this loop's *runs*, not of the executor: the dispatcher starts every
-    /// request as a run that opted in, workers group only tasks of such
-    /// runs, and nothing is switched on or off at start or shutdown — so
-    /// other serve loops on the same executor keep their own setting, and a
-    /// bare [`Executor::run`] beside them stays scalar. Turn it off for an
-    /// A/B baseline or to pin exact scalar scheduling. Fusion never changes
-    /// results: stacked kernels are bit-for-bit equal to the scalar calls
-    /// they replace.
-    pub cross_request_batching: bool,
 }
 
 impl Default for ServeConfig {
@@ -289,12 +272,9 @@ impl Default for ServeConfig {
         ServeConfig {
             capacity: 256,
             batch_multiple: 4,
-            latency_window: 4096,
             sizing: WaveSizing::default(),
             aging_step: Duration::from_millis(25),
             record_dispatch: false,
-            predictive_shed_from: Some(Priority::BestEffort),
-            cross_request_batching: true,
         }
     }
 }
@@ -352,7 +332,7 @@ impl std::error::Error for ServeError {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencyPercentiles {
     /// Observations recorded over the loop's lifetime (the percentiles are
-    /// computed over the most recent [`ServeConfig::latency_window`]).
+    /// computed over the most recent 4096).
     pub count: u64,
     /// Lifetime mean, µs.
     pub mean_us: f64,
@@ -535,8 +515,9 @@ pub struct ServeStats {
     pub wave_target: usize,
     /// The controller's current per-request service EWMA, nanoseconds —
     /// `0` until the first dynamic-sizing observation (and always under
-    /// [`WaveSizing::Fixed`]). This is the estimate predictive shedding
-    /// divides by.
+    /// [`WaveSizing::Fixed`]); the estimate is floored at 1 ns, so `0`
+    /// always means "no estimate yet". This is the estimate predictive
+    /// shedding divides by.
     pub service_ewma_ns: u64,
     /// enqueue → dispatch (time spent queued), all classes.
     pub wait: LatencyPercentiles,
@@ -546,7 +527,7 @@ pub struct ServeStats {
     pub total: LatencyPercentiles,
     /// Fused kernel calls issued by this loop's runs (each covered ≥2
     /// request instances; a group counts toward the run of its first
-    /// member). Zero when `cross_request_batching` is off.
+    /// member).
     pub fusion_groups: u64,
     /// This loop's kernel instances executed through a fused call — the
     /// numerator of [`ServeStats::fused_fraction`].
@@ -679,11 +660,11 @@ struct LatencyTracks {
 }
 
 impl LatencyTracks {
-    fn new(window: usize) -> Self {
+    fn new() -> Self {
         LatencyTracks {
-            wait: LatencyTrack::new(window),
-            service: LatencyTrack::new(window),
-            total: LatencyTrack::new(window),
+            wait: LatencyTrack::new(LATENCY_WINDOW),
+            service: LatencyTrack::new(LATENCY_WINDOW),
+            total: LatencyTrack::new(LATENCY_WINDOW),
         }
     }
 }
@@ -706,10 +687,10 @@ struct StatsInner {
 /// The admission-control subsystem: per-class bounded lanes + dispatcher
 /// + stats.
 ///
-/// `ServeQueue` itself is not held by users — [`ServeQueue::start`] spawns
-/// the dispatcher and hands back the first [`ServeClient`]; the loop lives
-/// as long as any client (or undelivered ticket) needs it.
-pub struct ServeQueue {
+/// Not held by users — [`crate::Session::serve_with`] spawns the dispatcher
+/// and hands back the first [`ServeClient`]; the loop lives as long as any
+/// client (or undelivered ticket) needs it.
+pub(crate) struct ServeQueue {
     /// Every serving rule and the state it ranges over (lanes, controller,
     /// open flag, client count). Clients and the dispatcher thread drive it
     /// under this one lock; nothing else decides anything.
@@ -733,27 +714,21 @@ pub struct ServeQueue {
 impl ServeQueue {
     /// Spawns a serving loop over `(plan, params)` on `exec` and returns
     /// its first client handle (default class: [`Priority::Interactive`]).
-    ///
-    /// [`crate::Session::serve`] is the ergonomic entry point; this level
-    /// exists for callers composing their own plan/params pairs (replica
-    /// serving on a shared store, tests).
-    pub fn start(
+    pub(crate) fn spawn(
         exec: Arc<Executor>,
         plan: Arc<ModulePlan>,
         params: Arc<ParamStore>,
         config: ServeConfig,
     ) -> ServeClient {
-        let window = config.latency_window;
-        let backlog_waves = config.cross_request_batching
-            && plan.largest_stacked_param_bytes(&params) > BACKLOG_WEIGHT_BYTES;
+        let backlog_waves = plan.largest_stacked_param_bytes(&params) > BACKLOG_WEIGHT_BYTES;
         let shared = Arc::new(ServeQueue {
             state: Mutex::new(DispatchCore::new(exec.n_threads(), &config, backlog_waves)),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             stats: StatsInner {
                 classes: Default::default(),
-                class_latency: std::array::from_fn(|_| LatencyTracks::new(window)),
-                latency: LatencyTracks::new(window),
+                class_latency: std::array::from_fn(|_| LatencyTracks::new()),
+                latency: LatencyTracks::new(),
                 in_flight: AtomicUsize::new(0),
                 runs: ExecStats::new(),
             },
@@ -854,10 +829,8 @@ fn dispatcher_loop(
         // Launch the whole wave before joining any of it: the wave's root
         // frames execute concurrently, and in-flight work is bounded by
         // the wave size — that is the admission-control contract. Every
-        // request runs the loop's one plan, so cross-request fusion
-        // (`GroupKey` is keyed by plan pointer) can group any of them.
-        // Whether they fuse at all rides on each run.
-        let fuse = shared.config.cross_request_batching;
+        // request runs the loop's one plan as a fusing run, so cross-request
+        // fusion (`GroupKey` is keyed by plan pointer) can group any of them.
         let runs: Vec<Result<RunHandle, ExecError>> = wave
             .iter_mut()
             .map(|q| {
@@ -866,7 +839,7 @@ fn dispatcher_loop(
                     tracks.wait.record_ns(wait_ns);
                 }
                 let feeds = std::mem::take(&mut q.item.feeds);
-                exec.submit_with(plan, params, feeds, None, None, fuse)
+                exec.submit_fused(plan, params, feeds)
             })
             .collect();
         let wave_len = wave.len();
@@ -938,11 +911,11 @@ fn dispatcher_loop(
 /// A cloneable handle to an admission-controlled serving loop.
 ///
 /// Clones share one queue, one dispatcher, and one stats ledger — hand a
-/// clone to every client thread. Each clone carries a *default class*
-/// ([`Priority::Interactive`] unless changed via
-/// [`ServeClient::with_priority`]) used by the plain
-/// `submit`/`try_submit`/`submit_deadline`/`call`; the `_with` variants
-/// take the class per call. The loop shuts down when the last clone drops
+/// clone to every client thread. Each clone carries the class its four
+/// submit calls admit into ([`Priority::Interactive`] unless made with
+/// [`ServeClient::with_priority`]); they differ only in how long they wait
+/// for a lane slot and whether the request carries an SLO. The loop shuts
+/// down when the last clone drops
 /// or [`ServeClient::shutdown`] is called; after that every submit returns
 /// [`ServeError::Shutdown`], while already-accepted requests still
 /// complete and their tickets still deliver.
@@ -993,90 +966,53 @@ impl Wait {
 }
 
 impl ServeClient {
-    /// A clone whose plain `submit`/`try_submit`/`call` use `class` —
-    /// hand one to each traffic source so call sites stay class-free.
+    /// A clone whose submit calls use `class` — hand one to each traffic
+    /// source so call sites stay class-free.
     pub fn with_priority(&self, class: Priority) -> ServeClient {
         let mut c = self.clone();
         c.class = class;
         c
     }
 
-    /// The class this client's plain submit calls use.
+    /// The class this client's submit calls use.
     pub fn priority(&self) -> Priority {
         self.class
     }
 
-    /// Non-blocking admission into the client's default class.
+    /// Non-blocking admission: rejects immediately with
+    /// [`ServeError::QueueFull`] when this client's class lane has no free
+    /// slot.
     pub fn try_submit(&self, feeds: Vec<Tensor>) -> Result<ServeTicket, ServeError> {
-        self.admit(self.class, feeds, Wait::No, None)
+        self.admit(feeds, Wait::No, None)
     }
 
-    /// Non-blocking admission into `class`: rejects immediately with
-    /// [`ServeError::QueueFull`] when that class's lane has no free slot.
-    pub fn try_submit_with(
-        &self,
-        class: Priority,
-        feeds: Vec<Tensor>,
-    ) -> Result<ServeTicket, ServeError> {
-        self.admit(class, feeds, Wait::No, None)
-    }
-
-    /// Blocking admission into the client's default class.
+    /// Blocking admission: waits for a lane slot (backpressure), however
+    /// long that takes. Returns [`ServeError::Shutdown`] if the loop stops
+    /// accepting while this call is blocked.
     pub fn submit(&self, feeds: Vec<Tensor>) -> Result<ServeTicket, ServeError> {
-        self.admit(self.class, feeds, Wait::Forever, None)
+        self.admit(feeds, Wait::Forever, None)
     }
 
-    /// Blocking admission into `class`: waits for a lane slot
-    /// (backpressure), however long that takes. Returns
-    /// [`ServeError::Shutdown`] if the loop stops accepting while this
-    /// call is blocked.
-    pub fn submit_with(
-        &self,
-        class: Priority,
-        feeds: Vec<Tensor>,
-    ) -> Result<ServeTicket, ServeError> {
-        self.admit(class, feeds, Wait::Forever, None)
-    }
-
-    /// Blocking admission into the client's default class, bounded by
-    /// `deadline`.
+    /// Blocking admission with a deadline: waits at most `deadline` for a
+    /// lane slot, then gives up with [`ServeError::DeadlineExceeded`].
     pub fn submit_deadline(
         &self,
         feeds: Vec<Tensor>,
         deadline: Duration,
     ) -> Result<ServeTicket, ServeError> {
-        self.admit(self.class, feeds, Wait::at_most(deadline), None)
+        self.admit(feeds, Wait::at_most(deadline), None)
     }
 
-    /// Blocking admission into `class` with a deadline: waits at most
-    /// `deadline` for a lane slot, then gives up with
-    /// [`ServeError::DeadlineExceeded`].
-    pub fn submit_deadline_with(
-        &self,
-        class: Priority,
-        feeds: Vec<Tensor>,
-        deadline: Duration,
-    ) -> Result<ServeTicket, ServeError> {
-        self.admit(class, feeds, Wait::at_most(deadline), None)
-    }
-
-    /// Blocking admission into the client's default class with an
-    /// end-to-end SLO. See [`ServeClient::submit_slo_with`].
-    pub fn submit_slo(&self, feeds: Vec<Tensor>, slo: Duration) -> Result<ServeTicket, ServeError> {
-        self.admit(self.class, feeds, Wait::at_most(slo), Some(slo))
-    }
-
-    /// Blocking admission into `class` with an end-to-end SLO: the
-    /// request must *complete* within `slo` of this call, or it is shed.
+    /// Blocking admission with an end-to-end SLO: the request must
+    /// *complete* within `slo` of this call, or it is shed.
     ///
     /// The SLO is enforced at three lifecycle points:
     ///
-    /// 1. **Predictive admission** (here): if the class is at or past
-    ///    [`ServeConfig::predictive_shed_from`] and the dispatcher has a
-    ///    service EWMA, a request whose predicted queue wait
-    ///    (`lane depth × EWMA ÷ workers`) already overruns the deadline is
-    ///    shed immediately with [`ServeError::Shed`] — it never queues,
-    ///    never counts as `submitted`, and ticks `shed_predicted`.
+    /// 1. **Predictive admission** (here): if the class is `BestEffort`
+    ///    and the dispatcher has a service EWMA, a request whose predicted
+    ///    queue wait (`lane depth × EWMA ÷ workers`) already overruns the
+    ///    deadline is shed immediately with [`ServeError::Shed`] — it never
+    ///    queues, never counts as `submitted`, and ticks `shed_predicted`.
     /// 2. **Pop-time eviction**: an admitted request whose deadline has
     ///    passed when the dispatcher pops it is discarded (ticket resolves
     ///    to [`ServeError::Shed`], counted `shed`).
@@ -1087,20 +1023,9 @@ impl ServeClient {
     /// Submit-side blocking is bounded by the same deadline: if no lane
     /// slot frees before the SLO is already blown, the call gives up with
     /// [`ServeError::DeadlineExceeded`] (counted `expired`), matching
-    /// [`ServeClient::submit_deadline_with`].
-    pub fn submit_slo_with(
-        &self,
-        class: Priority,
-        feeds: Vec<Tensor>,
-        slo: Duration,
-    ) -> Result<ServeTicket, ServeError> {
-        self.admit(class, feeds, Wait::at_most(slo), Some(slo))
-    }
-
-    /// Convenience closed loop: blocking submit into the default class,
-    /// then wait for the result.
-    pub fn call(&self, feeds: Vec<Tensor>) -> Result<Vec<Tensor>, ServeError> {
-        self.submit(feeds)?.wait()
+    /// [`ServeClient::submit_deadline`].
+    pub fn submit_slo(&self, feeds: Vec<Tensor>, slo: Duration) -> Result<ServeTicket, ServeError> {
+        self.admit(feeds, Wait::at_most(slo), Some(slo))
     }
 
     /// The one admission path behind every `submit*` name: offers the
@@ -1110,12 +1035,11 @@ impl ServeClient {
     /// With `slo`, the request carries the deadline `now + slo`.
     fn admit(
         &self,
-        class: Priority,
         feeds: Vec<Tensor>,
         wait: Wait,
         slo: Option<Duration>,
     ) -> Result<ServeTicket, ServeError> {
-        let shared = &*self.shared;
+        let (shared, class) = (&*self.shared, self.class);
         let ledger = &shared.stats.classes[class.index()];
         // (call time, absolute deadline) on the loop's clock.
         let slo_ns = slo.map(|slo| {
@@ -1171,24 +1095,9 @@ impl ServeClient {
         }
     }
 
-    /// The budget target of the next dispatch wave — constant under
-    /// [`WaveSizing::Fixed`], live controller output under
-    /// [`WaveSizing::Dynamic`] (a backlog wave is larger; see
-    /// [`ServeStats::wave_target`]).
-    pub fn wave_target(&self) -> usize {
-        self.shared.state.lock().controller().target()
-    }
-
     /// The per-class admission-lane slot count.
     pub fn capacity(&self) -> usize {
         self.shared.state.lock().capacity()
-    }
-
-    /// The dispatcher's current per-request service EWMA, nanoseconds —
-    /// `None` until the first dynamically-sized wave completes (or under
-    /// [`WaveSizing::Fixed`], which never observes).
-    pub fn service_ewma_ns(&self) -> Option<u64> {
-        self.shared.state.lock().service_ewma_ns()
     }
 
     /// The dispatch waves recorded so far — empty unless the loop was
@@ -1307,7 +1216,7 @@ mod tests {
     #[test]
     fn config_defaults_are_sane() {
         let c = ServeConfig::default();
-        assert!(c.capacity >= 1 && c.batch_multiple >= 1 && c.latency_window >= 1);
+        assert!(c.capacity >= 1 && c.batch_multiple >= 1);
         assert!(matches!(c.sizing, WaveSizing::Dynamic { .. }));
         assert!(c.aging_step > Duration::ZERO);
     }

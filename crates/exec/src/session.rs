@@ -245,9 +245,9 @@ impl Session {
     /// lanes ([`crate::Priority`]) with backpressure, and a dispatcher
     /// keeps the number of in-flight root frames at a service-time-adapted
     /// multiple of the executor's worker count (see [`crate::serve`]).
-    /// The first client defaults to [`crate::Priority::Interactive`]; use
-    /// [`ServeClient::with_priority`] to make class-defaulted clones for
-    /// lower-priority traffic sources. The loop outlives this `Session`
+    /// The first client submits into [`crate::Priority::Interactive`]; use
+    /// [`ServeClient::with_priority`] to make clones for lower-priority
+    /// traffic sources. The loop outlives this `Session`
     /// value — it holds its own handles to the plan, parameters, and
     /// executor — and shuts down when the last client is dropped or
     /// [`ServeClient::shutdown`] is called.
@@ -256,9 +256,11 @@ impl Session {
     }
 
     /// Opens an admission-controlled serving loop with an explicit
-    /// [`ServeConfig`] (per-class lane capacity, wave sizing, aging).
+    /// [`ServeConfig`] (per-class lane capacity, wave sizing, aging) — the
+    /// one constructor of a serving loop. Every loop fuses same-shape
+    /// kernels across its requests.
     pub fn serve_with(&self, config: ServeConfig) -> ServeClient {
-        ServeQueue::start(
+        ServeQueue::spawn(
             Arc::clone(&self.exec),
             Arc::clone(&self.plan),
             Arc::clone(&self.params),

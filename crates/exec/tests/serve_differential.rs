@@ -33,11 +33,12 @@
 //! the live plumbing only; the rules are covered, deterministically, by
 //! the core's own tests and every scripted suite.
 //!
-//! A second, fused pin runs the identical scenario with cross-request
-//! batch fusion enabled on both sides (the executor's dispatch-time fuser
-//! live, `run_wave_grouped`'s group-formation model scripted) and requires
-//! the *same* dispatch log: fusion is a property of kernel execution
-//! within a wave and must never leak into scheduling decisions.
+//! A second, fused pin runs the identical scenario through the twin's
+//! group-formation model (`run_wave_grouped`) as well as the scalar one,
+//! and the live side — whose loop always runs the executor's
+//! dispatch-time fuser — must match both: fusion is a property of kernel
+//! execution within a wave and must never leak into scheduling
+//! decisions.
 
 use rdg_exec::serve::test_support::{ScriptedAdmission, ScriptedServe};
 use rdg_exec::{Executor, Priority, ServeConfig, ServeError, Session, WaveRecord, WaveSizing};
@@ -88,7 +89,7 @@ const MIX: [Priority; 10] = [
     Priority::BestEffort,
 ];
 
-fn config(fused: bool) -> ServeConfig {
+fn config() -> ServeConfig {
     ServeConfig {
         capacity: 64,
         batch_multiple: 16,
@@ -98,10 +99,6 @@ fn config(fused: bool) -> ServeConfig {
         // regardless of how wall time maps to the virtual clock.
         aging_step: Duration::from_secs(3600),
         record_dispatch: true,
-        // The fused-wave pin runs the identical scenario with the
-        // executor's cross-request fuser on and off: the dispatch log
-        // must not notice.
-        cross_request_batching: fused,
         ..ServeConfig::default()
     }
 }
@@ -116,13 +113,13 @@ const SLO_MIX: [Priority; 2] = [Priority::Interactive, Priority::Batch];
 /// schedule — the dispatch log must come out identical either way,
 /// because grouping happens strictly after the pop.
 fn scripted_log(fused: bool) -> Vec<WaveRecord> {
-    let mut s = ScriptedServe::new(1, &config(fused));
+    let mut s = ScriptedServe::new(1, &config());
     assert!(s.submit(Priority::Interactive, 0), "blocker admitted");
     let mut log = Vec::new();
     // Service times are irrelevant to the *order* here (one worker,
     // fixed waves, no aging) — any positive value works.
     let service = |_id: u64| 1_000_000u64;
-    let mut wave = |s: &mut ScriptedServe| {
+    let wave = |s: &mut ScriptedServe| {
         if fused {
             s.run_wave_grouped(service, |_| Some(0u64), 4)
         } else {
@@ -159,9 +156,9 @@ fn scripted_log(fused: bool) -> Vec<WaveRecord> {
 
 /// One live attempt; `None` when the timing race didn't hold (the
 /// blocker finished before the twelve requests were all queued).
-fn live_log_attempt(fused: bool) -> Option<Vec<WaveRecord>> {
+fn live_log_attempt() -> Option<Vec<WaveRecord>> {
     let s = Session::new(Executor::with_threads(1), sum_module()).unwrap();
-    let client = s.serve_with(config(fused));
+    let client = s.serve_with(config());
     let blocker = client.submit(vec![Tensor::scalar_i32(60_000)]).unwrap();
     // Wait for the dispatcher to pop the blocker's wave: once `batches`
     // ticks, the first wave is closed and everything we submit next goes
@@ -169,19 +166,20 @@ fn live_log_attempt(fused: bool) -> Option<Vec<WaveRecord>> {
     while client.stats().batches < 1 {
         std::thread::yield_now();
     }
+    let by_class = Priority::ALL.map(|class| client.with_priority(class));
     let tickets: Vec<_> = MIX
         .iter()
-        .map(|&class| {
-            client
-                .submit_with(class, vec![Tensor::scalar_i32(5)])
+        .map(|class| {
+            by_class[class.index()]
+                .submit(vec![Tensor::scalar_i32(5)])
                 .unwrap()
         })
         .collect();
     let shed_tickets: Vec<_> = SLO_MIX
         .iter()
-        .map(|&class| {
-            client
-                .submit_slo_with(class, vec![Tensor::scalar_i32(5)], Duration::ZERO)
+        .map(|class| {
+            by_class[class.index()]
+                .submit_slo(vec![Tensor::scalar_i32(5)], Duration::ZERO)
                 .expect("zero-SLO request admits (lane has space, no EWMA yet)")
         })
         .collect();
@@ -246,7 +244,7 @@ fn live_dispatcher_and_scripted_twin_agree_wave_for_wave() {
          first, then batch), consuming no wave slots"
     );
     for attempt in 0..5 {
-        if let Some(live) = live_log_attempt(false) {
+        if let Some(live) = live_log_attempt() {
             assert_eq!(
                 live, expected,
                 "live dispatcher diverged from the scripted twin \
@@ -264,8 +262,8 @@ fn live_dispatcher_and_scripted_twin_agree_wave_for_wave() {
 
 /// The fused-wave pin: cross-request batch fusion must be invisible to
 /// admission and dispatch. The twin's group-formation model and the live
-/// dispatcher with the executor's fuser enabled must both produce the
-/// exact dispatch log of the scalar scenario — fusion reshapes kernel
+/// dispatcher (which always runs the executor's fuser) must both produce
+/// the exact dispatch log of the scalar scenario — fusion reshapes kernel
 /// execution inside a wave, never wave targets, pop order, or shed
 /// decisions.
 #[test]
@@ -278,10 +276,10 @@ fn fusion_does_not_perturb_the_dispatch_log() {
          decision: grouping must happen strictly after the pop"
     );
     for attempt in 0..5 {
-        if let Some(live) = live_log_attempt(true) {
+        if let Some(live) = live_log_attempt() {
             assert_eq!(
                 live, expected,
-                "live dispatcher with cross-request batching on diverged \
+                "live dispatcher with cross-request batching diverged \
                  from the scalar twin (attempt {attempt}): fusion must not \
                  change wave targets, pop order, or shed decisions"
             );

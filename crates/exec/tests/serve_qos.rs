@@ -20,7 +20,7 @@
 //!    trace exactly once; rejected ones never do; wave sizes respect the
 //!    controller's clamped target.
 //!
-//! A second group runs the *real* `ServeQueue` through random
+//! A second group runs the *real* serving loop through random
 //! submit/clone/drop/shutdown interleavings and asserts the accounting
 //! closes exactly (no request lost or duplicated) — thread scheduling may
 //! vary, the asserted counters may not.
@@ -463,7 +463,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end conservation on the real ServeQueue.
+// End-to-end conservation on the real serving loop.
 // ---------------------------------------------------------------------
 
 /// `sum(n)` with `n` fed as a main input (the shared serving fixture).
@@ -512,6 +512,7 @@ proptest! {
             capacity: 64,
             ..ServeConfig::default()
         });
+        let by_class = Priority::ALL.map(|class| root.with_priority(class));
         let mut clones = vec![root.clone()];
         let mut tickets: Vec<(i32, rdg_exec::ServeTicket)> = Vec::new();
         let mut accepted = 0u64;
@@ -528,7 +529,7 @@ proptest! {
                 1 if clones.len() > 1 => {
                     clones.pop();
                 }
-                _ => match client.submit_with(class_of(class_idx), vec![Tensor::scalar_i32(n)]) {
+                _ => match by_class[class_of(class_idx).index()].submit(vec![Tensor::scalar_i32(n)]) {
                     Ok(t) => {
                         prop_assert!(i < shutdown_at, "admission after shutdown");
                         accepted += 1;

@@ -1,4 +1,4 @@
-//! Admission-controlled serving: the `ServeQueue` / `ServeClient` surface.
+//! Admission-controlled serving: the `Session::serve` / `ServeClient` surface.
 //!
 //! Covers correctness under a multi-threaded client load (no request lost,
 //! results positional per ticket), backpressure (`try_submit` rejections on
@@ -55,7 +55,11 @@ fn gauss(n: i32) -> i32 {
 fn single_request_roundtrip() {
     let s = Session::new(Executor::with_threads(2), sum_module()).unwrap();
     let client = s.serve();
-    let out = client.call(vec![Tensor::scalar_i32(10)]).unwrap();
+    let out = client
+        .submit(vec![Tensor::scalar_i32(10)])
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(out[0].as_i32_scalar().unwrap(), 55);
     let st = client.stats();
     assert_eq!((st.submitted, st.completed, st.failed), (1, 1, 0));
@@ -73,9 +77,13 @@ fn fixed_wave_target_follows_worker_count() {
         sizing: WaveSizing::Fixed,
         ..ServeConfig::default()
     });
-    assert_eq!(client.wave_target(), 12);
-    client.call(vec![Tensor::scalar_i32(50)]).unwrap();
-    assert_eq!(client.wave_target(), 12, "fixed sizing never adapts");
+    assert_eq!(client.stats().wave_target, 12);
+    client
+        .submit(vec![Tensor::scalar_i32(50)])
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(client.stats().wave_target, 12, "fixed sizing never adapts");
     client.shutdown();
 }
 
@@ -94,7 +102,7 @@ fn dynamic_wave_target_stays_clamped_under_traffic() {
         },
         ..ServeConfig::default()
     });
-    assert_eq!(client.wave_target(), 8, "starting point before data");
+    assert_eq!(client.stats().wave_target, 8, "starting point before data");
     for burst in 0..4 {
         let tickets: Vec<_> = (0..8)
             .map(|i| {
@@ -106,7 +114,7 @@ fn dynamic_wave_target_stays_clamped_under_traffic() {
         for t in tickets {
             t.wait().unwrap();
         }
-        let target = client.wave_target();
+        let target = client.stats().wave_target;
         assert!(
             (2..=16).contains(&target),
             "target {target} outside [workers, workers × max_multiple]"
@@ -176,7 +184,7 @@ fn submit_deadline_expires_on_a_saturated_queue() {
     // absolute speed.
     let deep = vec![Tensor::scalar_i32(60_000)];
     let probe = std::time::Instant::now();
-    client.call(deep.clone()).unwrap();
+    client.submit(deep.clone()).unwrap().wait().unwrap();
     let service = probe.elapsed();
     if service < Duration::from_millis(4) {
         // A host this fast makes sub-millisecond deadlines scheduler

@@ -180,11 +180,6 @@ fn twin_predictive_admission_shed_is_exact() {
         },
         ..ServeConfig::default()
     };
-    assert_eq!(
-        cfg.predictive_shed_from,
-        Some(Priority::BestEffort),
-        "default gate: only best-effort traffic is predictively shed"
-    );
     let mut s = ScriptedServe::new(1, &cfg);
     assert!(s.submit(Priority::Interactive, 0));
     let w = s.run_wave(|_| 4_000_000).expect("calibration wave");
@@ -431,29 +426,25 @@ fn live_predictive_shed_rejects_at_submit_when_backlog_exceeds_slo() {
             .unwrap()
             .wait()
             .unwrap();
-        while client.service_ewma_ns().is_none() {
+        while client.stats().service_ewma_ns == 0 {
             std::thread::yield_now();
         }
-        let ewma = client.service_ewma_ns().unwrap();
+        let ewma = client.stats().service_ewma_ns;
         // Blocker wave: pin the worker, then pile up a best-effort
         // backlog of two behind it.
         let blocker = client.submit(vec![Tensor::scalar_i32(300_000)]).unwrap();
         while client.stats().batches < 2 {
             std::thread::yield_now();
         }
+        let best_effort = client.with_priority(Priority::BestEffort);
         let backlog: Vec<_> = (0..2)
-            .map(|_| {
-                client
-                    .submit_with(Priority::BestEffort, vec![Tensor::scalar_i32(5)])
-                    .unwrap()
-            })
+            .map(|_| best_effort.submit(vec![Tensor::scalar_i32(5)]).unwrap())
             .collect();
         // Predicted wait ≥ 2 × EWMA on one worker; an SLO of EWMA/2 is
         // always below it, so the submit must shed — unless the backlog
         // already drained (blocker finished: race miss, retry).
         let slo = Duration::from_nanos(ewma / 2);
-        let verdict =
-            client.submit_slo_with(Priority::BestEffort, vec![Tensor::scalar_i32(5)], slo);
+        let verdict = best_effort.submit_slo(vec![Tensor::scalar_i32(5)], slo);
         let depth_live = client.stats().queue_depth;
         blocker.wait().unwrap();
         for t in backlog {

@@ -61,13 +61,13 @@ fn main() {
     println!(
         "serving_loop: {threads} workers, initial wave {}, lane capacity {}, \
          {n_interactive} interactive + {n_batch} batch clients, {seconds:.1}s",
-        client.wave_target(),
+        client.stats().wave_target,
         client.capacity(),
     );
 
     // --- 3. Client threads: closed-loop submit → wait, until told to stop.
-    // Interactive clients use the default class; the batch client submits
-    // through a Priority::Batch-defaulted clone and keeps a small ring of
+    // Interactive clients use the first client's class; the batch client
+    // submits through a `with_priority(Priority::Batch)` clone and keeps a small ring of
     // requests in flight — a background stream the interactive traffic
     // must not be stuck behind.
     let stop = Arc::new(AtomicBool::new(false));
