@@ -32,13 +32,24 @@ fn matmul_bench(c: &mut Criterion) {
     g.finish();
 }
 
-/// `dX = dY·Wᵀ` at the shapes the backward pass runs it: one tree node and
-/// a batch of 25 against the benchmark's TreeLSTM weight (`[336, 840]`,
-/// 1.1 MB), and a cache-resident TreeRNN-sized one.
+/// `dX = dY·Wᵀ` at the shapes the backward pass runs it. `1x168·336` and
+/// `25x168·336` are one TreeLSTM internal gate weight (`[336, 168]`,
+/// 226 KB) against one tree node and a batch of 25, `1x168·64` a leaf gate
+/// weight (`[64, 168]`). The older rows keep their trajectory: `1x840·336`
+/// and `25x840·336` are a synthetic `[336, 840]` weight (1.1 MB, larger
+/// than L2; no model has it), and `1x64·32` a cache-resident
+/// TreeRNN-sized one.
 fn matmul_bt_bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("matmul_bt");
     g.sample_size(20);
-    for &(m, k, n) in &[(1usize, 840usize, 336usize), (25, 840, 336), (1, 64, 32)] {
+    for &(m, k, n) in &[
+        (1usize, 840usize, 336usize),
+        (25, 840, 336),
+        (1, 64, 32),
+        (1, 168, 336),
+        (25, 168, 336),
+        (1, 168, 64),
+    ] {
         let a = Tensor::full([m, k], 0.5);
         let b = Tensor::full([n, k], 0.25);
         g.bench_with_input(

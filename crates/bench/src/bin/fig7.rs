@@ -8,8 +8,14 @@
 //! (`Trainer::step_batch`), instead of replicating the instance subgraphs
 //! inside one main graph. Unrolling keeps its defining per-instance
 //! graph-construction loop.
+//!
+//! Each row carries its Recursive/Iterative ratio and whether the paper's
+//! claim holds there: recursion trains faster than the iterative
+//! `while_loop` encoding, Recursive/Iterative > 1, for every model and
+//! batch. The binary prints the verdicts and writes them into the JSON
+//! record; it asserts nothing.
 
-use rdg_bench::{fmt_thr, record, throughput, BenchOpts, Table};
+use rdg_bench::{fmt_thr, record, throughput, verdict, BenchOpts, Table};
 use rdg_core::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,7 +36,14 @@ fn main() {
     for kind in kinds {
         let mut table = Table::new(
             format!("Fig 7 ({kind:?}) training throughput"),
-            &["batch", "Recursive", "Iterative", "Unrolling"],
+            &[
+                "batch",
+                "Recursive",
+                "Iterative",
+                "Unrolling",
+                "Recur/Iter",
+                "claim",
+            ],
         );
         for &batch in batches {
             // Per-instance module: the minibatch is batched by the runtime
@@ -76,10 +89,19 @@ fn main() {
                 opt.step(unr_model.params(), &grads).expect("update");
             });
 
-            table.row(&[batch.to_string(), fmt_thr(rec), fmt_thr(itr), fmt_thr(unr)]);
+            let ratio = rec / itr;
+            table.row(&[
+                batch.to_string(),
+                fmt_thr(rec),
+                fmt_thr(itr),
+                fmt_thr(unr),
+                format!("{ratio:.2}"),
+                verdict(ratio > 1.0),
+            ]);
         }
         table.emit("fig7");
     }
+    println!("claim: training Recursive/Iterative > 1 for every model and batch");
     record(
         "fig7",
         &format!("threads={} quick={}\n", opts.threads, opts.quick),

@@ -14,7 +14,7 @@
 //! whether Linear's is the largest. The binary prints the verdicts and
 //! writes them into the JSON record; it asserts nothing.
 
-use rdg_bench::{fmt_thr, record, throughput, BenchOpts, Table};
+use rdg_bench::{fmt_thr, record, throughput, verdict, BenchOpts, Table};
 use rdg_core::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,7 +41,6 @@ fn main() {
             "batch", "Balanced", "Moderate", "Linear", "Bal/Lin", "claim",
         ],
     );
-    let verdict = |holds: bool| if holds { "holds" } else { "fails" }.to_string();
     // Throughput per batch (outer) and shape (inner, in `shapes` order).
     let mut thr: Vec<[f64; 3]> = Vec::new();
     let exec = Executor::with_threads(opts.threads);

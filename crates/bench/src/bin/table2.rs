@@ -12,7 +12,7 @@
 //! (folding overtakes). The binary prints the verdicts and writes them into
 //! the JSON record; it asserts nothing.
 
-use rdg_bench::{fmt_thr, record, throughput, BenchOpts, Table};
+use rdg_bench::{fmt_thr, record, throughput, verdict, BenchOpts, Table};
 use rdg_core::fold::FoldEngine;
 use rdg_core::prelude::*;
 use std::sync::Arc;
@@ -32,7 +32,6 @@ fn main() {
     let headers = ["batch", "Iter", "Recur", "Fold", "Recur/Fold", "claim"];
     let mut inf_table = Table::new("Table 2 (inference, instances/s)", &headers);
     let mut trn_table = Table::new("Table 2 (training, instances/s)", &headers);
-    let verdict = |holds: bool| if holds { "holds" } else { "fails" }.to_string();
     // Training's Recur/Fold at the previous (smaller) batch.
     let mut trn_prev: Option<f64> = None;
 

@@ -7,7 +7,7 @@
 //! holds there: Recursive/Iterative > 1. The binary prints the verdicts and
 //! writes them into the JSON record; it asserts nothing.
 
-use rdg_bench::{fmt_thr, record, throughput, BenchOpts, Table};
+use rdg_bench::{fmt_thr, record, throughput, verdict, BenchOpts, Table};
 use rdg_core::models::td::td_feeds;
 use rdg_core::prelude::*;
 use std::sync::Arc;
@@ -35,7 +35,6 @@ fn main() {
             "claim",
         ],
     );
-    let verdict = |holds: bool| if holds { "holds" } else { "fails" }.to_string();
     let exec = Executor::with_threads(opts.threads);
     for &batch in batches {
         let mut cfg = TdConfig::paper_default(batch);

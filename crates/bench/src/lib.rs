@@ -242,6 +242,11 @@ pub fn record(name: &str, content: &str) {
     }
 }
 
+/// A paper claim's verdict cell: `holds` or `fails`.
+pub fn verdict(holds: bool) -> String {
+    if holds { "holds" } else { "fails" }.to_string()
+}
+
 /// Formats a throughput value the way the paper annotates bars.
 pub fn fmt_thr(v: f64) -> String {
     if v >= 100.0 {

@@ -684,8 +684,9 @@ fn spawn_frame(
                 return None;
             }
         };
-        cache_outputs(&frame, plan, entry.node, std::slice::from_ref(&out));
-        frame.core.slots[entry.node.0 as usize].get_mut().outs = Outs::One(Some(out));
+        let out = Outs::One(Some(out));
+        cache_outputs(&frame, plan, entry.node, &out);
+        frame.core.slots[entry.node.0 as usize].get_mut().outs = out;
     }
     if plan.live_at_spawn == 0 {
         let (parent, node, outs) = frame_return(&frame)?;
@@ -875,7 +876,7 @@ fn run_kernel(task: Task, inputs: Vec<Tensor>) -> Option<Task> {
         stats: &run.run_stats,
     };
     match timed_kernel(run, op, || kernel::execute(op, inputs, &kctx)) {
-        Ok(outs) => finish_node(frame, node, outs),
+        Ok(out) => finish_node(frame, node, Outs::One(Some(out))),
         Err(e) => {
             run.fail(kernel_error(&frame, node, e));
             None
@@ -1171,7 +1172,7 @@ fn execute_fused_subgroup(
                     .run_stats
                     .fused_tasks
                     .fetch_add(1, Ordering::Relaxed);
-                pending.extend(finish_node(frame, node, vec![out]));
+                pending.extend(finish_node(frame, node, Outs::One(Some(out))));
             }
         }
         Err(_) => {
@@ -1224,7 +1225,7 @@ fn read_fwd(frame: &Frame, of: PortRef, zeros: bool) -> Result<Tensor, ExecError
 
 /// Backprop-cache writes for one published node: its values if the plan
 /// keeps them, its shapes if it keeps those. Training runs only.
-fn cache_outputs(frame: &Frame, plan: &ExecutionPlan, node: NodeId, outs: &[Tensor]) {
+fn cache_outputs(frame: &Frame, plan: &ExecutionPlan, node: NodeId, outs: &Outs) {
     let Some(cache) = &frame.run.cache else {
         return;
     };
@@ -1235,7 +1236,13 @@ fn cache_outputs(frame: &Frame, plan: &ExecutionPlan, node: NodeId, outs: &[Tens
     if !(value || shape) {
         return;
     }
-    for (port, t) in outs.iter().enumerate() {
+    let ports = match outs {
+        Outs::One(t) => std::slice::from_ref(t),
+        Outs::Many(ts) => ts,
+        Outs::Pending => &[],
+    };
+    for (port, t) in ports.iter().enumerate() {
+        let Some(t) = t else { continue };
         let key = CacheKey {
             gref: frame.gref,
             path: frame.path.clone(),
@@ -1258,27 +1265,27 @@ fn cache_outputs(frame: &Frame, plan: &ExecutionPlan, node: NodeId, outs: &[Tens
 
 /// A completed frame's results. The root's finish the run; any other
 /// frame's are handed back with their return location, the parent's
-/// Invoke/Cond node, on which they are a publish like any other.
-fn frame_return(frame: &Frame) -> Option<(Arc<Frame>, NodeId, Vec<Tensor>)> {
+/// Invoke/Cond node, on which they are a publish like any other — one
+/// value, or a boxed slice when the graph returns several.
+fn frame_return(frame: &Frame) -> Option<(Arc<Frame>, NodeId, Outs)> {
     let run = &frame.run;
-    let g = run.plan.module.graph(frame.gref);
-    let mut outs = Vec::with_capacity(g.outputs.len());
-    for &p in &g.outputs {
-        match fetch(frame, p) {
-            Ok(t) => outs.push(t),
-            Err(e) => {
-                run.fail(e);
-                return None;
-            }
-        }
-    }
-    match &frame.parent {
-        None => {
-            run.deliver(Ok(outs));
-            None
-        }
-        Some(link) => Some((Arc::clone(&link.frame), link.node, outs)),
-    }
+    let ports = &run.plan.module.graph(frame.gref).outputs;
+    let take = |p| fetch(frame, p).map_err(|e| run.fail(e)).ok();
+    let Some(link) = &frame.parent else {
+        let outs = ports.iter().map(|&p| take(p)).collect::<Option<Vec<_>>>()?;
+        run.deliver(Ok(outs));
+        return None;
+    };
+    let outs = match ports.as_slice() {
+        &[p] => Outs::One(Some(take(p)?)),
+        ports => Outs::Many(
+            ports
+                .iter()
+                .map(|&p| take(p).map(Some))
+                .collect::<Option<_>>()?,
+        ),
+    };
+    Some((Arc::clone(&link.frame), link.node, outs))
 }
 
 /// Publishes a node's outputs, notifies dependents, and cascades frame
@@ -1292,20 +1299,11 @@ fn frame_return(frame: &Frame) -> Option<(Arc<Frame>, NodeId, Vec<Tensor>)> {
 /// parent's Invoke/Cond node, so a return edge follows the same rule. At
 /// most one task is returned: a ready consumer keeps its frame open, so the
 /// cascade cannot climb past a frame that yielded one.
-fn finish_node(mut frame: Arc<Frame>, mut node: NodeId, mut outs: Vec<Tensor>) -> Option<Task> {
+fn finish_node(mut frame: Arc<Frame>, mut node: NodeId, mut outs: Outs) -> Option<Task> {
     loop {
         let plan = frame.run.plan.plan(frame.gref);
         cache_outputs(&frame, plan, node, &outs);
-        // Publish outputs (single-output nodes stay allocation-free).
-        {
-            let published = if outs.len() == 1 {
-                Outs::One(outs.pop())
-            } else {
-                Outs::Many(outs.drain(..).map(Some).collect())
-            };
-            let mut guard = frame.core.slots[node.0 as usize].lock();
-            guard.outs = published;
-        }
+        frame.core.slots[node.0 as usize].lock().outs = outs;
         // Notify dependents; keep the first newly-ready one, queue the rest.
         let mut cont: Option<NodeId> = None;
         let mut surplus: Vec<NodeId> = Vec::new();

@@ -31,8 +31,7 @@ pub fn execute(
     op: &OpKind,
     mut inputs: Vec<Tensor>,
     ctx: &KernelCtx<'_>,
-) -> Result<Vec<Tensor>, TensorError> {
-    let one = |t: Tensor| -> Result<Vec<Tensor>, TensorError> { Ok(vec![t]) };
+) -> Result<Tensor, TensorError> {
     let grads = || {
         let why = || TensorError::invalid(format!("{} outside a training run", op.mnemonic()));
         ctx.grads.ok_or_else(why)
@@ -50,46 +49,46 @@ pub fn execute(
                     ctx: "Input",
                 });
             }
-            one(v.clone())
+            Ok(v.clone())
         }
-        OpKind::Const(t) => one(t.clone()),
-        OpKind::Param(p) => one(ctx.params.read(*p)),
-        OpKind::Identity => one(inputs.remove(0)),
+        OpKind::Const(t) => Ok(t.clone()),
+        OpKind::Param(p) => Ok(ctx.params.read(*p)),
+        OpKind::Identity => Ok(inputs.remove(0)),
 
-        OpKind::Add => one(ops::add(&inputs[0], &inputs[1])?),
-        OpKind::Sub => one(ops::sub(&inputs[0], &inputs[1])?),
-        OpKind::Mul => one(ops::mul(&inputs[0], &inputs[1])?),
-        OpKind::Div => one(ops::div(&inputs[0], &inputs[1])?),
-        OpKind::Neg => one(ops::neg(&inputs[0])?),
-        OpKind::Scale(s) => one(ops::scale(&inputs[0], *s)?),
-        OpKind::AddConst(c) => one(ops::add_const(&inputs[0], *c)?),
-        OpKind::ScalarMul => one(ops::scalar_mul(&inputs[0], &inputs[1])?),
-        OpKind::MatMul => one(ops::matmul(&inputs[0], &inputs[1])?),
-        OpKind::MatMulAT => one(ops::matmul_at(&inputs[0], &inputs[1])?),
-        OpKind::MatMulBT => one(ops::matmul_bt(&inputs[0], &inputs[1])?),
-        OpKind::AddBias => one(ops::add_bias(&inputs[0], &inputs[1])?),
-        OpKind::Bilinear => one(ops::bilinear(&inputs[0], &inputs[1])?),
+        OpKind::Add => ops::add(&inputs[0], &inputs[1]),
+        OpKind::Sub => ops::sub(&inputs[0], &inputs[1]),
+        OpKind::Mul => ops::mul(&inputs[0], &inputs[1]),
+        OpKind::Div => ops::div(&inputs[0], &inputs[1]),
+        OpKind::Neg => ops::neg(&inputs[0]),
+        OpKind::Scale(s) => ops::scale(&inputs[0], *s),
+        OpKind::AddConst(c) => ops::add_const(&inputs[0], *c),
+        OpKind::ScalarMul => ops::scalar_mul(&inputs[0], &inputs[1]),
+        OpKind::MatMul => ops::matmul(&inputs[0], &inputs[1]),
+        OpKind::MatMulAT => ops::matmul_at(&inputs[0], &inputs[1]),
+        OpKind::MatMulBT => ops::matmul_bt(&inputs[0], &inputs[1]),
+        OpKind::AddBias => ops::add_bias(&inputs[0], &inputs[1]),
+        OpKind::Bilinear => ops::bilinear(&inputs[0], &inputs[1]),
 
-        OpKind::Tanh => one(ops::tanh(&inputs[0])?),
-        OpKind::Sigmoid => one(ops::sigmoid(&inputs[0])?),
-        OpKind::Relu => one(ops::relu(&inputs[0])?),
-        OpKind::Softmax => one(ops::softmax(&inputs[0])?),
-        OpKind::LogSoftmax => one(ops::log_softmax(&inputs[0])?),
+        OpKind::Tanh => ops::tanh(&inputs[0]),
+        OpKind::Sigmoid => ops::sigmoid(&inputs[0]),
+        OpKind::Relu => ops::relu(&inputs[0]),
+        OpKind::Softmax => ops::softmax(&inputs[0]),
+        OpKind::LogSoftmax => ops::log_softmax(&inputs[0]),
 
-        OpKind::ConcatCols => one(ops::concat_cols(&inputs[0], &inputs[1])?),
-        OpKind::SliceCols { lo, hi } => one(ops::slice_cols(&inputs[0], *lo, *hi)?),
-        OpKind::Transpose => one(ops::transpose2d(&inputs[0])?),
+        OpKind::ConcatCols => ops::concat_cols(&inputs[0], &inputs[1]),
+        OpKind::SliceCols { lo, hi } => ops::slice_cols(&inputs[0], *lo, *hi),
+        OpKind::Transpose => ops::transpose2d(&inputs[0]),
         OpKind::StackRows => {
             let refs: Vec<&Tensor> = inputs.iter().collect();
-            one(ops::stack_rows(&refs)?)
+            ops::stack_rows(&refs)
         }
 
-        OpKind::SumAll => one(ops::sum_all(&inputs[0])?),
-        OpKind::MeanAll => one(ops::mean_all(&inputs[0])?),
-        OpKind::SumAxis0 => one(ops::sum_axis0(&inputs[0])?),
+        OpKind::SumAll => ops::sum_all(&inputs[0]),
+        OpKind::MeanAll => ops::mean_all(&inputs[0]),
+        OpKind::SumAxis0 => ops::sum_axis0(&inputs[0]),
 
-        OpKind::GatherRows => one(ops::gather_rows(&inputs[0], &inputs[1])?),
-        OpKind::GetRow => one(ops::get_row(&inputs[0], &inputs[1])?),
+        OpKind::GatherRows => ops::gather_rows(&inputs[0], &inputs[1]),
+        OpKind::GetRow => ops::get_row(&inputs[0], &inputs[1]),
         OpKind::SetRow => {
             let row = inputs.pop().expect("setrow arity");
             let i = inputs.pop().expect("setrow arity");
@@ -97,61 +96,61 @@ pub fn execute(
             if mat.is_unique() {
                 ctx.stats.inplace_updates.fetch_add(1, Ordering::Relaxed);
             }
-            one(ops::set_row(mat, &i, &row)?)
+            ops::set_row(mat, &i, &row)
         }
-        OpKind::OneHot { classes } => one(ops::onehot(&inputs[0], *classes)?),
-        OpKind::ArgmaxRows => one(ops::argmax_rows(&inputs[0])?),
-        OpKind::SoftmaxXent => one(ops::softmax_xent(&inputs[0], &inputs[1])?),
+        OpKind::OneHot { classes } => ops::onehot(&inputs[0], *classes),
+        OpKind::ArgmaxRows => ops::argmax_rows(&inputs[0]),
+        OpKind::SoftmaxXent => ops::softmax_xent(&inputs[0], &inputs[1]),
 
-        OpKind::IAdd => one(ops::iadd(&inputs[0], &inputs[1])?),
-        OpKind::ISub => one(ops::isub(&inputs[0], &inputs[1])?),
-        OpKind::IMul => one(ops::imul(&inputs[0], &inputs[1])?),
-        OpKind::IDiv => one(ops::idiv(&inputs[0], &inputs[1])?),
-        OpKind::ILt => one(ops::ilt(&inputs[0], &inputs[1])?),
-        OpKind::ILe => one(ops::ile(&inputs[0], &inputs[1])?),
-        OpKind::IGt => one(ops::igt(&inputs[0], &inputs[1])?),
-        OpKind::IGe => one(ops::ige(&inputs[0], &inputs[1])?),
-        OpKind::IEq => one(ops::ieq(&inputs[0], &inputs[1])?),
-        OpKind::And => one(ops::logical_and(&inputs[0], &inputs[1])?),
-        OpKind::Or => one(ops::logical_or(&inputs[0], &inputs[1])?),
-        OpKind::Not => one(ops::logical_not(&inputs[0])?),
-        OpKind::GatherScalarI32 => one(ops::gather_scalar_i32(&inputs[0], &inputs[1])?),
-        OpKind::Len => one(Tensor::scalar_i32(inputs[0].numel() as i32)),
-        OpKind::FGtConst(c) => one(Tensor::scalar_i32((inputs[0].as_f32_scalar()? > *c) as i32)),
+        OpKind::IAdd => ops::iadd(&inputs[0], &inputs[1]),
+        OpKind::ISub => ops::isub(&inputs[0], &inputs[1]),
+        OpKind::IMul => ops::imul(&inputs[0], &inputs[1]),
+        OpKind::IDiv => ops::idiv(&inputs[0], &inputs[1]),
+        OpKind::ILt => ops::ilt(&inputs[0], &inputs[1]),
+        OpKind::ILe => ops::ile(&inputs[0], &inputs[1]),
+        OpKind::IGt => ops::igt(&inputs[0], &inputs[1]),
+        OpKind::IGe => ops::ige(&inputs[0], &inputs[1]),
+        OpKind::IEq => ops::ieq(&inputs[0], &inputs[1]),
+        OpKind::And => ops::logical_and(&inputs[0], &inputs[1]),
+        OpKind::Or => ops::logical_or(&inputs[0], &inputs[1]),
+        OpKind::Not => ops::logical_not(&inputs[0]),
+        OpKind::GatherScalarI32 => ops::gather_scalar_i32(&inputs[0], &inputs[1]),
+        OpKind::Len => Ok(Tensor::scalar_i32(inputs[0].numel() as i32)),
+        OpKind::FGtConst(c) => Ok(Tensor::scalar_i32((inputs[0].as_f32_scalar()? > *c) as i32)),
         OpKind::ZerosDyn { cols } => {
             let n = inputs[0].as_i32_scalar()?;
             if n < 0 {
                 return Err(TensorError::invalid("ZerosDyn: negative row count"));
             }
-            one(Tensor::zeros([n as usize, *cols]))
+            Ok(Tensor::zeros([n as usize, *cols]))
         }
 
         OpKind::GradSink { param } => {
             grads()?.accumulate(*param, &inputs[0])?;
-            one(Tensor::scalar_f32(0.0))
+            Ok(Tensor::scalar_f32(0.0))
         }
         OpKind::GradSinkRows { param } => {
             let like = ctx.params.read(*param);
             grads()?.accumulate_rows(*param, &like, &inputs[0], &inputs[1])?;
-            one(Tensor::scalar_f32(0.0))
+            Ok(Tensor::scalar_f32(0.0))
         }
         OpKind::GradSinkOuter { param } => {
             grads()?.accumulate_outer(*param, &inputs[0], &inputs[1])?;
-            one(Tensor::scalar_f32(0.0))
+            Ok(Tensor::scalar_f32(0.0))
         }
-        OpKind::ZerosLike => one(Tensor::zeros_like(&inputs[0])),
-        OpKind::OnesLike => one(Tensor::full(inputs[0].shape().clone(), 1.0)),
+        OpKind::ZerosLike => Ok(Tensor::zeros_like(&inputs[0])),
+        OpKind::OnesLike => Ok(Tensor::full(inputs[0].shape().clone(), 1.0)),
 
-        OpKind::TanhGrad => one(ops::tanh_grad(&inputs[0], &inputs[1])?),
-        OpKind::SigmoidGrad => one(ops::sigmoid_grad(&inputs[0], &inputs[1])?),
-        OpKind::ReluGrad => one(ops::relu_grad(&inputs[0], &inputs[1])?),
-        OpKind::SoftmaxGrad => one(ops::softmax_grad(&inputs[0], &inputs[1])?),
-        OpKind::LogSoftmaxGrad => one(ops::log_softmax_grad(&inputs[0], &inputs[1])?),
-        OpKind::SoftmaxXentGrad => one(ops::softmax_xent_grad(&inputs[0], &inputs[1], &inputs[2])?),
-        OpKind::MeanAllGrad => one(ops::mean_all_grad(&inputs[0], &inputs[1])?),
-        OpKind::FillLike => one(ops::fill_like(&inputs[0], &inputs[1])?),
-        OpKind::BroadcastRowsLike => one(ops::broadcast_rows_like(&inputs[0], &inputs[1])?),
-        OpKind::PadColsLike { lo } => one(ops::pad_cols_like(&inputs[0], &inputs[1], *lo)?),
+        OpKind::TanhGrad => ops::tanh_grad(&inputs[0], &inputs[1]),
+        OpKind::SigmoidGrad => ops::sigmoid_grad(&inputs[0], &inputs[1]),
+        OpKind::ReluGrad => ops::relu_grad(&inputs[0], &inputs[1]),
+        OpKind::SoftmaxGrad => ops::softmax_grad(&inputs[0], &inputs[1]),
+        OpKind::LogSoftmaxGrad => ops::log_softmax_grad(&inputs[0], &inputs[1]),
+        OpKind::SoftmaxXentGrad => ops::softmax_xent_grad(&inputs[0], &inputs[1], &inputs[2]),
+        OpKind::MeanAllGrad => ops::mean_all_grad(&inputs[0], &inputs[1]),
+        OpKind::FillLike => ops::fill_like(&inputs[0], &inputs[1]),
+        OpKind::BroadcastRowsLike => ops::broadcast_rows_like(&inputs[0], &inputs[1]),
+        OpKind::PadColsLike { lo } => ops::pad_cols_like(&inputs[0], &inputs[1], *lo),
         OpKind::SliceColsLike { take_second } => {
             let wa = inputs[0]
                 .shape()
@@ -165,19 +164,19 @@ pub fn execute(
                 .1;
             let dy = &inputs[2];
             if *take_second {
-                one(ops::slice_cols(dy, wa, wa + wb)?)
+                ops::slice_cols(dy, wa, wa + wb)
             } else {
-                one(ops::slice_cols(dy, 0, wa)?)
+                ops::slice_cols(dy, 0, wa)
             }
         }
-        OpKind::ScatterRowsLike => one(ops::scatter_rows_like(&inputs[0], &inputs[1], &inputs[2])?),
+        OpKind::ScatterRowsLike => ops::scatter_rows_like(&inputs[0], &inputs[1], &inputs[2]),
         OpKind::ScatterRowLike => {
             // (mat_like, i, dy_row): zero matrix with one row set.
             let zeros = Tensor::zeros_like(&inputs[0]);
-            one(ops::set_row(zeros, &inputs[1], &inputs[2])?)
+            ops::set_row(zeros, &inputs[1], &inputs[2])
         }
-        OpKind::BilinearGradX => one(ops::bilinear_grad_x(&inputs[0], &inputs[1], &inputs[2])?),
-        OpKind::BilinearGradV => one(ops::bilinear_grad_v(&inputs[0], &inputs[1], &inputs[2])?),
+        OpKind::BilinearGradX => ops::bilinear_grad_x(&inputs[0], &inputs[1], &inputs[2]),
+        OpKind::BilinearGradV => ops::bilinear_grad_v(&inputs[0], &inputs[1], &inputs[2]),
 
         OpKind::Invoke { .. }
         | OpKind::Cond { .. }
@@ -255,16 +254,16 @@ mod tests {
             &ctx,
         )
         .unwrap();
-        assert_eq!(v[0].as_f32_scalar().unwrap(), 42.0);
+        assert_eq!(v.as_f32_scalar().unwrap(), 42.0);
 
         let v = execute(&OpKind::Const(Tensor::scalar_i32(7)), vec![], &ctx).unwrap();
-        assert_eq!(v[0].as_i32_scalar().unwrap(), 7);
+        assert_eq!(v.as_i32_scalar().unwrap(), 7);
 
         let v = execute(&OpKind::Param(ParamId(0)), vec![], &ctx).unwrap();
-        assert_eq!(v[0].f32s().unwrap(), &[5.0, 6.0]);
+        assert_eq!(v.f32s().unwrap(), &[5.0, 6.0]);
 
         let v = execute(&OpKind::Identity, vec![Tensor::scalar_f32(1.5)], &ctx).unwrap();
-        assert_eq!(v[0].as_f32_scalar().unwrap(), 1.5);
+        assert_eq!(v.as_f32_scalar().unwrap(), 1.5);
     }
 
     #[test]
@@ -374,6 +373,6 @@ mod tests {
         let i = Tensor::scalar_i32(1);
         let row = Tensor::from_f32([2], vec![3.0, 4.0]).unwrap();
         let out = execute(&OpKind::ScatterRowLike, vec![like, i, row], &ctx).unwrap();
-        assert_eq!(out[0].f32s().unwrap(), &[0.0, 0.0, 3.0, 4.0]);
+        assert_eq!(out.f32s().unwrap(), &[0.0, 0.0, 3.0, 4.0]);
     }
 }

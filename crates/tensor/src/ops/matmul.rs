@@ -9,16 +9,18 @@
 //!
 //! `matmul` and `matmul_at` use the `i-k-j` loop order (unit-stride inner
 //! loop over both output row and `B` row), which LLVM autovectorizes; this is
-//! the hot kernel for all models. Rank-1 operands are treated as single rows.
+//! the hot kernel for all models. `matmul_bt` sums each output element in
+//! eight interleaved lanes and computes eight elements per pass. Rank-1
+//! operands are treated as single rows.
 //!
-//! Two contracts. `matmul` and `matmul_at`/`matmul_at_acc` are one source
-//! with two builds and the same bits: their loop nests are `#[inline(always)]`
-//! bodies over slices that `with_host_isa` runs as compiled or in an AVX2
-//! copy, picked at run time. Without `fma`, intrinsics or `mul_add` (Rust
-//! never contracts `a * b + c`), wider registers change how many output
-//! elements one instruction updates, never the rounding of any one of them.
-//! `matmul_bt` is a single build: no feature detection, one `dot` order on
-//! every machine.
+//! One contract: one source, two builds, the same bits. Every kernel's loop
+//! nest is an `#[inline(always)]` body over slices that `with_host_isa` runs
+//! as compiled or in an AVX2 copy, picked at run time. Each nest fixes the
+//! order in which an output element's terms are added (ascending `k` for
+//! `matmul` and `matmul_at`/`matmul_at_acc`, `matmul_bt`'s lane order), and
+//! without `fma`, intrinsics or `mul_add` (Rust never contracts
+//! `a * b + c`), wider registers change how many output elements one
+//! instruction updates, never the rounding of any one of them.
 
 use crate::error::TensorError;
 use crate::shape::Shape;
@@ -71,9 +73,10 @@ fn with_host_isa(nest: impl LoopNest, a: &[f32], b: &[f32], c: &mut [f32]) -> &'
     "baseline"
 }
 
-/// The build [`matmul`] and [`matmul_at_acc`] run on this host: `"avx2"`
-/// or `"baseline"`, from the same detection their dispatch uses. Both give
-/// the same bits; records name it so a figure says what produced it.
+/// The build [`matmul`], [`matmul_at_acc`] and [`matmul_bt`] run on this
+/// host: `"avx2"` or `"baseline"`, from the same detection their dispatch
+/// uses. Both give the same bits; records name it so a figure says what
+/// produced it.
 pub fn vector_isa() -> &'static str {
     with_host_isa((), &[], &[], &mut [])
 }
@@ -237,35 +240,79 @@ pub fn matmul_at_acc(c: &mut Tensor, a: &Tensor, b: &Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Independent partial sums of one [`dot`]: wide enough to hide the FP-add
-/// latency that serializes a single accumulator, and a whole number of SIMD
-/// registers at every x86-64/aarch64 width LLVM picks for the baseline
-/// target.
+/// Independent partial sums of one output element of [`matmul_bt`]: wide
+/// enough to hide the FP-add latency that serializes a single accumulator,
+/// and a whole number of SIMD registers at every x86-64/aarch64 width LLVM
+/// picks for the baseline target.
 const LANES: usize = 8;
 
-/// `Σ a[k]·b[k]` in one fixed order: lane `l` sums the products at
-/// `k ≡ l (mod LANES)` over the whole chunks in ascending `k`, the lanes
-/// fold pairwise (`l += l + w` for `w = LANES/2, …, 1`), and the remainder
+/// Output elements one pass of [`MatMulBt`] computes: the `A` row's chunk
+/// is read once for this many `B` rows, and their partial sums are
+/// independent add chains that overlap. Eight measured fastest: two per
+/// pass ran slower than one element at a time, four about as fast, sixteen
+/// slower than eight.
+const ROWS: usize = 8;
+
+/// `G` elements of one `C` row, `c[g] = Σ a[k]·bs[g][k]`, each in
+/// [`matmul_bt`]'s order: lane `l` sums the products at `k ≡ l (mod LANES)`
+/// over the whole chunks in ascending `k`, the lanes fold pairwise
+/// (`l += l + w` for `w = LANES/2, …, 1`), and the remainder
 /// (`k ≥ len − len % LANES`) is added to that sum one term at a time. The
-/// order depends on the length alone, so the result is a pure function of
-/// the two rows, the same for every caller and on every machine.
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
-    let (ra, rb) = (ca.remainder(), cb.remainder());
-    let mut acc = [0.0f32; LANES];
-    for (x, y) in ca.zip(cb) {
-        for l in 0..LANES {
-            acc[l] += x[l] * y[l];
+/// order depends on the length alone and never on `G`, so an element is a
+/// pure function of its two rows.
+#[inline(always)]
+fn dots<const G: usize>(a: &[f32], bs: [&[f32]; G], c: &mut [f32]) {
+    let whole = a.len() - a.len() % LANES;
+    let mut acc = [[0.0f32; LANES]; G];
+    let mut at = 0;
+    while at < whole {
+        let x = &a[at..at + LANES];
+        for (acc, b) in acc.iter_mut().zip(bs) {
+            let y = &b[at..at + LANES];
+            for l in 0..LANES {
+                acc[l] += x[l] * y[l];
+            }
+        }
+        at += LANES;
+    }
+    for ((acc, b), c) in acc.iter_mut().zip(bs).zip(c) {
+        let mut w = LANES / 2;
+        while w > 0 {
+            for l in 0..w {
+                acc[l] += acc[l + w];
+            }
+            w /= 2;
+        }
+        *c = a[whole..]
+            .iter()
+            .zip(&b[whole..])
+            .fold(acc[0], |s, (x, y)| s + x * y);
+    }
+}
+
+/// The [`matmul_bt`] loop nest, `C[m,n] = A[m,k] · Bᵀ[k,n]` with
+/// `B: [n, k]`, as `(m, k, n)`: [`ROWS`] elements of a `C` row per pass,
+/// then the `n mod ROWS` tail one at a time.
+struct MatMulBt(usize, usize, usize);
+
+impl LoopNest for MatMulBt {
+    #[inline(always)]
+    fn run(self, av: &[f32], bv: &[f32], out: &mut [f32]) {
+        let MatMulBt(m, k, n) = self;
+        let brow = |j: usize| &bv[j * k..(j + 1) * k];
+        for i in 0..m {
+            let arow = &av[i * k..(i + 1) * k];
+            let crow = &mut out[i * n..(i + 1) * n];
+            let mut j = 0;
+            while j + ROWS <= n {
+                dots::<ROWS>(arow, std::array::from_fn(|g| brow(j + g)), &mut crow[j..]);
+                j += ROWS;
+            }
+            for j in j..n {
+                dots::<1>(arow, [brow(j)], &mut crow[j..]);
+            }
         }
     }
-    let mut w = LANES / 2;
-    while w > 0 {
-        for l in 0..w {
-            acc[l] += acc[l + w];
-        }
-        w /= 2;
-    }
-    ra.iter().zip(rb).fold(acc[0], |s, (x, y)| s + x * y)
 }
 
 /// `C[m,n] = A[m,k] · Bᵀ[k,n]` where `B: [n, k]` (gradient w.r.t. inputs).
@@ -273,7 +320,7 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// Contract: `C[i][j]` is the dot product of row `i` of `A` and row `j` of
 /// `B`, summed in an order fixed by `k` alone (8 interleaved partial sums
 /// folded pairwise, then the `k mod 8` tail), and depends on nothing else —
-/// one code path for every `m`, the same bits on every machine. A row-stacked
+/// not on `m`, not on `j`'s place in a pass, not on the build. A row-stacked
 /// (fused) call is therefore bit-identical to the one-row calls it replaces
 /// (`rdg_exec`'s `kernel::execute_stacked`), and `rdg_fold`'s `FoldEngine`,
 /// which batches through this function, stays bit-identical to the
@@ -289,13 +336,7 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         });
     }
     let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        let arow = &av[i * ka..(i + 1) * ka];
-        let crow = &mut out[i * n..(i + 1) * n];
-        for (j, c) in crow.iter_mut().enumerate() {
-            *c = dot(arow, &bv[j * kb..(j + 1) * kb]);
-        }
-    }
+    with_host_isa(MatMulBt(m, ka, n), av, bv, &mut out);
     Tensor::from_f32([m, n], out)
 }
 
@@ -443,6 +484,67 @@ mod tests {
                         MatMulAt(mm, kd, n).run(&av, &bv, &mut want);
                         let at = format!("matmul_at_acc {kd}x{mm}, {kd}x{n}");
                         assert_eq!(bits(got.f32s().unwrap()), bits(&want), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The reference [`matmul_bt`] element: one `Σ a[k]·b[k]` in the
+    /// contract's order, a single accumulator array per call.
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+        let (ra, rb) = (ca.remainder(), cb.remainder());
+        let mut acc = [0.0f32; LANES];
+        for (x, y) in ca.zip(cb) {
+            for l in 0..LANES {
+                acc[l] += x[l] * y[l];
+            }
+        }
+        let mut w = LANES / 2;
+        while w > 0 {
+            for l in 0..w {
+                acc[l] += acc[l + w];
+            }
+            w /= 2;
+        }
+        ra.iter().zip(rb).fold(acc[0], |s, (x, y)| s + x * y)
+    }
+
+    /// `matmul_bt` joins the two-builds contract: dispatched, it equals one
+    /// reference [`dot`] per element bit for bit. `n` runs through every
+    /// tail of a [`ROWS`]-wide pass and past a second pass, `k` straddles
+    /// the lane width and the TreeLSTM gate width, `m` covers one row, two
+    /// and a batch of 25; `±0.0` and `∞` sit in both operands, so some
+    /// elements are `±∞` and some the default NaN (`∞ · 0`, `∞ − ∞`).
+    #[test]
+    fn matmul_bt_passes_equal_one_dot_per_element_bit_for_bit() {
+        let fill = |len: usize, seed: f32| -> Vec<f32> {
+            (0..len)
+                .map(|i| match i % 17 {
+                    3 => 0.0,
+                    8 => -0.0,
+                    _ if i % 97 == 11 => f32::INFINITY,
+                    _ => ((i as f32 + seed) * 0.7310585).sin() * 3.0,
+                })
+                .collect()
+        };
+        for mm in [1usize, 2, 25] {
+            for kd in [1usize, 7, 8, 9, 168, 169] {
+                for n in 1..=17 {
+                    let (av, bv) = (fill(mm * kd, 0.5), fill(n * kd, 1.5));
+                    let got = matmul_bt(&m(mm, kd, av.clone()), &m(n, kd, bv.clone())).unwrap();
+                    let got = got.f32s().unwrap();
+                    for i in 0..mm {
+                        for j in 0..n {
+                            let want = dot(&av[i * kd..(i + 1) * kd], &bv[j * kd..(j + 1) * kd]);
+                            assert_eq!(
+                                got[i * n + j].to_bits(),
+                                want.to_bits(),
+                                "matmul_bt {mm}x{kd}·{n} at ({i}, {j}): {} vs {want}",
+                                got[i * n + j]
+                            );
+                        }
                     }
                 }
             }
