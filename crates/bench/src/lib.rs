@@ -5,7 +5,10 @@
 //! 1. Read [`BenchOpts`] from the environment (`RDG_QUICK=1` shrinks
 //!    workloads for smoke runs, `RDG_THREADS=n` pins the worker count,
 //!    `RDG_SECONDS=s` adjusts the measurement window).
-//! 2. Measure throughput with [`throughput`] (timed window after a warm-up).
+//! 2. Measure throughput with [`throughput`] (timed window after a warm-up);
+//!    a claim's ratio with [`interleaved`] ([`WINDOWS`] windows per arm,
+//!    alternating arms, median with min–max) and its verdict with
+//!    [`Spread`] (`holds` / `fails` only when every window agrees).
 //! 3. Print a paper-format table with [`Table`] and append a
 //!    machine-readable record under `results/`: the rendered text to
 //!    `results/<name>.txt` and one JSON line per run to
@@ -23,7 +26,8 @@ pub struct BenchOpts {
     pub quick: bool,
     /// Executor worker threads.
     pub threads: usize,
-    /// Measurement window per cell, seconds.
+    /// Measurement window, seconds: per cell, or per window of an
+    /// [`interleaved`] ratio.
     pub seconds: f64,
 }
 
@@ -64,6 +68,83 @@ pub fn throughput(batch: usize, window: Duration, mut f: impl FnMut()) -> f64 {
         calls += 1;
     }
     (calls * batch) as f64 / t0.elapsed().as_secs_f64()
+}
+
+/// Windows per arm in which [`interleaved`] measures a ratio. One window
+/// cannot decide a ratio near 1 on a shared host (two back-to-back runs
+/// read the same cell 0.90 and 1.32), so every decided claim gets this
+/// many, in quick mode too: quick mode shrinks workloads, never `k`.
+pub const WINDOWS: usize = 5;
+
+/// The spread of a ratio measured in several windows.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// Median over the windows.
+    pub median: f64,
+    /// Smallest window.
+    pub min: f64,
+    /// Largest window.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `samples` (at least one).
+    pub fn of(samples: &[f64]) -> Spread {
+        let mut v = samples.to_vec();
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        let median = if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            (v[n / 2 - 1] + v[n / 2]) / 2.0
+        };
+        Spread {
+            median,
+            min: v[0],
+            max: v[n - 1],
+        }
+    }
+
+    /// The verdict on "this ratio is above 1": `holds` only when every
+    /// window is (`min > 1`), `fails` only when none is (`max < 1`).
+    pub fn above_one(&self) -> String {
+        decide(self.min > 1.0, self.max < 1.0)
+    }
+
+    /// The verdict on "this ratio is below `prev`": `holds` when the two
+    /// spreads do not overlap and this one is lower, `fails` when they do
+    /// not overlap and this one is higher.
+    pub fn below(&self, prev: &Spread) -> String {
+        decide(self.max < prev.min, self.min > prev.max)
+    }
+
+    /// `median (min–max)`, two decimals.
+    pub fn cell(&self) -> String {
+        format!("{:.2} ({:.2}–{:.2})", self.median, self.min, self.max)
+    }
+}
+
+/// Measures two arms that process `batch` instances per call, each in
+/// [`WINDOWS`] windows of `window`, interleaved window by window (A B A B
+/// …) so a slow spell of the host lands on both. Returns each arm's median
+/// throughput and the spread of the per-window ratio A/B.
+pub fn interleaved(
+    batch: usize,
+    window: Duration,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (f64, f64, Spread) {
+    let (mut ta, mut tb, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..WINDOWS {
+        ta.push(throughput(batch, window, &mut a));
+        tb.push(throughput(batch, window, &mut b));
+        ratios.push(ta[ta.len() - 1] / tb[tb.len() - 1]);
+    }
+    (
+        Spread::of(&ta).median,
+        Spread::of(&tb).median,
+        Spread::of(&ratios),
+    )
 }
 
 /// Times a single invocation of `f` in seconds.
@@ -247,6 +328,17 @@ pub fn verdict(holds: bool) -> String {
     if holds { "holds" } else { "fails" }.to_string()
 }
 
+/// A decided claim's verdict cell: `holds` or `fails` when the
+/// measurement's spread settles it, `undecided` when it allows either.
+pub fn decide(holds: bool, fails: bool) -> String {
+    match (holds, fails) {
+        (true, false) => "holds",
+        (false, true) => "fails",
+        _ => "undecided",
+    }
+    .to_string()
+}
+
 /// Formats a throughput value the way the paper annotates bars.
 pub fn fmt_thr(v: f64) -> String {
     if v >= 100.0 {
@@ -279,6 +371,36 @@ mod tests {
         });
         // ~10 calls in 50 ms → ~2000 instances/s, very loose bounds.
         assert!(rate > 200.0 && rate < 20_000.0, "rate {rate}");
+    }
+
+    #[test]
+    fn spread_decides_only_what_every_window_agrees_on() {
+        let s = Spread::of(&[1.3, 0.9, 1.1, 1.2, 1.0]);
+        assert_eq!((s.median, s.min, s.max), (1.1, 0.9, 1.3));
+        assert_eq!(s.above_one(), "undecided", "0.9 … 1.3 straddles 1");
+        assert_eq!(Spread::of(&[1.1, 1.2]).above_one(), "holds");
+        assert_eq!(Spread::of(&[0.8, 0.95]).above_one(), "fails");
+        assert_eq!(Spread::of(&[1.0, 1.2]).median, 1.1);
+        let (lo, hi) = (Spread::of(&[0.6, 0.7]), Spread::of(&[0.8, 0.9]));
+        assert_eq!(lo.below(&hi), "holds");
+        assert_eq!(hi.below(&lo), "fails");
+        assert_eq!(lo.below(&Spread::of(&[0.65, 0.9])), "undecided");
+        assert_eq!(s.cell(), "1.10 (0.90–1.30)");
+    }
+
+    #[test]
+    fn interleaved_alternates_the_arms() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let (a, b, r) = interleaved(
+            1,
+            Duration::from_millis(2),
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        assert!(a > 0.0 && b > 0.0 && r.min <= r.median && r.median <= r.max);
+        let mut runs = order.into_inner();
+        runs.dedup();
+        assert_eq!(runs.len(), 2 * WINDOWS, "A B A B …, one run per window");
     }
 
     #[test]

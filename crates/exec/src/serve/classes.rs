@@ -12,10 +12,9 @@
 //! The pop rule is a pure function of `(queue contents, now_ns)` — no
 //! clock is read in here. The lanes are owned by `core::DispatchCore`,
 //! whose `form_wave` is the only caller of [`ClassQueues::pop_next`]; the
-//! live loop and the scripted harness in [`super::test_support`] both
-//! drive that core, the former with wall-clock nanoseconds, the latter
-//! with a virtual clock — which is what lets tests assert dispatch
-//! decisions exactly.
+//! one wave step drives that core, on wall-clock nanoseconds in the live
+//! loop and on a virtual clock in [`super::test_support`] — which is what
+//! lets tests assert dispatch decisions exactly.
 
 use super::Priority;
 use std::collections::VecDeque;

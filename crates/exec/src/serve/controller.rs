@@ -13,9 +13,9 @@
 //!
 //! The controller is a pure fold over observed durations — no clock, no
 //! locks. It lives inside `core::DispatchCore`, which feeds it one
-//! observation per finished wave (`wave_done`) whichever driver ran the
-//! wave: the live dispatcher with measured drain times, or
-//! [`super::test_support::ScriptedServe`] with scripted ones — so tests
+//! observation per finished wave (`wave_done`, from the wave step)
+//! whichever clock ran the wave: measured drain times in the live loop,
+//! scripted ones in [`super::test_support::ScriptedServe`] — so tests
 //! assert the resulting targets exactly.
 //!
 //! The budget bounds how long the *next* arrival waits behind a wave. It

@@ -17,22 +17,25 @@
 //!   ([`DispatchCore::wave_done`]).
 //!
 //! It reads no clock, takes no lock, spawns nothing and sleeps nowhere:
-//! time arrives as `now_ns` arguments, results leave as return values. Two
-//! thin drivers supply the rest —
+//! time arrives as `now_ns` arguments, results leave as return values.
+//! Submissions reach it straight from the submit calls; waves reach it
+//! through the one wave step, `driver::Driver::step`, which both clocks
+//! run —
 //!
 //! ```text
-//!   live: ServeClient / dispatcher thread      twin: ScriptedServe
-//!   Mutex + 2 condvars, wall clock,            virtual clock, scripted
-//!   executor submit/join, stats ledger         services on simulated lanes
-//!                  │                                     │
-//!                  └──────────▶ DispatchCore ◀───────────┘
+//!   live: ServeClient + dispatcher thread    ScriptedServe
+//!   wall clock, executor submit/join         virtual clock, scripted
+//!                                            services on simulated lanes
+//!      submit ─────────┐   wave: Driver::step   ┌───────── submit
+//!                      ▼           │            ▼
+//!                  DispatchCore ◀──┘
 //!                     admit · form_wave · must_cancel · wave_done
 //!                     close · add_client · drop_client
 //! ```
 //!
 //! — so what the scripted suites and the schedule fuzzer (`rdg_serve_fuzz`,
-//! with its RON corpus) exercise through the twin is the code the live
-//! loop ships, not a model of it.
+//! with its RON corpus) exercise through `ScriptedServe` is the code the
+//! live loop ships, not a model of it.
 
 use super::classes::{ClassQueues, Queued};
 use super::controller::{predicted_wait_ns, WaveController};

@@ -62,20 +62,23 @@
 //! kernels across its requests (see [`crate::batch`]); a bare
 //! [`Executor::run`] beside it stays scalar.
 //!
-//! # One core, two drivers
+//! # One core, one driver, two clocks
 //!
 //! Every serving *rule* — who is admitted, refused or shed up front; which
 //! requests form a wave and which are evicted at pop; when a running
 //! request is cancelled; what the wave controller learns — lives once, in
 //! the clock-free, lock-free `core::DispatchCore` (which owns the
 //! `classes::ClassQueues` lanes and the `controller::WaveController`).
-//! This file is its **live driver**: a `Mutex<DispatchCore<Request>>`, two
-//! condvars, the wall clock, executor submit/join and the stats ledger.
-//! [`test_support::ScriptedServe`] is the other driver — a virtual clock
-//! and scripted service times around the *same* core — so the scripted
-//! suites, the schedule fuzzer (`rdg_serve_fuzz`) and its corpus test the
-//! rules that ship, and `tests/serve_differential.rs` only has to check
-//! that this driver feeds the core the events it should.
+//! Everything a wave *does* with those rules — evict, launch, join in
+//! dispatch order, answer, account — lives once too, in
+//! `driver::Driver::step`, generic over a `driver::Runner` that supplies
+//! the clock and runs the requests. This file runs that step on a
+//! dispatcher thread with the wall clock and the executor, behind a
+//! `Mutex<DispatchCore<Request>>` and two condvars;
+//! [`test_support::ScriptedServe`] runs the *same* step with a virtual
+//! clock and scripted service times. So the scripted suites, the schedule
+//! fuzzer (`rdg_serve_fuzz`) and its corpus test the code that ships, all
+//! the way to the ticket and the stats ledger.
 //!
 //! # Example
 //!
@@ -105,9 +108,11 @@
 pub(crate) mod classes;
 pub(crate) mod controller;
 pub(crate) mod core;
+mod driver;
 pub mod test_support;
 
-use self::core::{must_cancel, DispatchCore, Refusal};
+use self::core::{DispatchCore, Refusal};
+use self::driver::{Driver, Runner};
 use crate::error::ExecError;
 use crate::executor::{Executor, RunHandle};
 use crate::params::ParamStore;
@@ -261,9 +266,9 @@ pub struct ServeConfig {
     /// Record every dispatch wave (controller target + admission sequence
     /// numbers in pop order) for retrieval via
     /// [`ServeClient::dispatch_log`]. Off by default — it is a test hook:
-    /// the differential suite uses it to check, wave for wave, that the
-    /// live driver (threads, condvars, wall clock) fed the dispatcher core
-    /// the same events the `ScriptedServe` driver does.
+    /// the live tests that need to know which wave a request rode read it
+    /// (`serve_queue`'s backlog-wave pin, `serve_slo`'s in-flight cancel
+    /// smoke test).
     pub record_dispatch: bool,
 }
 
@@ -384,6 +389,12 @@ struct LatRing {
     count: u64,
     sum_ns: u128,
     cap: usize,
+}
+
+impl Default for LatencyTrack {
+    fn default() -> Self {
+        LatencyTrack::new(LATENCY_WINDOW)
+    }
 }
 
 impl LatencyTrack {
@@ -627,7 +638,7 @@ pub struct WaveRecord {
     /// Admission sequence numbers of requests popped while forming this
     /// wave but **evicted** instead of dispatched: their end-to-end
     /// deadline had already passed. Eviction is part of the scheduling
-    /// decision, so the differential suite compares it driver-for-driver.
+    /// decision, so it is logged with the wave it was made for.
     pub shed_seqs: Vec<u64>,
 }
 
@@ -653,22 +664,14 @@ struct ClassCounters {
 }
 
 /// The three latency windows of one population of requests.
+#[derive(Default)]
 struct LatencyTracks {
     wait: LatencyTrack,
     service: LatencyTrack,
     total: LatencyTrack,
 }
 
-impl LatencyTracks {
-    fn new() -> Self {
-        LatencyTracks {
-            wait: LatencyTrack::new(LATENCY_WINDOW),
-            service: LatencyTrack::new(LATENCY_WINDOW),
-            total: LatencyTrack::new(LATENCY_WINDOW),
-        }
-    }
-}
-
+#[derive(Default)]
 struct StatsInner {
     /// Per-class counters; the aggregate counters in a snapshot are their
     /// sums (still monotone: a sum of monotone counters is monotone).
@@ -684,6 +687,15 @@ struct StatsInner {
     runs: ExecStats,
 }
 
+impl StatsInner {
+    /// `class`'s counters, and the two latency windows a request of it
+    /// records into: the aggregate and its class's own.
+    fn class(&self, class: Priority) -> (&ClassCounters, [&LatencyTracks; 2]) {
+        let i = class.index();
+        (&self.classes[i], [&self.latency, &self.class_latency[i]])
+    }
+}
+
 /// The admission-control subsystem: per-class bounded lanes + dispatcher
 /// + stats.
 ///
@@ -691,24 +703,21 @@ struct StatsInner {
 /// and hands back the first [`ServeClient`]; the loop lives as long as any
 /// client (or undelivered ticket) needs it.
 pub(crate) struct ServeQueue {
-    /// Every serving rule and the state it ranges over (lanes, controller,
-    /// open flag, client count). Clients and the dispatcher thread drive it
-    /// under this one lock; nothing else decides anything.
-    state: Mutex<DispatchCore<Request>>,
+    /// The core behind its lock, the submitters' condvar and the ledger —
+    /// everything the wave step touches.
+    driver: Driver<Request>,
     /// Signals the dispatcher: work arrived, or shutdown began.
     not_empty: Condvar,
-    /// Signals blocked submitters: a slot freed, or shutdown began.
-    not_full: Condvar,
-    stats: StatsInner,
-    /// Wave-by-wave dispatch decisions, populated only when
-    /// [`ServeConfig::record_dispatch`] is set.
-    dispatch_log: Mutex<Vec<WaveRecord>>,
     dispatcher: Mutex<Option<JoinHandle<()>>>,
+    /// What every request runs on: the executor, and the loop's plan and
+    /// parameters.
+    exec: Arc<Executor>,
+    plan: Arc<ModulePlan>,
+    params: Arc<ParamStore>,
     /// Zero point of the loop's nanosecond clock: every enqueue/dispatch/
     /// complete timestamp is `epoch.elapsed()` in nanoseconds — the same
-    /// integer timeline the pure scheduling units run on under test.
+    /// integer timeline `ScriptedServe` runs the wave step on virtually.
     epoch: Instant,
-    config: ServeConfig,
 }
 
 impl ServeQueue {
@@ -721,27 +730,21 @@ impl ServeQueue {
         config: ServeConfig,
     ) -> ServeClient {
         let backlog_waves = plan.largest_stacked_param_bytes(&params) > BACKLOG_WEIGHT_BYTES;
+        let core = DispatchCore::new(exec.n_threads(), &config, backlog_waves);
         let shared = Arc::new(ServeQueue {
-            state: Mutex::new(DispatchCore::new(exec.n_threads(), &config, backlog_waves)),
+            driver: Driver::new(core, config.record_dispatch),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            stats: StatsInner {
-                classes: Default::default(),
-                class_latency: std::array::from_fn(|_| LatencyTracks::new()),
-                latency: LatencyTracks::new(),
-                in_flight: AtomicUsize::new(0),
-                runs: ExecStats::new(),
-            },
-            dispatch_log: Mutex::new(Vec::new()),
             dispatcher: Mutex::new(None),
+            exec,
+            plan,
+            params,
             epoch: Instant::now(),
-            config,
         });
         let worker = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("rdg-serve-dispatch".into())
-                .spawn(move || dispatcher_loop(&shared, &exec, &plan, &params))
+                .spawn(move || dispatcher_loop(&shared))
                 .expect("spawn serve dispatcher")
         };
         *shared.dispatcher.lock() = Some(worker);
@@ -756,155 +759,65 @@ impl ServeQueue {
     }
 }
 
-/// The dispatcher thread — the live driver's serving half. Every decision
-/// is the core's ([`DispatchCore::form_wave`], [`must_cancel`],
-/// [`DispatchCore::wave_done`]); this loop supplies what the core has none
-/// of: the wall clock, the condvars, the executor, the tickets and the
-/// stats ledger. Per wave it launches the core's `run` list as concurrent
-/// root frames, joins them in dispatch order, and answers every ticket.
-/// Runs until shutdown *and* empty lanes — every accepted request is
-/// answered before the thread exits (with its result, or with
-/// [`ServeError::Shed`] when its SLO ran out first).
-///
-/// Two of the three SLO lifecycle points surface here (the third,
-/// predictive admission shedding, surfaces in the submit path):
-///
-/// * **pop-time eviction** — the core hands back already-expired requests
-///   separately from the wave; their tickets resolve to
-///   [`ServeError::Shed`] and the class's `shed` counter ticks.
-/// * **mid-service cancellation** — when the join loop reaches a request
-///   the core says must be cancelled, it cancels through
-///   [`crate::RunHandle::cancel`] (freeing the worker) and accounts the
-///   request as `shed_inflight` — but only if the cancel actually won.
-fn dispatcher_loop(
-    shared: &Arc<ServeQueue>,
-    exec: &Arc<Executor>,
-    plan: &Arc<ModulePlan>,
-    params: &Arc<ParamStore>,
-) {
-    let stats = &shared.stats;
-    let mut wave: Vec<Queued<Request>> = Vec::new();
-    let mut evicted: Vec<Queued<Request>> = Vec::new();
-    loop {
-        let popped_ns = {
-            let mut st = shared.state.lock();
-            let (target, now) = loop {
-                let now = shared.now_ns();
-                if let Some(target) = st.form_wave(now, &mut wave, &mut evicted) {
-                    break (target, now);
-                }
-                if !st.is_open() {
-                    return;
-                }
-                shared.not_empty.wait(&mut st);
-            };
-            if shared.config.record_dispatch {
-                shared.dispatch_log.lock().push(WaveRecord {
-                    target,
-                    seqs: wave.iter().map(|q| q.seq).collect(),
-                    shed_seqs: evicted.iter().map(|q| q.seq).collect(),
-                });
-            }
-            now
+/// The wall-clock [`Runner`]: the loop's epoch, and the executor running
+/// every request as a fusing root frame of the loop's one plan, so
+/// cross-request fusion (`GroupKey` is keyed by plan pointer) can group
+/// any of them.
+impl Runner<Request> for &ServeQueue {
+    /// A failed submit is a run that has already failed.
+    type Run = Result<RunHandle, ExecError>;
+    type Output = Vec<Tensor>;
+
+    fn now_ns(&self) -> u64 {
+        ServeQueue::now_ns(self)
+    }
+
+    fn launch(&mut self, wave: &mut [Queued<Request>]) -> Vec<Self::Run> {
+        let run = |q: &mut Queued<Request>| {
+            let feeds = std::mem::take(&mut q.item.feeds);
+            self.exec.submit_fused(&self.plan, &self.params, feeds)
         };
-        // Slots freed: wake every blocked submitter (they re-check space).
-        shared.not_full.notify_all();
-        // Resolve pop-time evictions outside the lock. Eviction is a shed,
-        // full stop — a dropped ticket on top of it stays a shed (the
-        // `abandoned` counter splits only the completed/failed path).
-        for q in evicted.drain(..) {
-            stats.classes[q.class.index()]
-                .shed
-                .fetch_add(1, Ordering::Relaxed);
-            let _ = q.item.tx.send(Err(ServeError::Shed {
-                waited: Duration::from_nanos(popped_ns.saturating_sub(q.enqueued_ns)),
-            }));
+        wave.iter_mut().map(run).collect()
+    }
+
+    fn is_finished(&self, run: &Self::Run) -> bool {
+        run.as_ref().map_or(true, RunHandle::is_finished)
+    }
+
+    fn cancel(&mut self, run: &mut Self::Run) {
+        if let Ok(handle) = run {
+            handle.cancel();
         }
-        if wave.is_empty() {
-            // Everything popped this round was expired: nothing to run.
+    }
+
+    fn join(&mut self, run: Self::Run) -> Result<Vec<Tensor>, ExecError> {
+        let handle = run?;
+        let counters = Arc::clone(handle.stats());
+        let result = handle.wait();
+        self.driver.stats.runs.absorb(&counters);
+        result
+    }
+}
+
+/// The dispatcher thread: the wave step on the wall clock, answering each
+/// ticket over its channel, until shutdown *and* empty lanes — every
+/// accepted request is answered before the thread exits (with its result,
+/// or with [`ServeError::Shed`] when its SLO ran out first). Between waves
+/// it sleeps on `not_empty`.
+fn dispatcher_loop(shared: &ServeQueue) {
+    let mut runner = shared;
+    loop {
+        let deliver = |q: Queued<Request>, _, _, answer| q.item.tx.send(answer).is_ok();
+        if shared.driver.step(&mut runner, deliver).is_some() {
             continue;
         }
-        let dispatched_ns = shared.now_ns();
-        stats.in_flight.store(wave.len(), Ordering::Relaxed);
-        // Launch the whole wave before joining any of it: the wave's root
-        // frames execute concurrently, and in-flight work is bounded by
-        // the wave size — that is the admission-control contract. Every
-        // request runs the loop's one plan as a fusing run, so cross-request
-        // fusion (`GroupKey` is keyed by plan pointer) can group any of them.
-        let runs: Vec<Result<RunHandle, ExecError>> = wave
-            .iter_mut()
-            .map(|q| {
-                let wait_ns = dispatched_ns.saturating_sub(q.enqueued_ns);
-                for tracks in [&stats.latency, &stats.class_latency[q.class.index()]] {
-                    tracks.wait.record_ns(wait_ns);
-                }
-                let feeds = std::mem::take(&mut q.item.feeds);
-                exec.submit_fused(plan, params, feeds)
-            })
-            .collect();
-        let wave_len = wave.len();
-        let mut last_done_ns = dispatched_ns;
-        for (q, run) in wave.drain(..).zip(runs) {
-            let mut cancelled_for_slo = false;
-            let result = run.and_then(|handle| {
-                cancelled_for_slo =
-                    must_cancel(q.deadline_ns, shared.now_ns(), handle.is_finished());
-                if cancelled_for_slo {
-                    handle.cancel();
-                }
-                let counters = Arc::clone(handle.stats());
-                let result = handle.wait();
-                stats.runs.absorb(&counters);
-                result
-            });
-            let done_ns = shared.now_ns();
-            last_done_ns = done_ns;
-            let ledger = &stats.classes[q.class.index()];
-            let tx = q.item.tx;
-            stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-            let total_ns = done_ns.saturating_sub(q.enqueued_ns);
-            // If the cancel raced the run finishing, the run kept its
-            // result (`RunHandle::cancel` never discards a finished run)
-            // and we fall through to normal delivery below.
-            if cancelled_for_slo && matches!(result, Err(ExecError::Cancelled)) {
-                ledger.shed_inflight.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Err(ServeError::Shed {
-                    waited: Duration::from_nanos(total_ns),
-                }));
-                continue;
+        let mut st = shared.driver.state.lock();
+        if st.queue().is_empty() {
+            if !st.is_open() {
+                return;
             }
-            let service_ns = done_ns.saturating_sub(dispatched_ns);
-            for tracks in [&stats.latency, &stats.class_latency[q.class.index()]] {
-                tracks.service.record_ns(service_ns);
-                tracks.total.record_ns(total_ns);
-            }
-            // Count before sending: a client that has seen its ticket
-            // resolve must also see the counter (the `submitted ≥
-            // completed + failed` snapshot invariant). A failed send
-            // means no receiver existed — nobody raced us — so the
-            // reclassification below is invisible to any live ticket.
-            let counter = if result.is_ok() {
-                &ledger.completed
-            } else {
-                &ledger.failed
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            if tx.send(result.map_err(ServeError::Exec)).is_err() {
-                // The client dropped its ticket before delivery. The work
-                // still ran — count it as abandoned, not completed, so
-                // goodput stays honest.
-                counter.fetch_sub(1, Ordering::Relaxed);
-                ledger.abandoned.fetch_add(1, Ordering::Relaxed);
-            }
+            shared.not_empty.wait(&mut st);
         }
-        // The controller observes the *wave*, not the per-request join
-        // latencies: joining in submission order means a later request's
-        // individual dispatch→complete span includes earlier joins, which
-        // would double-count intra-wave queueing and bias the EWMA high.
-        shared
-            .state
-            .lock()
-            .wave_done(wave_len, last_done_ns.saturating_sub(dispatched_ns));
     }
 }
 
@@ -926,7 +839,7 @@ pub struct ServeClient {
 
 impl Clone for ServeClient {
     fn clone(&self) -> Self {
-        self.shared.state.lock().add_client();
+        self.shared.driver.state.lock().add_client();
         ServeClient {
             shared: Arc::clone(&self.shared),
             class: self.class,
@@ -936,11 +849,11 @@ impl Clone for ServeClient {
 
 impl Drop for ServeClient {
     fn drop(&mut self) {
-        if self.shared.state.lock().drop_client() {
+        if self.shared.driver.state.lock().drop_client() {
             // Last client gone: admission is closed; let the dispatcher
             // drain accepted requests, detached (drop must not block).
             self.shared.not_empty.notify_all();
-            self.shared.not_full.notify_all();
+            self.shared.driver.not_full.notify_all();
         }
     }
 }
@@ -1040,7 +953,7 @@ impl ServeClient {
         slo: Option<Duration>,
     ) -> Result<ServeTicket, ServeError> {
         let (shared, class) = (&*self.shared, self.class);
-        let ledger = &shared.stats.classes[class.index()];
+        let ledger = &shared.driver.stats.classes[class.index()];
         // (call time, absolute deadline) on the loop's clock.
         let slo_ns = slo.map(|slo| {
             let entered = shared.now_ns();
@@ -1049,7 +962,7 @@ impl ServeClient {
         });
         let (tx, rx) = bounded(1);
         let mut request = Request { feeds, tx };
-        let mut st = shared.state.lock();
+        let mut st = shared.driver.state.lock();
         loop {
             let now = shared.now_ns();
             let (why, back) = match st.admit(class, request, now, slo_ns.map(|(_, d)| d)) {
@@ -1076,13 +989,13 @@ impl ServeClient {
                 Refusal::Full => match wait {
                     Wait::No => (&ledger.rejected, ServeError::QueueFull),
                     Wait::Forever => {
-                        shared.not_full.wait(&mut st);
+                        shared.driver.not_full.wait(&mut st);
                         continue;
                     }
                     Wait::Until(limit) => {
                         let left = limit.saturating_duration_since(Instant::now());
                         if !left.is_zero() {
-                            let _ = shared.not_full.wait_for(&mut st, left);
+                            let _ = shared.driver.not_full.wait_for(&mut st, left);
                             continue;
                         }
                         (&ledger.expired, ServeError::DeadlineExceeded)
@@ -1097,71 +1010,21 @@ impl ServeClient {
 
     /// The per-class admission-lane slot count.
     pub fn capacity(&self) -> usize {
-        self.shared.state.lock().capacity()
+        self.shared.driver.state.lock().capacity()
     }
 
     /// The dispatch waves recorded so far — empty unless the loop was
     /// started with [`ServeConfig::record_dispatch`] set. Call after
     /// [`ServeClient::shutdown`] for the complete log.
     pub fn dispatch_log(&self) -> Vec<WaveRecord> {
-        self.shared.dispatch_log.lock().clone()
+        let log = self.shared.driver.dispatch_log.as_ref();
+        log.map_or_else(Vec::new, |log| log.lock().clone())
     }
 
     /// Snapshot of the loop's counters and latency percentiles,
     /// aggregate and per class.
     pub fn stats(&self) -> ServeStats {
-        let s = &self.shared.stats;
-        let runs = s.runs.snapshot();
-        let mut agg = ServeStats {
-            in_flight: s.in_flight.load(Ordering::Relaxed),
-            wait: s.latency.wait.percentiles(),
-            service: s.latency.service.percentiles(),
-            total: s.latency.total.percentiles(),
-            fusion_groups: runs.fused_groups,
-            fusion_instances: runs.fused_tasks,
-            fusion_eligible: runs.fusable_seen,
-            ..ServeStats::default()
-        };
-        {
-            let st = self.shared.state.lock();
-            agg.batches = st.batches();
-            agg.wave_target = st.controller().target();
-            agg.service_ewma_ns = st.service_ewma_ns().unwrap_or(0);
-            for p in Priority::ALL {
-                agg.classes[p.index()].queue_depth = st.queue().len_class(p);
-            }
-        }
-        for p in Priority::ALL {
-            let i = p.index();
-            let (ledger, latency) = (&s.classes[i], &s.class_latency[i]);
-            let c = ClassStats {
-                submitted: ledger.submitted.load(Ordering::Relaxed),
-                rejected: ledger.rejected.load(Ordering::Relaxed),
-                expired: ledger.expired.load(Ordering::Relaxed),
-                completed: ledger.completed.load(Ordering::Relaxed),
-                failed: ledger.failed.load(Ordering::Relaxed),
-                shed: ledger.shed.load(Ordering::Relaxed),
-                shed_inflight: ledger.shed_inflight.load(Ordering::Relaxed),
-                shed_predicted: ledger.shed_predicted.load(Ordering::Relaxed),
-                abandoned: ledger.abandoned.load(Ordering::Relaxed),
-                queue_depth: agg.classes[i].queue_depth,
-                wait: latency.wait.percentiles(),
-                service: latency.service.percentiles(),
-                total: latency.total.percentiles(),
-            };
-            agg.submitted += c.submitted;
-            agg.rejected += c.rejected;
-            agg.expired += c.expired;
-            agg.completed += c.completed;
-            agg.failed += c.failed;
-            agg.shed += c.shed;
-            agg.shed_inflight += c.shed_inflight;
-            agg.shed_predicted += c.shed_predicted;
-            agg.abandoned += c.abandoned;
-            agg.queue_depth += c.queue_depth;
-            agg.classes[i] = c;
-        }
-        agg
+        self.shared.driver.stats()
     }
 
     /// Stops admission, waits for every accepted request to complete, and
@@ -1170,9 +1033,9 @@ impl ServeClient {
     /// Idempotent across clients: the first caller joins the dispatcher,
     /// later callers (and later submits) observe [`ServeError::Shutdown`].
     pub fn shutdown(&self) {
-        self.shared.state.lock().close();
+        self.shared.driver.state.lock().close();
         self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
+        self.shared.driver.not_full.notify_all();
         let handle = self.shared.dispatcher.lock().take();
         if let Some(h) = handle {
             let _ = h.join();

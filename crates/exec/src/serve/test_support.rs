@@ -1,13 +1,14 @@
-//! The dispatcher core under a virtual clock: a deterministic, sleep-free
-//! second driver for the serving rules.
+//! The serving driver under a virtual clock: a deterministic, sleep-free
+//! run of the wave step the live loop ships.
 //!
 //! Admission, wave-sizing, aging, eviction and cancel decisions must be
 //! *asserted exactly* — not probed with sleeps that flake on a loaded CI
 //! container. The serving loop makes every one of them in
-//! `core::DispatchCore`, which reads no clock and takes no lock. The live
-//! loop drives that core with wall time and an executor; this module
-//! drives the **same core** with a **virtual clock** and **scripted
-//! service durations**, so a test can write
+//! `core::DispatchCore`, which reads no clock and takes no lock, and acts
+//! on them in `driver::Driver::step`, which reads time only through its
+//! runner. The live loop runs that step with wall time and an executor;
+//! this module runs the **same step** with a **virtual clock** and
+//! **scripted service durations**, so a test can write
 //!
 //! ```
 //! use rdg_exec::serve::test_support::ScriptedServe;
@@ -19,24 +20,27 @@
 //! let wave = s.run_wave(|_| 1_000_000).unwrap(); // 1 ms per request
 //! assert_eq!(wave.requests[0].id, 2, "interactive dispatches first");
 //! assert_eq!(wave.requests[1].id, 1);
+//! assert_eq!(s.stats().completed, 2, "the live loop's ledger, booked alike");
 //! ```
 //!
 //! and every assertion is a pure function of the script — and a statement
 //! about the code the live loop runs, not about a model of it.
 //!
-//! What is twin-only is what stands in for the executor and the wall
-//! clock, nothing else: requests "execute" on `workers` simulated lanes
-//! (greedy list scheduling in dispatch order, around injected stalls),
-//! completions are observed **in dispatch order** (the live dispatcher
-//! joins its wave in submission order, so a later request's observed
-//! service includes any wait for an earlier one), the core is told the
-//! wave's request count and drain time, and the virtual clock advances to
-//! the wave's last observed completion.
+//! What is twin-only is the runner, nothing else: requests "execute" on
+//! `workers` simulated lanes (greedy list scheduling in dispatch order,
+//! around injected stalls), the step joins them in dispatch order exactly
+//! as it does live (so a later request's observed service includes any
+//! wait for an earlier one), and the virtual clock advances only when a
+//! join reaches a completion later than it.
 
-use super::core::{must_cancel, DispatchCore, Refusal};
-use super::{Priority, ServeConfig};
+use super::classes::Queued;
+use super::core::{DispatchCore, Refusal};
+use super::driver::{Driver, Runner};
+use super::{Priority, ServeConfig, ServeStats};
 use crate::batch::plan_groups;
+use crate::error::ExecError;
 use std::hash::Hash;
+use std::sync::atomic::Ordering;
 
 /// One request's life through a scripted wave, all timestamps in
 /// nanoseconds of the harness's virtual clock.
@@ -131,10 +135,11 @@ impl ScriptedWave {
     }
 }
 
-/// The scripted driver of the dispatcher core — the live serve loop's
-/// twin. Not a re-implementation of its rules: it holds the same
-/// `DispatchCore` the live loop holds, but time is a `u64` the test owns
-/// and service durations come from a script instead of an executor.
+/// The serving driver on a virtual clock — the live serve loop's twin.
+/// Not a re-implementation of its rules or its accounting: it runs the
+/// same `DispatchCore` and the same wave step the live loop runs, but time
+/// is a `u64` the test owns and service durations come from a script
+/// instead of an executor.
 ///
 /// Beyond the happy path, the harness scripts the *lifecycle* events the
 /// live loop races against in the stress tests:
@@ -150,31 +155,26 @@ impl ScriptedWave {
 ///   clockless analogue of a straggling replica (the schedule fuzzer's
 ///   `Stall` event).
 pub struct ScriptedServe {
-    /// The same `DispatchCore` the live loop runs — every admission,
-    /// wave-formation, eviction, cancel and controller decision is its.
-    core: DispatchCore<u64>,
+    /// The live loop's driver state: core, ledger and (when configured)
+    /// dispatch log — every decision and every count is the wave step's.
+    driver: Driver<u64>,
     now_ns: u64,
     /// Virtual time before which each simulated worker lane is busy with
     /// injected (non-request) work. Lane `w` starts requests no earlier
     /// than `stall_until[w]`.
     stall_until: Vec<u64>,
-    /// Per-class predictive-shed tally — the twin of the live
-    /// `shed_predicted` counters.
-    shed_predicted: [u64; Priority::COUNT],
 }
 
 impl ScriptedServe {
     /// Builds a harness over `workers` simulated workers with `config`'s
-    /// capacity, sizing, and aging parameters (the latency-window knob is
-    /// irrelevant here — the harness reports raw numbers, not windows).
-    /// Its scripted requests stack no weight, so it forms no backlog waves.
+    /// capacity, sizing and aging parameters. Its scripted requests stack
+    /// no weight, so it forms no backlog waves.
     pub fn new(workers: usize, config: &ServeConfig) -> Self {
         let core = DispatchCore::new(workers, config, false);
         ScriptedServe {
             stall_until: vec![0; core.workers()],
-            core,
+            driver: Driver::new(core, config.record_dispatch),
             now_ns: 0,
-            shed_predicted: [0; Priority::COUNT],
         }
     }
 
@@ -207,47 +207,63 @@ impl ScriptedServe {
         self.admit(class, id, Some(slo_ns))
     }
 
-    /// Offers one request to the core at the current virtual time.
+    /// Offers one request to the core at the current virtual time and
+    /// books the outcome as a non-blocking live submit would: `submitted`,
+    /// `shed_predicted`, or `rejected` for a full lane.
     fn admit(&mut self, class: Priority, id: u64, slo_ns: Option<u64>) -> ScriptedAdmission {
         let deadline = slo_ns.map(|slo| self.now_ns.saturating_add(slo));
-        match self.core.admit(class, id, self.now_ns, deadline) {
-            Ok(()) => ScriptedAdmission::Admitted,
-            Err((Refusal::ShedPredicted, _)) => {
-                self.shed_predicted[class.index()] += 1;
-                ScriptedAdmission::Shed
-            }
-            Err((Refusal::Closed | Refusal::Full, _)) => ScriptedAdmission::Rejected,
-        }
+        let ledger = &self.driver.stats.classes[class.index()];
+        let refusal = self
+            .driver
+            .state
+            .get_mut()
+            .admit(class, id, self.now_ns, deadline);
+        let (counter, admission) = match refusal {
+            Ok(()) => (&ledger.submitted, ScriptedAdmission::Admitted),
+            Err((Refusal::ShedPredicted, _)) => (&ledger.shed_predicted, ScriptedAdmission::Shed),
+            Err((Refusal::Full, _)) => (&ledger.rejected, ScriptedAdmission::Rejected),
+            Err((Refusal::Closed, _)) => return ScriptedAdmission::Rejected,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        admission
     }
 
-    /// Per-class predictive-shed counts so far (the twin of the live
-    /// `shed_predicted` stats), indexed by [`Priority::index`].
+    /// Per-class predictive-shed counts so far (the `shed_predicted` rows
+    /// of [`ScriptedServe::stats`]), indexed by [`Priority::index`].
     pub fn shed_predicted(&self) -> [u64; Priority::COUNT] {
-        self.shed_predicted
+        let classes = &self.driver.stats.classes;
+        Priority::ALL.map(|p| classes[p.index()].shed_predicted.load(Ordering::Relaxed))
+    }
+
+    /// Snapshot of the ledger the wave step keeps — the live loop's
+    /// [`super::ServeClient::stats`], with every latency on the virtual
+    /// clock. The fusion rows stay zero: no executor runs here.
+    pub fn stats(&self) -> ServeStats {
+        self.driver.stats()
     }
 
     /// Whether admission is still open (no scripted shutdown yet and at
     /// least one client handle alive).
     pub fn is_open(&self) -> bool {
-        self.core.is_open()
+        self.driver.state.lock().is_open()
     }
 
     /// Scripts [`super::ServeClient::shutdown`]: admission closes
     /// immediately; requests already queued still drain through
     /// [`ScriptedServe::run_wave`] / [`ScriptedServe::drain`].
     pub fn shutdown(&mut self) {
-        self.core.close();
+        self.driver.state.get_mut().close();
     }
 
     /// Scripts cloning a client handle (the live `ServeClient::clone`).
     pub fn clone_client(&mut self) {
-        self.core.add_client();
+        self.driver.state.get_mut().add_client();
     }
 
     /// Scripts dropping a client handle. Dropping the last one closes
     /// admission, exactly like the live last-`Drop` path.
     pub fn drop_client(&mut self) {
-        self.core.drop_client();
+        self.driver.state.get_mut().drop_client();
     }
 
     /// Injects a replica-level delay: worker lane `lane % workers` is
@@ -266,23 +282,23 @@ impl ScriptedServe {
 
     /// Requests queued across all lanes.
     pub fn queue_depth(&self) -> usize {
-        self.core.queue().len()
+        self.driver.state.lock().queue().len()
     }
 
     /// Requests queued in `class`'s lane.
     pub fn queue_depth_class(&self, class: Priority) -> usize {
-        self.core.queue().len_class(class)
+        self.driver.state.lock().queue().len_class(class)
     }
 
     /// The wave target the next [`ScriptedServe::run_wave`] will use.
     pub fn wave_target(&self) -> usize {
-        self.core.controller().target()
+        self.driver.state.lock().controller().target()
     }
 
     /// The controller's current service-time EWMA, nanoseconds (`None`
     /// before any wave ran, or under fixed sizing).
     pub fn ewma_ns(&self) -> Option<f64> {
-        self.core.controller().ewma_ns()
+        self.driver.state.lock().controller().ewma_ns()
     }
 
     /// Forms and "executes" the next wave: pops up to the controller's
@@ -295,6 +311,8 @@ impl ScriptedServe {
     /// deadline passes before the join reaches a finished run —
     /// `shed_inflight`), feeds the controller the wave's request count +
     /// drain time, and advances the clock to the wave's last completion.
+    /// All of it is the live loop's wave step, so the outcome is booked
+    /// in the ledger [`ScriptedServe::stats`] reads.
     ///
     /// Returns `None` when nothing is queued. A wave in which *every*
     /// popped request was evicted comes back with empty `requests` — like
@@ -324,85 +342,53 @@ impl ScriptedServe {
         max_group: usize,
     ) -> Option<ScriptedWave> {
         let dispatched_ns = self.now_ns;
-        let (mut popped, mut expired) = (Vec::new(), Vec::new());
-        let target = self
-            .core
-            .form_wave(dispatched_ns, &mut popped, &mut expired)?;
-        let evicted = expired
-            .into_iter()
-            .map(|q| ScriptedShed {
-                id: q.item,
-                class: q.class,
-                enqueued_ns: q.enqueued_ns,
-                deadline_ns: q
-                    .deadline_ns
-                    .expect("only a deadline gets a request evicted"),
-                shed_ns: dispatched_ns,
-            })
-            .collect();
-        // Group formation over the surviving pop order, then greedy list
-        // scheduling in group order: each group starts on the earliest-free
-        // simulated worker and runs for the max of its members' services
-        // (the stacked kernel returns when its widest member would). A
-        // stalled lane is not free until its stall deadline passes.
-        let keys: Vec<Option<K>> = popped.iter().map(|q| fuse_sig(q.item)).collect();
-        let groups = plan_groups(&keys, max_group);
-        let mut avail: Vec<u64> = self
-            .stall_until
-            .iter()
-            .map(|&s| s.max(dispatched_ns))
-            .collect();
-        let mut finishes = vec![0u64; popped.len()];
-        for g in &groups {
-            let lane = (0..avail.len())
-                .min_by_key(|&w| avail[w])
-                .expect("at least one worker");
-            let dur = g
+        let mut runner = Virtual {
+            now_ns: dispatched_ns,
+            free_ns: self
+                .stall_until
                 .iter()
-                .map(|&i| service_ns(popped[i].item))
-                .max()
-                .unwrap_or(0);
-            let finish = avail[lane] + dur;
-            avail[lane] = finish;
-            for &i in g {
-                finishes[i] = finish;
-            }
-        }
-        // Completions observed in dispatch order, exactly like the live
-        // dispatcher joining handles in submission order: the join loop
-        // reaches each request at the current observation time, where the
-        // core's cancel rule decides (a finished run keeps its result
-        // however late). The cancelled run's worker reservation is kept —
-        // the scripted lane schedule is fixed at dispatch (the live cancel
-        // can free a worker a little earlier; differential scenarios pin
-        // the points where the two agree exactly).
-        let mut requests = Vec::with_capacity(popped.len());
-        let mut observed = dispatched_ns;
-        for (q, finish) in popped.into_iter().zip(finishes) {
-            let shed_inflight = must_cancel(q.deadline_ns, observed, finish <= observed);
-            if !shed_inflight {
-                observed = observed.max(finish);
-            }
-            requests.push(ScriptedRequest {
-                id: q.item,
-                class: q.class,
-                enqueued_ns: q.enqueued_ns,
-                deadline_ns: q.deadline_ns,
-                wait_ns: dispatched_ns.saturating_sub(q.enqueued_ns),
-                service_ns: observed - dispatched_ns,
-                done_ns: observed,
-                shed_inflight,
-            });
-        }
-        self.core
-            .wave_done(requests.len(), observed - dispatched_ns);
-        self.now_ns = observed;
+                .map(|&s| s.max(dispatched_ns))
+                .collect(),
+            service_ns: &service_ns,
+            fuse_sig: &fuse_sig,
+            max_group,
+            groups: Vec::new(),
+        };
+        let (mut requests, mut evicted) = (Vec::new(), Vec::new());
+        let target = self
+            .driver
+            .step(&mut runner, |q, dispatched, done_ns, answer| {
+                let (id, class, enqueued_ns, deadline_ns) =
+                    (q.item, q.class, q.enqueued_ns, q.deadline_ns);
+                match dispatched {
+                    None => evicted.push(ScriptedShed {
+                        id,
+                        class,
+                        enqueued_ns,
+                        deadline_ns: deadline_ns.expect("only a deadline gets a request evicted"),
+                        shed_ns: done_ns,
+                    }),
+                    Some(dispatched_ns) => requests.push(ScriptedRequest {
+                        id,
+                        class,
+                        enqueued_ns,
+                        deadline_ns,
+                        wait_ns: dispatched_ns.saturating_sub(enqueued_ns),
+                        service_ns: done_ns - dispatched_ns,
+                        done_ns,
+                        // A scripted run fails only by being cancelled.
+                        shed_inflight: answer.is_err(),
+                    }),
+                }
+                true
+            })?;
+        self.now_ns = runner.now_ns;
         Some(ScriptedWave {
             target,
             dispatched_ns,
             requests,
             evicted,
-            fused_groups: groups,
+            fused_groups: runner.groups,
         })
     }
 
@@ -417,6 +403,71 @@ impl ScriptedServe {
             waves.push(w);
         }
         waves
+    }
+}
+
+/// The virtual-clock [`Runner`]: a wave's requests run on the simulated
+/// worker lanes, and only a join moves the clock — to the joined
+/// request's completion, if that is later.
+struct Virtual<'a, K> {
+    now_ns: u64,
+    /// When each simulated worker lane is next free.
+    free_ns: Vec<u64>,
+    service_ns: &'a dyn Fn(u64) -> u64,
+    fuse_sig: &'a dyn Fn(u64) -> Option<K>,
+    max_group: usize,
+    /// The last wave's fused groups, as indices in dispatch order.
+    groups: Vec<Vec<usize>>,
+}
+
+impl<K: Eq + Hash + Copy> Runner<u64> for Virtual<'_, K> {
+    /// When the run completes; `None` once cancelled (a cancelled run
+    /// never finishes, and its lane stays reserved).
+    type Run = Option<u64>;
+    type Output = ();
+
+    fn now_ns(&self) -> u64 {
+        self.now_ns
+    }
+
+    /// Groups the wave with the *same* pure [`crate::batch::plan_groups`]
+    /// the live fused worker loop uses (first-occurrence order, chunked at
+    /// `max_group`), then list-schedules the groups greedily in that order:
+    /// each starts on the earliest-free lane (a stalled lane is not free
+    /// until its stall ends) and runs for the max of its members'
+    /// services, when the stacked kernel returns for its widest member.
+    fn launch(&mut self, wave: &mut [Queued<u64>]) -> Vec<Option<u64>> {
+        let keys: Vec<Option<K>> = wave.iter().map(|q| (self.fuse_sig)(q.item)).collect();
+        self.groups = plan_groups(&keys, self.max_group);
+        let mut finish = vec![None; wave.len()];
+        for g in &self.groups {
+            let free = &mut self.free_ns;
+            let lane = (0..free.len())
+                .min_by_key(|&w| free[w])
+                .expect("at least one worker");
+            free[lane] += g
+                .iter()
+                .map(|&i| (self.service_ns)(wave[i].item))
+                .max()
+                .unwrap_or(0);
+            for &i in g {
+                finish[i] = Some(free[lane]);
+            }
+        }
+        finish
+    }
+
+    fn is_finished(&self, run: &Option<u64>) -> bool {
+        run.is_some_and(|t| t <= self.now_ns)
+    }
+
+    fn cancel(&mut self, run: &mut Option<u64>) {
+        *run = None;
+    }
+
+    fn join(&mut self, run: Option<u64>) -> Result<(), ExecError> {
+        self.now_ns = self.now_ns.max(run.ok_or(ExecError::Cancelled)?);
+        Ok(())
     }
 }
 
@@ -519,6 +570,38 @@ mod tests {
         let done = |w: &ScriptedWave| w.requests.iter().map(|r| r.done_ns).collect::<Vec<_>>();
         assert_eq!(done(&a), done(&b), "no signature ⇒ scalar schedule");
         assert_eq!(a.fused_groups.len(), a.requests.len(), "all singletons");
+    }
+
+    #[test]
+    fn an_answer_nobody_receives_counts_abandoned_and_a_shed_stays_a_shed() {
+        let mut s = ScriptedServe::new(2, &config(WaveSizing::Fixed));
+        assert!(s.submit(Priority::Batch, 0));
+        assert!(s.submit(Priority::Batch, 1));
+        assert_eq!(
+            s.submit_deadline(Priority::Interactive, 2, 0),
+            ScriptedAdmission::Admitted
+        );
+        s.advance(1);
+        let mut runner = Virtual {
+            now_ns: s.now_ns(),
+            free_ns: vec![s.now_ns(); 2],
+            service_ns: &|_| 1_000,
+            fuse_sig: &|_| None::<u64>,
+            max_group: 1,
+            groups: Vec::new(),
+        };
+        // Nobody listens for request 1's answer or the evicted request 2's:
+        // their tickets were dropped.
+        s.driver.step(&mut runner, |q, _, _, _| q.item == 0);
+        let st = s.stats();
+        assert_eq!((st.completed, st.abandoned, st.shed), (1, 1, 1));
+        assert_eq!(st.classes[Priority::Batch.index()].abandoned, 1);
+        assert_eq!(st.classes[Priority::Interactive.index()].shed, 1);
+        assert_eq!(st.total.count, 2, "the abandoned run still ran");
+        assert_eq!(
+            st.completed + st.failed + st.shed + st.shed_inflight + st.abandoned,
+            st.submitted
+        );
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! **What is real: everything but time.** [`SimExecutor::run`] is a
 //! single-threaded driver of the production interpreter, the way
-//! `serve::test_support::ScriptedServe` is a driver of `DispatchCore`. It
+//! `serve::test_support::ScriptedServe` runs the serve loop's own wave
+//! step on a virtual clock. It
 //! starts the run on an executor that has no worker threads and passes
 //! every task to `execute_task` itself, so frames, `Cond` branch
 //! selection, `Invoke`, prelude publishing, path keys, backprop-cache

@@ -7,17 +7,22 @@
 //!
 //! 1. **Twin-exact tests** pin each shed point on the virtual clock with
 //!    exact nanosecond assertions (no sleeps, no tolerance windows).
+//!    `ScriptedServe` runs the live loop's own wave step, so its
+//!    `stats()` is the live ledger: these tests also pin what each shed
+//!    point counts, and the class-mix scenario pins pop order, pop-time
+//!    sheds and their delivery, scalar and fused alike.
 //! 2. **A property sweep** replays hundreds of fuzzer-generated random
 //!    schedules and re-derives the conservation and never-early-shed
 //!    invariants independently of the fuzzer's own oracles. It draws its
 //!    schedules from the fuzzer, so it lives with it: `tests/serve_slo.rs`
 //!    of the `rdg_serve_fuzz` crate.
-//! 3. **Live tests** drive the real dispatcher through each shed point
-//!    (and the abandoned-ticket split); the inherently racy ones retry
-//!    and skip with a note on hosts that cannot hold the race open,
-//!    since their decision logic is already pinned by layers 1–2.
+//! 3. **Live smoke tests** drive the real dispatcher through each shed
+//!    point (and the abandoned-ticket split) on the wall clock; the
+//!    inherently racy ones retry and skip with a note on hosts that cannot
+//!    hold the race open, since their scenarios are pinned
+//!    deterministically by layer 1.
 
-use rdg_exec::serve::test_support::{ScriptedAdmission, ScriptedServe};
+use rdg_exec::serve::test_support::{ScriptedAdmission, ScriptedServe, ScriptedWave};
 use rdg_exec::{Executor, Priority, ServeConfig, ServeError, ServeStats, Session, WaveSizing};
 use rdg_graph::{Module, ModuleBuilder};
 use rdg_tensor::{DType, Tensor};
@@ -209,6 +214,216 @@ fn twin_predictive_admission_shed_is_exact() {
         4,
         "the shed request was never queued; the admitted ones were"
     );
+}
+
+/// The classes of the ten requests queued behind the blocker in the
+/// class-mix scenario (ids 1..=10; id 0 is the blocker).
+const MIX: [Priority; 10] = [
+    Priority::Batch,
+    Priority::Interactive,
+    Priority::BestEffort,
+    Priority::Interactive,
+    Priority::Batch,
+    Priority::BestEffort,
+    Priority::Interactive,
+    Priority::Batch,
+    Priority::Interactive,
+    Priority::BestEffort,
+];
+
+/// The class-mix scenario on the virtual clock: one worker, fixed waves of
+/// 16 and an hour of aging step (so the pop is strict priority + FIFO). A
+/// blocker rides the first wave; then the ten `MIX` requests and two
+/// zero-SLO requests (ids 11 and 12, `Interactive` then `Batch`) queue
+/// and drain in one wave. With `fused`, every wave runs through the
+/// grouped model (one shared fusion signature, groups of up to 4).
+fn class_mix(fused: bool) -> (Vec<ScriptedWave>, ServeStats) {
+    let mut s = ScriptedServe::new(
+        1,
+        &ServeConfig {
+            capacity: 64,
+            batch_multiple: 16,
+            sizing: WaveSizing::Fixed,
+            aging_step: Duration::from_secs(3600),
+            ..ServeConfig::default()
+        },
+    );
+    let service = |_id: u64| 1_000_000u64;
+    let wave = |s: &mut ScriptedServe| {
+        if fused {
+            s.run_wave_grouped(service, |_| Some(0u64), 4)
+        } else {
+            s.run_wave(service)
+        }
+    };
+    assert!(s.submit(Priority::Interactive, 0), "blocker admitted");
+    let mut waves = vec![wave(&mut s).expect("blocker wave")];
+    for (i, class) in MIX.iter().enumerate() {
+        assert!(s.submit(*class, 1 + i as u64), "request {i} admitted");
+    }
+    for (id, class) in [(11, Priority::Interactive), (12, Priority::Batch)] {
+        // SLO 0: the deadline is `now`, expired at any later pop.
+        // Fixed sizing keeps the EWMA unset, so predictive shedding is
+        // inert and the shed must happen at pop.
+        assert_eq!(s.submit_deadline(class, id, 0), ScriptedAdmission::Admitted);
+    }
+    waves.push(wave(&mut s).expect("drain wave"));
+    assert!(wave(&mut s).is_none(), "two waves drain the scenario");
+    (waves, s.stats())
+}
+
+#[test]
+fn class_mix_pops_by_class_and_sheds_expired_requests_at_pop() {
+    let (waves, st) = class_mix(false);
+    assert_eq!((waves[0].target, waves[0].ids()), (16, vec![0]));
+    assert!(waves[0].evicted.is_empty());
+    assert_eq!(waves[1].target, 16);
+    assert_eq!(
+        waves[1].ids(),
+        vec![2, 4, 7, 9, 1, 5, 8, 3, 6, 10],
+        "strict priority, FIFO within class, over the MIX pattern"
+    );
+    let shed: Vec<u64> = waves[1].evicted.iter().map(|e| e.id).collect();
+    assert_eq!(
+        shed,
+        vec![11, 12],
+        "expired SLO requests evicted in pop order (interactive lane \
+         first, then batch), consuming no wave slots"
+    );
+    // The ledger the live loop keeps, booked by the same wave step.
+    assert_eq!(st.classes[Priority::Interactive.index()].shed, 1);
+    assert_eq!(st.classes[Priority::Batch.index()].shed, 1);
+    assert_eq!(st.classes[Priority::BestEffort.index()].shed, 0);
+    assert_eq!((st.shed_inflight, st.shed_predicted), (0, 0));
+    assert_eq!((st.submitted, st.completed, st.batches), (13, 11, 2));
+    assert_eq!(st.total.count, 11, "a shed request records no latency");
+    assert_eq!(st.in_flight, 0);
+    assert_closure(&st);
+}
+
+#[test]
+fn fused_waves_make_the_same_decisions() {
+    // Grouping happens after the pop: fusion reshapes when a wave's
+    // requests complete, never wave targets, pop order, sheds or counts.
+    let (scalar, scalar_st) = class_mix(false);
+    let (fused, fused_st) = class_mix(true);
+    let decisions = |waves: &[ScriptedWave]| {
+        let shed = |w: &ScriptedWave| w.evicted.iter().map(|e| e.id).collect::<Vec<_>>();
+        waves
+            .iter()
+            .map(|w| (w.target, w.ids(), shed(w)))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(decisions(&fused), decisions(&scalar));
+    assert_eq!(
+        fused[1].fused_groups.len(),
+        3,
+        "ten requests in groups of 4"
+    );
+    for st in [&scalar_st, &fused_st] {
+        assert_closure(st);
+    }
+    let counts = |st: &ServeStats| {
+        let c = |p: Priority| &st.classes[p.index()];
+        Priority::ALL.map(|p| {
+            (
+                c(p).submitted,
+                c(p).completed,
+                c(p).shed,
+                c(p).shed_inflight,
+            )
+        })
+    };
+    assert_eq!(counts(&fused_st), counts(&scalar_st));
+}
+
+#[test]
+fn scripted_in_flight_request_past_deadline_is_cancelled() {
+    // The live in-flight smoke test's scenario, without its race: one
+    // worker, fixed waves of two. A blocker rides the first wave; then a
+    // 5 ms request and a victim with a 2 ms SLO share the second. The
+    // join reaches the victim when the long request finishes, 5 ms after
+    // the pop — past its deadline, with its own run not started — and
+    // cancels it.
+    let mut s = ScriptedServe::new(
+        1,
+        &ServeConfig {
+            capacity: 8,
+            batch_multiple: 2,
+            sizing: WaveSizing::Fixed,
+            ..ServeConfig::default()
+        },
+    );
+    let svc = |id: u64| if id == 0 { 1_000_000 } else { 5_000_000 };
+    assert!(s.submit(Priority::Interactive, 0));
+    assert_eq!(s.run_wave(svc).expect("blocker wave").ids(), vec![0]);
+    assert!(s.submit(Priority::Interactive, 1));
+    assert_eq!(
+        s.submit_deadline(Priority::Interactive, 2, 2_000_000),
+        ScriptedAdmission::Admitted,
+        "fixed sizing keeps the EWMA unset"
+    );
+    let w = s.run_wave(svc).expect("second wave");
+    assert_eq!(w.ids(), vec![1, 2], "both popped before the deadline");
+    assert!(w.requests[1].shed_inflight);
+    let st = s.stats();
+    assert_eq!(st.shed_inflight, 1);
+    assert_eq!(st.shed, 0, "not a pop-time shed: it was dispatched");
+    assert_eq!(st.completed, 2, "blocker and the long request");
+    assert_eq!(st.wait.count, 3, "a cancelled request still waited");
+    assert_eq!(st.total.count, 2, "but records no service or total");
+    assert_closure(&st);
+}
+
+#[test]
+fn scripted_predictive_shed_rejects_at_submit_when_backlog_exceeds_slo() {
+    // The live predictive-shed smoke test's scenario, without its race:
+    // a calibration wave publishes a 4 ms EWMA (α = 1), a blocker wave
+    // runs, and a best-effort backlog of two queues behind it. The
+    // predicted wait is then 2 × EWMA on one worker, so a best-effort
+    // submit with an SLO of EWMA / 2 is shed at submit and never queued.
+    let mut s = ScriptedServe::new(
+        1,
+        &ServeConfig {
+            capacity: 16,
+            batch_multiple: 1,
+            sizing: WaveSizing::Dynamic {
+                max_multiple: 4,
+                wave_budget: Duration::from_millis(5),
+                ewma_alpha: 1.0,
+            },
+            ..ServeConfig::default()
+        },
+    );
+    let svc = |_id: u64| 4_000_000;
+    for id in 0..2 {
+        assert!(s.submit(Priority::Interactive, id));
+        s.run_wave(svc).expect("calibration and blocker waves");
+    }
+    let ewma = s.stats().service_ewma_ns;
+    assert_eq!(ewma, 4_000_000);
+    assert!(s.submit(Priority::BestEffort, 2));
+    assert!(s.submit(Priority::BestEffort, 3));
+    assert_eq!(
+        s.submit_deadline(Priority::BestEffort, 4, ewma / 2),
+        ScriptedAdmission::Shed
+    );
+    let st = s.stats();
+    assert_eq!(st.shed_predicted, 1);
+    assert_eq!(
+        st.classes[Priority::BestEffort.index()].shed_predicted,
+        1,
+        "charged to the class that was shed"
+    );
+    assert_eq!(
+        st.submitted, 4,
+        "a predictively shed request is never admitted"
+    );
+    assert_eq!(st.queue_depth, 2);
+    s.drain(svc);
+    let st = s.stats();
+    assert_eq!(st.completed, 4);
+    assert_closure(&st);
 }
 
 // ---------------------------------------------------------------------------

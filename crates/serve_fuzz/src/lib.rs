@@ -16,10 +16,11 @@
 //!   scripted service durations, virtual-clock gaps, dispatch waves,
 //!   replica-level worker stalls, client clone/drop points, and a
 //!   shutdown point;
-//! * [`replay`] runs a scenario through [`ScriptedServe`] — the
-//!   virtual-clock driver of the *same* `core::DispatchCore` the live
-//!   serve loop runs, so a finding here is a finding about production
-//!   admission and wave logic, not about a model of it; zero sleeps — and
+//! * [`replay`] runs a scenario through [`ScriptedServe`] — the live
+//!   serve loop's own `DispatchCore` and wave step on a virtual clock, so
+//!   a finding here is a finding about production admission, wave,
+//!   delivery and accounting logic, not about a model of it (only the
+//!   executor and the wall clock are stood in for); zero sleeps — and
 //!   scores it by observed **interactive p99** while checking the
 //!   **invariant oracles** (class FIFO, strict priority for fresh
 //!   submits, the aging starvation bound, no-loss/no-dup ticket
