@@ -1,26 +1,35 @@
-//! Dispatch-time batch fusion planning.
+//! Batch fusion planning: which nodes may stack, and how.
 //!
-//! When the serving dispatcher pops a wave of requests, their root frames
-//! advance through the same model graph in rough lockstep, so the ready
-//! queue naturally interleaves *the same graph node* from many concurrent
-//! runs. This module holds the pure planning half of the fuser:
+//! Every run's ready tasks go through one drain (`crate::executor`): a task
+//! whose node the plan marks *stackable* is set aside on its worker's
+//! agenda under its [`GroupKey`], and once the worker has no scalar work
+//! left it runs the fullest group as one stacked kernel call. Because the
+//! key names the plan, graph and node but not the run, members come from
+//! sibling frames of one tree, from the instances of a training minibatch
+//! and from concurrent serving requests alike. This module holds the pure
+//! half of that:
 //!
-//! * [`FuseKind`] — how a fusable op stacks: by rows (shared right-hand
-//!   operand) or by columns (shared left-hand operand).
+//! * [`FuseKind`] — how a batchable op stacks: by rows around a shared
+//!   right-hand operand, by columns around a shared left-hand one, or, for
+//!   a rank-1 gradient sink, both operands by rows into one update of the
+//!   parameter's accumulator.
 //! * [`fuse_kind`] — plan-build-time batchability classification, recorded
-//!   per node in `ExecutionPlan::fuse` so dispatch-time grouping is a hash
-//!   lookup, not a shape re-derivation.
+//!   per node in `ExecutionPlan::fuse`; the plan's size rule on top of it
+//!   decides `ExecutionPlan::stackable`.
 //! * [`plan_groups`] — deterministic FIFO-preserving group formation over a
-//!   popped batch of tasks, shared verbatim with the deterministic serving
-//!   twin so fusion decisions replay exactly.
+//!   list of keys: the executor splits a group by runtime signature with
+//!   it, and the serving twin (`ScriptedServe`) models its waves' groups
+//!   with it.
 //! * Row/column stack-and-scatter tensor helpers used by the executor's
-//!   group-execute path (`Executor`'s fused worker loop).
+//!   stacked call.
 //!
 //! The kernels in `rdg_tensor` compute every output row (for the row-stacked
 //! ops) or every output column block (for `MatMulAT`) independently and in
-//! the same flop order whether invoked on one instance or on a stack, so a
-//! fused call is *bit-for-bit* identical to the scalar calls it replaces —
-//! the same argument that makes `crates/fold`'s level grouping exact.
+//! the same flop order whether invoked on one instance or on a stack, and
+//! `outer_acc` adds stacked sink rows in row order, so a fused call is
+//! *bit-for-bit* identical to the scalar calls it replaces, run in member
+//! order — the same argument that makes `crates/fold`'s level grouping
+//! exact.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -30,8 +39,8 @@ use rdg_tensor::{Tensor, TensorError};
 
 /// Clamp on fused group size (members per stacked kernel call).
 ///
-/// Bounds stacked-tensor size and keeps a fused call's latency close to the
-/// scalar call it replaces.
+/// Bounds stacked-tensor size and how long one call holds its members'
+/// continuations.
 pub const MAX_GROUP: usize = 16;
 
 /// How a fusable op's operands stack across group members.
@@ -50,14 +59,31 @@ pub enum FuseKind {
     /// would mix members; stacking `B` by columns against a shared `A`
     /// keeps every member's accumulation order untouched.
     ColsShared,
+    /// Stack both operands by rows; no operand is shared, the parameter's
+    /// gradient accumulator is.
+    ///
+    /// `GradSinkOuter` adds `aᵀ·dy` to its parameter's gradient. Members'
+    /// `a` rows and `dy` rows stack into one `aᵀ·dy` over all of them,
+    /// which adds each element's terms in member order: the bits of the
+    /// members' one-by-one updates in that order.
+    SinkRows,
 }
 
 impl FuseKind {
-    /// The operand indices `(stacked, shared)`.
-    pub(crate) fn operands(self) -> (usize, usize) {
+    /// The operand index of the input stacked first (by rows or columns).
+    pub(crate) fn stacked(self) -> usize {
         match self {
-            FuseKind::RowsShared => (0, 1),
-            FuseKind::ColsShared => (1, 0),
+            FuseKind::RowsShared | FuseKind::SinkRows => 0,
+            FuseKind::ColsShared => 1,
+        }
+    }
+
+    /// The operand index of the input every member shares, if one is.
+    pub(crate) fn shared(self) -> Option<usize> {
+        match self {
+            FuseKind::RowsShared => Some(1),
+            FuseKind::ColsShared => Some(0),
+            FuseKind::SinkRows => None,
         }
     }
 }
@@ -66,7 +92,9 @@ impl FuseKind {
 ///
 /// Returns `None` for ops that are structural, not row/column separable, or
 /// not worth fusing. Elementwise ops are deliberately excluded: they are
-/// memory-bound and fusing them buys nothing over the scalar path.
+/// memory-bound and fusing them buys nothing over the scalar path. Whether
+/// a batchable node actually stacks is the plan's size rule
+/// (`ExecutionPlan::stackable`).
 pub fn fuse_kind(op: &OpKind) -> Option<FuseKind> {
     // Delegates to the static analyzer's classification so the lint-time
     // batchability prediction and the runtime fuse decision can never
@@ -74,6 +102,7 @@ pub fn fuse_kind(op: &OpKind) -> Option<FuseKind> {
     match rdg_graph::analyze::fuse_class(op)? {
         rdg_graph::analyze::FuseClass::RowsShared => Some(FuseKind::RowsShared),
         rdg_graph::analyze::FuseClass::ColsShared => Some(FuseKind::ColsShared),
+        rdg_graph::analyze::FuseClass::SinkRows => Some(FuseKind::SinkRows),
     }
 }
 
@@ -101,8 +130,9 @@ pub struct GroupKey {
 /// `max_group`: the clamp bounds stacked-tensor size and keeps worst-case
 /// latency of a fused call close to scalar.
 ///
-/// This function is pure and shared with the deterministic serving twin, so
-/// live fusion decisions and twin replay agree by construction.
+/// This function is pure; the deterministic serving twin models a wave's
+/// groups with it, and the executor splits a group by runtime signature
+/// with it.
 pub fn plan_groups<K: Eq + Hash + Copy>(keys: &[Option<K>], max_group: usize) -> Vec<Vec<usize>> {
     let max_group = max_group.max(1);
     let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -235,6 +265,10 @@ mod tests {
         assert_eq!(fuse_kind(&OpKind::AddBias), Some(FuseKind::RowsShared));
         assert_eq!(fuse_kind(&OpKind::Bilinear), Some(FuseKind::RowsShared));
         assert_eq!(fuse_kind(&OpKind::MatMulAT), Some(FuseKind::ColsShared));
+        let sink = OpKind::GradSinkOuter {
+            param: rdg_graph::ParamId(0),
+        };
+        assert_eq!(fuse_kind(&sink), Some(FuseKind::SinkRows));
         assert_eq!(fuse_kind(&OpKind::Add), None);
         assert_eq!(fuse_kind(&OpKind::Tanh), None);
         assert_eq!(fuse_kind(&OpKind::Identity), None);

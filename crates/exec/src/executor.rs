@@ -25,11 +25,11 @@
 //! 5. The runtime is **multi-run**: [`Executor::submit`] starts a run
 //!    without blocking and returns a [`RunHandle`]; every run threads its
 //!    own [`RunContext`] (feeds, result slot, grad/cache handles, stats,
-//!    cancel state, fusion opt-in) through its frames, so any number of
-//!    root frames — a training minibatch, a stream of serving requests —
-//!    share one worker pool, and sibling parallelism extends across runs.
-//!    The pool itself holds no per-tenant switch: what differs between two
-//!    runs travels with their tasks.
+//!    cancel state) through its frames, so any number of root frames — a
+//!    training minibatch, a stream of serving requests — share one worker
+//!    pool, and sibling parallelism extends across runs. The pool itself
+//!    holds no per-tenant switch and no mode: every run's tasks go through
+//!    the same drain.
 //!
 //! # Hot-path design
 //!
@@ -50,7 +50,7 @@
 //!   many are left (see `spawn_frame`).
 //! * **Work-first continuations** — one rule for every edge: whenever a
 //!   node finishes (a kernel, a frame returning into its parent's
-//!   Invoke/Cond node, a member of a fused group), the first consumer it
+//!   Invoke/Cond node, a member of a stacked call), the first consumer it
 //!   made ready stays with the worker and only the surplus travels through
 //!   the shared queue (see `finish_node`); a spawning frame's ready nodes
 //!   are split the same way. A worker so runs depth-first inside its own subtree
@@ -61,19 +61,33 @@
 //!   Continuations run in the worker's loop, not on its call stack, so a
 //!   chain of any length is safe; because one can last a whole subtree,
 //!   claimed-but-unstarted tasks are handed back as soon as another worker
-//!   has nothing to do (`run_batch`, `run_batch_fused`).
+//!   has nothing to do (`drain`).
+//! * **One drain, with an agenda** — a task whose node the plan marks
+//!   *stackable* (batchable, and sharing a parameter of at least
+//!   `plan::STACK_MIN_BYTES`) does not run when a chain reaches it: the
+//!   worker sets it aside under its [`GroupKey`]. Once the worker has no
+//!   scalar work left, in its claim or in the queue, it runs its fullest
+//!   group, topped up with same-key tasks from the queue, as one stacked
+//!   kernel call, and feeds the
+//!   members' continuations back into the same loop. Nothing waits for a
+//!   group to fill, and the key does not name the run, so sibling frames
+//!   of one tree, the instances of a minibatch and concurrent requests all
+//!   group — DyNet's agenda autobatching, done at run time. Stacked calls
+//!   are bit-identical to the scalar calls they replace.
 //! * **Batched queue transfer** — the surplus of a fork is pushed (and
 //!   claimed) under one lock acquisition via [`ReadyQueue::push_batch`] /
 //!   [`ReadyQueue::pop_batch`]. The queue is the paper's one global FIFO;
-//!   it has no other policy.
+//!   the top-up of a group is the one out-of-order take.
 //! * **One task body** — every task is *claimed* (`claim`: the cancel
-//!   check, the input reads, the `ops_executed`/`fusable_seen` ticks), then
-//!   either spawns a child frame (`Invoke`, `Cond`) or runs its kernel and
-//!   publishes (`run_kernel`, `finish_node`). The fused path claims the
-//!   members of a group the same way and differs only in making one stacked
-//!   kernel call for them. A worker drains a claim with the scalar loop
-//!   (`run_batch`) or, while any run that opted into fusion is alive, with
-//!   the grouping loop (`run_batch_fused`).
+//!   check, the input reads, the op counts), then either spawns a child
+//!   frame (`Invoke`, `Cond`) or runs its kernel and publishes
+//!   (`run_kernel`, `finish_node`). A stacked call claims its members the
+//!   same way and differs only in making one kernel call for them.
+//! * **Thread-local counts** — a worker counts claimed ops, stackable ops
+//!   and continuations in a thread-local tally and adds it to the run's
+//!   stats when a chain ends and before the run's result is published, so
+//!   the counts cost no shared write per task and are exact once
+//!   [`RunHandle::wait`] returns.
 
 use crate::batch::{self, FuseKind, GroupKey};
 use crate::cache::{call_path, BackpropCache, CacheKey};
@@ -93,18 +107,11 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// How many tasks a worker drains from the ready queue per lock round-trip.
+/// How many tasks a worker claims from the ready queue per lock round-trip.
 /// Each claimed task heads a chain that can last a whole subtree, so the
 /// claim is only a private buffer while every other worker is busy: see
-/// [`run_batch`] for the hand-back rule that bounds hoarding.
+/// [`drain`] for the hand-back rule that bounds hoarding.
 const TASK_BATCH: usize = 8;
-
-/// Drain size while any run that opted into cross-request fusion is alive.
-/// Wider pops see more concurrent frames at once, which is what creates
-/// fusable groups: the serving dispatcher's wave starts N requests'
-/// identical graph nodes together, and their surplus reaches the queue in
-/// rough lockstep.
-const FUSED_TASK_BATCH: usize = 32;
 
 /// How many recycled frame cores each graph's plan may cache.
 const CORE_POOL_CAP: usize = 64;
@@ -291,19 +298,15 @@ impl Task {
 /// through that frame's tree: the module plan and parameters the run
 /// executes against, the optional gradient/cache handles (training runs;
 /// the cache's path table names the run's frames), the output slot
-/// (`done_tx`), the error/cancel flags, the fusion opt-in, and the run's own
-/// [`ExecStats`]. Because tasks carry an `Arc<RunContext>`, any number of
-/// root frames can be in flight on one worker pool without sharing any
-/// mutable per-run state.
+/// (`done_tx`), the error/cancel flags, and the run's own [`ExecStats`].
+/// Because tasks carry an `Arc<RunContext>`, any number of root frames can
+/// be in flight on one worker pool without sharing any mutable per-run
+/// state.
 pub struct RunContext {
     plan: Arc<ModulePlan>,
     params: Arc<ParamStore>,
     grads: Option<Arc<GradStore>>,
     cache: Option<Arc<BackpropCache>>,
-    /// `Some` iff the run opted into cross-request fusion: the executor's
-    /// count of live opted-in runs, which this run holds up until it drops.
-    /// Only tasks of such runs join fused groups (see [`group_key`]).
-    fusing: Option<Arc<AtomicUsize>>,
     finished: AtomicBool,
     cancelled: AtomicBool,
     done_tx: Sender<Result<Vec<Tensor>, ExecError>>,
@@ -338,7 +341,7 @@ impl RunContext {
             // chain the delivering worker is in the middle of too. A failed
             // run's straggler tasks may still increment afterwards; the
             // `Drop` fold below picks up that delta at frame teardown.
-            flush_chain(&self.run_stats);
+            flush_tally(&self.run_stats);
             *self.absorbed.lock() = Some(self.exec_stats.absorb(&self.run_stats));
             let _ = self.done_tx.send(result);
         }
@@ -360,9 +363,6 @@ impl Drop for RunContext {
     fn drop(&mut self) {
         let base = self.absorbed.get_mut().take().unwrap_or_default();
         self.exec_stats.absorb_since(&self.run_stats, &base);
-        if let Some(live) = &self.fusing {
-            live.fetch_sub(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -426,17 +426,11 @@ impl RunHandle {
 /// One executor serves any number of concurrent runs, sessions and serve
 /// loops, exactly like a framework runtime: tasks carry their run state
 /// with them, and the executor has no setting one tenant could flip under
-/// another. What it owns is the queue, the threads, the lifetime stats and
-/// one derived number — how many live runs opted into cross-request fusion
-/// — which only tells workers whether a wide, grouping drain can pay.
+/// another. What it owns is the queue, the threads and the lifetime stats.
 pub struct Executor {
     pub(crate) queue: Arc<ReadyQueue<Task>>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<ExecStats>,
-    /// Live runs started with `fuse` (see [`RunContext::fusing`]). A count
-    /// publishes nothing else, so every access is `Relaxed`: a worker that
-    /// reads it late drains one more batch the scalar way.
-    fusing_runs: Arc<AtomicUsize>,
     n_threads: usize,
 }
 
@@ -452,34 +446,16 @@ impl Executor {
     pub(crate) fn with_pool(n_threads: usize) -> Arc<Self> {
         let queue = Arc::new(ReadyQueue::default());
         let stats = Arc::new(ExecStats::new());
-        let fusing_runs = Arc::new(AtomicUsize::new(0));
         let workers = (0..n_threads)
             .map(|i| {
                 let q = Arc::clone(&queue);
-                let fusing_runs = Arc::clone(&fusing_runs);
                 std::thread::Builder::new()
                     .name(format!("rdg-worker-{i}"))
                     .spawn(move || {
                         crate::params::bind_worker_shard(i);
-                        let mut batch: Vec<Task> = Vec::with_capacity(FUSED_TASK_BATCH);
-                        let fusing = || fusing_runs.load(Ordering::Relaxed) != 0;
-                        loop {
-                            let take = if fusing() {
-                                FUSED_TASK_BATCH
-                            } else {
-                                TASK_BATCH
-                            };
-                            if !q.pop_batch(&mut batch, take) {
-                                break;
-                            }
-                            // Read again: a worker parks in `pop_batch`
-                            // between waves, and the run that wakes it
-                            // opted in before its first task was queued.
-                            if fusing() {
-                                run_batch_fused(&q, &mut batch);
-                            } else {
-                                run_batch(&q, &mut batch);
-                            }
+                        let mut batch: Vec<Task> = Vec::with_capacity(TASK_BATCH);
+                        while q.pop_batch(&mut batch, TASK_BATCH) {
+                            drain(&q, &mut batch);
                         }
                     })
                     .expect("spawn worker thread")
@@ -489,7 +465,6 @@ impl Executor {
             queue,
             workers,
             stats,
-            fusing_runs,
             n_threads,
         })
     }
@@ -519,30 +494,16 @@ impl Executor {
         self.submit(plan, params, feeds, grads, cache)?.wait()
     }
 
-    /// Submits an inference run that opts into cross-request batch fusion:
-    /// its batchable kernels may be stacked with those of other opted-in
-    /// runs of the same plan into one kernel call (see [`crate::batch`]),
-    /// bit-for-bit equal to the scalar calls it replaces. This is how the
-    /// serving dispatcher starts every request; a run submitted any other
-    /// way never joins a group, whatever else the pool is serving.
-    pub fn submit_fused(
-        self: &Arc<Self>,
-        plan: &Arc<ModulePlan>,
-        params: &Arc<ParamStore>,
-        feeds: Vec<Tensor>,
-    ) -> Result<RunHandle, ExecError> {
-        let (handle, root) = self.start(plan, params, feeds, None, None, true)?;
-        self.queue.push_batch(root);
-        Ok(handle)
-    }
-
     /// Submits a run without blocking and returns its [`RunHandle`].
     ///
     /// Any number of runs may be in flight concurrently on one executor;
     /// their root frames all feed the same worker pool, so sibling
     /// parallelism extends across runs exactly as it does across the
-    /// recursive calls inside one run. Feed validation happens here, so a
-    /// malformed request fails fast without touching the queue.
+    /// recursive calls inside one run, and so does stacking: a stackable
+    /// node's tasks group with those of any run of the same plan (see
+    /// [`crate::batch`]), bit-for-bit equal to the scalar calls they
+    /// replace. Feed validation happens here, so a malformed request fails
+    /// fast without touching the queue.
     pub fn submit(
         self: &Arc<Self>,
         plan: &Arc<ModulePlan>,
@@ -551,7 +512,7 @@ impl Executor {
         grads: Option<Arc<GradStore>>,
         cache: Option<Arc<BackpropCache>>,
     ) -> Result<RunHandle, ExecError> {
-        let (handle, root) = self.start(plan, params, feeds, grads, cache, false)?;
+        let (handle, root) = self.start(plan, params, feeds, grads, cache)?;
         self.queue.push_batch(root);
         Ok(handle)
     }
@@ -565,7 +526,6 @@ impl Executor {
         feeds: Vec<Tensor>,
         grads: Option<Arc<GradStore>>,
         cache: Option<Arc<BackpropCache>>,
-        fuse: bool,
     ) -> Result<(RunHandle, Option<Task>), ExecError> {
         let main = &plan.module.main;
         if feeds.len() != main.input_nodes.len() {
@@ -586,16 +546,11 @@ impl Executor {
             }
         }
         let (done_tx, done_rx) = bounded(1);
-        let fusing = fuse.then(|| {
-            self.fusing_runs.fetch_add(1, Ordering::Relaxed);
-            Arc::clone(&self.fusing_runs)
-        });
         let run = Arc::new(RunContext {
             plan: Arc::clone(plan),
             params: Arc::clone(params),
             grads,
             cache,
-            fusing,
             finished: AtomicBool::new(false),
             cancelled: AtomicBool::new(false),
             done_tx,
@@ -785,8 +740,8 @@ fn call(
 ///
 /// Every task runs the same sequence: [`claim`], then a call site spawns
 /// its child frame (`Invoke`, or the branch a `Cond` picks) and any other
-/// node runs [`run_kernel`]. The fused path ([`execute_group`]) is the same
-/// two steps with one stacked kernel call in between.
+/// node runs [`run_kernel`]. A stacked call ([`execute_group`]) is the
+/// same two steps with one kernel call for all its members in between.
 pub(crate) fn execute_task(task: Task) -> Option<Task> {
     let mut inputs = claim(&task)?;
     let frame = &task.frame;
@@ -822,10 +777,10 @@ pub(crate) fn execute_task(task: Task) -> Option<Task> {
 
 /// Takes a task's inputs, or drops the task: `None` if its run is cancelled
 /// (counted in `cancelled_tasks`) or a read fails (which fails the run).
-/// A claimed task counts as executed, and as fusion-eligible when the plan's
-/// `fuse` metadata says its node is batchable — ticked whether or not a
-/// partner turns up, so the fused fraction compares like against like in
-/// scalar A/B runs.
+/// A claimed task counts as executed, and as stackable when the plan marks
+/// its node so — ticked whether or not a partner turns up, so the fused
+/// fraction compares like against like. Both counts go to the thread's
+/// tally (see [`flush_tally`]).
 fn claim(task: &Task) -> Option<Vec<Tensor>> {
     let Task { frame, node } = task;
     // Read through the frame: a per-op clone of the run's `Arc` would put a
@@ -851,9 +806,13 @@ fn claim(task: &Task) -> Option<Vec<Tensor>> {
             }
         }
     }
-    run.run_stats.ops_executed.fetch_add(1, Ordering::Relaxed);
-    if run.plan.plan(frame.gref).fuse[node.0 as usize].is_some() {
-        run.run_stats.fusable_seen.fetch_add(1, Ordering::Relaxed);
+    let stackable = run.plan.plan(frame.gref).stackable[node.0 as usize];
+    let counted = tally(|t| {
+        t.ops += 1;
+        t.stackable += u64::from(stackable);
+    });
+    if counted.ops == LIVE_EVERY {
+        flush_tally(&run.run_stats);
     }
     #[cfg(test)]
     run.trace
@@ -910,14 +869,14 @@ fn timed_kernel<R>(run: &RunContext, op: &OpKind, call: impl FnOnce() -> R) -> R
     out
 }
 
-/// The static fusion identity of one ready task: `Some` iff its run opted
-/// into fusion and its node is batchable per the plan's precomputed `fuse`
-/// metadata. Same key ⇒ same compiled plan object, graph, and node — hence
-/// same op and param wiring.
-fn group_key(t: &Task) -> Option<GroupKey> {
-    t.frame.run.fusing.as_ref()?;
+/// The group a ready task waits in: `Some` iff the plan marks its node
+/// stackable. Same key ⇒ same compiled plan object, graph, and node — hence
+/// same op and param wiring, whichever run the task belongs to.
+fn stack_key(t: &Task) -> Option<GroupKey> {
     let plan = &t.frame.run.plan;
-    plan.plan(t.frame.gref).fuse[t.node.0 as usize]?;
+    if !plan.plan(t.frame.gref).stackable[t.node.0 as usize] {
+        return None;
+    }
     Some(GroupKey {
         plan: Arc::as_ptr(plan) as usize,
         gref: t.frame.gref,
@@ -925,99 +884,188 @@ fn group_key(t: &Task) -> Option<GroupKey> {
     })
 }
 
-thread_local! {
-    /// Length of the continuation chain this thread is running that is not
-    /// yet added to its run's `continuations`. A chain never leaves its run
-    /// (consumers live in the producer's frame or its parent's), so one
-    /// number per thread is enough.
-    static CHAIN: Cell<u64> = const { Cell::new(0) };
+/// Counts a worker adds up for one run before it publishes them.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    /// Tasks claimed (`ops_executed`).
+    ops: u64,
+    /// Of those, tasks whose node is stackable (`fusable_seen`).
+    stackable: u64,
+    /// Tasks handed straight to the worker by the task before them.
+    continuations: u64,
 }
 
-/// Adds the calling thread's unflushed chain length to `stats`: when the
-/// chain ends, and before a run's result is published so the count is
-/// exact once `RunHandle::wait` returns.
-fn flush_chain(stats: &ExecStats) {
-    let n = CHAIN.replace(0);
-    if n != 0 {
-        stats.continuations.fetch_add(n, Ordering::Relaxed);
+thread_local! {
+    /// What this thread has counted and not yet added to the stats of the
+    /// run it is working for. A chain never leaves its run (consumers live
+    /// in the producer's frame or its parent's), and the members of a
+    /// stacked call are flushed one by one, so one tally per thread is
+    /// enough.
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally {
+            ops: 0,
+            stackable: 0,
+            continuations: 0,
+        })
+    };
+}
+
+/// Most ops a tally holds before it is flushed mid-chain, so a run's
+/// counters stay live while a long chain runs (a caller polling
+/// `ops_executed` sees it move), at one shared add per this many ops.
+const LIVE_EVERY: u64 = 64;
+
+/// Updates the calling thread's tally; returns it as updated.
+fn tally(count: impl FnOnce(&mut Tally)) -> Tally {
+    let mut t = TALLY.get();
+    count(&mut t);
+    TALLY.set(t);
+    t
+}
+
+/// Adds the calling thread's tally to `stats` and clears it: when a chain
+/// ends, after each member of a stacked call is claimed, every
+/// [`LIVE_EVERY`] ops, and before a run's result is published, so the
+/// counts are exact once `RunHandle::wait` returns.
+fn flush_tally(stats: &ExecStats) {
+    let t = TALLY.take();
+    for (n, counter) in [
+        (t.ops, &stats.ops_executed),
+        (t.stackable, &stats.fusable_seen),
+        (t.continuations, &stats.continuations),
+    ] {
+        if n != 0 {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
     }
 }
 
-/// Scalar drain of one popped batch: each claimed task heads a chain of
-/// continuations that the worker follows until no consumer is ready.
+/// A worker's set-aside stackable tasks: one group per key, in the order
+/// the keys first arrived.
+#[derive(Default)]
+struct Agenda(Vec<(GroupKey, Vec<Task>)>);
+
+impl Agenda {
+    fn park(&mut self, key: GroupKey, task: Task) {
+        match self.0.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, group)) => group.push(task),
+            None => self.0.push((key, vec![task])),
+        }
+    }
+
+    /// Takes the fullest group (the earliest of equals), at most
+    /// [`batch::MAX_GROUP`] of its members; the rest stay parked.
+    fn take_fullest(&mut self) -> Option<(GroupKey, Vec<Task>)> {
+        let (i, _) = (self.0.iter().enumerate()).fold(None, |best, (i, (_, g))| match best {
+            Some((_, len)) if len >= g.len() => best,
+            _ => Some((i, g.len())),
+        })?;
+        let (key, group) = &mut self.0[i];
+        if group.len() > batch::MAX_GROUP {
+            let rest = group.split_off(batch::MAX_GROUP);
+            return Some((*key, std::mem::replace(group, rest)));
+        }
+        Some(self.0.remove(i))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// How many tasks the fullest group holds (0 if none is parked).
+    fn fullest(&self) -> usize {
+        self.0.iter().map(|(_, g)| g.len()).max().unwrap_or(0)
+    }
+
+    /// Every parked task, group by group.
+    fn take_all(&mut self) -> impl Iterator<Item = Task> + '_ {
+        self.0.drain(..).flat_map(|(_, group)| group)
+    }
+}
+
+/// The one drain every run's tasks go through: a claimed batch, the chains
+/// its tasks lead to, and the stacked calls the stackable tasks among them
+/// wait for.
+///
+/// Scalar work comes first. Each claimed task heads a chain of
+/// continuations that the worker follows until no consumer is ready or the
+/// next one is stackable, which is parked on the worker's [`Agenda`]. When
+/// the claim is done and no parked group is full yet, the worker claims
+/// more from the queue without waiting ([`ReadyQueue::try_pop_batch`]):
+/// those chains may bring a group more members. Once no scalar work is left
+/// — or a group is full — the fullest group, topped up with same-key tasks
+/// from the queue, runs as one stacked call ([`execute_group`]), and each
+/// member's continuation heads a chain again. The drain returns when both
+/// the batch and the agenda are empty. Nothing waits for a group to fill: a
+/// group runs with whatever members have arrived when its turn comes.
 ///
 /// **Hoarding bound.** A chain lasts as long as the subtree under its head,
-/// so the rest of the claim must not wait it out in this private buffer
-/// while another worker is parked: before every continuation the worker
-/// checks [`ReadyQueue::has_idle`] and hands the unstarted claim back. A
-/// claimed task therefore waits behind at most one operation once any
-/// worker has nothing to do, whatever the chain length; while every worker
-/// is busy the buffer costs nothing, because nobody could run it sooner.
-fn run_batch(q: &ReadyQueue<Task>, batch: &mut Vec<Task>) {
+/// so the rest of the claim and the agenda must not wait it out in private
+/// buffers while another worker is parked: before every continuation the
+/// worker checks [`ReadyQueue::has_idle`] and hands both back, the agenda's
+/// groups whole, so the other worker tops up the group it takes to its
+/// full size. A claimed or parked task therefore waits behind at most one
+/// operation once any worker has nothing to do, whatever the chain length;
+/// while every worker is busy the buffers cost nothing, because nobody
+/// could run them sooner.
+fn drain(q: &ReadyQueue<Task>, batch: &mut Vec<Task>) {
+    let mut agenda = Agenda::default();
     // Pop from the back = FIFO order within the batch.
     batch.reverse();
-    while let Some(task) = batch.pop() {
-        let run = Arc::clone(&task.frame.run);
-        let mut next = execute_task(task);
-        while let Some(t) = next {
-            if !batch.is_empty() && q.has_idle() {
-                q.push_batch(batch.drain(..).rev());
-            }
-            CHAIN.set(CHAIN.get() + 1);
-            next = execute_task(t);
+    loop {
+        while let Some(task) = batch.pop() {
+            run_chain(q, task, false, batch, &mut agenda);
         }
-        flush_chain(&run.run_stats);
+        // Queued scalar work still comes before a group that is not full:
+        // its chains may bring the group more members.
+        if (1..batch::MAX_GROUP).contains(&agenda.fullest()) && q.try_pop_batch(batch, TASK_BATCH) {
+            batch.reverse();
+            continue;
+        }
+        let Some((key, mut group)) = agenda.take_fullest() else {
+            return;
+        };
+        // Same plan, graph and node ⇒ stackable too. The node id is the
+        // task's own field, so most queued tasks are passed over without
+        // reading their frame.
+        q.take_matching(&mut group, batch::MAX_GROUP, |t| {
+            t.node == key.node
+                && t.frame.gref == key.gref
+                && Arc::as_ptr(&t.frame.run.plan) as usize == key.plan
+        });
+        for task in execute_group(group) {
+            run_chain(q, task, true, batch, &mut agenda);
+        }
     }
 }
 
-/// Fused drain of one popped batch: the worker's group-execute entry point.
-///
-/// Rounds: group the claimed tasks with [`batch::plan_groups`] (at most
-/// [`batch::MAX_GROUP`] members each), execute singletons — every task of a
-/// run that did not opt in is one — through the unchanged scalar path and
-/// groups through one stacked kernel call each, then feed all continuations
-/// into the next round — so the members of one fused group arrive at their
-/// consumers together and regroup. Every claimed task executes within its
-/// round; nothing is parked.
-///
-/// **Hoarding bound.** The rounds go on until every chain under the claim
-/// has ended, so the equivalent of [`run_batch`]'s rule is applied between
-/// rounds: while another worker is parked, the back half of the next round
-/// is handed to it through the queue.
-fn run_batch_fused(q: &ReadyQueue<Task>, batch: &mut Vec<Task>) {
-    let mut round: Vec<Task> = batch.drain(..).collect();
-    let mut pending: Vec<Task> = Vec::new();
-    while !round.is_empty() {
-        let keys: Vec<Option<GroupKey>> = round.iter().map(group_key).collect();
-        let groups = batch::plan_groups(&keys, batch::MAX_GROUP);
-        let mut slots: Vec<Option<Task>> = round.drain(..).map(Some).collect();
-        for g in groups {
-            if g.len() == 1 {
-                let t = slots[g[0]].take().expect("group indices are disjoint");
-                pending.extend(execute_task(t));
-            } else {
-                let members: Vec<Task> = g
-                    .iter()
-                    .map(|&i| slots[i].take().expect("group indices are disjoint"))
-                    .collect();
-                execute_group(members, &mut pending);
+/// Runs `task` and the continuations it leads to, work-first, until none is
+/// ready or the next is stackable (then it is parked on `agenda`). `cont`
+/// says whether `task` itself was handed over by the task before it.
+fn run_chain(
+    q: &ReadyQueue<Task>,
+    task: Task,
+    mut cont: bool,
+    batch: &mut Vec<Task>,
+    agenda: &mut Agenda,
+) {
+    let run = Arc::clone(&task.frame.run);
+    let mut next = Some(task);
+    while let Some(t) = next {
+        if cont {
+            if q.has_idle() && !(batch.is_empty() && agenda.is_empty()) {
+                q.push_batch(batch.drain(..).rev().chain(agenda.take_all()));
             }
+            tally(|c| c.continuations += 1);
         }
-        if pending.len() > 1 && q.has_idle() {
-            let keep = pending.len().div_ceil(2);
-            q.push_batch(pending.drain(keep..));
+        if let Some(key) = stack_key(&t) {
+            agenda.park(key, t);
+            break;
         }
-        // What is left runs next, as continuations. Counted before it runs
-        // (a run cannot complete while one is outstanding), one add per
-        // stretch of same-run tasks.
-        for g in pending.chunk_by(|a, b| Arc::ptr_eq(&a.frame.run, &b.frame.run)) {
-            let stats = &g[0].frame.run.run_stats;
-            stats
-                .continuations
-                .fetch_add(g.len() as u64, Ordering::Relaxed);
-        }
-        std::mem::swap(&mut round, &mut pending);
+        next = execute_task(t);
+        cont = true;
     }
+    flush_tally(&run.run_stats);
 }
 
 /// A claimed task whose inputs have already been fetched.
@@ -1027,16 +1075,14 @@ struct Fetched {
 }
 
 /// Runtime fusion signature, checked after fetch: members may share one
-/// stacked kernel call only when their shared operand is the *same buffer*
-/// with the same view (parameter reads from one store clone the `Arc`, so
-/// this is a pointer compare) and their stacked operands agree on the
-/// non-stacked dimension.
+/// stacked kernel call only when what they share is the *same buffer* —
+/// the shared operand with the same view (parameter reads from one store
+/// clone the `Arc`, so this is a pointer compare), or a sink's gradient
+/// store — and their stacked operands agree on the non-stacked dimensions.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct Sig {
     shared_ptr: usize,
-    shared_rank: usize,
-    shared_dims: [usize; 3],
-    lane: usize,
+    dims: [usize; 4],
 }
 
 fn buf_ptr(t: &Tensor) -> usize {
@@ -1046,38 +1092,49 @@ fn buf_ptr(t: &Tensor) -> usize {
     }
 }
 
-fn sig_of(kind: FuseKind, stacked: &Tensor, shared: &Tensor) -> Option<Sig> {
-    if !matches!(stacked.buffer(), rdg_tensor::Buffer::F32(_)) {
-        return None;
-    }
-    let (r, c) = stacked.shape().as_matrix()?;
-    let lane = match kind {
-        FuseKind::RowsShared => c,
-        FuseKind::ColsShared => r,
+fn f32_matrix(t: &Tensor) -> Option<(usize, usize)> {
+    matches!(t.buffer(), rdg_tensor::Buffer::F32(_))
+        .then(|| t.shape().as_matrix())
+        .flatten()
+}
+
+fn sig_of(kind: FuseKind, m: &Fetched) -> Option<Sig> {
+    let stacked = f32_matrix(&m.inputs[kind.stacked()])?;
+    let Some(shared) = kind.shared().map(|i| &m.inputs[i]) else {
+        // A sink: `a` and `dy` stack by rows, one row of each per term, into
+        // the run's gradient store.
+        let grads = m.task.frame.run.grads.as_ref()?;
+        let dy = f32_matrix(&m.inputs[1])?;
+        return (stacked.0 == dy.0).then_some(Sig {
+            shared_ptr: Arc::as_ptr(grads) as usize,
+            dims: [stacked.1, dy.1, 0, 0],
+        });
     };
-    let dims = shared.shape().dims();
-    if dims.len() > 3 {
-        return None;
-    }
-    let mut shared_dims = [usize::MAX; 3];
-    shared_dims[..dims.len()].copy_from_slice(dims);
+    let lane = match kind {
+        FuseKind::ColsShared => stacked.0,
+        _ => stacked.1,
+    };
+    let mut dims = [lane, usize::MAX, usize::MAX, usize::MAX];
+    let shape = shared.shape().dims();
+    dims.get_mut(1..=shape.len())?.copy_from_slice(shape);
     Some(Sig {
         shared_ptr: buf_ptr(shared),
-        shared_rank: dims.len(),
-        shared_dims,
-        lane,
+        dims,
     })
 }
 
-/// Executes a same-node group of tasks, fusing as many members as the
-/// runtime signatures allow into single stacked kernel calls.
+/// Executes a same-key group of tasks, stacking as many members as the
+/// runtime signatures allow into single kernel calls; returns the members'
+/// continuations in member order.
 ///
 /// All members share `(plan, gref, node)`, so op and graph metadata come
-/// from the first member. Per-request semantics are fully preserved:
+/// from the first member. Per-run semantics are fully preserved:
 /// cancellation and fetch errors are handled per member before stacking,
-/// and a fused kernel error falls back to per-member scalar execution so a
-/// failing instance fails only its own run.
-fn execute_group(members: Vec<Task>, pending: &mut Vec<Task>) {
+/// each member's counts go to its own run, and a stacked kernel error falls
+/// back to per-member scalar execution so a failing instance fails only its
+/// own run.
+fn execute_group(members: Vec<Task>) -> Vec<Task> {
+    let mut conts = Vec::with_capacity(members.len());
     let (op, kind) = {
         let (f0, node) = (&members[0].frame, members[0].node);
         let kind = f0.run.plan.plan(f0.gref).fuse[node.0 as usize]
@@ -1087,102 +1144,90 @@ fn execute_group(members: Vec<Task>, pending: &mut Vec<Task>) {
             kind,
         )
     };
-    let (stack_idx, shared_idx) = kind.operands();
-
     let fetched: Vec<Fetched> = members
         .into_iter()
         .filter_map(|task| {
-            let inputs = claim(&task)?;
-            Some(Fetched { task, inputs })
+            let inputs = claim(&task);
+            flush_tally(&task.frame.run.run_stats);
+            Some(Fetched {
+                inputs: inputs?,
+                task,
+            })
         })
         .collect();
-    if fetched.is_empty() {
-        return;
-    }
-
-    let sigs: Vec<Option<Sig>> = fetched
-        .iter()
-        .map(|m| sig_of(kind, &m.inputs[stack_idx], &m.inputs[shared_idx]))
-        .collect();
-    let subgroups = batch::plan_groups(&sigs, usize::MAX);
+    let sigs: Vec<Option<Sig>> = fetched.iter().map(|m| sig_of(kind, m)).collect();
     let mut slots: Vec<Option<Fetched>> = fetched.into_iter().map(Some).collect();
-    for sub in subgroups {
-        if sub.len() == 1 {
-            let m = slots[sub[0]].take().expect("subgroup indices are disjoint");
-            pending.extend(run_kernel(m.task, m.inputs));
-            continue;
-        }
-        let group: Vec<Fetched> = sub
-            .iter()
+    for sub in batch::plan_groups(&sigs, usize::MAX) {
+        let mut group: Vec<Fetched> = (sub.iter())
             .map(|&i| slots[i].take().expect("subgroup indices are disjoint"))
             .collect();
-        execute_fused_subgroup(&op, kind, group, stack_idx, shared_idx, pending);
+        if group.len() == 1 {
+            let m = group.pop().expect("one member");
+            conts.extend(run_kernel(m.task, m.inputs));
+        } else {
+            execute_stacked(&op, kind, group, &mut conts);
+        }
     }
+    conts
 }
 
 /// One stacked kernel call over ≥2 signature-matched members, plus the
 /// scatter back into each member's frame slot.
-fn execute_fused_subgroup(
-    op: &OpKind,
-    kind: FuseKind,
-    group: Vec<Fetched>,
-    stack_idx: usize,
-    shared_idx: usize,
-    pending: &mut Vec<Task>,
-) {
-    let parts: Vec<&Tensor> = group.iter().map(|m| &m.inputs[stack_idx]).collect();
+fn execute_stacked(op: &OpKind, kind: FuseKind, group: Vec<Fetched>, conts: &mut Vec<Task>) {
+    let parts = |i: usize| group.iter().map(|m| &m.inputs[i]).collect::<Vec<_>>();
+    let run = &group[0].task.frame.run;
     let fused = match kind {
-        FuseKind::RowsShared => batch::stack_rows(&parts),
-        FuseKind::ColsShared => batch::stack_cols(&parts),
-    }
-    .and_then(|(stacked, sizes)| {
-        let (run, shared) = (&group[0].task.frame.run, &group[0].inputs[shared_idx]);
-        let out = timed_kernel(run, op, || kernel::execute_stacked(op, &stacked, shared))?;
-        match kind {
-            FuseKind::RowsShared => batch::split_rows(&out, &sizes),
-            FuseKind::ColsShared => batch::split_cols(&out, &sizes),
-        }
-    });
-    match fused {
-        Ok(outs) => {
-            debug_assert_eq!(outs.len(), group.len());
-            group[0]
-                .task
-                .frame
-                .run
-                .run_stats
-                .fused_groups
-                .fetch_add(1, Ordering::Relaxed);
-            for (m, mut out) in group.into_iter().zip(outs) {
-                // AddBias preserves its input's shape; a rank-1 member came
-                // back as `[1, n]`, so restore the original view (the buffer
-                // is untouched — reshape is metadata only).
-                if matches!(op, OpKind::AddBias) && out.shape() != m.inputs[0].shape() {
-                    match out.reshape(m.inputs[0].shape().clone()) {
-                        Ok(t) => out = t,
-                        Err(_) => {
-                            pending.extend(run_kernel(m.task, m.inputs));
-                            continue;
-                        }
-                    }
-                }
-                let Task { frame, node } = m.task;
-                frame
-                    .run
-                    .run_stats
-                    .fused_tasks
-                    .fetch_add(1, Ordering::Relaxed);
-                pending.extend(finish_node(frame, node, Outs::One(Some(out))));
-            }
-        }
+        FuseKind::RowsShared => batch::stack_rows(&parts(0)).and_then(|(stacked, sizes)| {
+            let shared = &group[0].inputs[1];
+            let out = timed_kernel(run, op, || kernel::execute_stacked(op, &stacked, shared))?;
+            batch::split_rows(&out, &sizes)
+        }),
+        FuseKind::ColsShared => batch::stack_cols(&parts(1)).and_then(|(stacked, sizes)| {
+            let shared = &group[0].inputs[0];
+            let out = timed_kernel(run, op, || kernel::execute_stacked(op, &stacked, shared))?;
+            batch::split_cols(&out, &sizes)
+        }),
+        FuseKind::SinkRows => batch::stack_rows(&parts(0)).and_then(|(a, _)| {
+            let (dy, _) = batch::stack_rows(&parts(1))?;
+            let grads = run
+                .grads
+                .as_deref()
+                .expect("a sink's signature names its store");
+            timed_kernel(run, op, || kernel::execute_stacked_sink(op, &a, &dy, grads))?;
+            Ok(vec![Tensor::scalar_f32(0.0); group.len()])
+        }),
+    };
+    let outs = match fused {
+        Ok(outs) => outs,
         Err(_) => {
             // Error isolation: a fused failure must not smear across runs.
             // Re-run every member scalar with its own (already fetched)
             // inputs so only genuinely failing instances fail their runs.
             for m in group {
-                pending.extend(run_kernel(m.task, m.inputs));
+                conts.extend(run_kernel(m.task, m.inputs));
+            }
+            return;
+        }
+    };
+    debug_assert_eq!(outs.len(), group.len());
+    run.run_stats.fused_groups.fetch_add(1, Ordering::Relaxed);
+    for (m, mut out) in group.into_iter().zip(outs) {
+        // AddBias preserves its input's shape; a rank-1 member came back as
+        // `[1, n]`, so restore the original view (the buffer is untouched —
+        // reshape is metadata only).
+        if matches!(op, OpKind::AddBias) && out.shape() != m.inputs[0].shape() {
+            match out.reshape(m.inputs[0].shape().clone()) {
+                Ok(t) => out = t,
+                Err(_) => {
+                    conts.extend(run_kernel(m.task, m.inputs));
+                    continue;
+                }
             }
         }
+        let Task { frame, node } = m.task;
+        let stats = &frame.run.run_stats;
+        stats.fused_tasks.fetch_add(1, Ordering::Relaxed);
+        conts.extend(finish_node(frame, node, Outs::One(Some(out))));
     }
 }
 

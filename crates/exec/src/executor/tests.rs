@@ -3,7 +3,7 @@
 //!
 //! Interleavings are forced, not slept for: where a test needs to know which
 //! thread ran what, the test thread acts as one worker by calling
-//! [`run_batch`] / [`run_batch_fused`] / [`execute_task`] itself on tasks
+//! [`drain`] / [`execute_task`] itself on tasks
 //! from [`Executor::start`], beside an executor whose single real worker is
 //! known to be parked. The per-run `trace` (test builds only) records the
 //! executing thread of every dispatched op.
@@ -88,9 +88,7 @@ fn executor_with_parked_worker() -> Arc<Executor> {
 
 fn start(exec: &Arc<Executor>, m: Module, feeds: Vec<Tensor>) -> (RunHandle, Task) {
     let (plan, params) = planned(m);
-    let (h, root) = exec
-        .start(&plan, &params, feeds, None, None, false)
-        .unwrap();
+    let (h, root) = exec.start(&plan, &params, feeds, None, None).unwrap();
     (h, root.expect("the prelude leaves one op runnable"))
 }
 
@@ -170,7 +168,7 @@ fn sibling_subtrees_reach_the_other_worker() {
     // surplus path end to end, and the trace shows both threads.
     let exec = executor_with_parked_worker();
     let (h, root) = start(&exec, tree(5), vec![]);
-    run_batch(&exec.queue, &mut vec![root]);
+    drain(&exec.queue, &mut vec![root]);
     let me = std::thread::current().id();
     let (got, ran) = finish(h);
     // The root chain is at least main Invoke, igt, Cond and one op of the
@@ -196,7 +194,7 @@ fn scalar_loop_hands_its_claim_back_to_a_parked_worker() {
     let (short, short_root) = start(&exec, chain(10), vec![Tensor::scalar_f32(0.0)]);
     // One claim of two tasks: the long chain's head runs first.
     let mut batch = vec![long_root, short_root];
-    run_batch(&exec.queue, &mut batch);
+    drain(&exec.queue, &mut batch);
     assert!(batch.is_empty());
     let me = std::thread::current().id();
     let (long, ran_long) = finish(long);
@@ -210,29 +208,62 @@ fn scalar_loop_hands_its_claim_back_to_a_parked_worker() {
     assert_eq!(scalar(long), 20_000.0);
 }
 
+/// `tanh(x · W)` with a `[128, 128]` weight: 64 KiB, so the `MatMul` at the
+/// head of every run is stackable.
+fn stackable_head() -> Module {
+    let mut mb = ModuleBuilder::new();
+    let x = mb.main_input(DType::F32);
+    let w = mb.param(
+        "w",
+        Tensor::from_f32(vec![128, 128], vec![0.5; 128 * 128]).unwrap(),
+    );
+    let w = mb.param_read(w).unwrap();
+    let y = mb.matmul(x, w).unwrap();
+    let y = mb.tanh(y).unwrap();
+    mb.set_outputs(&[y]).unwrap();
+    mb.finish().unwrap()
+}
+
+fn row(v: f32) -> Vec<Tensor> {
+    let x = (0..128).map(|i| v + i as f32 / 128.0).collect();
+    vec![Tensor::from_f32(vec![1, 128], x).unwrap()]
+}
+
 #[test]
-fn fused_drain_shares_its_round_with_a_parked_worker() {
+fn drain_hands_a_whole_group_to_a_parked_worker() {
     let exec = executor_with_parked_worker();
-    let (a, a_root) = start(&exec, chain(2_000), vec![Tensor::scalar_f32(0.0)]);
-    let (b, b_root) = start(&exec, chain(2_000), vec![Tensor::scalar_f32(1.0)]);
-    let mut batch = vec![a_root, b_root];
-    run_batch_fused(&exec.queue, &mut batch);
+    let (plan, params) = planned(stackable_head());
+    assert!(plan.plan(GraphRef::Main).stackable.iter().any(|&s| s));
+    let (grouped, mut batch): (Vec<RunHandle>, Vec<Task>) = [0.25, 0.5, 0.75]
+        .into_iter()
+        .map(|v| {
+            let (h, root) = exec.start(&plan, &params, row(v), None, None).unwrap();
+            (h, root.expect("the MatMul is ready at spawn"))
+        })
+        .unzip();
+    let (long, long_root) = start(&exec, chain(2_000), vec![Tensor::scalar_f32(0.0)]);
+    // One claim: three stackable heads, parked on this thread's agenda as
+    // one group, then the long chain.
+    batch.push(long_root);
+    drain(&exec.queue, &mut batch);
     let me = std::thread::current().id();
-    let (sa, sb) = (Arc::clone(a.stats()), Arc::clone(b.stats()));
-    let ((a, ran_a), (b, ran_b)) = (finish(a), finish(b));
-    // Both claimed heads run in the first round, here. Without the bound the
-    // two chains would go on interleaving on this thread, round after round,
-    // while the other worker stays parked; with it the second chain's
-    // continuation is handed over before the second round.
-    assert!(ran_a.iter().all(|&t| t == me));
-    assert_eq!(ran_b.iter().filter(|&&t| t == me).count(), 1);
-    assert_eq!(scalar(a), 2_000.0);
-    assert_eq!(scalar(b), 2_001.0);
-    // Rounds count their continuations exactly, per run: every op of `a`
-    // but its head; of `b` neither the head nor the op that changed hands
-    // through the queue.
-    assert_eq!(sa.snapshot().continuations, 1_999);
-    assert_eq!(sb.snapshot().continuations, 1_998);
+    let stats: Vec<_> = grouped.iter().map(|h| Arc::clone(h.stats())).collect();
+    let outs: Vec<_> = grouped.into_iter().map(finish).collect();
+    let (long, ran_long) = finish(long);
+    assert_eq!(scalar(long), 2_000.0);
+    assert!(ran_long.iter().all(|&t| t == me));
+    // The group did not wait out 2 000 ops on this agenda: it was handed
+    // back, whole, before the chain's first continuation. The parked worker
+    // claimed part of it and topped the rest up from the queue, so all
+    // three ran there, as one stacked call.
+    for (out, ran) in &outs {
+        assert!(out.is_ok());
+        assert!(ran.iter().all(|&t| t != me));
+    }
+    let snaps: Vec<_> = stats.iter().map(|s| s.snapshot()).collect();
+    let groups: u64 = snaps.iter().map(|s| s.fused_groups).sum();
+    let members: u64 = snaps.iter().map(|s| s.fused_tasks).sum();
+    assert_eq!((groups, members), (1, 3));
 }
 
 #[test]
@@ -308,22 +339,14 @@ fn inference_builds_no_paths_and_training_one_node_per_frame() {
     let exec = Executor::with_threads(2);
     let (plan, params) = planned(tree(5));
     // Every inference entry point (`Session::run`, `run_many`, `submit_run`,
-    // the serve dispatcher) starts its runs like this, scalar or fused: no
-    // cache, so no table, and every frame of the 63-call recursion sits at
-    // the root path.
-    for fuse in [false, true] {
-        let run = if fuse {
-            exec.submit_fused(&plan, &params, vec![])
-        } else {
-            exec.submit(&plan, &params, vec![], None, None)
-        }
-        .unwrap();
-        let ctx = Arc::clone(&run.ctx);
-        assert!(ctx.cache.is_none());
-        run.wait().unwrap();
-        let paths = traced_paths(&ctx);
-        assert!(paths.len() > 63 && paths.iter().all(PathKey::is_empty));
-    }
+    // the serve dispatcher) starts its runs like this: no cache, so no
+    // table, and every frame of the 63-call recursion sits at the root path.
+    let run = exec.submit(&plan, &params, vec![], None, None).unwrap();
+    let ctx = Arc::clone(&run.ctx);
+    assert!(ctx.cache.is_none());
+    run.wait().unwrap();
+    let paths = traced_paths(&ctx);
+    assert!(paths.len() > 63 && paths.iter().all(PathKey::is_empty));
     // The same module run with a cache: each frame below the root gets its
     // own node in that cache's table (63 activations of `tree`, each with
     // the frame of the branch its Cond took), and another run's cache
@@ -376,9 +399,7 @@ fn a_graph_with_nothing_left_to_run_completes_while_it_spawns() {
         });
         let (plan, params) = planned(m);
         assert_eq!(plan.plan(GraphRef::Main).live_at_spawn, 0);
-        let (h, root) = exec
-            .start(&plan, &params, vec![], None, None, false)
-            .unwrap();
+        let (h, root) = exec.start(&plan, &params, vec![], None, None).unwrap();
         assert!(root.is_none() && h.is_finished());
         let stats = Arc::clone(h.stats());
         let want = if main_is_param { 7.0 } else { 100.0 };
@@ -451,9 +472,7 @@ fn a_zero_argument_invoke_is_ready_at_spawn_and_still_dispatched() {
     assert_eq!(plan.plan(GraphRef::Main).ready_at_spawn.len(), 2);
 
     let exec = Executor::with_pool(0);
-    let (h, root) = exec
-        .start(&plan, &params, vec![], None, None, false)
-        .unwrap();
+    let (h, root) = exec.start(&plan, &params, vec![], None, None).unwrap();
     let stats = Arc::clone(h.stats());
     assert_eq!(stats.snapshot().ops_executed, 0, "main has no prelude");
     // The test thread is the only worker: root chain first, then the queue.
@@ -522,32 +541,21 @@ fn a_failure_while_spawning_fails_the_run_once_and_the_counters_close() {
 
 #[test]
 fn a_cancelled_member_drops_out_of_its_fused_group() {
-    // `tanh(x · W)`: the head of every run is the batchable `MatMul`.
-    let mut mb = ModuleBuilder::new();
-    let x = mb.main_input(DType::F32);
-    let w = mb.param("w", Tensor::from_f32(vec![3, 2], vec![0.5; 6]).unwrap());
-    let w = mb.param_read(w).unwrap();
-    let y = mb.matmul(x, w).unwrap();
-    let y = mb.tanh(y).unwrap();
-    mb.set_outputs(&[y]).unwrap();
-    let (plan, params) = planned(mb.finish().unwrap());
-    let row = |v: f32| vec![Tensor::from_f32(vec![1, 3], vec![v, 1.0, -2.0]).unwrap()];
+    let (plan, params) = planned(stackable_head());
 
-    // The test thread is the only worker: three fusing runs, the middle one
-    // cancelled, claimed in one batch. All three heads form one group; the
-    // cancelled member drops out at its claim and the other two fuse.
+    // The test thread is the only worker: three runs, the middle one
+    // cancelled, claimed in one batch. All three heads park as one group;
+    // the cancelled member drops out at its claim and the other two fuse.
     let exec = Executor::with_pool(0);
     let (handles, mut batch): (Vec<RunHandle>, Vec<Task>) = [0.25, 0.5, 0.75]
         .into_iter()
         .map(|v| {
-            let (h, root) = exec
-                .start(&plan, &params, row(v), None, None, true)
-                .unwrap();
+            let (h, root) = exec.start(&plan, &params, row(v), None, None).unwrap();
             (h, root.expect("the MatMul is ready at spawn"))
         })
         .unzip();
     handles[1].cancel();
-    run_batch_fused(&exec.queue, &mut batch);
+    drain(&exec.queue, &mut batch);
     assert!(exec.queue.try_pop().is_none(), "nothing was left behind");
     let stats: Vec<_> = handles.iter().map(|h| Arc::clone(h.stats())).collect();
     let outs: Vec<_> = handles.into_iter().map(RunHandle::wait).collect();
@@ -558,12 +566,11 @@ fn a_cancelled_member_drops_out_of_its_fused_group() {
         (1, 0, 0)
     );
     assert_eq!((a.fused_groups, a.fused_tasks, b.fused_tasks), (1, 1, 1));
+    assert_eq!((a.fusable_seen, b.fusable_seen), (1, 1));
 
     // Each survivor equals its own scalar run bit for bit.
     for (i, v) in [(0, 0.25), (2, 0.75)] {
-        let (h, root) = exec
-            .start(&plan, &params, row(v), None, None, false)
-            .unwrap();
+        let (h, root) = exec.start(&plan, &params, row(v), None, None).unwrap();
         let mut next = root;
         while let Some(t) = next {
             next = execute_task(t);

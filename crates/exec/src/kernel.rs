@@ -216,6 +216,25 @@ pub fn execute_stacked(
     }
 }
 
+/// Executes a group of rank-1 gradient sinks as one update: `a` and `dy`
+/// are the members' operands stacked by rows, in member order, and
+/// `GradStore::accumulate_outer` adds their terms to each accumulator
+/// element in that order — the bits of the members' calls one by one.
+pub(crate) fn execute_stacked_sink(
+    op: &OpKind,
+    a: &Tensor,
+    dy: &Tensor,
+    grads: &GradStore,
+) -> Result<(), TensorError> {
+    match op {
+        OpKind::GradSinkOuter { param } => grads.accumulate_outer(*param, a, dy),
+        _ => Err(TensorError::invalid(format!(
+            "op {} has no stacked sink path",
+            op.mnemonic()
+        ))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -169,13 +169,23 @@ impl GradStore {
     }
 
     /// Adds the weight-gradient contribution `aᵀ·dy` (`a: [k, m]`,
-    /// `dy: [k, n]`) for `p` without materializing it: the `matmul_at` loop
-    /// nest writes into the accumulator.
+    /// `dy: [k, n]`) for `p` without materializing it: [`ops::outer_acc`]
+    /// writes into the accumulator, which a first contribution starts at
+    /// zero. `k` stacked rows add exactly what `k` one-row calls in row
+    /// order would, which is how a group of sinks runs as one call.
     pub fn accumulate_outer(&self, p: ParamId, a: &Tensor, dy: &Tensor) -> Result<(), TensorError> {
         let mut slot = self.mine(p);
         match slot.as_mut() {
-            None => *slot = Some(ops::matmul_at(a, dy)?),
-            Some(acc) => ops::matmul_at_acc(acc, a, dy)?,
+            None => {
+                let (m, n) = (a.shape().as_matrix(), dy.shape().as_matrix());
+                let (Some((_, m)), Some((_, n))) = (m, n) else {
+                    return Err(TensorError::invalid("accumulate_outer: rank-2 operands"));
+                };
+                let mut acc = Tensor::zeros([m, n]);
+                ops::outer_acc(&mut acc, a, dy)?;
+                *slot = Some(acc);
+            }
+            Some(acc) => ops::outer_acc(acc, a, dy)?,
         }
         Ok(())
     }

@@ -30,6 +30,9 @@
 //!   nodes are still to run.
 //! * keep flags — which node outputs training runs must write to the
 //!   backprop cache.
+//! * `fuse` / `stackable` — which nodes are batchable, and which of those
+//!   share a parameter large enough that their tasks wait on a worker's
+//!   agenda to run as one stacked call.
 //! * a pooled free-list of frame cores (pending counters + value slots),
 //!   so frame activation reuses allocations across invocations and runs.
 //!
@@ -61,6 +64,13 @@ use crate::params::ParamStore;
 use rdg_graph::{GraphRef, Module, NodeId, OpKind, ParamId, PortRef, SubGraphId};
 use rdg_tensor::{DType, Tensor};
 use std::sync::Arc;
+
+/// The crossover of the stacking rule: the smallest shared parameter, in
+/// bytes, for which a batchable node's tasks wait to run as one stacked
+/// call. Below it one-row calls on a cache-resident weight cost about what
+/// a stacked call does, and the gather, scatter and wait buy nothing
+/// (PERFORMANCE.md § PR 44 has the `tensor_kernels` measurement).
+pub(crate) const STACK_MIN_BYTES: usize = 64 << 10;
 
 /// How one prelude node's outputs are produced at frame-spawn time.
 pub enum PreludeValue {
@@ -135,6 +145,12 @@ pub struct ExecutionPlan {
     /// across concurrent frames (see [`crate::batch::fuse_kind`]). Computed
     /// here so dispatch-time grouping is an index, not a shape derivation.
     pub fuse: Vec<Option<crate::batch::FuseKind>>,
+    /// Per-node: the node is batchable *and* the parameter its members
+    /// would share — the shared operand, or a sink's accumulator — holds at
+    /// least `STACK_MIN_BYTES`. Only such a node's tasks wait on a
+    /// worker's agenda to run as one stacked call; every other task runs
+    /// alone, as it comes.
+    pub stackable: Vec<bool>,
     /// Pooled frame cores (pending counters + value slots) recycled across
     /// activations of this graph.
     pub(crate) pool: crate::executor::CorePool,
@@ -213,10 +229,27 @@ impl ExecutionPlan {
                 keep_shape[node.0 as usize] = true;
             }
         }
-        let fuse = g
+        let fuse: Vec<_> = g
             .nodes
             .iter()
             .map(|node| crate::batch::fuse_kind(&node.op))
+            .collect();
+        let stackable = (g.nodes.iter().zip(&fuse))
+            .map(|(node, kind)| {
+                let param = match (kind, &node.op) {
+                    (None, _) => return false,
+                    (Some(_), OpKind::GradSinkOuter { param }) => *param,
+                    (Some(kind), _) => {
+                        let shared = kind.shared().and_then(|i| node.inputs.get(i));
+                        match shared.map(|p| &g.node(p.node).op) {
+                            Some(OpKind::Param(p)) => *p,
+                            _ => return false,
+                        }
+                    }
+                };
+                let init = &module.params[param.0 as usize].init;
+                init.numel() * size_of::<f32>() >= STACK_MIN_BYTES
+            })
             .collect();
         Ok(ExecutionPlan {
             consumers,
@@ -230,6 +263,7 @@ impl ExecutionPlan {
             keep_value,
             keep_shape,
             fuse,
+            stackable,
             pool: crate::executor::CorePool::default(),
         })
     }
@@ -305,7 +339,7 @@ impl ModulePlan {
                     .iter()
                     .zip(&g.nodes)
                     .filter_map(move |(kind, node)| {
-                        let shared = node.inputs.get(kind.as_ref()?.operands().1)?;
+                        let shared = node.inputs.get(kind.as_ref()?.shared()?)?;
                         match g.node(shared.node).op {
                             OpKind::Param(p) => Some(params.read(p).numel() * size_of::<f32>()),
                             _ => None,

@@ -19,7 +19,11 @@
 //! of one fork under one lock acquisition, and [`ReadyQueue::pop_batch`]
 //! lets a worker claim several runnable operations per round-trip.
 //! [`ReadyQueue::has_idle`] tells a worker that is holding such a claim
-//! whether someone else could be running it.
+//! whether someone else could be running it, and
+//! [`ReadyQueue::try_pop_batch`] claims without waiting.
+//! [`ReadyQueue::take_matching`] lets a worker about to run a stacked call
+//! take the queued tasks of the same node out of line, which is the one
+//! place the queue is not served in order.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -99,6 +103,45 @@ impl<T> ReadyQueue<T> {
     /// [`crate::sim`]).
     pub fn try_pop(&self) -> Option<T> {
         self.state.lock().queue.pop_front()
+    }
+
+    /// [`ReadyQueue::pop_batch`] without the wait: claims a fair share of
+    /// what is queued and returns `true`, or returns `false` at once if
+    /// nothing is.
+    pub fn try_pop_batch(&self, buf: &mut Vec<T>, max: usize) -> bool {
+        let mut st = self.state.lock();
+        if st.queue.is_empty() {
+            return false;
+        }
+        let take = fair_take(
+            st.queue.len(),
+            self.waiting.load(Ordering::Relaxed),
+            max.max(1),
+        );
+        buf.extend(st.queue.drain(..take));
+        true
+    }
+
+    /// Moves queued tasks that satisfy `pred` into `buf`, oldest first,
+    /// until `buf` holds `max`, under one lock acquisition; every other task
+    /// keeps its place. Never blocks: what a worker about to run a stacked
+    /// call uses to top its group up with same-key tasks from the queue.
+    pub fn take_matching(&self, buf: &mut Vec<T>, max: usize, mut pred: impl FnMut(&T) -> bool) {
+        if buf.len() >= max {
+            return;
+        }
+        let mut st = self.state.lock();
+        let mut i = 0;
+        while i < st.queue.len() {
+            if pred(&st.queue[i]) {
+                buf.extend(st.queue.remove(i));
+                if buf.len() >= max {
+                    return;
+                }
+            } else {
+                i += 1;
+            }
+        }
     }
 
     /// Blocking batched pop: waits for work, then drains a **fair share**
@@ -190,6 +233,29 @@ mod tests {
             assert!(q.pop_batch(&mut buf, 100));
         }
         assert_eq!(buf, (0..10).collect::<Vec<_>>(), "drained, in order");
+    }
+
+    #[test]
+    fn try_pop_batch_claims_a_fair_share_or_returns_at_once() {
+        let q = ReadyQueue::default();
+        let mut buf = Vec::new();
+        assert!(!q.try_pop_batch(&mut buf, 8), "an empty queue");
+        q.push_batch(0..6);
+        assert!(q.try_pop_batch(&mut buf, 8));
+        assert_eq!(buf, vec![0, 1, 2], "half, in order");
+    }
+
+    #[test]
+    fn take_matching_moves_matches_in_order_and_keeps_the_rest() {
+        let q = ReadyQueue::default();
+        q.push_batch(0..10);
+        let mut buf = vec![100];
+        q.take_matching(&mut buf, 4, |&x| x % 3 == 0);
+        assert_eq!(buf, vec![100, 0, 3, 6], "oldest matches first, up to max");
+        q.take_matching(&mut buf, 4, |_| true);
+        assert_eq!(buf.len(), 4, "a full buffer takes nothing");
+        let rest: Vec<_> = std::iter::from_fn(|| q.try_pop()).collect();
+        assert_eq!(rest, vec![1, 2, 4, 5, 7, 8, 9]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! ```text
 //!   live: dispatcher thread                  ScriptedServe
 //!   wall clock (the loop's epoch),           virtual clock (in a wave,
-//!   Executor::submit_fused / RunHandle       only joins move it), scripted
+//!   Executor::submit / RunHandle             only joins move it), scripted
 //!                  │                         services on simulated lanes
 //!                  └──────▶ Driver::step ◀───────────┘
 //!                form_wave · evict · launch · join · ledger · wave_done

@@ -58,9 +58,10 @@
 //! A loop is opened with [`crate::Session::serve`] (default
 //! [`ServeConfig`]) or [`crate::Session::serve_with`], which wire the
 //! session's plan, parameters and executor into a dispatcher thread and
-//! hand back its first [`ServeClient`]. Every loop fuses same-shape
-//! kernels across its requests (see [`crate::batch`]); a bare
-//! [`Executor::run`] beside it stays scalar.
+//! hand back its first [`ServeClient`]. A loop's requests are ordinary
+//! runs: their stackable kernels group with each other's, and with those
+//! of any other run of the same plan, in the executor's one drain (see
+//! [`crate::batch`]).
 //!
 //! # One core, one driver, two clocks
 //!
@@ -543,8 +544,8 @@ pub struct ServeStats {
     /// This loop's kernel instances executed through a fused call — the
     /// numerator of [`ServeStats::fused_fraction`].
     pub fusion_instances: u64,
-    /// This loop's fusion-eligible kernel instances (batchable graph
-    /// nodes), fused or not — the denominator of
+    /// This loop's fusion-eligible kernel instances (graph nodes the plan
+    /// marks stackable), fused or not — the denominator of
     /// [`ServeStats::fused_fraction`]. All three fusion rows are the sums of
     /// each joined request's own run counters, so other runs on the same
     /// executor never count here; a request shows up once it is joined.
@@ -760,9 +761,8 @@ impl ServeQueue {
 }
 
 /// The wall-clock [`Runner`]: the loop's epoch, and the executor running
-/// every request as a fusing root frame of the loop's one plan, so
-/// cross-request fusion (`GroupKey` is keyed by plan pointer) can group
-/// any of them.
+/// every request as a root frame of the loop's one plan, so its stacked
+/// calls (`GroupKey` is keyed by plan pointer) can group any of them.
 impl Runner<Request> for &ServeQueue {
     /// A failed submit is a run that has already failed.
     type Run = Result<RunHandle, ExecError>;
@@ -775,7 +775,8 @@ impl Runner<Request> for &ServeQueue {
     fn launch(&mut self, wave: &mut [Queued<Request>]) -> Vec<Self::Run> {
         let run = |q: &mut Queued<Request>| {
             let feeds = std::mem::take(&mut q.item.feeds);
-            self.exec.submit_fused(&self.plan, &self.params, feeds)
+            self.exec
+                .submit(&self.plan, &self.params, feeds, None, None)
         };
         wave.iter_mut().map(run).collect()
     }

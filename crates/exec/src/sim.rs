@@ -173,7 +173,7 @@ impl SimExecutor {
         cache: Option<Arc<BackpropCache>>,
     ) -> Result<SimResult, ExecError> {
         let exec = Executor::with_pool(0);
-        let (handle, root) = exec.start(plan, params, feeds, grads, cache, false)?;
+        let (handle, root) = exec.start(plan, params, feeds, grads, cache)?;
         // The virtual FIFO: tasks with the virtual time they became ready.
         // No thread drains the executor's queue, so after a spawn or a task
         // it holds exactly what that step made ready beyond the one task

@@ -31,6 +31,9 @@ pub enum FuseClass {
     RowsShared,
     /// Requests stack as columns; the first operand is shared.
     ColsShared,
+    /// A rank-1 weight-gradient sink (`GradSinkOuter`): requests stack both
+    /// operands as rows into one update of the parameter's accumulator.
+    SinkRows,
 }
 
 /// The fuse signature of an op under the serving executor's cross-request
@@ -42,6 +45,7 @@ pub fn fuse_class(op: &OpKind) -> Option<FuseClass> {
             Some(FuseClass::RowsShared)
         }
         OpKind::MatMulAT => Some(FuseClass::ColsShared),
+        OpKind::GradSinkOuter { .. } => Some(FuseClass::SinkRows),
         _ => None,
     }
 }
@@ -83,7 +87,7 @@ pub struct GraphCoverage {
     pub gref: GraphRef,
     /// Graph name (main or the SubGraph's name).
     pub name: String,
-    /// Nodes whose op is fuse-eligible.
+    /// Compute nodes whose op is fuse-eligible.
     pub eligible: Vec<NodeId>,
     /// Number of compute nodes considered.
     pub n_compute: usize,
@@ -157,7 +161,11 @@ pub fn check_batchability(
                 n_compute += 1;
             }
             if fuse_class(&n.op).is_some() {
-                eligible.push(id);
+                // A sink is bookkeeping, not compute: it may stack, but
+                // coverage stays a fraction of the compute nodes.
+                if is_compute(&n.op) {
+                    eligible.push(id);
+                }
                 eligible_set.insert((gref, id));
             } else if is_hot && is_heavy(&n.op) {
                 diags.push(node_diag(

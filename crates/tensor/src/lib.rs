@@ -16,10 +16,11 @@
 //!
 //! All kernels are plain Rust (no BLAS, no intrinsics) that autovectorizes;
 //! the matmul kernel uses a cache-friendly `i-k-j` loop ordering. Every
-//! kernel is one build for the baseline target except `matmul` and
-//! `matmul_at`/`matmul_at_acc`, whose loop nests also get an AVX2 build of
-//! the same source, picked at run time ([`ops::vector_isa`] names it) and
-//! bit-identical to the baseline one. The call into that build is the
+//! kernel is one build for the baseline target except `matmul`,
+//! `matmul_at`/`matmul_at_acc`, `matmul_bt` and `outer_acc`, whose loop
+//! nests also get an AVX2 build of the same source, picked at run time
+//! ([`ops::vector_isa`] names it) and bit-identical to the baseline one.
+//! The call into that build is the
 //! crate's only `unsafe` block (`ops/matmul.rs`); the crate denies
 //! `unsafe_code` everywhere else.
 //!

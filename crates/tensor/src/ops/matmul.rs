@@ -6,6 +6,8 @@
 //! * [`matmul`]   — `C = A·B`   with `A: [m, k]`, `B: [k, n]`
 //! * [`matmul_at`] — `C = Aᵀ·B` with `A: [k, m]`, `B: [k, n]`
 //! * [`matmul_bt`] — `C = A·Bᵀ` with `A: [m, k]`, `B: [n, k]`
+//! * [`outer_acc`] — `C += Aᵀ·B` for a few stacked rows (grouped weight
+//!   gradient sinks)
 //!
 //! `matmul` and `matmul_at` use the `i-k-j` loop order (unit-stride inner
 //! loop over both output row and `B` row), which LLVM autovectorizes; this is
@@ -17,10 +19,10 @@
 //! nest is an `#[inline(always)]` body over slices that `with_host_isa` runs
 //! as compiled or in an AVX2 copy, picked at run time. Each nest fixes the
 //! order in which an output element's terms are added (ascending `k` for
-//! `matmul` and `matmul_at`/`matmul_at_acc`, `matmul_bt`'s lane order), and
-//! without `fma`, intrinsics or `mul_add` (Rust never contracts
-//! `a * b + c`), wider registers change how many output elements one
-//! instruction updates, never the rounding of any one of them.
+//! `matmul`, `matmul_at`/`matmul_at_acc` and `outer_acc`, `matmul_bt`'s
+//! lane order), and without `fma`, intrinsics or `mul_add` (Rust never
+//! contracts `a * b + c`), wider registers change how many output elements
+//! one instruction updates, never the rounding of any one of them.
 
 use crate::error::TensorError;
 use crate::shape::Shape;
@@ -237,6 +239,96 @@ pub fn matmul_at_acc(c: &mut Tensor, a: &Tensor, b: &Tensor) -> Result<()> {
         });
     }
     with_host_isa(MatMulAt(m, ka, n), av, bv, c.make_f32_mut()?);
+    Ok(())
+}
+
+/// Accumulator elements [`OuterAcc`] keeps in registers per pass: a strip of
+/// one `C` row, loaded once, updated by every stacked row, stored once.
+const STRIP: usize = 32;
+
+/// The [`outer_acc`] loop nest, `C[m,n] += Aᵀ[m,k] · B[k,n]` with
+/// `A: [k, m]`, as `(m, k, n)`, for a few stacked rows: row-outer, so each
+/// [`STRIP`]-wide strip of a `C` row stays in registers across all `k`
+/// rows instead of streaming the whole of `C` once per row as [`MatMulAt`]
+/// does. An element adds its terms in ascending `k` with the same zero
+/// skips as [`MatMulAt`], so the bits are the same; only the traversal
+/// across elements changes.
+struct OuterAcc(usize, usize, usize);
+
+impl OuterAcc {
+    /// `crow[..W] += Σₖ a[k·m + i] · b[k·n + j..][..W]`, in ascending `k`.
+    #[inline(always)]
+    fn strip<const W: usize>(&self, i: usize, j: usize, av: &[f32], bv: &[f32], crow: &mut [f32]) {
+        let OuterAcc(m, ka, n) = *self;
+        let mut acc = [0.0f32; W];
+        acc.copy_from_slice(&crow[..W]);
+        for kk in 0..ka {
+            let aki = av[kk * m + i];
+            if aki == 0.0 {
+                continue;
+            }
+            let b = &bv[kk * n + j..kk * n + j + W];
+            for l in 0..W {
+                acc[l] += aki * b[l];
+            }
+        }
+        crow[..W].copy_from_slice(&acc);
+    }
+}
+
+impl LoopNest for OuterAcc {
+    #[inline(always)]
+    fn run(self, av: &[f32], bv: &[f32], out: &mut [f32]) {
+        let n = self.2;
+        for i in 0..self.0 {
+            let crow = &mut out[i * n..(i + 1) * n];
+            let mut j = 0;
+            while j + STRIP <= n {
+                self.strip::<STRIP>(i, j, av, bv, &mut crow[j..]);
+                j += STRIP;
+            }
+            while j + 8 <= n {
+                self.strip::<8>(i, j, av, bv, &mut crow[j..]);
+                j += 8;
+            }
+            for j in j..n {
+                self.strip::<1>(i, j, av, bv, &mut crow[j..]);
+            }
+        }
+    }
+}
+
+/// `C[m,n] += Σᵣ aᵣᵀ · bᵣ` over the `k` stacked rows of `A: [k, m]` and
+/// `B: [k, n]`: the weight-gradient update of `k` rank-1 sinks on one
+/// parameter in one call. The same function as [`matmul_at_acc`], summed in
+/// the same order (ascending row, zeros skipped), so one `k`-row call equals
+/// `k` one-row calls in row order bit for bit. From two rows on, its nest
+/// keeps each accumulator strip in registers across all of them; one row
+/// passes over `C` once either way, and `MatMulAt`'s whole-row loop does
+/// that pass faster (`grad_sink/one_by_one/*` in `tensor_kernels`).
+pub fn outer_acc(c: &mut Tensor, a: &Tensor, b: &Tensor) -> Result<()> {
+    let (ka, m, av) = as_mat(a, "outer_acc lhs")?;
+    let (kb, n, bv) = as_mat(b, "outer_acc rhs")?;
+    if ka != kb {
+        return Err(TensorError::ShapeMismatch {
+            lhs: a.shape().clone(),
+            rhs: b.shape().clone(),
+            ctx: "outer_acc",
+        });
+    }
+    if c.shape().as_matrix() != Some((m, n)) {
+        return Err(TensorError::ShapeMismatch {
+            lhs: c.shape().clone(),
+            rhs: Shape::matrix(m, n),
+            ctx: "outer_acc",
+        });
+    }
+    let out = c.make_f32_mut()?;
+    if ka == 1 {
+        with_host_isa(MatMulAt(m, ka, n), av, bv, out);
+    } else {
+        with_host_isa(OuterAcc(m, ka, n), av, bv, out);
+    }
     Ok(())
 }
 
@@ -488,6 +580,66 @@ mod tests {
                 }
             }
         }
+        // The stacked sink: k rows of `a` (zeros and -0.0 among them) into
+        // a -0.0 accumulator and a non-zero one, at the TreeLSTM gate shape
+        // and at widths that leave every strip tail.
+        for k in [1usize, 2, 4, 17] {
+            for (mm, n) in [(336usize, 168usize), (5, 1), (7, 9), (3, 41), (2, 77)] {
+                let (av, bv) = (fill(k * mm, 0.5), fill(k * n, 1.5));
+                for init in [vec![-0.0; mm * n], fill(mm * n, 2.5)] {
+                    let mut got = m(mm, n, init.clone());
+                    outer_acc(&mut got, &m(k, mm, av.clone()), &m(k, n, bv.clone())).unwrap();
+                    let mut want = init;
+                    OuterAcc(mm, k, n).run(&av, &bv, &mut want);
+                    let at = format!("outer_acc {k}x{mm}, {k}x{n}");
+                    assert_eq!(bits(got.f32s().unwrap()), bits(&want), "{at}");
+                }
+            }
+        }
+    }
+
+    /// A group of sinks is one [`outer_acc`] over their stacked rows: a
+    /// `k`-row call equals `k` one-row calls in row order, bit for bit
+    /// (and so does [`matmul_at_acc`], the nest it replaces on the sink
+    /// path), with zeros, -0.0 and an accumulator that starts at -0.0.
+    #[test]
+    fn one_k_row_outer_acc_equals_k_one_row_calls_in_order() {
+        let fill = |len: usize, seed: f32| -> Vec<f32> {
+            (0..len)
+                .map(|i| match i % 11 {
+                    2 => 0.0,
+                    7 => -0.0,
+                    _ => ((i as f32 + seed) * 0.7310585).sin() * 3.0,
+                })
+                .collect()
+        };
+        for k in [1usize, 2, 4, 8, 17] {
+            for (mm, n) in [(336usize, 168usize), (64, 168), (9, 33)] {
+                let (av, bv) = (fill(k * mm, 0.25), fill(k * n, 4.5));
+                for init in [vec![-0.0; mm * n], fill(mm * n, 2.5)] {
+                    let mut stacked = m(mm, n, init.clone());
+                    outer_acc(&mut stacked, &m(k, mm, av.clone()), &m(k, n, bv.clone())).unwrap();
+                    let mut one_by_one = m(mm, n, init.clone());
+                    let mut at_acc = m(mm, n, init);
+                    for r in 0..k {
+                        let a = m(1, mm, av[r * mm..(r + 1) * mm].to_vec());
+                        let b = m(1, n, bv[r * n..(r + 1) * n].to_vec());
+                        outer_acc(&mut one_by_one, &a, &b).unwrap();
+                        matmul_at_acc(&mut at_acc, &a, &b).unwrap();
+                    }
+                    let bits = |t: &Tensor| -> Vec<u32> {
+                        t.f32s().unwrap().iter().map(|x| x.to_bits()).collect()
+                    };
+                    let at = format!("{k} rows of {mm}x{n}");
+                    assert_eq!(bits(&stacked), bits(&one_by_one), "{at}");
+                    assert_eq!(bits(&stacked), bits(&at_acc), "{at}");
+                }
+            }
+        }
+        // Mismatched operands are errors, not out-of-bounds writes.
+        let mut c = m(3, 2, vec![0.0; 6]);
+        assert!(outer_acc(&mut c, &m(2, 3, vec![0.0; 6]), &m(1, 2, vec![0.0; 2])).is_err());
+        assert!(outer_acc(&mut c, &m(1, 2, vec![0.0; 2]), &m(1, 2, vec![0.0; 2])).is_err());
     }
 
     /// The reference [`matmul_bt`] element: one `Σ a[k]·b[k]` in the

@@ -34,7 +34,7 @@ pub use bilinear::{bilinear, bilinear_grad_v, bilinear_grad_x};
 pub use elementwise::{add, add_bias, add_const, div, mul, neg, scalar_mul, scale, sub};
 pub use index::{gather_rows, get_row, onehot, scatter_add_rows, scatter_rows_like, set_row};
 pub use loss::{softmax_xent, softmax_xent_grad};
-pub use matmul::{matmul, matmul_at, matmul_at_acc, matmul_bt, vector_isa};
+pub use matmul::{matmul, matmul_at, matmul_at_acc, matmul_bt, outer_acc, vector_isa};
 pub use reduce::{
     broadcast_rows_like, fill_like, mean_all, mean_all_grad, mean_axis0, sum_all, sum_axis0,
 };

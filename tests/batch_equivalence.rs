@@ -1,34 +1,61 @@
-//! Cross-request batch fusion must change the schedule, not the math.
+//! Batch fusion must change the schedule, not the math.
 //!
-//! The executor's dispatch-time fuser stacks same-shape kernels from
-//! concurrent serving requests into one matmul-class call and scatters the
-//! result back per request. The stacking is row/column concatenation with
-//! the kernel loop order preserved, so fused outputs are **bit-for-bit**
-//! identical to scalar execution — not merely `allclose`. These tests pin
-//! that contract end to end, with the scalar path (runs that did not opt
-//! into fusion, the pre-PR-8 executor behavior) as the oracle:
+//! The executor's one drain stacks the tasks of a stackable node — from
+//! sibling frames, minibatch instances and concurrent requests alike — into
+//! one matmul-class call and scatters the result back per task. The
+//! stacking is row/column concatenation with the kernel loop order
+//! preserved, so fused outputs are **bit-for-bit** identical to scalar
+//! execution — not merely `allclose`. These tests pin that contract end to
+//! end, with the virtual clock (`SimExecutor`, which executes one task at a
+//! time and never stacks) as the scalar oracle. The models are sized above
+//! the stacking crossover (a shared weight of at least 64 KiB), so their
+//! weight products stack:
 //!
 //! 1. A property sweep over random tree shapes, depths, and model kinds
-//!    (TreeRNN / RNTN / TreeLSTM — covering every fusable op: `MatMul`,
-//!    `AddBias`, `Bilinear`, and the transposed variants) comparing every
-//!    output tensor of every request bitwise.
+//!    (TreeRNN / RNTN / TreeLSTM — covering `MatMul` and `Bilinear`)
+//!    comparing every output tensor of every request bitwise.
 //! 2. A deterministic saturation test that also asserts fusion actually
 //!    *engages* (groups form, instances fuse) and that per-class
 //!    accounting stays closed with batching on — fused members resolve
 //!    their own tickets exactly once.
-//! 3. Fusion is a property of each run, not of the pool: a serve loop that
+//! 3. Fusion needs no opt-in and is counted per run: a serve loop that
 //!    shuts down takes nothing from another loop on the same executor, a
-//!    bare run beside a fusing loop joins no group, and a loop's fusion
-//!    counters count its own requests' runs and nothing else.
-//! 4. Cancelling one of several fusing runs claimed together drops that run
+//!    bare run beside a serve loop groups with its requests, and a loop's
+//!    fusion counters count its own requests' runs and nothing else.
+//! 4. Cancelling one of several runs claimed together drops that run
 //!    alone: the others still fuse, and every counter is accounted once.
+//! 5. A TreeLSTM minibatch trained on the live two-worker pool, where its
+//!    gate products and weight-gradient sinks stack, gives the per-instance
+//!    losses of the virtual clock bit for bit, and its gradients within
+//!    the training suites' tolerance; `run_many` inference the outputs.
 
 use proptest::prelude::*;
-use rdg_core::exec::{ExecError, ExecStats, RunHandle, ServeTicket, StatsSnapshot};
+use rdg_core::exec::sim::SimExecutor;
+use rdg_core::exec::{
+    BackpropCache, ExecError, ExecStats, GradStore, RunHandle, ServeTicket, StatsSnapshot,
+};
 use rdg_core::prelude::*;
 use std::sync::Arc;
 
 const KINDS: [ModelKind; 3] = [ModelKind::TreeRnn, ModelKind::Rntn, ModelKind::TreeLstm];
+
+/// The tiny config with a hidden width whose recursive weight is at least
+/// the 64 KiB stacking crossover: TreeRNN and TreeLSTM `[192, 96]`
+/// (72 KiB), RNTN's `V` `[16, 32, 32]` (64 KiB).
+fn above_crossover(kind: ModelKind, batch: usize) -> ModelConfig {
+    let hidden = if kind == ModelKind::Rntn { 16 } else { 96 };
+    ModelConfig {
+        hidden,
+        ..ModelConfig::tiny(kind, batch)
+    }
+}
+
+/// One request's outputs on the virtual clock: the scalar oracle.
+fn oracle(sess: &Session, feeds: Vec<Tensor>) -> Vec<Tensor> {
+    (SimExecutor::new(1).run(sess.plan(), sess.params(), feeds, None, None))
+        .expect("oracle run")
+        .outputs
+}
 
 /// Build a per-instance session plus one feed vector per tree.
 fn fixture(
@@ -38,7 +65,7 @@ fn fixture(
     max_len: usize,
     shape: TreeShape,
 ) -> (Session, Vec<Vec<Tensor>>) {
-    let cfg = ModelConfig::tiny(kind, 1);
+    let cfg = above_crossover(kind, 1);
     let data = Dataset::generate(DatasetConfig {
         vocab: cfg.vocab,
         n_train: n,
@@ -83,10 +110,9 @@ proptest! {
         let kind = KINDS[kind_idx];
         let shape = if balanced == 0 { TreeShape::Moderate } else { TreeShape::Balanced };
         let (sess, requests) = fixture(kind, seed, 6, max_len, shape);
-        // Oracle first: bare runs never fuse (they do not opt in).
         let scalar: Vec<Vec<Tensor>> = requests
             .iter()
-            .map(|r| sess.run(r.clone()).expect("scalar run"))
+            .map(|r| oracle(&sess, r.clone()))
             .collect();
         // Then the same requests, all in flight at once, batching on
         // (the serving default).
@@ -118,10 +144,7 @@ proptest! {
 #[test]
 fn fusion_engages_under_saturation_and_accounting_closes() {
     let (sess, requests) = fixture(ModelKind::TreeRnn, 20240808, 32, 16, TreeShape::Balanced);
-    let scalar: Vec<Vec<Tensor>> = requests
-        .iter()
-        .map(|r| sess.run(r.clone()).expect("scalar run"))
-        .collect();
+    let scalar: Vec<Vec<Tensor>> = requests.iter().map(|r| oracle(&sess, r.clone())).collect();
     let client = sess.serve_with(ServeConfig {
         capacity: 64,
         ..ServeConfig::default()
@@ -184,7 +207,7 @@ fn fusion_engages_under_saturation_and_accounting_closes() {
 /// A one-worker executor, a TreeRNN session on it, one request (a balanced
 /// 12-leaf tree) and that request's scalar outputs.
 fn one_worker_fixture() -> (Arc<Executor>, Session, Vec<Tensor>, Vec<Tensor>) {
-    let cfg = ModelConfig::tiny(ModelKind::TreeRnn, 1);
+    let cfg = above_crossover(ModelKind::TreeRnn, 1);
     let data = Dataset::generate(DatasetConfig {
         vocab: cfg.vocab,
         n_train: 1,
@@ -198,7 +221,7 @@ fn one_worker_fixture() -> (Arc<Executor>, Session, Vec<Tensor>, Vec<Tensor>) {
     let sess =
         Session::new(Arc::clone(&exec), build_recursive(&cfg).expect("build")).expect("session");
     let request = Dataset::feeds_per_instance(data.split(Split::Train)).remove(0);
-    let scalar = sess.run(request.clone()).expect("scalar run");
+    let scalar = oracle(&sess, request.clone());
     (exec, sess, request, scalar)
 }
 
@@ -223,32 +246,18 @@ fn plug(exec: &Arc<Executor>) -> RunHandle {
 
 /// Eight identical requests in flight at once on one worker, behind a plug
 /// run that keeps the worker busy until all eight heads are queued — which
-/// makes the schedule a function of the code alone. With `fuse` the eight
-/// runs opt into fusion (`Executor::submit_fused`, what a serve loop does
-/// for its requests); the plug never does. Every request's outputs are
-/// checked bitwise against a scalar run. Returns the executor and its stats
-/// before and after the eight.
-fn eight_identical_behind_a_plug(
-    fuse: bool,
-    profile: bool,
-) -> (Arc<Executor>, StatsSnapshot, StatsSnapshot) {
+/// makes the schedule a function of the code alone; the plug never groups.
+/// Every request's outputs are checked bitwise against the scalar oracle.
+/// Returns the executor and its stats before and after the eight.
+fn eight_identical_behind_a_plug(profile: bool) -> (Arc<Executor>, StatsSnapshot, StatsSnapshot) {
     let (exec, sess, request, scalar) = one_worker_fixture();
     if profile {
-        // The fixture's scalar run is not part of what the callers compare.
         exec.stats().enable_profiling();
     }
     let before = exec.stats().snapshot();
     let plug = plug(&exec);
     let handles: Vec<_> = (0..8)
-        .map(|_| {
-            let feeds = request.clone();
-            if fuse {
-                exec.submit_fused(sess.plan(), sess.params(), feeds)
-            } else {
-                sess.submit_run(feeds)
-            }
-            .expect("submit")
-        })
+        .map(|_| sess.submit_run(request.clone()).expect("submit"))
         .collect();
     assert!(
         !plug.is_finished(),
@@ -266,21 +275,22 @@ fn eight_identical_behind_a_plug(
     (exec, before, after)
 }
 
-/// Every member of a fused group finishes in the same stacked call, so with
-/// work-first continuations (PR 12) all of a group's continuations reach
-/// the next node together and regroup without meeting in the queue. On the
+/// Every member of a fused group finishes in the same stacked call, and its
+/// continuation chain runs until the next stackable node, where it parks
+/// again — so the eight runs regroup at every weight product. On the
 /// one-worker plug schedule the fused fraction is a number, not a
-/// distribution: 328 of 384 eligible tasks (0.854).
+/// distribution: 81 of 88 stackable tasks (0.920), the eleven combine
+/// products of each of the eight trees.
 ///
-/// The parent of PR 12 fused 0.91–0.94 of this *particular* load: there
-/// every op took a queue trip, which re-united fragments that a claim had
-/// split, where a chain that stays on its worker keeps the group it started
-/// with. On the benchmark's serving workloads (different trees, waves of
-/// two) the fraction rose instead, 0.43 → 0.49 (PERFORMANCE.md § PR 12).
-/// The floor pins what the work-first drain achieves here.
+/// History: the round-based fused drain of PR 12 fused 328 of 384 eligible
+/// tasks (0.854) here, counting every batchable node; since PR 44 only
+/// nodes sharing a weight of at least the stacking crossover count (the
+/// bias adds no longer do), and the one drain parks each member until no
+/// scalar work is left instead of running lockstep rounds, so a group
+/// that a claim split reunites on the agenda.
 #[test]
 fn identical_concurrent_requests_regroup_after_every_fused_call() {
-    let (_exec, before, after) = eight_identical_behind_a_plug(true, false);
+    let (_exec, before, after) = eight_identical_behind_a_plug(false);
     let eligible = after.fusable_seen - before.fusable_seen;
     let fused = after.fused_tasks - before.fused_tasks;
     assert!(eligible > 0);
@@ -289,32 +299,31 @@ fn identical_concurrent_requests_regroup_after_every_fused_call() {
     assert!(frac >= 0.85, "fused fraction fell to {frac:.3}");
 }
 
-/// The kernel profile must see the fused path. The same eight requests run
-/// once scalar and once fused, both profiled: a stacked call over `k`
-/// members is one kernel call where the scalar run made `k`, so the fused
-/// profile holds exactly `fused_tasks − fused_groups` fewer calls — no
-/// fewer (before PR 13 only the plain scalar path was timed, and every call
-/// made by the fused worker loop went missing from `kernel.busy_frac`).
+/// The kernel profile must see the fused path: a stacked call over `k`
+/// members is one profiled kernel call where scalar execution makes `k`.
+/// Every dispatched task that is neither a call site (one per frame below
+/// a root) nor a member of a stacked call is one profiled call, and each
+/// stacked call is one more — no fewer (before PR 13 only the plain scalar
+/// path was timed, and every call made by the fused worker loop went
+/// missing from `kernel.busy_frac`).
 #[test]
 fn kernel_profile_counts_fused_calls() {
-    let calls = |exec: &Executor| -> u64 {
-        exec.stats()
-            .kernel_profile()
-            .values()
-            .map(|&(_, n)| n)
-            .sum()
-    };
-    let (scalar_exec, ..) = eight_identical_behind_a_plug(false, true);
-    let (fused_exec, before, after) = eight_identical_behind_a_plug(true, true);
-    let groups = after.fused_groups - before.fused_groups;
-    let members = after.fused_tasks - before.fused_tasks;
+    let (exec, before, after) = eight_identical_behind_a_plug(true);
+    let calls: u64 = (exec.stats().kernel_profile().values())
+        .map(|&(_, n)| n)
+        .sum();
+    let d = |get: fn(&StatsSnapshot) -> u64| get(&after) - get(&before);
+    let runs = 8 + 1; // the eight requests and the plug
+    let dispatched = d(|s| s.ops_executed) - d(|s| s.prelude_published);
+    let call_sites = d(|s| s.frames_spawned) - runs;
+    let (groups, members) = (d(|s| s.fused_groups), d(|s| s.fused_tasks));
     assert!(groups > 0, "the plug schedule formed no fused group");
     assert_eq!(
-        calls(&scalar_exec) - calls(&fused_exec),
-        members - groups,
+        calls,
+        dispatched - call_sites - (members - groups),
         "each fused group replaces its members' calls by one profiled call"
     );
-    let (time, n) = fused_exec.stats().kernel_profile()["MatMul"];
+    let (time, n) = exec.stats().kernel_profile()["MatMul"];
     assert!(
         n > 0 && !time.is_zero(),
         "MatMul profiled: {n} calls, {time:?}"
@@ -368,13 +377,13 @@ fn a_serve_loop_shutting_down_leaves_the_other_loop_fusing() {
     assert_eq!(st.completed, 64);
 }
 
-/// A bare run started while a fusing serve loop is busy on the same executor
-/// joins no fused group and is bit-equal to its solo result. It runs the
-/// loop's own plan, so its tasks are group-compatible with the loop's in
-/// every way but the opt-in; and its head is claimed in one batch with the
-/// heads of two opted-in runs that do group, so a partner was there to take.
+/// A bare run started while a serve loop is busy on the same executor
+/// groups with the loop's requests: fusion is no opt-in, and a stacked
+/// call's key names the plan, not the run. Its head is claimed in one batch
+/// with the heads of two other bare runs, and all of them — and the served
+/// request — are bit-equal to the scalar oracle.
 #[test]
-fn a_bare_run_beside_a_fusing_serve_loop_stays_scalar() {
+fn a_bare_run_beside_a_serve_loop_groups_with_it() {
     let (exec, sess, request, scalar) = one_worker_fixture();
     let client = sess.serve();
     let before = exec.stats().snapshot();
@@ -384,27 +393,22 @@ fn a_bare_run_beside_a_fusing_serve_loop_stays_scalar() {
     while client.stats().batches == 0 {
         std::thread::yield_now();
     }
-    let fused = || {
-        exec.submit_fused(sess.plan(), sess.params(), request.clone())
-            .expect("fused run")
-    };
-    let [a, bare, b] = [
-        fused(),
-        sess.submit_run(request.clone()).expect("bare run"),
-        fused(),
-    ];
+    let bare = || sess.submit_run(request.clone()).expect("bare run");
+    let runs = [bare(), bare(), bare()];
     assert!(!plug_run.is_finished(), "the plug ended before the submits");
-    let bare_stats = Arc::clone(bare.stats());
-    for (h, ctx) in [(a, "fused run"), (bare, "bare run"), (b, "fused run")] {
-        assert_bit_equal(&scalar, &h.wait().expect(ctx), ctx);
+    let stats: Vec<_> = runs.iter().map(|h| Arc::clone(h.stats())).collect();
+    for h in runs {
+        assert_bit_equal(&scalar, &h.wait().expect("bare run"), "bare run");
     }
     assert_bit_equal(&scalar, &served.wait().expect("request"), "served request");
     client.shutdown();
-    let bare = bare_stats.snapshot();
-    assert!(bare.fusable_seen > 0, "the bare run had batchable kernels");
-    assert_eq!(bare.fused_tasks, 0, "a run that did not opt in was fused");
+    for s in &stats {
+        let s = s.snapshot();
+        assert!(s.fusable_seen > 0, "the bare run had stackable kernels");
+        assert!(s.fused_tasks > 0, "a bare run beside others never grouped");
+    }
     let groups = exec.stats().snapshot().fused_groups - before.fused_groups;
-    assert!(groups > 0, "the opted-in runs around it formed no group");
+    assert!(groups > 0, "the runs formed no group");
 }
 
 /// A serve loop's fusion rows are its own requests' run counters: N
@@ -437,10 +441,10 @@ fn a_serve_loops_fusion_rows_count_its_own_runs_only() {
     assert!(st.fusion_instances <= st.fusion_eligible);
 }
 
-/// Three fusing runs of one plan queue up behind the plug and one of them is
+/// Three runs of one plan queue up behind the plug and one of them is
 /// cancelled before the worker gets to any of them (ROADMAP 4(d); the
 /// executor's unit tests pin the member dropping out of a group it was
-/// claimed into). The worker's fused drain claims the cancelled run's head
+/// claimed into). The worker's drain claims the cancelled run's head
 /// beside a survivor's and drops it there, so that run reports `Cancelled`
 /// and fuses nothing, while the two survivors go on forming groups and match
 /// their solo scalar runs bit for bit. Once every run has torn down, the
@@ -450,10 +454,7 @@ fn a_run_cancelled_beside_fusing_partners_drops_out_and_the_rest_still_fuse() {
     let (exec, sess, request, scalar) = one_worker_fixture();
     let before = exec.stats().snapshot();
     let plug = plug(&exec);
-    let [a, cancelled, b] = [(); 3].map(|_| {
-        exec.submit_fused(sess.plan(), sess.params(), request.clone())
-            .expect("submit")
-    });
+    let [a, cancelled, b] = [(); 3].map(|_| sess.submit_run(request.clone()).expect("submit"));
     cancelled.cancel();
     assert!(!plug.is_finished(), "the plug ended before the cancel");
     let stats = [&plug, &a, &cancelled, &b].map(|h| Arc::clone(h.stats()));
@@ -502,5 +503,91 @@ fn wait_torn_down(stats: &Arc<ExecStats>) {
     while Arc::strong_count(stats) > 1 {
         assert!(std::time::Instant::now() < deadline, "run never tore down");
         std::thread::yield_now();
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.f32s().expect("f32").iter().map(|x| x.to_bits()).collect()
+}
+
+/// A TreeLSTM minibatch above the crossover (five `[192, 96]` gate weights)
+/// trained through `Session::run_training_batch` on the live two-worker
+/// pool, where its gate products, their input gradients and its
+/// weight-gradient sinks stack, against the virtual clock, which runs one
+/// task at a time and never stacks. Every instance's loss is bit-identical.
+/// Gradients sum the instances' contributions in an order the schedule
+/// decides, so they agree within the training suites' 1e-5. The same trees
+/// through `run_many` give the oracle's outputs bit for bit.
+#[test]
+fn stacked_treelstm_minibatch_matches_the_virtual_clock() {
+    let cfg = above_crossover(ModelKind::TreeLstm, 1);
+    let data = Dataset::generate(DatasetConfig {
+        vocab: cfg.vocab,
+        n_train: 12,
+        n_valid: 0,
+        min_len: 4,
+        max_len: 10,
+        shape: TreeShape::Moderate,
+        seed: 20261021,
+    });
+    let feeds = Dataset::feeds_per_instance(data.split(Split::Train));
+    let model = build_recursive(&cfg).expect("build");
+    let train = build_training_module(&model, model.main.outputs[0]).expect("autodiff");
+    let sess = Session::new(Executor::with_threads(2), train).expect("session");
+    let plan = sess.plan();
+    let n_params = plan.module.params.len();
+
+    let before = sess.executor().stats().snapshot();
+    let live = sess
+        .run_training_batch(feeds.clone())
+        .expect("training batch");
+    let after = sess.executor().stats().snapshot();
+    let grouped = after.fused_tasks - before.fused_tasks;
+    assert!(grouped > 0, "the minibatch stacked nothing");
+
+    let oracle_grads = Arc::new(GradStore::new(n_params));
+    for (i, f) in feeds.iter().enumerate() {
+        let cache = Arc::new(BackpropCache::new());
+        let want = SimExecutor::new(1)
+            .run(
+                plan,
+                sess.params(),
+                f.clone(),
+                Some(Arc::clone(&oracle_grads)),
+                Some(cache),
+            )
+            .expect("oracle training run")
+            .outputs;
+        assert_eq!(bits(&want[0]), bits(&live[i][0]), "instance {i}: loss");
+    }
+    for p in 0..n_params {
+        let pid = ParamId(p as u32);
+        let name = &plan.module.params[p].name;
+        match (oracle_grads.get(pid), sess.grads().get(pid)) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert_eq!(a.shape(), b.shape(), "gradient of '{name}'");
+                let (a, b) = (a.f32s().expect("f32"), b.f32s().expect("f32"));
+                for (x, y) in a.iter().zip(b) {
+                    assert!(
+                        (x - y).abs() <= 1e-5 * x.abs().max(y.abs()).max(1.0),
+                        "gradient of '{name}': {x} vs {y}"
+                    );
+                }
+            }
+            (a, b) => panic!("gradient of '{name}': {a:?} vs {b:?}"),
+        }
+    }
+
+    let infer = Session::with_params(
+        Arc::clone(sess.executor()),
+        model,
+        Arc::clone(sess.params()),
+    )
+    .expect("inference session");
+    let outs = infer.run_many(feeds.clone());
+    for (i, (f, out)) in feeds.into_iter().zip(outs).enumerate() {
+        let want = oracle(&infer, f);
+        assert_bit_equal(&want, &out.expect("run_many"), &format!("tree {i}"));
     }
 }
